@@ -2,16 +2,17 @@
 // workload's phase delta once and fast-forwarding over verified repeats
 // buy, and is the fast-forward really invisible?
 //
-// Two sections, one acceptance gate:
+// Three sections, each with an acceptance gate:
 //
 //   A. Speedup in the aggregate (speedup) mode: an ML-training-style
 //      workload — the same ring-allreduce flight of flows injected every
 //      period, for hundreds of iterations — run memo-off and memo-on,
-//      sequentially and under PDES(2). The memo runner records the first
-//      occurrence live, then every verified repeat applies the cached
-//      counter/identity delta and jumps virtual time past the phase.
-//      Acceptance: sequential memo-on >= 10x the memo-off wall clock with
-//      a bit-identical final-state fingerprint.
+//      sequentially and under PDES(2), five times each (median, min,
+//      max). The memo runner records the first occurrence live, then
+//      every verified repeat applies the cached counter/identity delta
+//      and jumps virtual time past the phase. Acceptance: sequential
+//      memo-on median >= 10x faster than the memo-off median, with a
+//      bit-identical final-state fingerprint.
 //
 //   B. Equivalence in the digest-attached mode: a shorter run of the same
 //      workload with the full StateDigest attached, memo-on vs memo-off.
@@ -19,11 +20,23 @@
 //      order lane included — bit-identical. This is the bench-sized
 //      mirror of the DiffCheck.MemoFuzz CTest gate.
 //
+//   C. Scaling: aggregate memo-on, sequential, at P and 10·P phases
+//      (240/2400; 60/600 under ESIM_BENCH_QUICK), each timed as the best
+//      of five runs on a cache warmed by one untimed run, so every phase
+//      fast-forwards. A phase boundary must cost O(events due in the
+//      phase + components), not O(phases still pre-scheduled): the gate
+//      fails when the per-phase cost ratio exceeds 2x (a per-boundary
+//      walk of the whole run gives ~10x).
+//
 // Output schema (BENCH_memo.json) is documented in EXPERIMENTS.md.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "check/scenario.h"
@@ -74,23 +87,32 @@ memo::PeriodicScenario training_workload(std::uint32_t phases,
   return memo::make_periodic(base, phases, period_ns);
 }
 
+/// `reps` back-to-back runs of one configuration, each on a fresh runner
+/// (cold cache): the first run's outcome — runs are deterministic — and
+/// every run's wall time, sorted ascending.
 struct TimedRun {
   memo::MemoRunOutcome out;
-  double wall = 0.0;
+  std::vector<double> walls;
+  double median() const { return walls[walls.size() / 2]; }
 };
 
 TimedRun timed_run(const memo::PeriodicScenario& ps,
                    const check::EngineSpec& engine, bool memo_enabled,
-                   bool with_digest) {
+                   bool with_digest, int reps = 1) {
   memo::MemoConfig cfg;
   cfg.enabled = memo_enabled;
-  memo::MemoRunner runner{cfg};
   TimedRun r;
-  const auto start = std::chrono::steady_clock::now();
-  r.out = runner.run(ps.scenario, ps.pattern, engine, with_digest);
-  r.wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  for (int rep = 0; rep < reps; ++rep) {
+    memo::MemoRunner runner{cfg};
+    const auto start = std::chrono::steady_clock::now();
+    memo::MemoRunOutcome out =
+        runner.run(ps.scenario, ps.pattern, engine, with_digest);
+    r.walls.push_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    if (rep == 0) r.out = std::move(out);
+  }
+  std::sort(r.walls.begin(), r.walls.end());
   return r;
 }
 
@@ -102,6 +124,10 @@ core::MemoSectionData memo_section(const memo::MemoRunOutcome& out,
   d.hits = out.stats.hits;
   d.misses = out.stats.misses;
   d.near_misses = out.stats.near_misses;
+  d.near_miss_pattern = out.stats.near_miss_pattern;
+  d.near_miss_route = out.stats.near_miss_route;
+  d.near_miss_stale_connection = out.stats.near_miss_stale_connection;
+  d.port_wrap_skips = out.stats.port_wrap_skips;
   d.stores = out.stats.stores;
   d.store_aborts = out.stats.store_aborts;
   d.evictions = out.stats.evictions;
@@ -138,29 +164,39 @@ int main() {
   report.set("workload.hosts",
              static_cast<std::uint64_t>(ps.scenario.total_hosts()));
 
-  std::printf("%-18s %10s %12s %8s %8s %10s\n", "run", "wall_s", "final_fp",
-              "hits", "misses", "ff_phases");
+  // Median of five runs per configuration: a single memo-on run lasts a
+  // few milliseconds, so one-shot speedups swing by 2x between runs.
+  constexpr int kSpeedupReps = 5;
+  report.set("aggregate.reps", static_cast<std::uint64_t>(kSpeedupReps));
+  std::printf("%-18s %10s %10s %10s %12s %8s %8s %10s\n", "run", "wall_s",
+              "min_s", "max_s", "final_fp", "hits", "misses", "ff_phases");
   double seq_speedup = 0.0;
   for (const std::uint32_t parts : {0u, 2u}) {
     const check::EngineSpec eng{parts, false};
     const std::string label = parts == 0 ? "seq" : "pdes" + std::to_string(parts);
-    const TimedRun off = timed_run(ps, eng, /*memo=*/false, /*digest=*/false);
-    const TimedRun on = timed_run(ps, eng, /*memo=*/true, /*digest=*/false);
-    const double speedup = on.wall > 0 ? off.wall / on.wall : 0.0;
+    const TimedRun off = timed_run(ps, eng, /*memo=*/false, /*digest=*/false,
+                                   kSpeedupReps);
+    const TimedRun on = timed_run(ps, eng, /*memo=*/true, /*digest=*/false,
+                                  kSpeedupReps);
+    const double speedup =
+        on.median() > 0 ? off.median() / on.median() : 0.0;
     const bool fp_equal = on.out.final_state_fp == off.out.final_state_fp &&
                           on.out.flows_completed == off.out.flows_completed;
     for (const auto& [name, r, enabled] :
          {std::tuple{label + ".memo_off", &off, false},
           std::tuple{label + ".memo_on", &on, true}}) {
-      std::printf("%-18s %10.3f %12llx %8llu %8llu %10llu\n", name.c_str(),
-                  r->wall,
+      std::printf("%-18s %10.4f %10.4f %10.4f %12llx %8llu %8llu %10llu\n",
+                  name.c_str(), r->median(), r->walls.front(),
+                  r->walls.back(),
                   static_cast<unsigned long long>(r->out.final_state_fp),
                   static_cast<unsigned long long>(r->out.stats.hits),
                   static_cast<unsigned long long>(r->out.stats.misses),
                   static_cast<unsigned long long>(
                       r->out.stats.fast_forwarded_phases));
       const std::string key = "aggregate." + name;
-      report.set(key + ".wall_seconds", r->wall);
+      report.set(key + ".wall_seconds", r->median());
+      report.set(key + ".wall_seconds_min", r->walls.front());
+      report.set(key + ".wall_seconds_max", r->walls.back());
       report.set(key + ".final_state_fp", r->out.final_state_fp);
       report.set(key + ".flows_completed", r->out.flows_completed);
       core::add_memo_section(report, memo_section(r->out, enabled),
@@ -212,6 +248,53 @@ int main() {
                   equal ? "never hit the cache" : "diverged");
       ok = false;
     }
+  }
+
+  // ---- Section C: per-phase cost scaling ----
+  // Timed runs reuse a runner whose cache one untimed run of the same
+  // scenario has filled, so every phase fast-forwards: no live phase's
+  // cost or noise can mask a per-boundary cost that grows with the run.
+  const std::uint32_t short_run = phases;
+  const std::uint32_t long_run = 10 * phases;
+  constexpr int kScalingReps = 5;
+  std::printf("\n[C] aggregate memo-on cost per phase on a warm cache, %u vs "
+              "%u phases (best of %d)\n",
+              short_run, long_run, kScalingReps);
+  double us_per_phase[2] = {0.0, 0.0};
+  for (int i = 0; i < 2; ++i) {
+    const std::uint32_t n = i == 0 ? short_run : long_run;
+    const auto ps_n = training_workload(n, period_ns);
+    memo::MemoRunner runner{memo::MemoConfig{}};
+    runner.run(ps_n.scenario, ps_n.pattern, check::EngineSpec{}, false);
+    const std::uint64_t warm_misses = runner.stats().misses;
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < kScalingReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      runner.run(ps_n.scenario, ps_n.pattern, check::EngineSpec{}, false);
+      best = std::min(best, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    }
+    us_per_phase[i] = best * 1e6 / n;
+    std::printf("%6u phases: %8.3f ms, %8.2f us/phase\n", n, best * 1e3,
+                us_per_phase[i]);
+    const std::string key = "scaling.phases_" + std::to_string(n);
+    report.set(key + ".wall_seconds", best);
+    report.set(key + ".us_per_phase", us_per_phase[i]);
+    if (runner.stats().misses != warm_misses) {
+      std::printf("FAIL: a warm %u-phase run missed the cache\n", n);
+      ok = false;
+    }
+  }
+  const double cost_ratio = us_per_phase[1] / us_per_phase[0];
+  std::printf("per-phase cost ratio %ux/%ux: %.2f (gate <= 2)\n", long_run,
+              short_run, cost_ratio);
+  report.set("scaling.cost_ratio", cost_ratio);
+  report.set("scaling.cost_ratio_limit", 2.0);
+  if (cost_ratio > 2.0) {
+    std::printf("FAIL: per-phase cost grows with run length (%.2fx)\n",
+                cost_ratio);
+    ok = false;
   }
 
   report.set("pass", ok);

@@ -88,7 +88,9 @@ echo "=== asan-ubsan — esim_diffcheck memo smoke ==="
 (cd build-asan && ./tools/esim_diffcheck memo --n 10 --seed 7 --partitions 2,4)
 
 # Memo bench smoke: the aggregate fast-forward speedup path plus the
-# digest-attached replay path end to end under ASan.
+# digest-attached replay path end to end under ASan, and the scaling
+# gate (exit 1 when 10x the phases costs over 2x per phase — a
+# per-boundary cost that grows with the run).
 echo "=== asan-ubsan — bench_memo smoke ==="
 (cd build-asan && ESIM_BENCH_QUICK=1 ./bench/bench_memo)
 

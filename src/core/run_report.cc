@@ -128,6 +128,11 @@ void add_memo_section(telemetry::RunReport& report,
   report.set(s + ".hits", data.hits);
   report.set(s + ".misses", data.misses);
   report.set(s + ".near_misses", data.near_misses);
+  report.set(s + ".near_miss_reasons.pattern", data.near_miss_pattern);
+  report.set(s + ".near_miss_reasons.route", data.near_miss_route);
+  report.set(s + ".near_miss_reasons.stale_connection",
+             data.near_miss_stale_connection);
+  report.set(s + ".port_wrap_skips", data.port_wrap_skips);
   report.set(s + ".stores", data.stores);
   report.set(s + ".store_aborts", data.store_aborts);
   report.set(s + ".evictions", data.evictions);

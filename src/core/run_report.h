@@ -44,6 +44,12 @@ struct MemoSectionData {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t near_misses = 0;  ///< signature hit, verification refused
+  /// near_misses split by the refusal: pattern/shape mismatch, route
+  /// divergence, stale connection under a predicted 4-tuple.
+  std::uint64_t near_miss_pattern = 0;
+  std::uint64_t near_miss_route = 0;
+  std::uint64_t near_miss_stale_connection = 0;
+  std::uint64_t port_wrap_skips = 0;  ///< ran live: ports would wrap
   std::uint64_t stores = 0;
   std::uint64_t store_aborts = 0;  ///< phase ran live but was not cacheable
   std::uint64_t evictions = 0;

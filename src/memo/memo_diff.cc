@@ -98,19 +98,8 @@ std::string check_memo(const PeriodicScenario& ps,
     }
 
     if (accumulate != nullptr) {
-      const MemoStats& a = memoized.stats;
-      const MemoStats& b = agg.stats;
-      accumulate->lookups += a.lookups + b.lookups;
-      accumulate->hits += a.hits + b.hits;
-      accumulate->misses += a.misses + b.misses;
-      accumulate->near_misses += a.near_misses + b.near_misses;
-      accumulate->stores += a.stores + b.stores;
-      accumulate->store_aborts += a.store_aborts + b.store_aborts;
-      accumulate->evictions += a.evictions + b.evictions;
-      accumulate->fast_forwarded_phases +=
-          a.fast_forwarded_phases + b.fast_forwarded_phases;
-      accumulate->fast_forwarded_ns +=
-          a.fast_forwarded_ns + b.fast_forwarded_ns;
+      *accumulate += memoized.stats;
+      *accumulate += agg.stats;
     }
   }
   return diag.str();

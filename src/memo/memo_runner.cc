@@ -27,6 +27,10 @@ struct InjectionRec {
   std::uint64_t seq = 0;  ///< FES insertion seq of the injection event
 };
 
+/// Why hit verification refused a signature match (each refusal is a
+/// near-miss, counted per reason in MemoStats).
+enum class Refusal { kNone, kPattern, kRoute, kStaleConnection };
+
 struct CompletionEvent {
   std::uint64_t flow_id = 0;
   std::int64_t start_ns = 0;
@@ -57,6 +61,11 @@ struct Session {
   check::StateDigest* digest = nullptr;  // null in aggregate-only runs
 
   std::vector<InjectionRec> injections;
+  /// Per partition, its injection events still pending. Each element is
+  /// written by its own partition's thread while the engine runs (the
+  /// injection fires) and by the driving thread between windows (setup,
+  /// replay cancels), so the quiescence check needs no scan.
+  std::vector<std::uint64_t> live_injections;
 
   std::mutex mu;
   bool recording = false;
@@ -99,6 +108,7 @@ void discover_components(Session& s) {
 
 void schedule_injections(Session& s, const workload::PhasePattern& pattern) {
   Session* sp = &s;
+  s.live_injections.assign(s.parts.size(), 0);
   for (const auto& inj : pattern.expand(1)) {
     const std::uint32_t part = s.part_of_host[inj.src];
     sim::Simulator* sim = s.parts[part];
@@ -106,8 +116,9 @@ void schedule_injections(Session& s, const workload::PhasePattern& pattern) {
     InjectionRec rec;
     rec.inj = inj;
     rec.part = part;
-    rec.handle =
-        sim->schedule_at(sim::SimTime::from_ns(inj.start_ns), [sp, host, inj] {
+    rec.handle = sim->schedule_at(
+        sim::SimTime::from_ns(inj.start_ns), [sp, host, inj, part] {
+          --sp->live_injections[part];
           auto* conn = host->open_flow(inj.dst, inj.bytes, inj.flow_id);
           const sim::SimTime start = host->sim().now();
           conn->on_complete = [sp, host, inj, start] {
@@ -116,6 +127,7 @@ void schedule_injections(Session& s, const workload::PhasePattern& pattern) {
         });
     rec.seq = sim->event_seq_of(rec.handle);
     s.injections.push_back(rec);
+    ++s.live_injections[part];
   }
 }
 
@@ -172,21 +184,11 @@ struct PhaseDriver {
                         index];
   }
 
-  std::uint64_t live_injections_in(std::uint32_t part) const {
-    std::uint64_t n = 0;
-    for (const InjectionRec& r : s.injections) {
-      if (r.part == part && s.parts[part]->event_live(r.handle)) ++n;
-    }
-    return n;
-  }
-
   /// Quiescent at a boundary: every partition's pending set is exactly
   /// its live future-injection events — no timers, no packets in flight.
   bool quiescent() const {
-    for (std::uint32_t p = 0; p < s.parts.size(); ++p) {
-      if (s.parts[p]->events_pending() != live_injections_in(p)) {
-        return false;
-      }
+    for (std::size_t p = 0; p < s.parts.size(); ++p) {
+      if (s.parts[p]->events_pending() != s.live_injections[p]) return false;
     }
     return true;
   }
@@ -203,7 +205,7 @@ struct PhaseDriver {
     for (std::size_t h = 0; h < s.hosts.size(); ++h) {
       port[h] = s.hosts[h]->next_port();
       if (opens_per_host[h] != 0 &&
-          port[h] + opens_per_host[h] - 1 > 60'000) {
+          port[h] + opens_per_host[h] - 1 > tcp::Host::kEphemeralPortLast) {
         *wrap = true;
       }
     }
@@ -255,15 +257,16 @@ struct PhaseDriver {
     }
     // Pending-event-set signature, windowed to the phase: only events
     // that can fire inside [T, Tn) participate, in phase-relative form.
-    // Commutative over partitions and events.
+    // Commutative over partitions and events. The walk never touches the
+    // later phases' pre-scheduled injections.
     std::uint64_t pending = 0;
     for (const sim::Simulator* part : s.parts) {
-      part->for_each_pending([&](sim::SimTime t, std::uint64_t key) {
-        if (t.ns() < tn_ns) {
-          pending += mix64(static_cast<std::uint64_t>(t.ns() - t_ns) ^
-                           mix64(key));
-        }
-      });
+      part->for_each_pending_before(
+          sim::SimTime::from_ns(tn_ns),
+          [&](sim::SimTime t, std::uint64_t key) {
+            pending += mix64(static_cast<std::uint64_t>(t.ns() - t_ns) ^
+                             mix64(key));
+          });
     }
     h.absorb(pending);
     h.absorb(route_fp);
@@ -272,21 +275,26 @@ struct PhaseDriver {
     return h.value();
   }
 
-  bool verify(const PhaseEntry& entry, std::uint64_t route_fp,
-              const std::vector<net::FlowKey>& tuples) const {
-    if (entry.with_digest != with_digest) return false;
-    if (entry.flows != rel_flows) return false;
-    if (entry.route_fp != route_fp) return false;
-    if (entry.partitions.size() != s.parts.size()) return false;
+  /// Hit verification: why a signature match may not be applied, or
+  /// Refusal::kNone when it may.
+  Refusal verify(const PhaseEntry& entry, std::uint64_t route_fp,
+                 const std::vector<net::FlowKey>& tuples) const {
+    if (entry.with_digest != with_digest || entry.flows != rel_flows ||
+        entry.partitions.size() != s.parts.size()) {
+      return Refusal::kPattern;
+    }
+    if (entry.route_fp != route_fp) return Refusal::kRoute;
     // Stale-connection guard: a replayed phase never materializes its
     // connections, so an earlier port wrap could leave a live run finding
     // a stale connection under a reused 4-tuple where the replayed run
     // had none. Refuse the hit if any predicted tuple already exists.
     for (const net::FlowKey& t : tuples) {
-      if (s.hosts[t.src_host]->has_connection(t)) return false;
-      if (s.hosts[t.dst_host]->has_connection(t.reversed())) return false;
+      if (s.hosts[t.src_host]->has_connection(t) ||
+          s.hosts[t.dst_host]->has_connection(t.reversed())) {
+        return Refusal::kStaleConnection;
+      }
     }
-    return true;
+    return Refusal::kNone;
   }
 
   void apply(const PhaseEntry& entry, std::uint32_t phase, std::int64_t t_ns,
@@ -317,7 +325,7 @@ struct PhaseDriver {
     for (std::size_t i = 0; i < pattern.pattern.size(); ++i) {
       const InjectionRec& r =
           injection(phase, static_cast<std::uint32_t>(i));
-      s.parts[r.part]->cancel(r.handle);
+      if (s.parts[r.part]->cancel(r.handle)) --s.live_injections[r.part];
     }
 
     if (s.digest != nullptr) {
@@ -640,20 +648,31 @@ struct PhaseDriver {
       if (wrap) {
         // Port-space wrap inside the phase: identity translation is
         // undefined, so neither hit nor store.
+        ++stats.port_wrap_skips;
         s.run_engine_until(sim::SimTime::from_ns(tn_ns));
         continue;
       }
       const std::uint64_t sig = signature(t_ns, tn_ns, route_fp);
       ++stats.lookups;
       const PhaseEntry* entry = cache.find(sig);
-      if (entry != nullptr && verify(*entry, route_fp, tuples)) {
-        apply(*entry, k, t_ns, tn_ns);
-        continue;
-      }
-      if (entry != nullptr) {
-        ++stats.near_misses;
-      } else {
+      if (entry == nullptr) {
         ++stats.misses;
+      } else {
+        switch (verify(*entry, route_fp, tuples)) {
+          case Refusal::kNone:
+            apply(*entry, k, t_ns, tn_ns);
+            continue;
+          case Refusal::kPattern:
+            ++stats.near_miss_pattern;
+            break;
+          case Refusal::kRoute:
+            ++stats.near_miss_route;
+            break;
+          case Refusal::kStaleConnection:
+            ++stats.near_miss_stale_connection;
+            break;
+        }
+        ++stats.near_misses;
       }
       record(sig, route_fp, k, t_ns, tn_ns);
     }

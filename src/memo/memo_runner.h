@@ -10,9 +10,13 @@
 // pending but future injections), it computes the phase signature and
 // either applies a verified cached delta (hit: jump virtual time past the
 // phase) or records the phase while simulating it live (miss). Any
-// verification failure — pattern mismatch, route divergence, predicted
-// ephemeral-port wrap, stale-connection collision — is a near-miss: the
-// phase falls back to live simulation, never an unsound fast-forward.
+// verification failure — pattern mismatch, route divergence,
+// stale-connection collision — is a near-miss, counted by reason; a
+// predicted ephemeral-port wrap skips the lookup (port_wrap_skips). Either
+// way the phase falls back to live simulation, never an unsound
+// fast-forward. Per boundary the runner costs O(events due in the phase +
+// components): the pending walk stops at the phase end and quiescence
+// compares counters.
 //
 // Comparison contract (verified by tools/esim_diffcheck memo):
 //   * memo-on vs memo-off under the SAME engine spec, both chunked at

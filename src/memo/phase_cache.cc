@@ -17,6 +17,23 @@ std::size_t PhaseEntry::bytes() const {
   return n;
 }
 
+MemoStats& MemoStats::operator+=(const MemoStats& o) {
+  lookups += o.lookups;
+  hits += o.hits;
+  misses += o.misses;
+  near_misses += o.near_misses;
+  near_miss_pattern += o.near_miss_pattern;
+  near_miss_route += o.near_miss_route;
+  near_miss_stale_connection += o.near_miss_stale_connection;
+  port_wrap_skips += o.port_wrap_skips;
+  stores += o.stores;
+  store_aborts += o.store_aborts;
+  evictions += o.evictions;
+  fast_forwarded_phases += o.fast_forwarded_phases;
+  fast_forwarded_ns += o.fast_forwarded_ns;
+  return *this;
+}
+
 const PhaseEntry* PhaseCache::find(std::uint64_t signature) {
   auto it = map_.find(signature);
   if (it == map_.end()) return nullptr;

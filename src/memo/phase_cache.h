@@ -14,8 +14,9 @@
 //     (order lane included) equals the unmemoized run's. O(events in the
 //     phase) per hit; the equivalence harness runs in this mode.
 //   * aggregate-only — only counters, completions, identity, and FES
-//     accounting are recorded. O(components) per hit; the ≥10× speedup
-//     mode, verified by final-state fingerprint instead of full digest.
+//     accounting are recorded. A boundary costs O(events due in the
+//     phase + components); the ≥10× speedup mode, verified by
+//     final-state fingerprint instead of full digest.
 #pragma once
 
 #include <cstdint>
@@ -124,12 +125,22 @@ struct MemoStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  /// Signature found but hit verification refused it; the sum of the
+  /// three near_miss_* reasons below.
   std::uint64_t near_misses = 0;
+  std::uint64_t near_miss_pattern = 0;  ///< flow pattern or entry shape differs
+  std::uint64_t near_miss_route = 0;    ///< predicted ECMP paths differ
+  std::uint64_t near_miss_stale_connection = 0;  ///< predicted 4-tuple in use
+  /// Quiescent boundaries run live without a lookup because a host's
+  /// ephemeral-port allocation would wrap inside the phase.
+  std::uint64_t port_wrap_skips = 0;
   std::uint64_t stores = 0;
   std::uint64_t store_aborts = 0;
   std::uint64_t evictions = 0;
   std::uint64_t fast_forwarded_phases = 0;
   std::int64_t fast_forwarded_ns = 0;
+
+  MemoStats& operator+=(const MemoStats& o);
 };
 
 /// Bounded LRU map from 64-bit phase signature to PhaseEntry. Not

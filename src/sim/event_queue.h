@@ -28,6 +28,7 @@
 // compacted wholesale when they outnumber the live ones.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -116,13 +117,16 @@ class EventQueue {
     return live(h) ? slots_[slot].seq : 0;
   }
 
-  /// Visits every live (non-cancelled) pending event as f(time, key), in
-  /// unspecified (heap) order. O(heap entries); dead entries are skipped.
+  /// Visits every live (non-cancelled) pending event with time < `end` as
+  /// f(time, key), in unspecified (heap) order. The heap orders by time
+  /// first under either tie-break, so those entries form a root-connected
+  /// subtree: the walk descends depth-first and prunes every subtree whose
+  /// root is due at or after `end`. Cost is O(entries due before `end`,
+  /// dead ones included), however far the rest of the queue reaches;
+  /// nothing is allocated and the recursion depth is the heap height.
   template <typename F>
-  void for_each_pending(F&& f) const {
-    for (const Entry& e : heap_) {
-      if (!entry_dead(e)) f(e.time, e.key);
-    }
+  void for_each_pending_before(SimTime end, F&& f) const {
+    if (!heap_.empty()) visit_before(0, end, f);
   }
 
   /// Commutative (order-independent) fingerprint of the live pending
@@ -258,6 +262,19 @@ class EventQueue {
 
   bool entry_dead(const Entry& e) const {
     return slots_[e.slot].gen != e.gen;
+  }
+
+  /// for_each_pending_before's walk of the subtree rooted at `i`. Dead
+  /// entries are descended through (their children may still be due)
+  /// but not reported.
+  template <typename F>
+  void visit_before(std::size_t i, SimTime end, F& f) const {
+    const Entry& e = heap_[i];
+    if (e.time >= end) return;
+    if (!entry_dead(e)) f(e.time, e.key);
+    const std::size_t first = kArity * i + 1;
+    const std::size_t last = std::min(first + kArity, heap_.size());
+    for (std::size_t c = first; c < last; ++c) visit_before(c, end, f);
   }
 
   std::uint32_t acquire_slot(EventFn fn);

@@ -157,16 +157,14 @@ class Simulator {
   /// The FES insertion sequence the next schedule will consume.
   std::uint64_t fes_next_seq() const { return queue_.next_seq(); }
 
-  /// True while `h` refers to a pending (not executed/cancelled) event.
-  bool event_live(EventHandle h) const { return queue_.live(h); }
-
   /// Insertion sequence of a live event; 0 when dead.
   std::uint64_t event_seq_of(EventHandle h) const { return queue_.seq_of(h); }
 
-  /// Visits every live pending event as f(time, key), unspecified order.
+  /// Visits every live pending event due before `end` as f(time, key),
+  /// unspecified order; see EventQueue::for_each_pending_before.
   template <typename F>
-  void for_each_pending(F&& f) const {
-    queue_.for_each_pending(std::forward<F>(f));
+  void for_each_pending_before(SimTime end, F&& f) const {
+    queue_.for_each_pending_before(end, std::forward<F>(f));
   }
 
   /// TEST-ONLY: forwards to EventQueue::debug_set_invert_tiebreak — the

@@ -21,7 +21,7 @@ TcpConnection* Host::open_flow(net::HostId dst, std::uint64_t bytes,
   key.dst_host = dst;
   key.dst_port = 80;
   key.src_port = next_port_;
-  next_port_ = next_port_ >= 60'000 ? 10'000 : next_port_ + 1;
+  advance_port();
 
   auto conn = TcpConnection::make_active(*this, key, flow_id, bytes,
                                          tcp_config_);

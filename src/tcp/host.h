@@ -48,6 +48,11 @@ class Host : public sim::Component,
   TcpConnection* open_flow(net::HostId dst, std::uint64_t bytes,
                            std::uint64_t flow_id);
 
+  /// The ephemeral source-port range open_flow allocates from, inclusive.
+  /// Ports are handed out in order and wrap from the last to the first.
+  static constexpr std::uint16_t kEphemeralPortFirst = 10'000;
+  static constexpr std::uint16_t kEphemeralPortLast = 60'000;
+
   /// Active + passive connections keyed by this side's outgoing 4-tuple.
   const std::unordered_map<net::FlowKey, std::unique_ptr<TcpConnection>,
                            net::FlowKeyHash>&
@@ -92,9 +97,7 @@ class Host : public sim::Component,
   /// connections themselves are NOT materialized; see has_connection.
   void memo_advance_identity(std::uint64_t flows_opened,
                              std::uint64_t packets_sent) {
-    for (std::uint64_t i = 0; i < flows_opened; ++i) {
-      next_port_ = next_port_ >= 60'000 ? 10'000 : next_port_ + 1;
-    }
+    for (std::uint64_t i = 0; i < flows_opened; ++i) advance_port();
     next_packet_seq_ += packets_sent;
   }
 
@@ -114,6 +117,12 @@ class Host : public sim::Component,
   void tcp_rtt_sample(sim::SimTime rtt) override;
 
  private:
+  void advance_port() {
+    next_port_ = next_port_ >= kEphemeralPortLast
+                     ? kEphemeralPortFirst
+                     : static_cast<std::uint16_t>(next_port_ + 1);
+  }
+
   net::HostId id_;
   TcpConnection::Config tcp_config_;
   net::Link* uplink_ = nullptr;
@@ -122,7 +131,7 @@ class Host : public sim::Component,
       connections_;
   stats::LatencyCollector* rtt_collector_ = nullptr;
   stats::PacketCounter counter_;
-  std::uint16_t next_port_ = 10'000;
+  std::uint16_t next_port_ = kEphemeralPortFirst;
   std::uint64_t next_packet_seq_ = 0;
 };
 

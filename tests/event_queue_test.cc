@@ -308,6 +308,110 @@ TEST(EventQueue, RandomizedAgainstReference) {
   }
 }
 
+// --- time-bounded pending walk (the memo signature window) -------------
+
+using TimeKey = std::pair<std::int64_t, std::uint64_t>;
+
+std::vector<TimeKey> pending_before(const EventQueue& q, std::int64_t end) {
+  std::vector<TimeKey> out;
+  q.for_each_pending_before(SimTime::from_ns(end),
+                            [&out](SimTime t, std::uint64_t key) {
+                              out.emplace_back(t.ns(), key);
+                            });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Property test: under schedule/cancel/pop churn — cancels heavy enough
+// to force compactions, both tie-break orders — the pruned walk visits
+// exactly the live (time, key) multiset due strictly before the bound.
+TEST(EventQueue, PendingBeforeMatchesReferenceUnderChurn) {
+  for (const bool invert : {false, true}) {
+    Rng rng{invert ? 31u : 30u};
+    EventQueue q;
+    q.debug_set_invert_tiebreak(invert);
+    struct Live {
+      EventHandle h;
+      TimeKey tk;
+    };
+    std::vector<Live> live;
+    std::int64_t now = 0;
+    int compactions = 0;
+    for (int step = 0; step < 6000; ++step) {
+      const double u = rng.uniform();
+      if (u < 0.5 || live.empty()) {
+        const std::int64_t t =
+            now + static_cast<std::int64_t>(rng.uniform_int(400));
+        const std::uint64_t key =
+            rng.bernoulli(0.5) ? 0 : 1 + rng.uniform_int(4);
+        live.push_back({q.schedule(SimTime::from_ns(t), key, [] {}), {t, key}});
+      } else if (u < 0.85) {
+        const std::size_t i = rng.uniform_int(live.size());
+        const std::size_t before = q.heap_entries();
+        ASSERT_TRUE(q.cancel(live[i].h));
+        if (before - q.heap_entries() >= 32) ++compactions;
+        live[i] = live.back();
+        live.pop_back();
+      } else {
+        const auto e = q.pop();
+        ASSERT_TRUE(e.has_value());
+        now = e->time.ns();
+        const auto it =
+            std::find_if(live.begin(), live.end(),
+                         [&](const Live& l) { return l.h.id == e->id; });
+        ASSERT_NE(it, live.end());
+        *it = live.back();
+        live.pop_back();
+      }
+      if (step % 50 != 0) continue;
+      // Bounds: random, on a live event's time (must be excluded), below
+      // everything, above everything.
+      std::vector<std::int64_t> bounds = {
+          now + static_cast<std::int64_t>(rng.uniform_int(400)), now, 1 << 30};
+      if (!live.empty()) {
+        bounds.push_back(live[rng.uniform_int(live.size())].tk.first);
+      }
+      for (const std::int64_t end : bounds) {
+        std::vector<TimeKey> want;
+        for (const Live& l : live) {
+          if (l.tk.first < end) want.push_back(l.tk);
+        }
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(pending_before(q, end), want)
+            << "invert " << invert << " step " << step << " end " << end;
+      }
+    }
+    EXPECT_GT(compactions, 0) << "churn never compacted the heap";
+  }
+}
+
+TEST(EventQueue, PendingBeforeEdgeCases) {
+  EventQueue q;
+  EXPECT_TRUE(pending_before(q, 100).empty());
+
+  q.schedule(SimTime::from_ns(10), [] {});
+  q.schedule(SimTime::from_ns(20), 7, [] {});
+  EXPECT_TRUE(pending_before(q, 10).empty());  // time == bound excluded
+  EXPECT_EQ(pending_before(q, 20), (std::vector<TimeKey>{{10, 0}}));
+  EXPECT_EQ(pending_before(q, 21), (std::vector<TimeKey>{{10, 0}, {20, 7}}));
+
+  // A dead root whose live children are due before the bound: cancel an
+  // interior entry (not the root, so it is not pruned), then pop the
+  // root — the dead entry, now the earliest, surfaces as the new root.
+  EventQueue d;
+  d.schedule(SimTime::from_ns(5), [] {});
+  const EventHandle dead = d.schedule(SimTime::from_ns(10), [] {});
+  d.schedule(SimTime::from_ns(15), [] {});
+  d.schedule(SimTime::from_ns(20), 3, [] {});
+  ASSERT_TRUE(d.cancel(dead));
+  ASSERT_TRUE(d.pop().has_value());
+  ASSERT_EQ(d.heap_entries(), 3u);  // dead@10 (the root) + two live
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(pending_before(d, 30), (std::vector<TimeKey>{{15, 0}, {20, 3}}));
+  EXPECT_EQ(pending_before(d, 16), (std::vector<TimeKey>{{15, 0}}));
+  EXPECT_TRUE(pending_before(d, 11).empty());
+}
+
 // --- accounting snapshot/restore (the memo fast-forward contract) -----
 
 TEST(EventQueue, AccountingSnapshotCapturesLiveSet) {

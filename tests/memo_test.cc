@@ -162,7 +162,7 @@ TEST(MemoRunnerTest, PdesFullDigestIdenticalWithHits) {
   }
 }
 
-TEST(MemoRunnerTest, AggregateModeMatchesFinalStateAndIsCheaper) {
+TEST(MemoRunnerTest, AggregateModeMatchesFinalState) {
   const PeriodicScenario ps = small_periodic(6);
   MemoRunner off_runner{MemoConfig{.enabled = false}};
   const MemoRunOutcome base =
@@ -177,6 +177,57 @@ TEST(MemoRunnerTest, AggregateModeMatchesFinalStateAndIsCheaper) {
   EXPECT_EQ(agg.flows_completed, base.flows_completed);
   // Aggregate entries carry no event/packet streams.
   EXPECT_GT(agg.stats.fast_forwarded_ns, 0);
+}
+
+TEST(MemoRunnerTest, LongRunAggregateHitsEveryRepeat) {
+  // Hundreds of phases drive the per-partition live-injection counters
+  // through thousands of injections — fired live on partition threads,
+  // cancelled by replay on the driving thread — and the quiescence gate
+  // built on them must still open at every boundary.
+  constexpr std::uint32_t kPhases = 320;
+  const PeriodicScenario ps = small_periodic(kPhases);
+  MemoConfig off;
+  off.enabled = false;
+  for (std::uint32_t partitions : {0u, 2u}) {
+    const EngineSpec spec{partitions};
+    MemoRunner off_runner{off};
+    const MemoRunOutcome base =
+        off_runner.run(ps.scenario, ps.pattern, spec, false);
+    MemoRunner on_runner{MemoConfig{}};
+    const MemoRunOutcome agg =
+        on_runner.run(ps.scenario, ps.pattern, spec, false);
+    EXPECT_EQ(agg.final_state_fp, base.final_state_fp) << spec.label();
+    EXPECT_EQ(agg.flows_completed, base.flows_completed) << spec.label();
+    EXPECT_EQ(agg.flows_completed, ps.scenario.flows.size()) << spec.label();
+    EXPECT_GE(agg.stats.hits, kPhases - 2) << spec.label();
+    EXPECT_EQ(agg.stats.lookups, kPhases) << spec.label();
+    EXPECT_EQ(agg.stats.port_wrap_skips, 0u) << spec.label();
+  }
+}
+
+TEST(MemoRunnerTest, NearMissesAreCountedByReason) {
+  // Port-sensitive ECMP gives every phase fresh paths; with signatures
+  // forced to collide, verification refuses on the route fingerprint,
+  // and the per-reason counters must sum to the near-miss total.
+  PeriodicScenario ps = small_periodic(6);
+  ps.scenario.ecmp_port_sensitive = true;
+  MemoConfig collide;
+  collide.debug_collide_signatures = true;
+  MemoRunner runner{collide};
+  const MemoRunOutcome out =
+      runner.run(ps.scenario, ps.pattern, EngineSpec{}, true);
+  const MemoStats& st = out.stats;
+  EXPECT_GT(st.near_miss_route, 0u);
+  EXPECT_EQ(st.near_miss_pattern, 0u);
+  EXPECT_EQ(st.near_misses, st.near_miss_pattern + st.near_miss_route +
+                                st.near_miss_stale_connection);
+
+  MemoConfig off;
+  off.enabled = false;
+  MemoRunner off_runner{off};
+  const MemoRunOutcome base =
+      off_runner.run(ps.scenario, ps.pattern, EngineSpec{}, true);
+  EXPECT_EQ(out.digest, base.digest);
 }
 
 TEST(MemoRunnerTest, CachePersistsAcrossRunsOfOneRunner) {
@@ -236,6 +287,7 @@ TEST(MemoRunnerTest, SignatureCollisionNeverProducesFalseHit) {
       runner.run(b.scenario, b.pattern, EngineSpec{}, true);
   // B's first lookup collides with A's entry and must be verified away.
   EXPECT_GT(out_b.stats.near_misses, out_a.stats.near_misses);
+  EXPECT_GT(out_b.stats.near_miss_pattern, out_a.stats.near_miss_pattern);
 
   MemoRunner off_runner{MemoConfig{.enabled = false}};
   const MemoRunOutcome base =

@@ -354,8 +354,13 @@ int cmd_memo(const Args& args) {
   }
   std::cout << (args.n - failures) << "/" << args.n
             << " periodic scenarios digest-identical with memoization on ("
-            << totals.hits << " hits, " << totals.misses << " misses, "
-            << totals.near_misses << " near misses, " << totals.store_aborts
+            << totals.lookups << " lookups, " << totals.hits << " hits, "
+            << totals.misses << " misses, " << totals.near_misses
+            << " near misses [pattern " << totals.near_miss_pattern
+            << ", route " << totals.near_miss_route << ", stale connection "
+            << totals.near_miss_stale_connection << "], "
+            << totals.port_wrap_skips << " port-wrap skips, "
+            << totals.stores << " stores, " << totals.store_aborts
             << " store aborts, " << totals.fast_forwarded_ns
             << "ns fast-forwarded)\n";
   if (failures == 0 && totals.hits == 0) {
