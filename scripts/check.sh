@@ -72,6 +72,13 @@ echo "=== asan-ubsan — bench_pdes_scaling smoke ==="
 echo "=== asan-ubsan — esim_diffcheck fidelity smoke ==="
 (cd build-asan && ./tools/esim_diffcheck fidelity --n 10 --seed 7 --partitions 2,4)
 
+# Hybrid (approximated-cluster) engine equivalence under the sanitizers:
+# ApproxCluster's key-0 deliveries into the core are the sends that most
+# often land exactly on a link's departure instant, so this exercises the
+# links' same-instant rule (DESIGN.md §5) across engines, batching on/off.
+echo "=== asan-ubsan — esim_diffcheck hybrid smoke ==="
+(cd build-asan && ./tools/esim_diffcheck hybrid --n 10 --seed 7 --partitions 2,3)
+
 # Adaptive tier switching under the sanitizers: the controller's
 # drain-before-switch, the fluid backend's pending-mutation buffering,
 # and the tier-trace digest lane must agree across engines with no

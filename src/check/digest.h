@@ -12,12 +12,12 @@
 //                    engine configuration (it fingerprints scheduling, not
 //                    network behaviour).
 //   * packet lane  — per-link order-sensitive chains over every packet
-//                    that finished serializing (id, header, ECN, arrival
-//                    time) or was queue-dropped, combined commutatively
-//                    across links keyed by link name. Engine-INVARIANT:
-//                    per-link packet streams are totally ordered by
-//                    virtual time regardless of how partitions interleave
-//                    globally.
+//                    the link admitted (id, header, ECN, arrival time) or
+//                    queue-dropped, in admission order, combined
+//                    commutatively across links keyed by link name.
+//                    Engine-INVARIANT: each link admits in one partition,
+//                    in an order fixed by virtual time and packet id,
+//                    however partitions interleave globally.
 //   * flow lane    — commutative hash over per-flow completion records
 //                    (flow id, endpoints, bytes, start, FCT). Engine-
 //                    invariant.

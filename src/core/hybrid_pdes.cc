@@ -130,7 +130,7 @@ PartitionedHybridNetwork build_hybrid_network_partitioned(
   };
   auto cross = [&engine](std::uint32_t from, std::uint32_t to) {
     return [&engine, from, to](sim::SimTime at, std::uint64_t key,
-                               sim::EventFn fn) {
+                               sim::EventFn&& fn) {
       engine.send_cross(from, to, at, key, std::move(fn));
     };
   };

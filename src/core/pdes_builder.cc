@@ -83,7 +83,7 @@ PdesNetwork build_clos_partitioned(sim::ParallelEngine& engine,
     if (owner_partition != dst_partition) {
       link->set_remote_scheduler(
           [&engine, owner_partition, dst_partition](
-              sim::SimTime at, std::uint64_t key, sim::EventFn fn) {
+              sim::SimTime at, std::uint64_t key, sim::EventFn&& fn) {
             engine.send_cross(owner_partition, dst_partition, at, key,
                               std::move(fn));
           });

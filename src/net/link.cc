@@ -1,5 +1,6 @@
 #include "net/link.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -11,11 +12,18 @@ namespace esim::net {
 Link::Link(sim::Simulator& sim, std::string name, const Config& config,
            PacketHandler* dst)
     : Component(sim, std::move(name)), config_{config}, dst_{dst} {
-  if (config_.bandwidth_bps <= 0) {
-    throw std::invalid_argument("Link: bandwidth must be positive");
+  if (!std::isfinite(config_.bandwidth_bps) || config_.bandwidth_bps <= 0) {
+    throw std::invalid_argument("Link " + this->name() +
+                                ": bandwidth must be finite and positive");
+  }
+  if (config_.propagation < sim::SimTime{}) {
+    throw std::invalid_argument("Link " + this->name() +
+                                ": propagation delay must not be negative (" +
+                                config_.propagation.to_string() + ")");
   }
   if (dst_ == nullptr) {
-    throw std::invalid_argument("Link: null destination");
+    throw std::invalid_argument("Link " + this->name() +
+                                ": null destination");
   }
   if (auto* r = sim.telemetry()) {
     m_sent_ = r->counter("net.link.sent");
@@ -32,26 +40,73 @@ sim::SimTime Link::tx_time(std::uint32_t bytes) const {
       static_cast<std::int64_t>(std::llround(seconds * 1e9)));
 }
 
+void Link::retire() const {
+  const sim::SimTime t = now();
+  while (!fifo_.empty() && fifo_.front().depart <= t) {
+    fifo_bytes_ -= fifo_.front().size;
+    fifo_.pop_front();
+    ++counter_.delivered;
+    if (m_delivered_ != nullptr) m_delivered_->inc();
+  }
+}
+
+std::uint32_t Link::queued_bytes() const {
+  retire();
+  return static_cast<std::uint32_t>(
+      fifo_bytes_ - (head_started() ? fifo_.front().size : 0));
+}
+
+std::size_t Link::queued_packets() const {
+  retire();
+  return fifo_.size() - (head_started() ? 1 : 0);
+}
+
+bool Link::busy() const {
+  retire();
+  return head_started();
+}
+
+const stats::PacketCounter& Link::counter() const {
+  retire();
+  return counter_;
+}
+
 void Link::send(Packet pkt) {
+  const std::uint32_t queued = queued_bytes();
   ++counter_.sent;
   if (m_sent_ != nullptr) {
     m_sent_->inc();
-    m_queue_depth_->record(queued_bytes_);
+    m_queue_depth_->record(queued);
   }
   const std::uint32_t size = pkt.size_bytes();
-  if (queued_bytes_ + size > config_.queue_capacity_bytes) {
+  if (std::uint64_t{queued} + size > config_.queue_capacity_bytes) {
     ++counter_.dropped;
     if (m_dropped_ != nullptr) m_dropped_->inc();
     if (on_drop) on_drop(pkt);
     return;
   }
   if (config_.ecn_threshold_bytes != 0 &&
-      queued_bytes_ >= config_.ecn_threshold_bytes) {
+      queued >= config_.ecn_threshold_bytes) {
     pkt.ecn = true;
   }
-  queued_bytes_ += size;
-  queue_.push_back(std::move(pkt));
-  pump();
+  const sim::SimTime start = std::max(now(), busy_until_);
+  busy_until_ = start + tx_time(size);
+  fifo_.push_back({start, busy_until_, size});
+  fifo_bytes_ += size;
+
+  const sim::SimTime arrive_at = busy_until_ + config_.propagation;
+  if (on_transmit) on_transmit(pkt, arrive_at);
+  // Deliveries are keyed by packet id so same-instant arrivals at the
+  // receiver order identically under every engine (see event_queue.h).
+  const std::uint64_t key = pkt.id;
+  auto deliver = [dst = dst_, pkt = std::move(pkt)]() mutable {
+    dst->handle_packet(std::move(pkt));
+  };
+  if (remote_) {
+    remote_(arrive_at, key, std::move(deliver));
+  } else {
+    sim().schedule_at_keyed(arrive_at, key, std::move(deliver));
+  }
 }
 
 void Link::memo_apply_counter_delta(const stats::PacketCounter& d) {
@@ -61,40 +116,6 @@ void Link::memo_apply_counter_delta(const stats::PacketCounter& d) {
   if (m_sent_ != nullptr) m_sent_->inc(d.sent);
   if (m_delivered_ != nullptr) m_delivered_->inc(d.delivered);
   if (m_dropped_ != nullptr) m_dropped_->inc(d.dropped);
-}
-
-void Link::pump() {
-  if (busy_ || queue_.empty()) return;
-  busy_ = true;
-  Packet pkt = std::move(queue_.front());
-  queue_.pop_front();
-  queued_bytes_ -= pkt.size_bytes();
-  schedule_in(tx_time(pkt.size_bytes()),
-              [this, pkt = std::move(pkt)]() mutable {
-                finish_transmit(std::move(pkt));
-              });
-}
-
-void Link::finish_transmit(Packet pkt) {
-  busy_ = false;
-  const sim::SimTime arrive_at = now() + config_.propagation;
-  if (on_transmit) on_transmit(pkt, arrive_at);
-  ++counter_.delivered;
-  if (m_delivered_ != nullptr) m_delivered_->inc();
-  // Deliveries are keyed by packet id so same-instant arrivals at the
-  // receiver order identically under every engine (see event_queue.h).
-  const std::uint64_t key = pkt.id;
-  if (remote_) {
-    remote_(arrive_at, key, [dst = dst_, pkt = std::move(pkt)]() mutable {
-      dst->handle_packet(std::move(pkt));
-    });
-  } else {
-    sim().schedule_at_keyed(arrive_at, key,
-                            [dst = dst_, pkt = std::move(pkt)]() mutable {
-                              dst->handle_packet(std::move(pkt));
-                            });
-  }
-  pump();
 }
 
 }  // namespace esim::net

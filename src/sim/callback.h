@@ -1,7 +1,7 @@
 // EventFn: the callable payload of a scheduled event.
 //
 // The hot path of the simulator executes tens of millions of small closures
-// (a Link finishing a transmit, a Switch forwarding, a TCP timer firing).
+// (a Link delivering a packet, a Switch forwarding, a TCP timer firing).
 // `std::function<void()>` pays a heap allocation for most of these because
 // its small-buffer window (typically 16 bytes on libstdc++) is smaller than
 // a captured Packet. EventFn is a move-only type-erased callable with an

@@ -53,12 +53,12 @@ class Component {
 
  protected:
   /// Schedules a member action after `delay`.
-  EventHandle schedule_in(SimTime delay, EventFn fn) {
+  EventHandle schedule_in(SimTime delay, EventFn&& fn) {
     return sim_.schedule_in(delay, std::move(fn));
   }
 
   /// Schedules a member action at absolute time `t`.
-  EventHandle schedule_at(SimTime t, EventFn fn) {
+  EventHandle schedule_at(SimTime t, EventFn&& fn) {
     return sim_.schedule_at(t, std::move(fn));
   }
 

@@ -7,7 +7,7 @@
 
 namespace esim::sim {
 
-std::uint32_t EventQueue::acquire_slot(EventFn fn) {
+std::uint32_t EventQueue::acquire_slot(EventFn&& fn) {
   std::uint32_t slot;
   if (free_head_ != kNpos) {
     slot = free_head_;
@@ -16,7 +16,7 @@ std::uint32_t EventQueue::acquire_slot(EventFn fn) {
     slots_[slot].fn = std::move(fn);
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(Slot{std::move(fn), /*seq=*/0, /*gen=*/1, kNpos});
+    slots_.emplace_back().fn = std::move(fn);
   }
   return slot;
 }
@@ -29,7 +29,8 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-EventHandle EventQueue::schedule(SimTime t, std::uint64_t key, EventFn fn) {
+EventHandle EventQueue::schedule(SimTime t, std::uint64_t key,
+                                 EventFn&& fn) {
   const std::uint32_t slot = acquire_slot(std::move(fn));
   const std::uint32_t gen = slots_[slot].gen;
   slots_[slot].seq = next_seq_;
@@ -61,9 +62,7 @@ SimTime EventQueue::next_time() {
   return heap_.front().time;
 }
 
-std::optional<Event> EventQueue::pop() {
-  prune_top();
-  if (heap_.empty()) return std::nullopt;
+Event EventQueue::take_top() {
   const Entry e = heap_.front();
   Event out{e.time, handle_id(e.slot, e.gen), e.seq,
             std::move(slots_[e.slot].fn)};
@@ -71,6 +70,18 @@ std::optional<Event> EventQueue::pop() {
   --live_;
   remove_top();
   return out;
+}
+
+std::optional<Event> EventQueue::pop() {
+  prune_top();
+  if (heap_.empty()) return std::nullopt;
+  return take_top();
+}
+
+std::optional<Event> EventQueue::pop_before(SimTime end) {
+  prune_top();
+  if (heap_.empty() || heap_.front().time >= end) return std::nullopt;
+  return take_top();
 }
 
 namespace {

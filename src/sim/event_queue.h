@@ -16,15 +16,15 @@
 // it digest-for-digest across engines, so any FES rework must preserve it
 // bit-for-bit.
 //
-// Layout: heap entries are 24-byte (time, seq, slot, generation) records —
-// small enough that a 4-ary heap keeps parent and children within one or
-// two cache lines — while the callback payloads live in a side pool of
+// Layout: heap entries are 32-byte (time, key, seq, slot, generation)
+// records — two per cache line, so a 4-ary heap's four children span two
+// lines — while the callback payloads live in a side pool of
 // generation-tagged slots. A handle encodes (slot, generation); cancelling
 // bumps the slot's generation, which simultaneously invalidates the handle,
 // marks the heap entry dead (its recorded generation no longer matches),
 // and frees the slot for reuse. Cancellation destroys the closure
 // immediately — cancel-heavy TCP timer churn never pins dead closures —
-// and the dead 24-byte heap entries are pruned eagerly at the top and
+// and the dead 32-byte heap entries are pruned eagerly at the top and
 // compacted wholesale when they outnumber the live ones.
 #pragma once
 
@@ -66,7 +66,7 @@ class EventQueue {
 
   /// Schedules `fn` at absolute time `t` with key 0. Returns a handle for
   /// cancellation.
-  EventHandle schedule(SimTime t, EventFn fn) {
+  EventHandle schedule(SimTime t, EventFn&& fn) {
     return schedule(t, 0, std::move(fn));
   }
 
@@ -74,7 +74,7 @@ class EventQueue {
   /// priority key (smaller keys execute first; 0 precedes all keyed
   /// events). Keys must be engine-invariant values (e.g. packet ids) —
   /// that is the whole point.
-  EventHandle schedule(SimTime t, std::uint64_t key, EventFn fn);
+  EventHandle schedule(SimTime t, std::uint64_t key, EventFn&& fn);
 
   /// Cancels a previously scheduled event, destroying its closure
   /// immediately. Returns false if the event already executed or was
@@ -90,8 +90,14 @@ class EventQueue {
   /// Time of the earliest live event. Requires !empty().
   SimTime next_time();
 
-  /// Pops the earliest live event, or nullopt when empty.
+  /// Pops the earliest live event, or nullopt when empty. The closure is
+  /// moved out of its slot: slots_ may reallocate while it runs.
   std::optional<Event> pop();
+
+  /// Pops the earliest live event if it is due strictly before `end`, or
+  /// returns nullopt. One prune serves both the check and the pop — the
+  /// run_until loop's fused next_time() + pop().
+  std::optional<Event> pop_before(SimTime end);
 
   /// Total events ever scheduled (for performance accounting).
   std::uint64_t total_scheduled() const { return total_scheduled_; }
@@ -277,7 +283,9 @@ class EventQueue {
     for (std::size_t c = first; c < last; ++c) visit_before(c, end, f);
   }
 
-  std::uint32_t acquire_slot(EventFn fn);
+  std::uint32_t acquire_slot(EventFn&& fn);
+  /// Pops the (live) root entry. Requires a pruned, non-empty heap.
+  Event take_top();
   /// Invalidates handles/entries for `slot` and recycles it.
   void release_slot(std::uint32_t slot);
 

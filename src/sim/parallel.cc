@@ -269,7 +269,7 @@ telemetry::Counter* ParallelEngine::pair_counter(std::uint32_t from,
 
 void ParallelEngine::send_cross(std::uint32_t from, std::uint32_t to,
                                 SimTime deliver_at, std::uint64_t key,
-                                EventFn fn) {
+                                EventFn&& fn) {
   Partition& src = *partitions_.at(from);
   const std::int64_t pair_ns =
       pair_lookahead_ns_.at(static_cast<std::size_t>(from) * num_partitions() +

@@ -241,14 +241,14 @@ class ParallelEngine {
   /// lookahead; violations throw (they would break conservative
   /// causality).
   void send_cross(std::uint32_t from, std::uint32_t to, SimTime deliver_at,
-                  EventFn fn) {
+                  EventFn&& fn) {
     send_cross(from, to, deliver_at, 0, std::move(fn));
   }
 
   /// As above, carrying an FES same-time priority key into the target
   /// partition's event queue (packet id for link deliveries).
   void send_cross(std::uint32_t from, std::uint32_t to, SimTime deliver_at,
-                  std::uint64_t key, EventFn fn);
+                  std::uint64_t key, EventFn&& fn);
 
   /// Runs all partitions to virtual time `end` using worker threads.
   /// Blocking; may be called repeatedly to extend a run.

@@ -12,7 +12,7 @@ Simulator::Simulator(std::uint64_t seed) : rng_{seed} {}
 
 Simulator::~Simulator() = default;
 
-EventHandle Simulator::schedule_at(SimTime t, EventFn fn) {
+EventHandle Simulator::schedule_at(SimTime t, EventFn&& fn) {
   if (t < now_) {
     throw std::logic_error("schedule_at: time " + t.to_string() +
                            " is in the past (now=" + now_.to_string() + ")");
@@ -21,7 +21,7 @@ EventHandle Simulator::schedule_at(SimTime t, EventFn fn) {
 }
 
 EventHandle Simulator::schedule_at_keyed(SimTime t, std::uint64_t key,
-                                         EventFn fn) {
+                                         EventFn&& fn) {
   if (t < now_) {
     throw std::logic_error("schedule_at_keyed: time " + t.to_string() +
                            " is in the past (now=" + now_.to_string() + ")");
@@ -29,7 +29,7 @@ EventHandle Simulator::schedule_at_keyed(SimTime t, std::uint64_t key,
   return queue_.schedule(t, key, std::move(fn));
 }
 
-EventHandle Simulator::schedule_in(SimTime d, EventFn fn) {
+EventHandle Simulator::schedule_in(SimTime d, EventFn&& fn) {
   if (d < SimTime{}) {
     throw std::logic_error("schedule_in: negative delay " + d.to_string());
   }
@@ -38,14 +38,18 @@ EventHandle Simulator::schedule_in(SimTime d, EventFn fn) {
 
 bool Simulator::cancel(EventHandle h) { return queue_.cancel(h); }
 
+void Simulator::execute(Event& ev) {
+  assert(ev.time >= now_);
+  now_ = ev.time;
+  ++events_executed_;
+  if (pop_observer_ != nullptr) pop_observer_->on_event_pop(ev.time, ev.seq);
+  ev.fn();
+}
+
 bool Simulator::step() {
   auto ev = queue_.pop();
   if (!ev) return false;
-  assert(ev->time >= now_);
-  now_ = ev->time;
-  ++events_executed_;
-  if (pop_observer_ != nullptr) pop_observer_->on_event_pop(ev->time, ev->seq);
-  ev->fn();
+  execute(*ev);
   return true;
 }
 
@@ -57,12 +61,10 @@ void Simulator::run() {
 
 void Simulator::run_until(SimTime end) {
   stopped_ = false;
-  while (!stopped_ && !queue_.empty()) {
-    if (queue_.next_time() >= end) {
-      now_ = end;
-      return;
-    }
-    step();
+  while (!stopped_) {
+    auto ev = queue_.pop_before(end);
+    if (!ev) break;
+    execute(*ev);
   }
   if (now_ < end) now_ = end;
 }

@@ -59,17 +59,17 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute virtual time `t` (must be >= now()).
-  EventHandle schedule_at(SimTime t, EventFn fn);
+  EventHandle schedule_at(SimTime t, EventFn&& fn);
 
   /// Schedules `fn` at `t` with an engine-invariant same-time priority key
   /// (smaller first; key 0 — every plain schedule — precedes all keyed
   /// events). Links key packet deliveries by packet id so same-instant
   /// arrivals at a switch order identically under every engine; see
   /// event_queue.h.
-  EventHandle schedule_at_keyed(SimTime t, std::uint64_t key, EventFn fn);
+  EventHandle schedule_at_keyed(SimTime t, std::uint64_t key, EventFn&& fn);
 
   /// Schedules `fn` after a delay of `d` (must be >= 0).
-  EventHandle schedule_in(SimTime d, EventFn fn);
+  EventHandle schedule_in(SimTime d, EventFn&& fn);
 
   /// Cancels a pending event. Returns false if already fired or cancelled.
   bool cancel(EventHandle h);
@@ -194,6 +194,8 @@ class Simulator {
 
  private:
   void register_component(std::unique_ptr<Component> c);
+  /// Advances the clock to `ev` and runs it (the body of step()).
+  void execute(Event& ev);
 
   SimTime now_;
   EventQueue queue_;

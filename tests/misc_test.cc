@@ -120,6 +120,43 @@ TEST(LinkEdge, BusyAndQueueAccessors) {
   EXPECT_FALSE(link->busy());
 }
 
+/// The message of the std::invalid_argument that constructing a link
+/// named "port7" with `cfg` throws, or "" when it constructs.
+std::string link_config_error(const Link::Config& cfg) {
+  Simulator sim;
+  class Sink : public net::PacketHandler {
+   public:
+    void handle_packet(Packet) override {}
+  } sink;
+  try {
+    Link link{sim, "port7", cfg, &sink};
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LinkEdge, RejectsNonFiniteBandwidthNamingTheLink) {
+  for (double bw : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1e9}) {
+    Link::Config cfg;
+    cfg.bandwidth_bps = bw;
+    const std::string msg = link_config_error(cfg);
+    EXPECT_NE(msg.find("port7"), std::string::npos) << bw << ": " << msg;
+    EXPECT_NE(msg.find("bandwidth"), std::string::npos) << bw << ": " << msg;
+  }
+}
+
+TEST(LinkEdge, RejectsNegativePropagationAtConstruction) {
+  Link::Config cfg;
+  cfg.propagation = SimTime::from_ns(-1);
+  const std::string msg = link_config_error(cfg);
+  EXPECT_NE(msg.find("port7"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("propagation"), std::string::npos) << msg;
+  // Zero propagation is a valid (back-to-back) wire.
+  cfg.propagation = SimTime{};
+  EXPECT_EQ(link_config_error(cfg), "");
+}
+
 // ------------------------------------------------------------------- tcp --
 
 TEST(TcpWindowCaps, ReceiveWindowLimitsFlight) {
