@@ -1,6 +1,7 @@
 #include "check/digest.h"
 
 #include <algorithm>
+#include <iomanip>
 #include <sstream>
 
 #include "net/switch.h"
@@ -83,6 +84,24 @@ std::string Digest::to_string() const {
      << " tier=" << tier_lane << std::dec << " (events=" << events
      << " packets=" << packets << " drops=" << drops << " flows=" << flows
      << " transitions=" << transitions << ")";
+  return os.str();
+}
+
+std::uint64_t corpus_fingerprint(const std::vector<Digest>& digests) {
+  Hash64 h;
+  for (const Digest& d : digests) {
+    for (const std::uint64_t v :
+         {d.order_lane, d.packet_lane, d.flow_lane, d.final_lane, d.tier_lane,
+          d.events, d.packets, d.drops, d.flows, d.transitions}) {
+      h.absorb(v);
+    }
+  }
+  return h.value();
+}
+
+std::string fingerprint_hex(std::uint64_t fingerprint) {
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << fingerprint;
   return os.str();
 }
 

@@ -106,6 +106,14 @@ struct Digest {
   std::string to_string() const;
 };
 
+/// Order-sensitive fold of `digests`, in sequence, over every lane and
+/// count (order lane included): one 64-bit fingerprint of a whole
+/// corpus run, comparable across builds of the same corpus.
+std::uint64_t corpus_fingerprint(const std::vector<Digest>& digests);
+
+/// `fingerprint` as 16 lower-case hex digits.
+std::string fingerprint_hex(std::uint64_t fingerprint);
+
 /// One observed packet record, as absorbed into the packet lane. Kept
 /// only when record capture is on (divergence localization).
 struct PacketRecord {

@@ -44,7 +44,8 @@ PeriodicScenario make_periodic(const check::Scenario& base,
 
 std::string check_memo(const PeriodicScenario& ps,
                        const std::vector<std::uint32_t>& partition_counts,
-                       const MemoConfig& memo, MemoStats* accumulate) {
+                       const MemoConfig& memo, MemoStats* accumulate,
+                       std::vector<check::Digest>* digests_out) {
   std::vector<check::EngineSpec> specs;
   specs.push_back({});  // sequential
   for (std::uint32_t p : partition_counts) specs.push_back({p});
@@ -84,6 +85,12 @@ std::string check_memo(const PeriodicScenario& ps,
            << ": chunked memo-off diverges from unchunked reference\n"
            << "  ref:     " << ref.digest.to_string() << "\n"
            << "  chunked: " << base.digest.to_string() << "\n";
+    }
+
+    if (digests_out != nullptr) {
+      digests_out->push_back(base.digest);
+      digests_out->push_back(memoized.digest);
+      digests_out->push_back(ref.digest);
     }
 
     // Aggregate-only memoization must land on the same final state.

@@ -46,10 +46,13 @@ PeriodicScenario make_periodic(const check::Scenario& base,
 /// engine plus a PDES engine per entry of `partition_counts`. Returns ""
 /// on pass, else a diagnostic naming the engine and the failed relation.
 /// When `accumulate` is non-null the memo-on runners' stats are added to
-/// it (the fuzz gate asserts the corpus produced real hits).
+/// it (the fuzz gate asserts the corpus produced real hits); every
+/// digest-attached run's digest is appended, in run order, to
+/// `digests_out` when non-null.
 std::string check_memo(const PeriodicScenario& ps,
                        const std::vector<std::uint32_t>& partition_counts,
                        const MemoConfig& memo = {},
-                       MemoStats* accumulate = nullptr);
+                       MemoStats* accumulate = nullptr,
+                       std::vector<check::Digest>* digests_out = nullptr);
 
 }  // namespace esim::memo

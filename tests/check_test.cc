@@ -104,6 +104,29 @@ TEST(DigestTest, EngineInvariantEqualityIgnoresOrderLane) {
   EXPECT_FALSE(a.engine_invariant_equal(b));
 }
 
+TEST(DigestTest, CorpusFingerprintFoldsEveryLaneInOrder) {
+  Digest a, b;
+  a.packet_lane = 1;
+  b.flow_lane = 2;
+  const std::uint64_t ab = corpus_fingerprint({a, b});
+  EXPECT_EQ(corpus_fingerprint({a, b}), ab);
+  EXPECT_NE(corpus_fingerprint({b, a}), ab);  // run order matters
+  EXPECT_NE(corpus_fingerprint({a}), ab);
+
+  // Every lane and count participates, the order lane included.
+  std::uint64_t Digest::*fields[] = {
+      &Digest::order_lane, &Digest::packet_lane, &Digest::flow_lane,
+      &Digest::final_lane, &Digest::tier_lane,   &Digest::events,
+      &Digest::packets,    &Digest::drops,       &Digest::flows,
+      &Digest::transitions};
+  for (auto field : fields) {
+    Digest c = a;
+    c.*field += 1;
+    EXPECT_NE(corpus_fingerprint({c, b}), ab);
+  }
+  EXPECT_EQ(fingerprint_hex(0xabcULL), "0000000000000abc");
+}
+
 TEST(ScenarioTest, SerializeParseRoundTrip) {
   const Scenario sc = small_scenario();
   const Scenario back = Scenario::parse(sc.serialize());

@@ -56,6 +56,12 @@
 //     divergence is caught, localized, and shrunk. Exits 0 only when the
 //     injected bug is detected AND clean configurations still agree.
 //
+// Every subcommand but selftest closes with a summary line that ends in
+// `fingerprint=<16 hex>`: an order-sensitive fold of every full digest
+// the subcommand computed, in run order (check::corpus_fingerprint). Two
+// builds that print the same fingerprint for one corpus ran it
+// digest-identically, order lane included.
+//
 // Exit codes: 0 = all equivalent, 1 = divergence (or selftest failure),
 // 2 = usage / IO error.
 #include <cstring>
@@ -73,6 +79,7 @@
 namespace {
 
 using esim::check::DiffReport;
+using esim::check::Digest;
 using esim::check::DiffRunner;
 using esim::check::EngineSpec;
 using esim::check::FlowSpec;
@@ -158,14 +165,23 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-/// Runs check_all and prints each report; returns the first failing
-/// report, if any.
+/// " fingerprint=<16 hex>" for the closing summary line.
+std::string fingerprint_field(const std::vector<Digest>& digests) {
+  return " fingerprint=" +
+         esim::check::fingerprint_hex(esim::check::corpus_fingerprint(digests));
+}
+
+/// Runs check_all and prints each report, appending its digests (base,
+/// then other) to `digests`; returns the first failing report, if any.
 bool run_checks(const DiffRunner& runner, const Scenario& sc,
-                const Args& args, DiffReport* failing) {
+                const Args& args, DiffReport* failing,
+                std::vector<Digest>& digests) {
   const auto reports =
       runner.check_all(sc, args.partitions, args.inject_tiebreak_bug);
   bool ok = true;
   for (const DiffReport& r : reports) {
+    digests.push_back(r.base_digest);
+    digests.push_back(r.other_digest);
     if (r.equivalent) {
       std::cout << "  " << r.base.label() << " vs " << r.other.label()
                 << ": EQUIVALENT\n";
@@ -182,12 +198,13 @@ int cmd_fuzz(const Args& args) {
   DiffRunner runner;
   ScenarioFuzzer fuzzer{args.seed};
   int failures = 0;
+  std::vector<Digest> digests;
   for (int k = 0; k < args.n; ++k) {
     Scenario sc = fuzzer.next();
     std::cout << "[" << (k + 1) << "/" << args.n << "] " << sc.summary()
               << "\n";
     DiffReport failing;
-    if (run_checks(runner, sc, args, &failing)) continue;
+    if (run_checks(runner, sc, args, &failing, digests)) continue;
 
     ++failures;
     std::cout << "shrinking repro...\n";
@@ -205,7 +222,8 @@ int cmd_fuzz(const Args& args) {
               << "\n";
   }
   std::cout << (args.n - failures) << "/" << args.n
-            << " scenarios equivalent across engines\n";
+            << " scenarios equivalent across engines"
+            << fingerprint_field(digests) << "\n";
   return failures == 0 ? 0 : 1;
 }
 
@@ -220,7 +238,12 @@ int cmd_replay(const Args& args) {
   std::cout << "replaying " << args.replay_file << ": " << sc.summary()
             << "\n";
   DiffRunner runner;
-  return run_checks(runner, sc, args, nullptr) ? 0 : 1;
+  std::vector<Digest> digests;
+  const bool ok = run_checks(runner, sc, args, nullptr, digests);
+  std::cout << (ok ? "replay equivalent across engines"
+                   : "replay DIVERGED")
+            << fingerprint_field(digests) << "\n";
+  return ok ? 0 : 1;
 }
 
 int cmd_hybrid(const Args& args) {
@@ -229,13 +252,15 @@ int cmd_hybrid(const Args& args) {
   const std::vector<std::uint32_t> partitions =
       args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 3};
   int failures = 0;
+  std::vector<Digest> digests;
   for (int k = 0; k < args.n; ++k) {
     const std::uint64_t scenario_seed = args.seed + static_cast<std::uint64_t>(k);
     const esim::check::HybridScenario sc =
         esim::check::random_hybrid_scenario(scenario_seed);
     std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
               << ": " << sc.summary() << "\n";
-    const std::string diag = esim::check::check_hybrid(sc, partitions);
+    const std::string diag =
+        esim::check::check_hybrid(sc, partitions, &digests);
     if (diag.empty()) {
       std::cout << "  batching on/off + sequential vs pdes: EQUIVALENT\n";
     } else {
@@ -245,7 +270,8 @@ int cmd_hybrid(const Args& args) {
     }
   }
   std::cout << (args.n - failures) << "/" << args.n
-            << " hybrid scenarios digest-identical with batching active\n";
+            << " hybrid scenarios digest-identical with batching active"
+            << fingerprint_field(digests) << "\n";
   return failures == 0 ? 0 : 1;
 }
 
@@ -255,6 +281,7 @@ int cmd_fidelity(const Args& args) {
   int failures = 0;
   std::uint64_t rows = 0;
   std::uint64_t shadow = 0;
+  std::vector<Digest> digests;
   for (int k = 0; k < args.n; ++k) {
     const std::uint64_t scenario_seed =
         args.seed + static_cast<std::uint64_t>(k);
@@ -263,7 +290,7 @@ int cmd_fidelity(const Args& args) {
     std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
               << ": " << sc.summary() << "\n";
     const std::string diag =
-        esim::check::check_fidelity(sc, partitions, &rows, &shadow);
+        esim::check::check_fidelity(sc, partitions, &rows, &shadow, &digests);
     if (diag.empty()) {
       std::cout << "  fidelity off vs on: DIGEST-IDENTICAL\n";
     } else {
@@ -274,7 +301,8 @@ int cmd_fidelity(const Args& args) {
   }
   std::cout << (args.n - failures) << "/" << args.n
             << " scenarios digest-identical with fidelity on (" << shadow
-            << " shadow samples, " << rows << " time-series rows)\n";
+            << " shadow samples, " << rows << " time-series rows)"
+            << fingerprint_field(digests) << "\n";
   if (failures == 0 && shadow == 0) {
     std::cerr << "esim_diffcheck: fidelity check produced ZERO shadow "
                  "samples — the observatory never engaged\n";
@@ -288,6 +316,7 @@ int cmd_granularity(const Args& args) {
       args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 4};
   int failures = 0;
   std::uint64_t transitions = 0;
+  std::vector<Digest> digests;
   for (int k = 0; k < args.n; ++k) {
     const std::uint64_t scenario_seed =
         args.seed + static_cast<std::uint64_t>(k);
@@ -296,7 +325,8 @@ int cmd_granularity(const Args& args) {
     std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
               << ": " << sc.summary() << "\n";
     const std::string diag =
-        esim::check::check_granularity(sc, partitions, &transitions);
+        esim::check::check_granularity(sc, partitions, &transitions,
+                                       &digests);
     if (diag.empty()) {
       std::cout << "  adaptive tiers, batching on/off + sequential vs pdes: "
                    "EQUIVALENT\n";
@@ -308,7 +338,8 @@ int cmd_granularity(const Args& args) {
   }
   std::cout << (args.n - failures) << "/" << args.n
             << " scenarios digest-identical with the adaptive controller on ("
-            << transitions << " tier transitions)\n";
+            << transitions << " tier transitions)"
+            << fingerprint_field(digests) << "\n";
   if (failures == 0 && transitions == 0) {
     std::cerr << "esim_diffcheck: granularity check executed ZERO tier "
                  "transitions — the controller never engaged\n";
@@ -328,6 +359,7 @@ int cmd_memo(const Args& args) {
   fuzz_options.max_flow_mss = 20;
   int failures = 0;
   esim::memo::MemoStats totals;
+  std::vector<Digest> digests;
   for (int k = 0; k < args.n; ++k) {
     const std::uint64_t scenario_seed =
         args.seed + static_cast<std::uint64_t>(k);
@@ -343,7 +375,7 @@ int cmd_memo(const Args& args) {
               << ": " << ps.scenario.summary() << " (" << phases
               << " phases of " << period_ns << "ns)\n";
     const std::string diag =
-        esim::memo::check_memo(ps, partitions, {}, &totals);
+        esim::memo::check_memo(ps, partitions, {}, &totals, &digests);
     if (diag.empty()) {
       std::cout << "  memo on/off + chunked vs reference: EQUIVALENT\n";
     } else {
@@ -362,7 +394,7 @@ int cmd_memo(const Args& args) {
             << totals.port_wrap_skips << " port-wrap skips, "
             << totals.stores << " stores, " << totals.store_aborts
             << " store aborts, " << totals.fast_forwarded_ns
-            << "ns fast-forwarded)\n";
+            << "ns fast-forwarded)" << fingerprint_field(digests) << "\n";
   if (failures == 0 && totals.hits == 0) {
     std::cerr << "esim_diffcheck: memo check produced ZERO cache hits — "
                  "memoization never engaged\n";
