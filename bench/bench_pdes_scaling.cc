@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/pdes_builder.h"
+#include "core/network.h"
 #include "sim/parallel.h"
 #include "telemetry/report.h"
 #include "workload/generator.h"
@@ -78,21 +78,22 @@ Point run_point(std::uint32_t partitions, std::uint32_t clusters,
                                : ParallelEngine::WindowMode::global;
   ParallelEngine engine{ecfg};
 
-  auto net = core::build_clos_partitioned(
+  auto built = core::build_clos_partitioned(
       engine, fat_tree(clusters),
       scale_out ? PlacementPolicy::graph_cut : PlacementPolicy::round_robin);
 
   auto sizes = workload::mini_web_distribution();
-  workload::UniformTraffic matrix{net.spec.total_hosts()};
+  workload::UniformTraffic matrix{built.net.spec.total_hosts()};
   for (std::uint32_t p = 0; p < partitions; ++p) {
     workload::TrafficGenerator::Config gcfg;
     gcfg.load = load;
     gcfg.stop_at = duration;
     auto* gen =
         engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix, gcfg);
-    gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-      return net.partition_of_host[src] == p;
+            "gen" + std::to_string(p), built.net.hosts, sizes.get(), &matrix,
+            gcfg);
+    gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
+      return built.partition_of_host[src] == p;
     };
     gen->start();
   }
@@ -107,7 +108,7 @@ Point run_point(std::uint32_t partitions, std::uint32_t clusters,
   pt.events = engine.stats().events_executed;
   pt.rounds = engine.stats().sync_rounds;
   pt.cross_messages = engine.stats().cross_messages;
-  pt.cut_links = net.plan.cut_links;
+  pt.cut_links = built.cross_partition_links;
   pt.events_per_sec = wall > 0 ? static_cast<double>(pt.events) / wall : 0;
   pt.sync_wait_fraction =
       wall > 0 ? engine.stats().sync_wait_seconds / (partitions * wall) : 0;

@@ -17,8 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/full_builder.h"
-#include "core/pdes_builder.h"
+#include "core/network.h"
 #include "sim/parallel.h"
 #include "telemetry/report.h"
 #include "workload/generator.h"
@@ -84,9 +83,9 @@ Measurement run_pdes(std::uint32_t n, double load, std::uint32_t machines) {
   ecfg.per_message_overhead_us = machines == 1 ? 0.2 : 0.6 * machines;
   sim::ParallelEngine engine{ecfg};
 
-  auto net = core::build_leaf_spine_partitioned(engine, leaf_spine(n));
+  auto built = core::build_clos_partitioned(engine, leaf_spine(n));
   auto sizes = workload::mini_web_distribution();
-  workload::UniformTraffic matrix{net.spec.total_hosts()};
+  workload::UniformTraffic matrix{built.net.spec.total_hosts()};
   const auto duration = SimTime::from_seconds_f(run_duration_ms() / 1e3);
   std::vector<workload::TrafficGenerator*> gens;
   for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
@@ -95,10 +94,10 @@ Measurement run_pdes(std::uint32_t n, double load, std::uint32_t machines) {
     gcfg.stop_at = duration;
     auto* gen =
         engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix,
+            "gen" + std::to_string(p), built.net.hosts, sizes.get(), &matrix,
             gcfg);
-    gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-      return net.partition_of_host[src] == p;
+    gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
+      return built.partition_of_host[src] == p;
     };
     gen->start();
     gens.push_back(gen);

@@ -16,7 +16,7 @@
 
 #include "bench_common.h"
 #include "core/experiment.h"
-#include "core/hybrid_pdes.h"
+#include "core/network.h"
 #include "core/run_report.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"

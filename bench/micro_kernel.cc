@@ -5,7 +5,7 @@
 
 #include "approx/features.h"
 #include "approx/micro_model.h"
-#include "core/full_builder.h"
+#include "core/network.h"
 #include "net/ecmp.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/full_builder.h"
+#include "core/network.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
 #include "workload/generator.h"

@@ -18,8 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/full_builder.h"
-#include "core/pdes_builder.h"
+#include "core/network.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
 #include "telemetry/trace.h"
@@ -93,9 +92,9 @@ int main() {
       engine.set_telemetry(&registry);  // before components are built
       trace.start();
     }
-    auto net = core::build_leaf_spine_partitioned(engine, leaf_spine(tors));
+    auto built = core::build_clos_partitioned(engine, leaf_spine(tors));
     auto sizes = workload::mini_web_distribution();
-    workload::UniformTraffic matrix{net.spec.total_hosts()};
+    workload::UniformTraffic matrix{built.net.spec.total_hosts()};
     std::vector<workload::TrafficGenerator*> gens;
     for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
       workload::TrafficGenerator::Config gcfg;
@@ -104,10 +103,10 @@ int main() {
       auto* gen =
           engine.partition(p).sim()
               .add_component<workload::TrafficGenerator>(
-                  "gen" + std::to_string(p), net.hosts, sizes.get(),
+                  "gen" + std::to_string(p), built.net.hosts, sizes.get(),
                   &matrix, gcfg);
-      gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-        return net.partition_of_host[src] == p;
+      gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
+        return built.partition_of_host[src] == p;
       };
       gen->start();
       gens.push_back(gen);
@@ -125,12 +124,12 @@ int main() {
                 "%llu cross links\n",
                 static_cast<unsigned long long>(st.sync_rounds),
                 static_cast<unsigned long long>(st.cross_messages),
-                static_cast<unsigned long long>(net.cross_partition_links));
+                static_cast<unsigned long long>(built.cross_partition_links));
     report.set("pdes.wall_seconds", wall);
     report.set("pdes.events_executed", st.events_executed);
     report.set("pdes.sync_rounds", st.sync_rounds);
     report.set("pdes.cross_messages", st.cross_messages);
-    report.set("pdes.cross_partition_links", net.cross_partition_links);
+    report.set("pdes.cross_partition_links", built.cross_partition_links);
     if (telemetry_on) {
       trace.stop();
       report.add_metrics(registry.snapshot());

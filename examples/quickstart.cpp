@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/full_builder.h"
+#include "core/network.h"
 #include "stats/collectors.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"

@@ -3,19 +3,17 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/pdes_builder.h"
+#include "core/network.h"
 #include "sim/parallel.h"
 
 namespace esim::check {
-namespace {
 
-/// Schedules every scenario flow on `sim` (restricted to hosts whose
-/// entry in `owned` is true), with completion wired into the digest.
-void inject_flows(sim::Simulator& sim, const Scenario& scenario,
+void inject_flows(sim::Simulator& sim, const std::vector<FlowSpec>& flows,
                   const std::vector<tcp::Host*>& hosts,
-                  const std::vector<bool>& owned, StateDigest& digest) {
-  for (const FlowSpec& f : scenario.flows) {
-    if (!owned[f.src]) continue;
+                  const std::vector<std::uint32_t>& partition_of_host,
+                  std::uint32_t p, StateDigest& digest) {
+  for (const FlowSpec& f : flows) {
+    if (partition_of_host[f.src] != p) continue;
     tcp::Host* host = hosts[f.src];
     sim.schedule_at(sim::SimTime::from_ns(f.start_ns), [host, f, &digest] {
       auto* conn = host->open_flow(f.dst, f.bytes, f.flow_id);
@@ -27,8 +25,6 @@ void inject_flows(sim::Simulator& sim, const Scenario& scenario,
     });
   }
 }
-
-}  // namespace
 
 std::string EngineSpec::label() const {
   std::string s = partitions == 0
@@ -77,8 +73,9 @@ RunOutcome DiffRunner::run(const Scenario& scenario, const EngineSpec& engine,
     if (engine.invert_tiebreak) sim.debug_invert_fes_tiebreak(true);
     auto net = core::build_full_network(sim, scenario.network_config());
     digest.attach(sim);
-    std::vector<bool> owned(scenario.total_hosts(), true);
-    inject_flows(sim, scenario, net.hosts, owned, digest);
+    inject_flows(sim, scenario.flows, net.hosts,
+                 std::vector<std::uint32_t>(scenario.total_hosts(), 0), 0,
+                 digest);
     sim.run_until(end);
     out.digest = digest.finalize();
     // Records reference link names owned by `sim`; copy them out before
@@ -96,16 +93,12 @@ RunOutcome DiffRunner::run(const Scenario& scenario, const EngineSpec& engine,
         eng.partition(p).sim().debug_invert_fes_tiebreak(true);
       }
     }
-    auto net = core::build_leaf_spine_partitioned(
+    auto built = core::build_clos_partitioned(
         eng, scenario.network_config(), options_.placement);
     digest.attach(eng);
     for (std::uint32_t p = 0; p < eng.num_partitions(); ++p) {
-      std::vector<bool> owned(scenario.total_hosts());
-      for (net::HostId h = 0; h < scenario.total_hosts(); ++h) {
-        owned[h] = net.partition_of_host[h] == p;
-      }
-      inject_flows(eng.partition(p).sim(), scenario, net.hosts, owned,
-                   digest);
+      inject_flows(eng.partition(p).sim(), scenario.flows, built.net.hosts,
+                   built.partition_of_host, p, digest);
     }
     eng.run_until(end);
     out.digest = digest.finalize();

@@ -81,6 +81,14 @@ struct DiffReport {
   std::string to_string() const;
 };
 
+/// Schedules on `sim` every flow whose source host lives on partition `p`
+/// (per `partition_of_host`), with its completion wired into `digest`.
+/// Sequential runs pass all-zero ownership and p = 0.
+void inject_flows(sim::Simulator& sim, const std::vector<FlowSpec>& flows,
+                  const std::vector<tcp::Host*>& hosts,
+                  const std::vector<std::uint32_t>& partition_of_host,
+                  std::uint32_t p, StateDigest& digest);
+
 /// Executes scenarios under engines and compares digests.
 class DiffRunner {
  public:

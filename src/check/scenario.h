@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "core/full_builder.h"
+#include "core/network.h"
 #include "net/clos.h"
 
 namespace esim::check {

@@ -74,9 +74,9 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     /// or at the macro-window barrier — a packet is never held past
     /// batch_window, and batch_window may not exceed min_latency_s (so a
     /// queued packet's delivery, at arrival + >= min_latency_s, can
-    /// always still be scheduled at flush time; the hybrid PDES builder
-    /// additionally bounds it by min_latency_s - lookahead, see
-    /// hybrid_pdes.cc). Outcomes are bit-identical to the unbatched
+    /// always still be scheduled at flush time; the partitioned hybrid
+    /// build additionally bounds it by min_latency_s - lookahead, see
+    /// core/network.h). Outcomes are bit-identical to the unbatched
     /// path: features are extracted and drop draws consumed at admission
     /// in arrival order, and deliveries are reserved relative to each
     /// packet's arrival time.

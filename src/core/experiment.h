@@ -15,8 +15,7 @@
 #include "approx/micro_model.h"
 #include "approx/trace.h"
 #include "approx/trainer.h"
-#include "core/full_builder.h"
-#include "core/hybrid_builder.h"
+#include "core/network.h"
 #include "stats/cdf.h"
 #include "stats/collectors.h"
 #include "telemetry/fidelity.h"
@@ -127,8 +126,8 @@ TrainedModels train_from_trace(const ExperimentConfig& config,
 TrainedModels train_cluster_models(const ExperimentConfig& config);
 
 /// Per-region packet totals summed over the build's links (and, for
-/// `core`, the agg<->core attachments). Regions that do not exist in a
-/// given build (e.g. approximated downlinks) stay zero.
+/// `core`, the agg<->core attachments). Links a build does not create
+/// (an approximated cluster's downlinks and fabric) add nothing.
 struct RegionCounters {
   stats::PacketCounter host_uplinks;
   stats::PacketCounter host_downlinks;

@@ -1,41 +1,7 @@
-// Parallel execution of the approximate simulation — the third source of
-// speedup in the paper's §6.2: "the approximate version was run in
-// parallel. Because the interdependencies between cluster fabric switches
-// are removed, parallel execution provides better speedups here than it
-// does for full simulation."
-//
-// Partitioning: the full-fidelity cluster and all core switches form
-// partition 0; each approximated cluster (its ApproxCluster model plus
-// its hosts) is a self-contained island placed round-robin on the
-// remaining partitions. The only cross-partition interactions are
-// core -> ApproxCluster links (latency >= lookahead by construction) and
-// ApproxCluster -> core model deliveries (latency >= min_latency_s, which
-// must be >= the engine lookahead — checked).
+// Forwarding header: the builders live in core/network.h. Kept only
+// because benchmark/workloads.cc includes it and the benchmark tree is
+// changed separately from the code it measures; delete it once the
+// benchmark includes core/network.h.
 #pragma once
 
-#include "approx/micro_model.h"
-#include "core/hybrid_builder.h"
-#include "sim/parallel.h"
-
-namespace esim::core {
-
-/// Handles to a partitioned hybrid build. Same layout as HybridNetwork,
-/// plus placement information.
-struct PartitionedHybridNetwork {
-  HybridNetwork net;
-  /// Partition owning each host (full cluster + cores are partition 0).
-  std::vector<std::uint32_t> partition_of_host;
-  /// Partition owning each ApproxCluster (index = cluster id; 0 for the
-  /// full cluster, which has none).
-  std::vector<std::uint32_t> partition_of_cluster;
-};
-
-/// Builds the hybrid topology across the engine's partitions. Requires
-/// engine lookahead <= both the fabric link propagation and the
-/// ApproxCluster min latency; throws otherwise.
-PartitionedHybridNetwork build_hybrid_network_partitioned(
-    sim::ParallelEngine& engine, const HybridConfig& config,
-    const approx::MicroModel& ingress_model,
-    const approx::MicroModel& egress_model);
-
-}  // namespace esim::core
+#include "core/network.h"

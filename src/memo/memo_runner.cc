@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/pdes_builder.h"
+#include "core/network.h"
 #include "net/clos.h"
 #include "sim/parallel.h"
 
@@ -759,19 +759,19 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
         eng.partition(p).sim().debug_invert_fes_tiebreak(true);
       }
     }
-    auto net = core::build_leaf_spine_partitioned(
+    auto built = core::build_clos_partitioned(
         eng, scenario.network_config(), options_.placement);
     Session s;
     for (std::uint32_t p = 0; p < eng.num_partitions(); ++p) {
       s.parts.push_back(&eng.partition(p).sim());
     }
     s.run_engine_until = [&eng](sim::SimTime t) { eng.run_until(t); };
-    s.spec = net.spec;
+    s.spec = built.net.spec;
     s.port_sensitive = scenario.ecmp_port_sensitive;
-    s.hosts = net.hosts;
-    s.switches = net.switches;
-    s.part_of_host.assign(net.partition_of_host.begin(),
-                          net.partition_of_host.end());
+    s.hosts = built.net.hosts;
+    s.switches = built.net.switches;
+    s.part_of_host.assign(built.partition_of_host.begin(),
+                          built.partition_of_host.end());
     if (with_digest) {
       digest.attach(eng);
       s.digest = &digest;

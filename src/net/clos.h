@@ -109,7 +109,7 @@ struct ClosPath {
 
 /// Replays the deterministic ECMP forwarding decisions for `flow` and
 /// returns the switches the packet would traverse, in order. Matches the
-/// FIBs constructed by core/full_builder exactly (tested). Requires
+/// FIBs constructed by core/network exactly (tested). Requires
 /// src_host != dst_host, both in range.
 ClosPath compute_path(const ClosSpec& spec, const FlowKey& flow);
 

@@ -9,7 +9,7 @@
 #include "approx/trace.h"
 #include "approx/trainer.h"
 #include "core/experiment.h"
-#include "core/full_builder.h"
+#include "core/network.h"
 #include "sim/random.h"
 #include "workload/generator.h"
 

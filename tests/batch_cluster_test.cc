@@ -7,8 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "check/hybrid_diff.h"
-#include "core/hybrid_builder.h"
-#include "core/hybrid_pdes.h"
+#include "core/network.h"
 #include "stats/collectors.h"
 
 namespace esim::core {

@@ -12,7 +12,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/full_builder.h"
+#include "core/network.h"
 #include "net/clos.h"
 #include "net/ecmp.h"
 #include "sim/random.h"

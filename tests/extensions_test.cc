@@ -7,7 +7,7 @@
 
 #include "core/approx_cluster.h"
 #include "core/conflict.h"
-#include "core/hybrid_builder.h"
+#include "core/network.h"
 #include "ml/serialize.h"
 #include "net/link.h"
 #include "sim/simulator.h"

@@ -4,7 +4,7 @@
 
 #include <atomic>
 
-#include "core/hybrid_pdes.h"
+#include "core/network.h"
 #include "stats/collectors.h"
 
 namespace esim::core {
@@ -69,6 +69,86 @@ TEST(HybridPdes, RejectsCausalityViolations) {
   EXPECT_THROW(
       build_hybrid_network_partitioned(engine, hybrid_config(2), m, m),
       std::invalid_argument);
+}
+
+TEST(HybridPdes, HonoursCoreLinkInWiringAndLookahead) {
+  // core_link sets the packet cluster's agg<->core links and the
+  // core -> ApproxCluster links, so it is also the 0 -> p lookahead.
+  HybridConfig cfg = hybrid_config(4);
+  cfg.net.core_link = cfg.net.fabric_link;
+  cfg.net.core_link->propagation = SimTime::from_us(8);
+  const auto m = benign_model(8.0);
+
+  sim::Simulator sim{5};
+  const auto seq = build_hybrid_network(sim, cfg, m, m);
+  ParallelEngine engine{engine_config(3)};
+  const auto out = build_hybrid_network_partitioned(engine, cfg, m, m);
+  for (const BuiltNetwork* net : {&seq, &out.net}) {
+    ASSERT_EQ(net->core_links.size(), 4u);
+    for (const auto& att : net->core_links) {
+      EXPECT_EQ(att.up->propagation(), SimTime::from_us(8));
+      EXPECT_EQ(att.down->propagation(), SimTime::from_us(8));
+    }
+  }
+  EXPECT_EQ(engine.pair_lookahead(0, 1), SimTime::from_us(8));
+  EXPECT_EQ(engine.pair_lookahead(0, 2), SimTime::from_us(8));
+}
+
+TEST(HybridPdes, ProgramsPerPairLookahead) {
+  // Islands 1 and 3 on partition 1, island 2 on partition 2. Core ->
+  // island channels are 1 us links; island -> core deliveries keep
+  // min_latency_s - batch_window = 2 us; islands never talk to each other.
+  HybridConfig cfg = hybrid_config(4);
+  cfg.approx.min_latency_s = 5e-6;
+  cfg.approx.batch_max = 8;
+  cfg.approx.batch_window = SimTime::from_us(3);
+  ParallelEngine engine{engine_config(3)};
+  const auto m = benign_model(8.0);
+  const auto out = build_hybrid_network_partitioned(engine, cfg, m, m);
+  EXPECT_EQ(out.partition_of_cluster[1], 1u);
+  EXPECT_EQ(out.partition_of_cluster[2], 2u);
+  EXPECT_EQ(out.partition_of_cluster[3], 1u);
+  EXPECT_EQ(engine.pair_lookahead(0, 1), SimTime::from_us(1));
+  EXPECT_EQ(engine.pair_lookahead(0, 2), SimTime::from_us(1));
+  EXPECT_EQ(engine.pair_lookahead(1, 0), SimTime::from_us(2));
+  EXPECT_EQ(engine.pair_lookahead(2, 0), SimTime::from_us(2));
+  EXPECT_EQ(engine.pair_lookahead(1, 2), ParallelEngine::infinite_lookahead());
+  EXPECT_EQ(engine.pair_lookahead(2, 1), ParallelEngine::infinite_lookahead());
+}
+
+TEST(HybridPdes, RejectsCoreLinkBelowLookahead) {
+  HybridConfig cfg = hybrid_config(3);
+  cfg.net.core_link = cfg.net.fabric_link;
+  cfg.net.core_link->propagation = SimTime::from_ns(500);  // < 1 us
+  ParallelEngine engine{engine_config(2)};
+  const auto m = benign_model(8.0);
+  EXPECT_THROW(build_hybrid_network_partitioned(engine, cfg, m, m),
+               std::invalid_argument);
+}
+
+TEST(HybridPdes, EveryBuildHonoursHostPairEcmp) {
+  HybridConfig cfg = hybrid_config(3);
+  cfg.net.ecmp_port_sensitive = false;
+  const auto m = benign_model(8.0);
+  std::vector<net::Switch*> built;
+  const auto collect = [&built](const BuiltNetwork& net) {
+    for (auto* sw : net.switches) {
+      if (sw != nullptr) built.push_back(sw);
+    }
+  };
+  sim::Simulator full_sim{5};
+  collect(build_full_network(full_sim, cfg.net));
+  ParallelEngine full_engine{engine_config(2)};
+  collect(build_clos_partitioned(full_engine, cfg.net).net);
+  sim::Simulator hybrid_sim{5};
+  collect(build_hybrid_network(hybrid_sim, cfg, m, m));
+  ParallelEngine hybrid_engine{engine_config(2)};
+  collect(build_hybrid_network_partitioned(hybrid_engine, cfg, m, m).net);
+  // 3 x 4 + 2 switches in each all-packet build, 4 + 2 in each hybrid.
+  ASSERT_EQ(built.size(), 14u + 14u + 6u + 6u);
+  for (const auto* sw : built) {
+    EXPECT_FALSE(sw->port_sensitive_ecmp()) << sw->name();
+  }
 }
 
 TEST(HybridPdes, CrossPartitionFlowsComplete) {

@@ -3,7 +3,7 @@
 
 #include <unordered_map>
 
-#include "core/full_builder.h"
+#include "core/network.h"
 #include "net/clos.h"
 #include "stats/collectors.h"
 #include "workload/generator.h"

@@ -4,8 +4,11 @@
 
 #include "core/conflict.h"
 #include "core/experiment.h"
-#include "core/hybrid_builder.h"
+#include "core/network.h"
 #include "stats/distance.h"
+#include "workload/flow_size.h"
+#include "workload/generator.h"
+#include "workload/traffic_matrix.h"
 
 namespace esim::core {
 namespace {
@@ -80,10 +83,19 @@ TEST(HybridBuilder, WiresComponents) {
   for (std::uint32_t c = 1; c < 4; ++c) {
     ASSERT_NE(net.clusters[c], nullptr);
   }
-  // Every host has an uplink (full hosts to ToRs, others to the models).
+  // Every host has an uplink (full hosts to ToRs, others to the models);
+  // only full-fidelity hosts have a ToR downlink.
   for (auto* link : net.host_uplinks) EXPECT_NE(link, nullptr);
-  EXPECT_TRUE(net.is_full_fidelity(0));
-  EXPECT_FALSE(net.is_full_fidelity(9));
+  EXPECT_NE(net.host_downlinks[0], nullptr);
+  EXPECT_EQ(net.host_downlinks[9], nullptr);
+  // The full cluster's ToR<->agg links are recorded (2 ToRs x 2 aggs x 2
+  // directions), and only its agg<->core links exist.
+  ASSERT_EQ(net.intra_fabric_links.size(), 8u);
+  for (const auto& [cluster, link] : net.intra_fabric_links) {
+    EXPECT_EQ(cluster, 0u);
+    EXPECT_NE(link, nullptr);
+  }
+  EXPECT_EQ(net.core_links.size(), 4u);
 }
 
 TEST(HybridBuilder, RejectsBadConfig) {
@@ -193,6 +205,47 @@ TEST(HybridNetwork, ElisionFilterKeepsApproxOnlyTrafficOut) {
   EXPECT_GT(result.flows_completed, 0u);
   // intra_packets counts approx-intra deliveries; elision keeps it at 0.
   EXPECT_EQ(result.approx_stats.intra_packets, 0u);
+}
+
+TEST(HybridNetwork, RunCountsThePacketClusterFabric) {
+  // A hybrid run's intra_fabric region is the packet cluster's ToR<->agg
+  // traffic: the sum over BuiltNetwork::intra_fabric_links of the same
+  // run, rebuilt here step by step.
+  ExperimentConfig cfg;
+  cfg.net.spec = spec_with_clusters(2);
+  cfg.duration = SimTime::from_ms(5);
+  cfg.load = 0.3;
+  TrainedModels models;
+  models.ingress = std::make_unique<MicroModel>(make_benign_model(8.0));
+  models.egress = std::make_unique<MicroModel>(make_benign_model(8.0));
+  const auto result = run_hybrid_simulation(cfg, cfg.net.spec, models);
+  EXPECT_GT(result.regions.intra_fabric.sent, 0u);
+
+  const net::ClosSpec& spec = cfg.net.spec;
+  Simulator sim{cfg.seed + 1};
+  HybridConfig hcfg;
+  hcfg.net = cfg.net;
+  hcfg.approx = cfg.approx;
+  hcfg.approx.macro = cfg.macro;
+  auto net = build_hybrid_network(sim, hcfg, *models.ingress, *models.egress);
+  auto sizes = workload::mini_web_distribution();
+  workload::ClusterMixTraffic matrix{spec, cfg.intra_fraction};
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = cfg.load;
+  gcfg.host_bandwidth_bps = cfg.net.host_uplink.bandwidth_bps;
+  gcfg.stop_at = cfg.duration;
+  auto* gen = sim.add_component<workload::TrafficGenerator>(
+      "gen", net.hosts, sizes.get(), &matrix, gcfg);
+  gen->admission_filter = [&spec](net::HostId src, net::HostId dst) {
+    return spec.cluster_of_host(src) == 0 || spec.cluster_of_host(dst) == 0;
+  };
+  gen->start();
+  sim.run_until(cfg.duration);
+  std::uint64_t sent = 0;
+  for (const auto& [cluster, link] : net.intra_fabric_links) {
+    sent += link->counter().sent;
+  }
+  EXPECT_EQ(result.regions.intra_fabric.sent, sent);
 }
 
 TEST(Pipeline, TrainThenApproximateEndToEnd) {

@@ -4,7 +4,7 @@
 
 #include <atomic>
 
-#include "core/pdes_builder.h"
+#include "core/network.h"
 #include "workload/generator.h"
 
 namespace esim::core {
@@ -34,36 +34,39 @@ ParallelEngine::Config engine_config(std::uint32_t partitions) {
 
 TEST(PdesBuilder, PlacesAndWires) {
   ParallelEngine engine{engine_config(2)};
-  const auto net = build_leaf_spine_partitioned(engine, leaf_spine(4, 4));
+  const auto built = build_clos_partitioned(engine, leaf_spine(4, 4));
+  const BuiltNetwork& net = built.net;
   EXPECT_EQ(net.hosts.size(), 16u);
   EXPECT_EQ(net.switches.size(), 8u);
   for (auto* h : net.hosts) ASSERT_NE(h, nullptr);
   for (auto* s : net.switches) ASSERT_NE(s, nullptr);
   // Placement comes from the plan; both partitions must be used and host
   // placement must follow the rack.
-  EXPECT_EQ(net.partition_of_switch, net.plan.partition_of_switch);
+  const PartitionPlan plan =
+      make_partition_plan(net.spec, 2, PlacementPolicy::graph_cut);
+  EXPECT_EQ(built.partition_of_switch, plan.partition_of_switch);
   std::vector<std::uint32_t> used(2, 0);
-  for (const auto p : net.partition_of_switch) {
+  for (const auto p : built.partition_of_switch) {
     ASSERT_LT(p, 2u);
     ++used[p];
   }
   EXPECT_GT(used[0], 0u);
   EXPECT_GT(used[1], 0u);
   for (net::HostId h = 0; h < net.spec.total_hosts(); ++h) {
-    EXPECT_EQ(net.partition_of_host[h],
-              net.partition_of_switch[net.spec.tor_of_host(h)]);
+    EXPECT_EQ(built.partition_of_host[h],
+              built.partition_of_switch[net.spec.tor_of_host(h)]);
   }
   // The wired cross-link count is exactly the plan's reported cut. On a
   // leaf-spine every balanced placement cuts half the 4x4x2 fabric links.
-  EXPECT_EQ(net.cross_partition_links, net.plan.cut_links);
-  EXPECT_EQ(net.plan.total_links, 32u);
-  EXPECT_EQ(net.cross_partition_links, 16u);
+  EXPECT_EQ(built.cross_partition_links, plan.cut_links);
+  EXPECT_EQ(plan.total_links, 32u);
+  EXPECT_EQ(built.cross_partition_links, 16u);
 }
 
 TEST(PdesBuilder, RoundRobinPolicyMatchesLegacyPlacement) {
   ParallelEngine engine{engine_config(2)};
-  const auto net = build_leaf_spine_partitioned(
-      engine, leaf_spine(4, 4), PlacementPolicy::round_robin);
+  const auto net = build_clos_partitioned(engine, leaf_spine(4, 4),
+                                          PlacementPolicy::round_robin);
   // Legacy layout: rack r -> partition r % P, spines keep rotating.
   EXPECT_EQ(net.partition_of_switch[0], 0u);
   EXPECT_EQ(net.partition_of_switch[1], 1u);
@@ -90,7 +93,7 @@ TEST(PdesBuilder, GraphCutColocatesClustersOnFatTree) {
   const auto rr =
       build_clos_partitioned(rr_engine, cfg, PlacementPolicy::round_robin);
 
-  EXPECT_LT(cut.plan.cut_links, rr.plan.cut_links);
+  EXPECT_LT(cut.cross_partition_links, rr.cross_partition_links);
   // Every cluster's switches share one partition under graph-cut.
   for (std::uint32_t c = 0; c < cfg.spec.clusters; ++c) {
     const auto p = cut.partition_of_switch[cfg.spec.tor_id(c, 0)];
@@ -103,25 +106,39 @@ TEST(PdesBuilder, GraphCutColocatesClustersOnFatTree) {
   }
 }
 
-TEST(PdesBuilder, RejectsNonLeafSpine) {
-  ParallelEngine engine{engine_config(2)};
-  NetworkConfig cfg;
-  cfg.spec.clusters = 2;  // 3-layer Clos: not supported here
-  EXPECT_THROW(build_leaf_spine_partitioned(engine, cfg),
-               std::invalid_argument);
-}
-
 TEST(PdesBuilder, RejectsExcessiveLookahead) {
   auto ecfg = engine_config(2);
   ecfg.lookahead = SimTime::from_us(50);  // > 1us propagation
   ParallelEngine engine{ecfg};
-  EXPECT_THROW(build_leaf_spine_partitioned(engine, leaf_spine(2, 2)),
+  EXPECT_THROW(build_clos_partitioned(engine, leaf_spine(2, 2)),
                std::invalid_argument);
+}
+
+TEST(PdesBuilder, ProgramsPerPairLookaheadFromCrossLinks) {
+  // Two clusters, graph-cut over two partitions: each cluster stays
+  // whole, so only the 8 us agg<->core links cross — in both directions.
+  NetworkConfig cfg;
+  cfg.spec.clusters = 2;
+  cfg.spec.tors_per_cluster = 2;
+  cfg.spec.aggs_per_cluster = 2;
+  cfg.spec.hosts_per_tor = 2;
+  cfg.spec.cores = 2;
+  cfg.core_link = cfg.fabric_link;
+  cfg.core_link->propagation = SimTime::from_us(8);
+  ParallelEngine engine{engine_config(2)};
+  const auto built =
+      build_clos_partitioned(engine, cfg, PlacementPolicy::graph_cut);
+  ASSERT_GT(built.cross_partition_links, 0u);
+  for (const auto& att : built.net.core_links) {
+    EXPECT_EQ(att.up->propagation(), SimTime::from_us(8));
+  }
+  EXPECT_EQ(engine.pair_lookahead(0, 1), SimTime::from_us(8));
+  EXPECT_EQ(engine.pair_lookahead(1, 0), SimTime::from_us(8));
 }
 
 TEST(PdesNetwork, CrossPartitionFlowCompletes) {
   ParallelEngine engine{engine_config(2)};
-  auto net = build_leaf_spine_partitioned(engine, leaf_spine(2, 2));
+  const auto net = build_clos_partitioned(engine, leaf_spine(2, 2)).net;
   // Host 0 lives in partition 0, host 4 (rack 1) in partition 1.
   std::atomic<bool> complete{false};
   auto& sim0 = engine.partition(0).sim();
@@ -137,13 +154,14 @@ TEST(PdesNetwork, CrossPartitionFlowCompletes) {
 
 TEST(PdesNetwork, ManyFlowsAcrossFourPartitions) {
   ParallelEngine engine{engine_config(4)};
-  auto net = build_leaf_spine_partitioned(engine, leaf_spine(8, 8));
+  const auto built = build_clos_partitioned(engine, leaf_spine(8, 8));
+  const BuiltNetwork& net = built.net;
   // One flow per partition, each sourced from a host that partition owns
   // (looked up via the plan, not assumed from legacy placement).
   std::vector<net::HostId> src_of_partition(4, net::HostId{0});
   std::vector<bool> found(4, false);
   for (net::HostId h = 0; h < net.spec.total_hosts(); ++h) {
-    const std::uint32_t p = net.partition_of_host[h];
+    const std::uint32_t p = built.partition_of_host[h];
     if (!found[p]) {
       src_of_partition[p] = h;
       found[p] = true;
@@ -181,11 +199,12 @@ TEST(PdesNetwork, FatTreeCrossClusterFlowMatchesSequential) {
 
   auto run_pdes = [&] {
     ParallelEngine engine{engine_config(2)};
-    auto net = build_clos_partitioned(engine, cfg);
+    const auto built = build_clos_partitioned(engine, cfg);
     tcp::TcpConnection* conn = nullptr;
-    auto& ssim = engine.partition(net.partition_of_host[src]).sim();
-    ssim.schedule_at(SimTime::from_us(10),
-                     [&] { conn = net.hosts[src]->open_flow(dst, 60'000, 1); });
+    auto& ssim = engine.partition(built.partition_of_host[src]).sim();
+    ssim.schedule_at(SimTime::from_us(10), [&] {
+      conn = built.net.hosts[src]->open_flow(dst, 60'000, 1);
+    });
     engine.run_until(SimTime::from_ms(100));
     return conn->stats().segments_sent;
   };
@@ -209,7 +228,7 @@ TEST(PdesNetwork, MatchesSingleThreadedFlowOutcome) {
   // (deterministic TCP, no contention).
   auto run_pdes = [] {
     ParallelEngine engine{engine_config(2)};
-    auto net = build_leaf_spine_partitioned(engine, leaf_spine(2, 2));
+    const auto net = build_clos_partitioned(engine, leaf_spine(2, 2)).net;
     std::atomic<std::uint64_t> segments{0};
     auto& sim0 = engine.partition(0).sim();
     tcp::TcpConnection* conn = nullptr;
@@ -234,9 +253,9 @@ TEST(PdesNetwork, MatchesSingleThreadedFlowOutcome) {
 
 TEST(PdesNetwork, PerPartitionGeneratorsDriveLoad) {
   ParallelEngine engine{engine_config(2)};
-  auto net = build_leaf_spine_partitioned(engine, leaf_spine(4, 4));
+  const auto built = build_clos_partitioned(engine, leaf_spine(4, 4));
   auto sizes = workload::mini_web_distribution();
-  workload::UniformTraffic matrix{net.spec.total_hosts()};
+  workload::UniformTraffic matrix{built.net.spec.total_hosts()};
   std::vector<workload::TrafficGenerator*> gens;
   for (std::uint32_t p = 0; p < 2; ++p) {
     auto& psim = engine.partition(p).sim();
@@ -244,9 +263,10 @@ TEST(PdesNetwork, PerPartitionGeneratorsDriveLoad) {
     gcfg.load = 0.2;
     gcfg.stop_at = SimTime::from_ms(5);
     auto* gen = psim.add_component<workload::TrafficGenerator>(
-        "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix, gcfg);
-    gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-      return net.partition_of_host[src] == p;
+        "gen" + std::to_string(p), built.net.hosts, sizes.get(), &matrix,
+        gcfg);
+    gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
+      return built.partition_of_host[src] == p;
     };
     gen->start();
     gens.push_back(gen);

@@ -6,7 +6,7 @@
 
 #include "approx/evaluation.h"
 #include "approx/trainer.h"
-#include "core/full_builder.h"
+#include "core/network.h"
 #include "sim/random.h"
 #include "workload/request_response.h"
 

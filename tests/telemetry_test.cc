@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/pdes_builder.h"
+#include "core/network.h"
 #include "sim/parallel.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
@@ -466,9 +466,9 @@ TEST(TelemetryIntegration, PdesRunPublishesPartitionMetricsAndTrace) {
     net_cfg.spec.aggs_per_cluster = 2;
     net_cfg.spec.hosts_per_tor = 2;
     net_cfg.spec.cores = 0;
-    auto net = core::build_leaf_spine_partitioned(engine, net_cfg);
+    const auto built = core::build_clos_partitioned(engine, net_cfg);
     auto sizes = workload::mini_web_distribution();
-    workload::UniformTraffic matrix{net.spec.total_hosts()};
+    workload::UniformTraffic matrix{built.net.spec.total_hosts()};
     const auto duration = sim::SimTime::from_us(500);
     for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
       workload::TrafficGenerator::Config gcfg;
@@ -476,10 +476,10 @@ TEST(TelemetryIntegration, PdesRunPublishesPartitionMetricsAndTrace) {
       gcfg.stop_at = duration;
       auto* gen =
           engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-              "gen" + std::to_string(p), net.hosts, sizes.get(), &matrix,
-              gcfg);
-      gen->admission_filter = [&net, p](net::HostId src, net::HostId) {
-        return net.partition_of_host[src] == p;
+              "gen" + std::to_string(p), built.net.hosts, sizes.get(),
+              &matrix, gcfg);
+      gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
+        return built.partition_of_host[src] == p;
       };
       gen->start();
     }
