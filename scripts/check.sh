@@ -32,6 +32,17 @@ if [[ "${ESIM_CHECK_FUZZ:-0}" == "1" ]]; then
   tiers+=(fuzz)
 fi
 
+# The tiers above run whichever kernel variant the CPU dispatches to
+# (ml/kernels.h). Every variant must give the same bits, so the ML suites
+# — whose golden tests pin training and serving numerics — also run with
+# each variant pinned: scalar and AVX2 always, AVX-512 where the CPU has
+# it (ESIM_INFERENCE_ISA falls back to scalar when it does not).
+ml_suites='^(Tensor|Activations|Linear|Loss|Lstm|Gru|Optimizer|Serialize|SequenceModelFactory|MicroModel|MicroModelGru|MicroModelSerialize|InferenceSession|Trainer|TrainFromTrace)\.'
+isas=(scalar avx2)
+if grep -qw avx512f /proc/cpuinfo; then
+  isas+=(avx512)
+fi
+
 for preset in default asan-ubsan; do
   echo "=== preset: ${preset} — configure ==="
   cmake --preset "${preset}"
@@ -40,6 +51,11 @@ for preset in default asan-ubsan; do
   for tier in "${tiers[@]}"; do
     echo "=== preset: ${preset} — test tier: ${tier} ==="
     ctest --preset "${preset}" "${jobs}" -L "${tier}"
+  done
+  for isa in "${isas[@]}"; do
+    echo "=== preset: ${preset} — ML suites, ESIM_INFERENCE_ISA=${isa} ==="
+    ESIM_INFERENCE_ISA="${isa}" ctest --preset "${preset}" "${jobs}" \
+      -R "${ml_suites}"
   done
 done
 
@@ -122,8 +138,10 @@ echo "=== preset: tsan — test (threaded suites) ==="
 # Memo / PhaseCache cover the PDES memo runner: delta recording across
 # partition threads (the completion log mutex) and replay between
 # engine windows.
+# TrainFromTrace covers train_from_trace's egress worker thread, on the
+# success path and when the worker's training throws.
 ctest --preset tsan "${jobs}" -R \
-  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache'
+  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainFromTrace'
 
 if [[ "${ESIM_CHECK_COVERAGE:-0}" == "1" ]]; then
   echo "=== preset: coverage — configure ==="

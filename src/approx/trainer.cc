@@ -15,15 +15,22 @@ TrainReport train_micro_model(MicroModel& model, const Dataset& dataset,
   const std::size_t N = dataset.size();
   const std::size_t T = config.seq_len;
   const std::size_t B = config.batch_size;
+  if (B == 0) {
+    throw std::invalid_argument("train_micro_model: batch_size must be >= 1");
+  }
+  if (T == 0) {
+    throw std::invalid_argument("train_micro_model: seq_len must be >= 1");
+  }
+  if (config.batches == 0) {
+    throw std::invalid_argument("train_micro_model: batches must be >= 1");
+  }
   if (N < T + 1) {
     throw std::invalid_argument(
         "train_micro_model: dataset smaller than one sequence");
   }
-  if (config.alpha <= 0.0 || config.alpha > 1.0) {
+  if (!(config.alpha > 0.0 && config.alpha <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("train_micro_model: alpha outside (0, 1]");
   }
-
-  model.set_latency_normalization(dataset.mean_log_us, dataset.std_log_us);
 
   ml::SgdMomentum::Config ocfg;
   ocfg.learning_rate = config.learning_rate;
@@ -32,7 +39,10 @@ TrainReport train_micro_model(MicroModel& model, const Dataset& dataset,
   // The Module overload bumps the model's weight version on every step,
   // so a compiled InferenceSession that misses the recompile below
   // throws instead of silently predicting with pre-training weights.
+  // Built before the model is touched: its constructor validates ocfg.
   ml::SgdMomentum opt{model, ocfg};
+
+  model.set_latency_normalization(dataset.mean_log_us, dataset.std_log_us);
 
   sim::Rng rng{config.seed};
   TrainReport report;

@@ -41,8 +41,10 @@ struct TrainReport {
 
 /// Trains `model` in place on `dataset`. The model's latency
 /// normalization is set from the dataset statistics before training.
-/// Throws std::invalid_argument when the dataset is smaller than one
-/// sequence.
+/// Throws std::invalid_argument, naming the field, when batch_size,
+/// seq_len or batches is 0, alpha is outside (0, 1], the optimizer
+/// fields fail ml::SgdMomentum's checks, or the dataset is smaller than
+/// one sequence.
 TrainReport train_micro_model(MicroModel& model, const Dataset& dataset,
                               const TrainConfig& config);
 

@@ -119,6 +119,11 @@ BoundaryTrace record_boundary_trace(const ExperimentConfig& config);
 
 /// Step 2: build datasets from a trace and train both direction models.
 /// Separated from recording so ablation studies can retrain on one trace.
+/// Egress trains on one worker thread while the calling thread trains
+/// ingress; the worker is joined before return and its exception, if
+/// any, rethrown (e.g. std::invalid_argument when a direction's dataset
+/// is shorter than one training sequence). The trained weights do not
+/// depend on the threading.
 TrainedModels train_from_trace(const ExperimentConfig& config,
                                const BoundaryTrace& trace);
 

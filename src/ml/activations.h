@@ -3,20 +3,20 @@
 // The transcendentals here are deliberately NOT libm: exp_act / tanh_act /
 // sigmoid evaluate a fixed IEEE operation sequence (Cody-Waite range
 // reduction, Taylor-Horner core, exponent-bit scaling) so the AVX2 ports
-// in ml/inference.cc can replay the exact same sequence four elements at
+// in ml/kernels.cc can replay the exact same sequence four elements at
 // a time and stay bit-identical to this scalar form. libm's exp/tanh have
 // no such vector twin — their table-driven paths cannot be reproduced
 // lane-for-lane — and the scalar activation pass is what dominated the
 // per-packet inference cost once the matmuls were fused (bench_inference).
 //
-// Every consumer of the model numerics (trainer forward pass, Tensor
-// reference step, compiled InferenceSession) uses these same functions,
+// Every consumer of the model numerics (the gate passes in ml/kernels.cc
+// that training and InferenceSession share, and the loss) uses these,
 // so the session-vs-reference and batched-vs-sequential bit-identity
 // contracts are unaffected by the approximation error (~1 ulp core,
 // <= ~1e-15 relative overall vs true exp/tanh).
 //
 // Bit-identity rules for the vector ports: same operation order, plain
-// mul/add (no FMA contraction — inference.cc is compiled with
+// mul/add (no FMA contraction — kernels.cc is compiled with
 // -ffp-contract=off; this header's other TUs target baseline x86-64,
 // which has no FMA to contract into), round-to-nearest-even for the
 // exponent split, and branch selection that computes the same value the

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "ml/activations.h"
+#include "ml/kernels.h"
 
 namespace esim::ml {
 
@@ -32,36 +32,26 @@ Tensor GruLayer::step(const Tensor& x, State& state,
                       StepCache* cache) const {
   const std::size_t B = x.rows();
   const std::size_t H = hidden_;
-
-  Tensor gi = matmul_nt(x, w_ih_);        // [B x 3H]
-  add_row_bias(gi, b_ih_);
-  Tensor gh = matmul_nt(state.h, w_hh_);  // [B x 3H]
-  add_row_bias(gh, b_hh_);
-
-  Tensor r{B, H}, z{B, H}, n{B, H}, hn_lin{B, H}, h_new{B, H};
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t j = 0; j < H; ++j) {
-      const double rv = sigmoid(gi.at(b, j) + gh.at(b, j));
-      const double zv = sigmoid(gi.at(b, H + j) + gh.at(b, H + j));
-      const double hl = gh.at(b, 2 * H + j);
-      const double nv = tanh_act(gi.at(b, 2 * H + j) + rv * hl);
-      r.at(b, j) = rv;
-      z.at(b, j) = zv;
-      n.at(b, j) = nv;
-      hn_lin.at(b, j) = hl;
-      h_new.at(b, j) = (1.0 - zv) * nv + zv * state.h.at(b, j);
-    }
+  if (state.h.rows() != B) {
+    throw std::invalid_argument("GruLayer::step: state shape mismatch");
   }
 
+  Tensor gi = matmul_nt(x, w_ih_);        // [B x 3H]
+  Tensor gh = matmul_nt(state.h, w_hh_);  // [B x 3H]
   if (cache != nullptr) {
     cache->x = x;
     cache->h_prev = state.h;
-    cache->r = r;
-    cache->z = z;
-    cache->n = n;
-    cache->hn_lin = std::move(hn_lin);
   }
-  state.h = h_new;
+  // Advances state.h in place, adds the biases into gi/gh and leaves
+  // r|z|n in gi.
+  for (std::size_t r = 0; r < B; ++r) {
+    kernels::gru_gates(b_ih_.data(), b_hh_.data(), gi.data() + r * 3 * H,
+                       gh.data() + r * 3 * H, state.h.data() + r * H, H);
+  }
+  if (cache != nullptr) {
+    cache->act = std::move(gi);
+    cache->gh = std::move(gh);
+  }
   return state.h;
 }
 
@@ -69,6 +59,9 @@ GruLayer::StepGrad GruLayer::step_backward(const StepCache& cache,
                                            const Tensor& dh) {
   const std::size_t B = dh.rows();
   const std::size_t H = hidden_;
+  if (dh.cols() != H || cache.act.rows() != B) {
+    throw std::invalid_argument("GruLayer::step_backward: shape mismatch");
+  }
 
   // Pre-activation gate gradients for the input-side (gi) and
   // hidden-side (gh) linear maps; they differ only in the n slot.
@@ -76,32 +69,11 @@ GruLayer::StepGrad GruLayer::step_backward(const StepCache& cache,
   Tensor dgh{B, 3 * H};
   Tensor dh_prev_direct{B, H};
   for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t j = 0; j < H; ++j) {
-      const double r = cache.r.at(b, j);
-      const double z = cache.z.at(b, j);
-      const double n = cache.n.at(b, j);
-      const double hl = cache.hn_lin.at(b, j);
-      const double hp = cache.h_prev.at(b, j);
-      const double g = dh.at(b, j);
-
-      const double dz = g * (hp - n);
-      const double dn = g * (1.0 - z);
-      dh_prev_direct.at(b, j) = g * z;
-
-      const double dan = dn * dtanh_from_value(n);  // pre-tanh
-      const double dr = dan * hl;
-      const double dhl = dan * r;
-
-      const double daz = dz * dsigmoid_from_value(z);
-      const double dar = dr * dsigmoid_from_value(r);
-
-      dgi.at(b, j) = dar;
-      dgi.at(b, H + j) = daz;
-      dgi.at(b, 2 * H + j) = dan;
-      dgh.at(b, j) = dar;
-      dgh.at(b, H + j) = daz;
-      dgh.at(b, 2 * H + j) = dhl;
-    }
+    kernels::gru_gates_backward(
+        cache.act.data() + b * 3 * H, cache.gh.data() + b * 3 * H,
+        cache.h_prev.data() + b * H, dh.data() + b * H,
+        dgi.data() + b * 3 * H, dgh.data() + b * 3 * H,
+        dh_prev_direct.data() + b * H, H);
   }
 
   gw_ih_.add(matmul_tn(dgi, cache.x));

@@ -27,8 +27,8 @@ class GruLayer : public Module {
   /// Forward intermediates for one step's backward pass.
   struct StepCache {
     Tensor x, h_prev;
-    Tensor r, z, n;   // post-activation gates
-    Tensor hn_lin;    // W_hn h_prev + b_hn (pre-reset)
+    Tensor act;  // post-activation gates r|z|n, [B x 3H]
+    Tensor gh;   // W_hh h_prev + b_hh, [B x 3H]; backward reads the n block
   };
 
   struct StepGrad {

@@ -1,568 +1,15 @@
-// Fused inference kernels. Bit-identity rationale (see inference.h): the
-// naive matmul_nt inner loop is bound by its serial addsd dependency
-// chain, not multiply throughput. The kernels here compute many gate
-// rows at once — each row's dot product still sums p = 0..n-1 in exactly
-// the reference order, so every result matches the reference to the last
-// bit, but the rows form independent accumulator chains that fill the
-// FPU pipeline. finalize_plan() packs consecutive weight rows in groups
-// of eight (column-interleaved: pk[p*8 + r] = w[r][p]) so the SIMD
-// variants can load one column of eight rows as contiguous vectors. The
-// AVX2/AVX-512 paths keep one row per vector lane; lane arithmetic is
-// the same IEEE mul-then-add as the scalar code (this file is compiled
-// with -ffp-contract=off, and the AVX2 clone does not enable FMA, so no
-// fused multiply-add can change the rounding).
+// The compiled forward plan (see inference.h). All arithmetic runs on
+// ml/kernels.h, the kernel set training uses too; this file only lays
+// out weights, state and scratch and sequences the kernel calls.
 #include "ml/inference.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
-#include "ml/activations.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define ESIM_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
+#include "ml/kernels.h"
 
 namespace esim::ml {
 namespace {
-
-/// Single-row dot with the reference summation order.
-inline double dot1(const double* w, std::size_t n, const double* x) {
-  double s = 0.0;
-  for (std::size_t p = 0; p < n; ++p) s += x[p] * w[p];
-  return s;
-}
-
-/// matvec over `groups` packed 8-row groups: out[g*8 + r] = dot(row, x).
-/// Portable fallback — eight independent scalar chains per group.
-void matvec_scalar(const double* pk, std::size_t groups, std::size_t n,
-                   const double* x, double* out) {
-  for (std::size_t g = 0; g < groups; ++g) {
-    const double* w = pk + g * 8 * n;
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    double s4 = 0.0, s5 = 0.0, s6 = 0.0, s7 = 0.0;
-    for (std::size_t p = 0; p < n; ++p) {
-      const double xv = x[p];
-      const double* col = w + p * 8;
-      s0 += xv * col[0];
-      s1 += xv * col[1];
-      s2 += xv * col[2];
-      s3 += xv * col[3];
-      s4 += xv * col[4];
-      s5 += xv * col[5];
-      s6 += xv * col[6];
-      s7 += xv * col[7];
-    }
-    double* o = out + g * 8;
-    o[0] = s0;
-    o[1] = s1;
-    o[2] = s2;
-    o[3] = s3;
-    o[4] = s4;
-    o[5] = s5;
-    o[6] = s6;
-    o[7] = s7;
-  }
-}
-
-#ifdef ESIM_X86_DISPATCH
-
-/// AVX2 variant: two groups (16 rows) per pass = four independent ymm
-/// accumulator chains, enough to cover the vaddpd latency. One row per
-/// lane; each lane performs the exact scalar operation sequence.
-__attribute__((target("avx2"))) void matvec_avx2(const double* pk,
-                                                 std::size_t groups,
-                                                 std::size_t n,
-                                                 const double* x,
-                                                 double* out) {
-  std::size_t g = 0;
-  for (; g + 2 <= groups; g += 2) {
-    const double* a = pk + g * 8 * n;
-    const double* b = a + 8 * n;
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d b0 = _mm256_setzero_pd();
-    __m256d b1 = _mm256_setzero_pd();
-    for (std::size_t p = 0; p < n; ++p) {
-      const __m256d xv = _mm256_broadcast_sd(x + p);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(xv, _mm256_loadu_pd(a + p * 8)));
-      a1 = _mm256_add_pd(a1,
-                         _mm256_mul_pd(xv, _mm256_loadu_pd(a + p * 8 + 4)));
-      b0 = _mm256_add_pd(b0, _mm256_mul_pd(xv, _mm256_loadu_pd(b + p * 8)));
-      b1 = _mm256_add_pd(b1,
-                         _mm256_mul_pd(xv, _mm256_loadu_pd(b + p * 8 + 4)));
-    }
-    _mm256_storeu_pd(out + g * 8, a0);
-    _mm256_storeu_pd(out + g * 8 + 4, a1);
-    _mm256_storeu_pd(out + g * 8 + 8, b0);
-    _mm256_storeu_pd(out + g * 8 + 12, b1);
-  }
-  if (g < groups) {
-    const double* a = pk + g * 8 * n;
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    for (std::size_t p = 0; p < n; ++p) {
-      const __m256d xv = _mm256_broadcast_sd(x + p);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(xv, _mm256_loadu_pd(a + p * 8)));
-      a1 = _mm256_add_pd(a1,
-                         _mm256_mul_pd(xv, _mm256_loadu_pd(a + p * 8 + 4)));
-    }
-    _mm256_storeu_pd(out + g * 8, a0);
-    _mm256_storeu_pd(out + g * 8 + 4, a1);
-  }
-}
-
-/// AVX-512 variant: four groups (32 rows) per pass = four independent
-/// zmm accumulator chains. Note: no vfmadd — mul and add stay separate
-/// so every lane rounds twice, exactly like the reference.
-__attribute__((target("avx512f"))) void matvec_avx512(const double* pk,
-                                                      std::size_t groups,
-                                                      std::size_t n,
-                                                      const double* x,
-                                                      double* out) {
-  std::size_t g = 0;
-  for (; g + 4 <= groups; g += 4) {
-    const double* a = pk + g * 8 * n;
-    const double* b = a + 8 * n;
-    const double* c = b + 8 * n;
-    const double* d = c + 8 * n;
-    __m512d sa = _mm512_setzero_pd();
-    __m512d sb = _mm512_setzero_pd();
-    __m512d sc = _mm512_setzero_pd();
-    __m512d sd = _mm512_setzero_pd();
-    for (std::size_t p = 0; p < n; ++p) {
-      const __m512d xv = _mm512_set1_pd(x[p]);
-      sa = _mm512_add_pd(sa, _mm512_mul_pd(xv, _mm512_loadu_pd(a + p * 8)));
-      sb = _mm512_add_pd(sb, _mm512_mul_pd(xv, _mm512_loadu_pd(b + p * 8)));
-      sc = _mm512_add_pd(sc, _mm512_mul_pd(xv, _mm512_loadu_pd(c + p * 8)));
-      sd = _mm512_add_pd(sd, _mm512_mul_pd(xv, _mm512_loadu_pd(d + p * 8)));
-    }
-    _mm512_storeu_pd(out + g * 8, sa);
-    _mm512_storeu_pd(out + g * 8 + 8, sb);
-    _mm512_storeu_pd(out + g * 8 + 16, sc);
-    _mm512_storeu_pd(out + g * 8 + 24, sd);
-  }
-  for (; g < groups; ++g) {
-    const double* a = pk + g * 8 * n;
-    __m512d sa = _mm512_setzero_pd();
-    for (std::size_t p = 0; p < n; ++p) {
-      const __m512d xv = _mm512_set1_pd(x[p]);
-      sa = _mm512_add_pd(sa, _mm512_mul_pd(xv, _mm512_loadu_pd(a + p * 8)));
-    }
-    _mm512_storeu_pd(out + g * 8, sa);
-  }
-}
-
-/// Batched matmul, AVX2: four lanes share every weight load. The 4x8
-/// (lane x row) tile keeps eight independent ymm accumulator chains —
-/// two per lane — so one pass over a weight group serves four input
-/// rows. Per (lane, row) the arithmetic is the exact matvec_avx2
-/// sequence, so results stay bit-identical to the single-lane kernel.
-__attribute__((target("avx2"))) void matmul_avx2(
-    const double* pk, std::size_t groups, std::size_t n, const double* x,
-    std::size_t ldx, std::size_t lanes, double* out, std::size_t ldo) {
-  std::size_t lane = 0;
-  for (; lane + 4 <= lanes; lane += 4) {
-    const double* x0 = x + lane * ldx;
-    const double* x1 = x0 + ldx;
-    const double* x2 = x1 + ldx;
-    const double* x3 = x2 + ldx;
-    double* o0 = out + lane * ldo;
-    double* o1 = o0 + ldo;
-    double* o2 = o1 + ldo;
-    double* o3 = o2 + ldo;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const double* w = pk + g * 8 * n;
-      __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
-      __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
-      __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
-      __m256d a30 = _mm256_setzero_pd(), a31 = _mm256_setzero_pd();
-      for (std::size_t p = 0; p < n; ++p) {
-        const __m256d w0 = _mm256_loadu_pd(w + p * 8);
-        const __m256d w1 = _mm256_loadu_pd(w + p * 8 + 4);
-        __m256d xv = _mm256_broadcast_sd(x0 + p);
-        a00 = _mm256_add_pd(a00, _mm256_mul_pd(xv, w0));
-        a01 = _mm256_add_pd(a01, _mm256_mul_pd(xv, w1));
-        xv = _mm256_broadcast_sd(x1 + p);
-        a10 = _mm256_add_pd(a10, _mm256_mul_pd(xv, w0));
-        a11 = _mm256_add_pd(a11, _mm256_mul_pd(xv, w1));
-        xv = _mm256_broadcast_sd(x2 + p);
-        a20 = _mm256_add_pd(a20, _mm256_mul_pd(xv, w0));
-        a21 = _mm256_add_pd(a21, _mm256_mul_pd(xv, w1));
-        xv = _mm256_broadcast_sd(x3 + p);
-        a30 = _mm256_add_pd(a30, _mm256_mul_pd(xv, w0));
-        a31 = _mm256_add_pd(a31, _mm256_mul_pd(xv, w1));
-      }
-      _mm256_storeu_pd(o0 + g * 8, a00);
-      _mm256_storeu_pd(o0 + g * 8 + 4, a01);
-      _mm256_storeu_pd(o1 + g * 8, a10);
-      _mm256_storeu_pd(o1 + g * 8 + 4, a11);
-      _mm256_storeu_pd(o2 + g * 8, a20);
-      _mm256_storeu_pd(o2 + g * 8 + 4, a21);
-      _mm256_storeu_pd(o3 + g * 8, a30);
-      _mm256_storeu_pd(o3 + g * 8 + 4, a31);
-    }
-  }
-  for (; lane < lanes; ++lane) {
-    matvec_avx2(pk, groups, n, x + lane * ldx, out + lane * ldo);
-  }
-}
-
-/// Batched matmul, AVX-512: eight lanes share every weight load (one zmm
-/// covers a full 8-row group column), eight independent zmm chains.
-__attribute__((target("avx512f"))) void matmul_avx512(
-    const double* pk, std::size_t groups, std::size_t n, const double* x,
-    std::size_t ldx, std::size_t lanes, double* out, std::size_t ldo) {
-  std::size_t lane = 0;
-  for (; lane + 8 <= lanes; lane += 8) {
-    const double* xr[8];
-    for (std::size_t l = 0; l < 8; ++l) xr[l] = x + (lane + l) * ldx;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const double* w = pk + g * 8 * n;
-      __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-      __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
-      __m512d a4 = _mm512_setzero_pd(), a5 = _mm512_setzero_pd();
-      __m512d a6 = _mm512_setzero_pd(), a7 = _mm512_setzero_pd();
-      for (std::size_t p = 0; p < n; ++p) {
-        const __m512d wv = _mm512_loadu_pd(w + p * 8);
-        a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_set1_pd(xr[0][p]), wv));
-        a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_set1_pd(xr[1][p]), wv));
-        a2 = _mm512_add_pd(a2, _mm512_mul_pd(_mm512_set1_pd(xr[2][p]), wv));
-        a3 = _mm512_add_pd(a3, _mm512_mul_pd(_mm512_set1_pd(xr[3][p]), wv));
-        a4 = _mm512_add_pd(a4, _mm512_mul_pd(_mm512_set1_pd(xr[4][p]), wv));
-        a5 = _mm512_add_pd(a5, _mm512_mul_pd(_mm512_set1_pd(xr[5][p]), wv));
-        a6 = _mm512_add_pd(a6, _mm512_mul_pd(_mm512_set1_pd(xr[6][p]), wv));
-        a7 = _mm512_add_pd(a7, _mm512_mul_pd(_mm512_set1_pd(xr[7][p]), wv));
-      }
-      _mm512_storeu_pd(out + lane * ldo + g * 8, a0);
-      _mm512_storeu_pd(out + (lane + 1) * ldo + g * 8, a1);
-      _mm512_storeu_pd(out + (lane + 2) * ldo + g * 8, a2);
-      _mm512_storeu_pd(out + (lane + 3) * ldo + g * 8, a3);
-      _mm512_storeu_pd(out + (lane + 4) * ldo + g * 8, a4);
-      _mm512_storeu_pd(out + (lane + 5) * ldo + g * 8, a5);
-      _mm512_storeu_pd(out + (lane + 6) * ldo + g * 8, a6);
-      _mm512_storeu_pd(out + (lane + 7) * ldo + g * 8, a7);
-    }
-  }
-  for (; lane < lanes; ++lane) {
-    matvec_avx512(pk, groups, n, x + lane * ldx, out + lane * ldo);
-  }
-}
-
-// ---- Vector activation twins (see ml/activations.h) -------------------
-//
-// exp4/sigmoid4/tanh4 replay exp_act/sigmoid/tanh_act four elements at a
-// time with the exact same IEEE op sequence (same reduction constants,
-// same Horner order, plain mul/add under -ffp-contract=off, nearest-even
-// rounding for the exponent split), so every element is bit-identical to
-// the scalar call. Where the scalar code branches, the vector code
-// computes both sides and blends — the selected lane value is the same.
-
-__attribute__((target("avx2"))) inline __m256d exp4(__m256d x) {
-  x = _mm256_min_pd(x, _mm256_set1_pd(kExpClamp));
-  const __m256d under =
-      _mm256_cmp_pd(x, _mm256_set1_pd(-kExpClamp), _CMP_LT_OQ);
-  const __m256d k = _mm256_round_pd(
-      _mm256_mul_pd(x, _mm256_set1_pd(kExpLog2E)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  const __m256d r = _mm256_sub_pd(
-      _mm256_sub_pd(x, _mm256_mul_pd(k, _mm256_set1_pd(kExpLn2Hi))),
-      _mm256_mul_pd(k, _mm256_set1_pd(kExpLn2Lo)));
-  // Estrin tree, the exact association of the scalar exp_act.
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  const __m256d r4 = _mm256_mul_pd(r2, r2);
-  const __m256d r8 = _mm256_mul_pd(r4, r4);
-  const __m256d q0 = _mm256_add_pd(_mm256_set1_pd(1.0), r);
-  const __m256d q1 = _mm256_add_pd(
-      _mm256_set1_pd(0.5), _mm256_mul_pd(r, _mm256_set1_pd(1.0 / 6.0)));
-  const __m256d q2 =
-      _mm256_add_pd(_mm256_set1_pd(1.0 / 24.0),
-                    _mm256_mul_pd(r, _mm256_set1_pd(1.0 / 120.0)));
-  const __m256d q3 =
-      _mm256_add_pd(_mm256_set1_pd(1.0 / 720.0),
-                    _mm256_mul_pd(r, _mm256_set1_pd(1.0 / 5040.0)));
-  const __m256d q4 =
-      _mm256_add_pd(_mm256_set1_pd(1.0 / 40320.0),
-                    _mm256_mul_pd(r, _mm256_set1_pd(1.0 / 362880.0)));
-  const __m256d q5 =
-      _mm256_add_pd(_mm256_set1_pd(1.0 / 3628800.0),
-                    _mm256_mul_pd(r, _mm256_set1_pd(1.0 / 39916800.0)));
-  const __m256d q6 =
-      _mm256_add_pd(_mm256_set1_pd(1.0 / 479001600.0),
-                    _mm256_mul_pd(r, _mm256_set1_pd(1.0 / 6227020800.0)));
-  const __m256d lo = _mm256_add_pd(
-      _mm256_add_pd(q0, _mm256_mul_pd(r2, q1)),
-      _mm256_mul_pd(r4, _mm256_add_pd(q2, _mm256_mul_pd(r2, q3))));
-  const __m256d hi = _mm256_add_pd(_mm256_add_pd(q4, _mm256_mul_pd(r2, q5)),
-                                   _mm256_mul_pd(r4, q6));
-  const __m256d p = _mm256_add_pd(lo, _mm256_mul_pd(r8, hi));
-  // 2^k from exponent bits; k is integral and |k| <= 1022 after the
-  // clamp, so the int32 hop is exact. Out-of-range lanes compute garbage
-  // here and are masked to the scalar result (0.0) below.
-  const __m128i ki = _mm256_cvtpd_epi32(k);
-  const __m256i ke = _mm256_add_epi64(_mm256_cvtepi32_epi64(ki),
-                                      _mm256_set1_epi64x(1023));
-  const __m256d s = _mm256_castsi256_pd(_mm256_slli_epi64(ke, 52));
-  return _mm256_andnot_pd(under, _mm256_mul_pd(p, s));
-}
-
-__attribute__((target("avx2"))) inline __m256d sigmoid4(__m256d x) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d a = _mm256_andnot_pd(sign, x);
-  const __m256d e = exp4(_mm256_xor_pd(a, sign));  // exp(-|x|)
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d neg = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LT_OQ);
-  const __m256d num = _mm256_blendv_pd(one, e, neg);
-  return _mm256_div_pd(num, _mm256_add_pd(one, e));
-}
-
-__attribute__((target("avx2"))) inline __m256d tanh4(__m256d x) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d a = _mm256_andnot_pd(sign, x);
-  const __m256d z = _mm256_mul_pd(x, x);
-  __m256d p = _mm256_set1_pd(21844.0 / 6081075.0);
-  p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(-1382.0 / 155925.0));
-  p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(62.0 / 2835.0));
-  p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(-17.0 / 315.0));
-  p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(2.0 / 15.0));
-  p = _mm256_add_pd(_mm256_mul_pd(p, z), _mm256_set1_pd(-1.0 / 3.0));
-  const __m256d small =
-      _mm256_add_pd(x, _mm256_mul_pd(_mm256_mul_pd(x, z), p));
-  const __m256d e = exp4(_mm256_mul_pd(_mm256_set1_pd(-2.0), a));
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d r =
-      _mm256_div_pd(_mm256_sub_pd(one, e), _mm256_add_pd(one, e));
-  const __m256d big = _mm256_or_pd(r, _mm256_and_pd(x, sign));
-  const __m256d use_small =
-      _mm256_cmp_pd(a, _mm256_set1_pd(kTanhSmall), _CMP_LT_OQ);
-  return _mm256_blendv_pd(big, small, use_small);
-}
-
-#endif  // ESIM_X86_DISPATCH
-
-using MatvecFn = void (*)(const double*, std::size_t, std::size_t,
-                          const double*, double*);
-
-/// `lanes` input rows (stride ldx) against one packed weight block;
-/// output rows at stride ldo. The batched analogue of MatvecFn: weights
-/// stream once per lane tile instead of once per lane.
-using MatmulFn = void (*)(const double* pk, std::size_t groups,
-                          std::size_t n, const double* x, std::size_t ldx,
-                          std::size_t lanes, double* out, std::size_t ldo);
-
-/// Portable batched fallback: no cross-lane amortization, one matvec per
-/// lane (bit-identical by construction).
-void matmul_scalar(const double* pk, std::size_t groups, std::size_t n,
-                   const double* x, std::size_t ldx, std::size_t lanes,
-                   double* out, std::size_t ldo) {
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    matvec_scalar(pk, groups, n, x + lane * ldx, out + lane * ldo);
-  }
-}
-
-/// Picks the widest kernel the CPU supports; every variant is
-/// bit-identical, so this is purely a throughput decision. AVX2 is
-/// preferred over AVX-512 by default: the 512-bit license downclock on
-/// server parts slows the scalar sigmoid/tanh pass that shares the step,
-/// costing more than the wider vectors win. ESIM_INFERENCE_ISA
-/// (scalar|avx2|avx512) overrides, mainly so tests and benches can pin a
-/// variant.
-MatvecFn select_matvec() {
-#ifdef ESIM_X86_DISPATCH
-  const char* force = std::getenv("ESIM_INFERENCE_ISA");
-  if (force != nullptr && force[0] != '\0') {
-    const std::string_view v{force};
-    if (v == "avx512" && __builtin_cpu_supports("avx512f")) {
-      return matvec_avx512;
-    }
-    if (v == "avx2" && __builtin_cpu_supports("avx2")) return matvec_avx2;
-    return matvec_scalar;
-  }
-  if (__builtin_cpu_supports("avx2")) return matvec_avx2;
-  if (__builtin_cpu_supports("avx512f")) return matvec_avx512;
-#endif
-  return matvec_scalar;
-}
-
-/// Batched-kernel selection mirrors select_matvec (same env override,
-/// same AVX2-first policy): the batched tiles only widen the lane
-/// dimension, the per-lane arithmetic is the matching matvec variant.
-MatmulFn select_matmul() {
-#ifdef ESIM_X86_DISPATCH
-  const char* force = std::getenv("ESIM_INFERENCE_ISA");
-  if (force != nullptr && force[0] != '\0') {
-    const std::string_view v{force};
-    if (v == "avx512" && __builtin_cpu_supports("avx512f")) {
-      return matmul_avx512;
-    }
-    if (v == "avx2" && __builtin_cpu_supports("avx2")) return matmul_avx2;
-    return matmul_scalar;
-  }
-  if (__builtin_cpu_supports("avx2")) return matmul_avx2;
-  if (__builtin_cpu_supports("avx512f")) return matmul_avx512;
-#endif
-  return matmul_scalar;
-}
-
-const MatvecFn g_matvec = select_matvec();
-const MatmulFn g_matmul = select_matmul();
-
-// ---- Gate combine + state advance, one lane ---------------------------
-//
-// The element-wise pass that turns combined gate rows into the next
-// h/c: reference op order (see InferenceSession::combine_lstm). The
-// scalar form is the twin of the AVX2 pass below — sigmoid/tanh_act are
-// bit-identical between the two by construction — so the dispatch is,
-// like the matmuls, purely a throughput decision.
-
-void combine_lstm_scalar(const double* b, double* gi, const double* gh,
-                         double* h, double* c, std::size_t H) {
-  const std::size_t G = 4 * H;
-  for (std::size_t j = 0; j < G; ++j) gi[j] = gi[j] + gh[j] + b[j];
-  for (std::size_t u = 0; u < H; ++u) {
-    const double gv = sigmoid(gi[u]);
-    const double gf = sigmoid(gi[H + u]);
-    const double gg = tanh_act(gi[2 * H + u]);
-    const double go = sigmoid(gi[3 * H + u]);
-    const double cv = gf * c[u] + gv * gg;
-    const double tc = tanh_act(cv);
-    c[u] = cv;
-    h[u] = go * tc;
-  }
-}
-
-void combine_gru_scalar(const double* bi, const double* bh, double* gi,
-                        double* gh, double* h, std::size_t H) {
-  const std::size_t G = 3 * H;
-  for (std::size_t j = 0; j < G; ++j) {
-    gi[j] += bi[j];
-    gh[j] += bh[j];
-  }
-  for (std::size_t u = 0; u < H; ++u) {
-    const double rv = sigmoid(gi[u] + gh[u]);
-    const double zv = sigmoid(gi[H + u] + gh[H + u]);
-    const double hl = gh[2 * H + u];
-    const double nv = tanh_act(gi[2 * H + u] + rv * hl);
-    h[u] = (1.0 - zv) * nv + zv * h[u];
-  }
-}
-
-#ifdef ESIM_X86_DISPATCH
-
-__attribute__((target("avx2"))) void combine_lstm_avx2(
-    const double* b, double* gi, const double* gh, double* h, double* c,
-    std::size_t H) {
-  const std::size_t G = 4 * H;
-  std::size_t j = 0;
-  for (; j + 4 <= G; j += 4) {
-    const __m256d v = _mm256_add_pd(
-        _mm256_add_pd(_mm256_loadu_pd(gi + j), _mm256_loadu_pd(gh + j)),
-        _mm256_loadu_pd(b + j));
-    _mm256_storeu_pd(gi + j, v);
-  }
-  for (; j < G; ++j) gi[j] = gi[j] + gh[j] + b[j];
-  std::size_t u = 0;
-  for (; u + 4 <= H; u += 4) {
-    const __m256d gv = sigmoid4(_mm256_loadu_pd(gi + u));
-    const __m256d gf = sigmoid4(_mm256_loadu_pd(gi + H + u));
-    const __m256d gg = tanh4(_mm256_loadu_pd(gi + 2 * H + u));
-    const __m256d go = sigmoid4(_mm256_loadu_pd(gi + 3 * H + u));
-    const __m256d cv = _mm256_add_pd(
-        _mm256_mul_pd(gf, _mm256_loadu_pd(c + u)), _mm256_mul_pd(gv, gg));
-    const __m256d tc = tanh4(cv);
-    _mm256_storeu_pd(c + u, cv);
-    _mm256_storeu_pd(h + u, _mm256_mul_pd(go, tc));
-  }
-  for (; u < H; ++u) {
-    const double gv = sigmoid(gi[u]);
-    const double gf = sigmoid(gi[H + u]);
-    const double gg = tanh_act(gi[2 * H + u]);
-    const double go = sigmoid(gi[3 * H + u]);
-    const double cv = gf * c[u] + gv * gg;
-    const double tc = tanh_act(cv);
-    c[u] = cv;
-    h[u] = go * tc;
-  }
-}
-
-__attribute__((target("avx2"))) void combine_gru_avx2(
-    const double* bi, const double* bh, double* gi, double* gh, double* h,
-    std::size_t H) {
-  const std::size_t G = 3 * H;
-  std::size_t j = 0;
-  for (; j + 4 <= G; j += 4) {
-    _mm256_storeu_pd(gi + j, _mm256_add_pd(_mm256_loadu_pd(gi + j),
-                                           _mm256_loadu_pd(bi + j)));
-    _mm256_storeu_pd(gh + j, _mm256_add_pd(_mm256_loadu_pd(gh + j),
-                                           _mm256_loadu_pd(bh + j)));
-  }
-  for (; j < G; ++j) {
-    gi[j] += bi[j];
-    gh[j] += bh[j];
-  }
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t u = 0;
-  for (; u + 4 <= H; u += 4) {
-    const __m256d rv = sigmoid4(_mm256_add_pd(_mm256_loadu_pd(gi + u),
-                                              _mm256_loadu_pd(gh + u)));
-    const __m256d zv =
-        sigmoid4(_mm256_add_pd(_mm256_loadu_pd(gi + H + u),
-                               _mm256_loadu_pd(gh + H + u)));
-    const __m256d hl = _mm256_loadu_pd(gh + 2 * H + u);
-    const __m256d nv = tanh4(_mm256_add_pd(_mm256_loadu_pd(gi + 2 * H + u),
-                                           _mm256_mul_pd(rv, hl)));
-    const __m256d hv = _mm256_loadu_pd(h + u);
-    _mm256_storeu_pd(
-        h + u, _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(one, zv), nv),
-                             _mm256_mul_pd(zv, hv)));
-  }
-  for (; u < H; ++u) {
-    const double rv = sigmoid(gi[u] + gh[u]);
-    const double zv = sigmoid(gi[H + u] + gh[H + u]);
-    const double hl = gh[2 * H + u];
-    const double nv = tanh_act(gi[2 * H + u] + rv * hl);
-    h[u] = (1.0 - zv) * nv + zv * h[u];
-  }
-}
-
-#endif  // ESIM_X86_DISPATCH
-
-using CombineLstmFn = void (*)(const double*, double*, const double*,
-                               double*, double*, std::size_t);
-using CombineGruFn = void (*)(const double*, const double*, double*,
-                              double*, double*, std::size_t);
-
-/// The activation pass has one vector width: AVX2. A forced "scalar" ISA
-/// drops to the scalar twins; AVX-512 mode reuses the AVX2 pass (results
-/// are bit-identical either way, and the element-wise pass would not win
-/// from 512-bit registers what the license downclock costs).
-CombineLstmFn select_combine_lstm() {
-#ifdef ESIM_X86_DISPATCH
-  const char* force = std::getenv("ESIM_INFERENCE_ISA");
-  if (force != nullptr && std::string_view{force} == "scalar") {
-    return combine_lstm_scalar;
-  }
-  if (__builtin_cpu_supports("avx2")) return combine_lstm_avx2;
-#endif
-  return combine_lstm_scalar;
-}
-
-CombineGruFn select_combine_gru() {
-#ifdef ESIM_X86_DISPATCH
-  const char* force = std::getenv("ESIM_INFERENCE_ISA");
-  if (force != nullptr && std::string_view{force} == "scalar") {
-    return combine_gru_scalar;
-  }
-  if (__builtin_cpu_supports("avx2")) return combine_gru_avx2;
-#endif
-  return combine_gru_scalar;
-}
-
-const CombineLstmFn g_combine_lstm = select_combine_lstm();
-const CombineGruFn g_combine_gru = select_combine_gru();
 
 void require_shape(const Tensor* t, std::size_t rows, std::size_t cols,
                    const char* what) {
@@ -728,15 +175,14 @@ void InferenceSession::finalize_plan() {
   head_out_off_ = scratch;
   workspace_.assign(scratch + output_size_, 0.0);
   // Packed (8-row interleaved) copies of the gate matrices. Row counts
-  // not divisible by 8 leave a tail handled by scalar dot1 off the
-  // natural buffer.
+  // not divisible by 8 leave a tail the kernels read off the natural
+  // buffer.
   std::size_t poff = 0;
   for (Layer& layer : layers_) {
-    const std::size_t full = (G / 8) * 8;
     layer.pw_ih = poff;
-    poff += full * layer.input;
+    poff += kernels::packed_size(G, layer.input);
     layer.pw_hh = poff;
-    poff += full * layer.hidden;
+    poff += kernels::packed_size(G, layer.hidden);
   }
   packed_.assign(poff, 0.0);
   repack();
@@ -744,22 +190,11 @@ void InferenceSession::finalize_plan() {
 
 void InferenceSession::repack() {
   const std::size_t G = gate_factor(kind_) * layers_.front().hidden;
-  const std::size_t groups = G / 8;
   for (const Layer& layer : layers_) {
-    const auto pack = [&](std::size_t natural, std::size_t packed,
-                          std::size_t n) {
-      const double* w = weights_.data() + natural;
-      double* pk = packed_.data() + packed;
-      for (std::size_t g = 0; g < groups; ++g) {
-        for (std::size_t p = 0; p < n; ++p) {
-          for (std::size_t r = 0; r < 8; ++r) {
-            pk[g * 8 * n + p * 8 + r] = w[(g * 8 + r) * n + p];
-          }
-        }
-      }
-    };
-    pack(layer.w_ih, layer.pw_ih, layer.input);
-    pack(layer.w_hh, layer.pw_hh, layer.hidden);
+    kernels::pack_rows8(weights_.data() + layer.w_ih, G, layer.input,
+                        packed_.data() + layer.pw_ih);
+    kernels::pack_rows8(weights_.data() + layer.w_hh, G, layer.hidden,
+                        packed_.data() + layer.pw_hh);
   }
 }
 
@@ -799,95 +234,48 @@ void InferenceSession::write_heads(const double* h, double* out) const {
     const double* w = weights_.data() + head.w;
     const double* b = weights_.data() + head.b;
     for (std::size_t o = 0; o < head.out; ++o) {
-      out[k++] = dot1(w + o * hidden, hidden, h) + b[o];
+      out[k++] = kernels::dot(w + o * hidden, hidden, h) + b[o];
     }
   }
 }
 
-// Reference semantics (LstmLayer::step): gates = x W_ih^T + h W_hh^T + b,
-// then i = sigmoid(gates[0..H)), f = sigmoid(gates[H..2H)),
-// g = tanh(gates[2H..3H)), o = sigmoid(gates[3H..4H)),
-// c' = f*c + i*g, h' = o*tanh(c'). All gate rows are computed before the
-// state update, so reading h/c in place is safe.
-//
-// combine_lstm consumes one lane's input-side (gi) and hidden-side (gh)
-// gate rows — writable scratch, gi is combined in place — and advances
-// that lane's h/c: gi[j] = (gi[j] + gh[j]) + b[j], the same
-// (matmul + add) + bias association as the reference, then the
-// activations.
-// The single-step members ride the same dispatched vector pass as
-// predict_lanes: the scalar and AVX2 twins are bit-identical by
-// construction (shared sigmoid/tanh_act polynomials, same op order), so
-// the N = 1 / sequence path gets the vector throughput without forking
-// numerics from the batched path.
-void InferenceSession::combine_lstm(const Layer& layer, double* gi,
-                                    const double* gh, std::size_t lane) {
-  g_combine_lstm(weights_.data() + layer.b_ih, gi, gh,
-                 lane_state(lane) + layer.h_off,
-                 lane_state(lane) + layer.c_off, layer.hidden);
-}
-
-// Reference semantics (GruLayer::step): gi = x W_ih^T + b_ih,
-// gh = h W_hh^T + b_hh, r = sigmoid(gi[j] + gh[j]),
-// z = sigmoid(gi[H+j] + gh[H+j]), n = tanh(gi[2H+j] + r * gh[2H+j]),
-// h' = (1 - z) * n + z * h. Both gate rows are bias-added in place.
-void InferenceSession::combine_gru(const Layer& layer, double* gi,
-                                   double* gh, std::size_t lane) {
-  g_combine_gru(weights_.data() + layer.b_ih,
-                weights_.data() + layer.b_hh, gi, gh,
-                lane_state(lane) + layer.h_off, layer.hidden);
+// One lane's gate pass (kernels::lstm_gates / gru_gates, the pass the
+// training step runs): `gi` and `gh` are writable rows holding the
+// input-side and hidden-side gate sums; the lane's h (and c) advance in
+// place. All gate rows are computed before the state update, so reading
+// h/c in place is safe.
+void InferenceSession::combine(const Layer& layer, double* gi, double* gh,
+                               std::size_t lane) {
+  double* state = lane_state(lane);
+  if (kind_ == TrunkKind::Lstm) {
+    kernels::lstm_gates(weights_.data() + layer.b_ih, gi, gh,
+                        state + layer.h_off, state + layer.c_off, nullptr,
+                        layer.hidden);
+  } else {
+    kernels::gru_gates(weights_.data() + layer.b_ih,
+                       weights_.data() + layer.b_hh, gi, gh,
+                       state + layer.h_off, layer.hidden);
+  }
 }
 
 // One streaming step of one layer for one lane. `gi` (when non-null) is
 // a writable row holding the precomputed input-side gate values from a
-// batched matmul — exactly what the matvec below would produce — and
+// batched matmul — exactly what the product below would produce — and
 // `x` may then be null.
-void InferenceSession::step_lstm(const Layer& layer, const double* x,
-                                 double* gi, std::size_t lane) {
-  const std::size_t H = layer.hidden;
-  const std::size_t I = layer.input;
-  const std::size_t G = 4 * H;
-  const std::size_t full = (G / 8) * 8;
-  const double* h = lane_state(lane) + layer.h_off;
-  double* hg = workspace_.data() + G;
-  if (gi == nullptr) {
-    gi = workspace_.data();
-    g_matvec(packed_.data() + layer.pw_ih, G / 8, I, x, gi);
-    const double* wi = weights_.data() + layer.w_ih;
-    for (std::size_t j = full; j < G; ++j) {
-      gi[j] = dot1(wi + j * I, I, x);
-    }
-  }
-  g_matvec(packed_.data() + layer.pw_hh, G / 8, H, h, hg);
-  const double* wh = weights_.data() + layer.w_hh;
-  for (std::size_t j = full; j < G; ++j) {
-    hg[j] = dot1(wh + j * H, H, h);
-  }
-  combine_lstm(layer, gi, hg, lane);
-}
-
-void InferenceSession::step_gru(const Layer& layer, const double* x,
-                                double* gi, std::size_t lane) {
-  const std::size_t H = layer.hidden;
-  const std::size_t I = layer.input;
-  const std::size_t G = 3 * H;
-  const std::size_t full = (G / 8) * 8;
-  const double* h = lane_state(lane) + layer.h_off;
+void InferenceSession::step(const Layer& layer, const double* x, double* gi,
+                            std::size_t lane) {
+  const std::size_t G = gate_factor(kind_) * layer.hidden;
   double* gh = workspace_.data() + G;
   if (gi == nullptr) {
     gi = workspace_.data();
-    g_matvec(packed_.data() + layer.pw_ih, G / 8, I, x, gi);
-    const double* wi = weights_.data() + layer.w_ih;
-    for (std::size_t j = full; j < G; ++j) {
-      gi[j] = dot1(wi + j * I, I, x);
-    }
+    kernels::matmul_nt(packed_.data() + layer.pw_ih,
+                       weights_.data() + layer.w_ih, G, layer.input, x,
+                       layer.input, 1, gi, G);
   }
-  g_matvec(packed_.data() + layer.pw_hh, G / 8, H, h, gh);
-  const double* wh = weights_.data() + layer.w_hh;
-  for (std::size_t j = full; j < G; ++j) {
-    gh[j] = dot1(wh + j * H, H, h);
-  }
-  combine_gru(layer, gi, gh, lane);
+  kernels::matmul_nt(packed_.data() + layer.pw_hh,
+                     weights_.data() + layer.w_hh, G, layer.hidden,
+                     lane_state(lane) + layer.h_off, layer.hidden, 1, gh, G);
+  combine(layer, gi, gh, lane);
 }
 
 std::span<const double> InferenceSession::predict(
@@ -901,11 +289,7 @@ std::span<const double> InferenceSession::predict(
   }
   const double* x = features.data();
   for (const Layer& layer : layers_) {
-    if (kind_ == TrunkKind::Lstm) {
-      step_lstm(layer, x, nullptr, 0);
-    } else {
-      step_gru(layer, x, nullptr, 0);
-    }
+    step(layer, x, nullptr, 0);
     x = state_.data() + layer.h_off;  // feeds the layer above
   }
   const Layer& top = layers_.back();
@@ -960,7 +344,6 @@ std::span<const double> InferenceSession::predict_batch(
   reserve_batch(n);
   const std::size_t hidden = layers_.front().hidden;
   const std::size_t G = gate_factor(kind_) * hidden;
-  const std::size_t full = (G / 8) * 8;
   const std::size_t ldg = 2 * G;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
@@ -968,28 +351,14 @@ std::span<const double> InferenceSession::predict_batch(
     // previous layer's per-step outputs parked in batch_x_.
     const double* X = l == 0 ? features.data() : batch_x_.data();
     const std::size_t ldx = l == 0 ? input_ : hidden;
-    g_matmul(packed_.data() + layer.pw_ih, G / 8, layer.input, X, ldx, n,
-             batch_gates_.data(), ldg);
-    if (full < G) {
-      const double* wi = weights_.data() + layer.w_ih;
-      for (std::size_t t = 0; t < n; ++t) {
-        double* gi = batch_gates_.data() + t * ldg;
-        const double* x = X + t * ldx;
-        for (std::size_t j = full; j < G; ++j) {
-          gi[j] = dot1(wi + j * layer.input, layer.input, x);
-        }
-      }
-    }
+    kernels::matmul_nt(packed_.data() + layer.pw_ih,
+                       weights_.data() + layer.w_ih, G, layer.input, X, ldx,
+                       n, batch_gates_.data(), ldg);
     // Recurrence: the batched rows are consumed in arrival order, and
     // this layer's h_t overwrites batch_x_ row t (safe — the batched
     // matmul above already read every input row).
     for (std::size_t t = 0; t < n; ++t) {
-      double* gi = batch_gates_.data() + t * ldg;
-      if (kind_ == TrunkKind::Lstm) {
-        step_lstm(layer, nullptr, gi, 0);
-      } else {
-        step_gru(layer, nullptr, gi, 0);
-      }
+      step(layer, nullptr, batch_gates_.data() + t * ldg, 0);
       std::copy_n(state_.data() + layer.h_off, hidden,
                   batch_x_.data() + t * hidden);
     }
@@ -1014,7 +383,6 @@ std::span<const double> InferenceSession::predict_lanes(
   reserve_batch(lanes_);
   const std::size_t hidden = layers_.front().hidden;
   const std::size_t G = gate_factor(kind_) * hidden;
-  const std::size_t full = (G / 8) * 8;
   const std::size_t ldg = 2 * G;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
@@ -1023,40 +391,18 @@ std::span<const double> InferenceSession::predict_lanes(
     const double* X =
         l == 0 ? features.data() : state_.data() + layers_[l - 1].h_off;
     const std::size_t ldx = l == 0 ? input_ : state_size_;
-    const double* H0 = state_.data() + layer.h_off;
-    g_matmul(packed_.data() + layer.pw_ih, G / 8, layer.input, X, ldx,
-             lanes_, batch_gates_.data(), ldg);
-    g_matmul(packed_.data() + layer.pw_hh, G / 8, layer.hidden, H0,
-             state_size_, lanes_, batch_gates_.data() + G, ldg);
-    if (full < G) {
-      const double* wi = weights_.data() + layer.w_ih;
-      const double* wh = weights_.data() + layer.w_hh;
-      for (std::size_t lane = 0; lane < lanes_; ++lane) {
-        double* row = batch_gates_.data() + lane * ldg;
-        const double* x = X + lane * ldx;
-        const double* h = H0 + lane * state_size_;
-        for (std::size_t j = full; j < G; ++j) {
-          row[j] = dot1(wi + j * layer.input, layer.input, x);
-          row[G + j] = dot1(wh + j * layer.hidden, layer.hidden, h);
-        }
-      }
-    }
-    // Per-lane gate combine through the dispatched vector pass: with the
-    // matmuls batched above, this element-wise sweep over the flat gate
-    // buffer is what remains of the per-packet cost, and the AVX2
-    // activation twins cut it ~4x while staying bit-identical to the
-    // scalar step (see select_combine_lstm).
+    kernels::matmul_nt(packed_.data() + layer.pw_ih,
+                       weights_.data() + layer.w_ih, G, layer.input, X, ldx,
+                       lanes_, batch_gates_.data(), ldg);
+    kernels::matmul_nt(packed_.data() + layer.pw_hh,
+                       weights_.data() + layer.w_hh, G, layer.hidden,
+                       state_.data() + layer.h_off, state_size_, lanes_,
+                       batch_gates_.data() + G, ldg);
+    // With the matmuls batched above, this per-lane gate pass over the
+    // flat gate buffer is what remains of the per-packet cost.
     for (std::size_t lane = 0; lane < lanes_; ++lane) {
       double* row = batch_gates_.data() + lane * ldg;
-      if (kind_ == TrunkKind::Lstm) {
-        g_combine_lstm(weights_.data() + layer.b_ih, row, row + G,
-                       lane_state(lane) + layer.h_off,
-                       lane_state(lane) + layer.c_off, layer.hidden);
-      } else {
-        g_combine_gru(weights_.data() + layer.b_ih,
-                      weights_.data() + layer.b_hh, row, row + G,
-                      lane_state(lane) + layer.h_off, layer.hidden);
-      }
+      combine(layer, row, row + G, lane);
     }
   }
   const Layer& top = layers_.back();

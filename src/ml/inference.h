@@ -10,18 +10,15 @@
 // predict() call.
 //
 // Contract: predictions are bit-identical to the naive Tensor step()
-// reference. Every output scalar is produced by the same sequence of
-// floating-point operations in the same order; only where intermediates
-// live (and how many gate rows advance per instruction) changes. The
-// packed kernels interleave consecutive weight rows so several row dot
-// products run as independent accumulator chains — each row still sums
-// p = 0..n-1 in exactly the reference order, so each result is identical
-// to the last bit. SIMD variants (dispatched at runtime, see
-// inference.cc) put those independent rows in vector lanes; lane
-// arithmetic is the same IEEE mul-then-add as the scalar reference and
-// FMA contraction is disabled for this translation unit.
-// tests/inference_session_test.cc holds this contract for both trunks,
-// multi-layer stacks, and serialized-then-reloaded models.
+// reference. Both run on the one kernel set in ml/kernels.h — the
+// session calls the packed x W^T tiles and the gate passes directly on
+// its flat buffers, the reference reaches the same kernels through
+// Tensor and LstmLayer/GruLayer — so every output scalar is produced by
+// the same sequence of floating-point operations in the same order; only
+// where intermediates live changes. tests/inference_session_test.cc
+// holds this contract for both trunks, multi-layer stacks, and
+// serialized-then-reloaded models, and pins the prediction stream to
+// golden hashes that do not depend on either path.
 //
 // Sessions are immutable snapshots. Construction copies the weights into
 // a session-owned buffer (natural row-major for serialization, plus the
@@ -202,14 +199,9 @@ class InferenceSession {
 
   void assign_offsets(const Arch& arch);  // lays out weights_, fills layers_
   void finalize_plan();  // sizes state_/workspace_/packed_, packs weights
-  void step_lstm(const Layer& layer, const double* x, double* gi,
-                 std::size_t lane);
-  void step_gru(const Layer& layer, const double* x, double* gi,
-                std::size_t lane);
-  void combine_lstm(const Layer& layer, double* gi, const double* gh,
-                    std::size_t lane);
-  void combine_gru(const Layer& layer, double* gi, double* gh,
-                   std::size_t lane);
+  void step(const Layer& layer, const double* x, double* gi,
+            std::size_t lane);
+  void combine(const Layer& layer, double* gi, double* gh, std::size_t lane);
   void check_fresh() const;  // throws on a stale watched weight source
   void write_heads(const double* h, double* out) const;
   std::size_t row_width() const;  // output_size_, or hidden when headless

@@ -20,9 +20,9 @@ double bce_with_logits(const Tensor& logits, const Tensor& targets,
                        Tensor* dlogits) {
   require_same_shape(logits, targets, "bce_with_logits");
   const std::size_t n = logits.size();
+  if (dlogits != nullptr) *dlogits = Tensor{logits.rows(), logits.cols()};
   if (n == 0) return 0.0;
   double loss = 0.0;
-  if (dlogits != nullptr) *dlogits = Tensor{logits.rows(), logits.cols()};
   for (std::size_t r = 0; r < logits.rows(); ++r) {
     for (std::size_t c = 0; c < logits.cols(); ++c) {
       const double z = logits.at(r, c);

@@ -9,8 +9,9 @@
 namespace esim::ml {
 
 /// Numerically stable binary cross entropy on logits. `logits` and
-/// `targets` (0/1) share a shape. Returns the mean loss; when `dlogits`
-/// is non-null it receives dL/dlogits (same shape, already averaged).
+/// `targets` (0/1) share a shape. Returns the mean loss (0 for empty
+/// input); when `dlogits` is non-null it receives dL/dlogits (same
+/// shape, already averaged), on empty input too.
 double bce_with_logits(const Tensor& logits, const Tensor& targets,
                        Tensor* dlogits);
 

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "ml/activations.h"
+#include "ml/kernels.h"
 
 namespace esim::ml {
 
@@ -32,50 +32,30 @@ Tensor LstmLayer::step(const Tensor& x, State& state,
                        StepCache* cache) const {
   const std::size_t B = x.rows();
   const std::size_t H = hidden_;
-
-  Tensor gates = matmul_nt(x, w_ih_);           // [B x 4H]
-  gates.add(matmul_nt(state.h, w_hh_));
-  add_row_bias(gates, b_);
-
-  Tensor i{B, H}, f{B, H}, g{B, H}, o{B, H}, c{B, H}, tanh_c{B, H};
-  for (std::size_t r = 0; r < B; ++r) {
-    for (std::size_t j = 0; j < H; ++j) {
-      const double gi = sigmoid(gates.at(r, j));
-      const double gf = sigmoid(gates.at(r, H + j));
-      const double gg = tanh_act(gates.at(r, 2 * H + j));
-      const double go = sigmoid(gates.at(r, 3 * H + j));
-      const double cv = gf * state.c.at(r, j) + gi * gg;
-      const double tc = tanh_act(cv);
-      i.at(r, j) = gi;
-      f.at(r, j) = gf;
-      g.at(r, j) = gg;
-      o.at(r, j) = go;
-      c.at(r, j) = cv;
-      tanh_c.at(r, j) = tc;
-    }
+  if (state.h.rows() != B || state.c.rows() != B || state.c.cols() != H) {
+    throw std::invalid_argument("LstmLayer::step: state shape mismatch");
   }
 
-  Tensor h{B, H};
-  for (std::size_t r = 0; r < B; ++r) {
-    for (std::size_t j = 0; j < H; ++j) {
-      h.at(r, j) = o.at(r, j) * tanh_c.at(r, j);
-    }
-  }
-
+  Tensor gates = matmul_nt(x, w_ih_);  // [B x 4H]
+  const Tensor gh = matmul_nt(state.h, w_hh_);
+  Tensor tanh_c;
   if (cache != nullptr) {
     cache->x = x;
     cache->h_prev = state.h;
     cache->c_prev = state.c;
-    cache->i = i;
-    cache->f = f;
-    cache->g = g;
-    cache->o = o;
-    cache->c = c;
-    cache->tanh_c = tanh_c;
+    tanh_c = Tensor{B, H};
   }
-
-  state.h = h;
-  state.c = std::move(c);
+  // Advances state.h/state.c in place and leaves i|f|g|o in `gates`.
+  for (std::size_t r = 0; r < B; ++r) {
+    kernels::lstm_gates(b_.data(), gates.data() + r * 4 * H,
+                        gh.data() + r * 4 * H, state.h.data() + r * H,
+                        state.c.data() + r * H,
+                        cache != nullptr ? tanh_c.data() + r * H : nullptr, H);
+  }
+  if (cache != nullptr) {
+    cache->act = std::move(gates);
+    cache->tanh_c = std::move(tanh_c);
+  }
   return state.h;
 }
 
@@ -84,30 +64,18 @@ LstmLayer::StepGrad LstmLayer::step_backward(const StepCache& cache,
                                              const Tensor& dc) {
   const std::size_t B = dh.rows();
   const std::size_t H = hidden_;
+  if (dh.cols() != H || dc.rows() != B || dc.cols() != H ||
+      cache.act.rows() != B) {
+    throw std::invalid_argument("LstmLayer::step_backward: shape mismatch");
+  }
 
   Tensor dgates{B, 4 * H};
   Tensor dc_prev{B, H};
   for (std::size_t r = 0; r < B; ++r) {
-    for (std::size_t j = 0; j < H; ++j) {
-      const double i = cache.i.at(r, j);
-      const double f = cache.f.at(r, j);
-      const double g = cache.g.at(r, j);
-      const double o = cache.o.at(r, j);
-      const double tc = cache.tanh_c.at(r, j);
-      const double dh_v = dh.at(r, j);
-
-      const double dct = dc.at(r, j) + dh_v * o * dtanh_from_value(tc);
-      const double do_v = dh_v * tc;
-      const double di = dct * g;
-      const double dg = dct * i;
-      const double df = dct * cache.c_prev.at(r, j);
-
-      dgates.at(r, j) = di * dsigmoid_from_value(i);
-      dgates.at(r, H + j) = df * dsigmoid_from_value(f);
-      dgates.at(r, 2 * H + j) = dg * dtanh_from_value(g);
-      dgates.at(r, 3 * H + j) = do_v * dsigmoid_from_value(o);
-      dc_prev.at(r, j) = dct * f;
-    }
+    kernels::lstm_gates_backward(
+        cache.act.data() + r * 4 * H, cache.tanh_c.data() + r * H,
+        cache.c_prev.data() + r * H, dh.data() + r * H, dc.data() + r * H,
+        dgates.data() + r * 4 * H, dc_prev.data() + r * H, H);
   }
 
   gw_ih_.add(matmul_tn(dgates, cache.x));

@@ -28,8 +28,8 @@ class LstmLayer : public Module {
   /// Everything needed to backpropagate through one step.
   struct StepCache {
     Tensor x, h_prev, c_prev;
-    Tensor i, f, g, o;  // post-activation gate values, each [B x H]
-    Tensor c, tanh_c;
+    Tensor act;     // post-activation gates i|f|g|o, [B x 4H]
+    Tensor tanh_c;  // tanh of the new cell state, [B x H]
   };
 
   /// Gradients flowing out of one backward step.

@@ -10,6 +10,19 @@ SgdMomentum::SgdMomentum(std::vector<Parameter> params, const Config& config)
   if (params_.empty()) {
     throw std::invalid_argument("SgdMomentum: no parameters");
   }
+  // Written so NaN fails every check: a NaN rate would write NaN weights,
+  // a NaN clip_norm would silently turn clipping off.
+  if (!(std::isfinite(config_.learning_rate) && config_.learning_rate > 0.0)) {
+    throw std::invalid_argument(
+        "SgdMomentum: learning_rate must be finite and > 0");
+  }
+  if (!(config_.momentum >= 0.0 && config_.momentum < 1.0)) {
+    throw std::invalid_argument("SgdMomentum: momentum must be in [0, 1)");
+  }
+  if (!(std::isfinite(config_.clip_norm) && config_.clip_norm >= 0.0)) {
+    throw std::invalid_argument(
+        "SgdMomentum: clip_norm must be finite and >= 0");
+  }
   velocity_.reserve(params_.size());
   for (const auto& p : params_) {
     velocity_.emplace_back(p.value->rows(), p.value->cols());

@@ -22,6 +22,9 @@ class SgdMomentum {
   };
 
   /// Captures the parameter set (pointers must outlive the optimizer).
+  /// Throws std::invalid_argument naming the field unless learning_rate
+  /// is finite and > 0, momentum is in [0, 1) and clip_norm is finite
+  /// and >= 0.
   SgdMomentum(std::vector<Parameter> params, const Config& config);
 
   /// Captures `module.parameters()` and additionally bumps the module's

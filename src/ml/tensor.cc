@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ml/kernels.h"
+
 namespace esim::ml {
 
 Tensor::Tensor(std::size_t rows, std::size_t cols)
@@ -66,16 +68,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument("matmul: inner dimensions differ");
   }
   Tensor c{a.rows(), b.cols()};
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const double av = a.at(i, p);
-      if (av == 0.0) continue;
-      const double* brow = b.data() + p * n;
-      double* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  kernels::matmul_skip(a.data(), a.cols(), 1, b.data(), a.rows(), a.cols(),
+                       b.cols(), c.data());
   return c;
 }
 
@@ -84,16 +78,10 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument("matmul_nt: inner dimensions differ");
   }
   Tensor c{a.rows(), b.rows()};
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a.data() + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* brow = b.data() + j * k;
-      double s = 0;
-      for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c.at(i, j) = s;
-    }
-  }
+  std::vector<double> packed(kernels::packed_size(b.rows(), b.cols()));
+  kernels::pack_rows8(b.data(), b.rows(), b.cols(), packed.data());
+  kernels::matmul_nt(packed.data(), b.data(), b.rows(), b.cols(), a.data(),
+                     a.cols(), a.rows(), c.data(), c.cols());
   return c;
 }
 
@@ -102,17 +90,8 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
     throw std::invalid_argument("matmul_tn: inner dimensions differ");
   }
   Tensor c{a.cols(), b.cols()};
-  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (std::size_t p = 0; p < k; ++p) {
-    const double* arow = a.data() + p * m;
-    const double* brow = b.data() + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      double* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  kernels::matmul_skip(a.data(), 1, a.cols(), b.data(), a.cols(), a.rows(),
+                       b.cols(), c.data());
   return c;
 }
 

@@ -76,6 +76,11 @@ class Tensor {
   std::vector<double> data_;
 };
 
+// The three products run on ml/kernels.h. Every element of C sums its
+// terms p = 0..k-1 in order from +0.0 (matmul and matmul_tn skip the
+// terms whose A entry is zero), so results do not depend on the kernel
+// variant the process dispatched to.
+
 /// C = A (m x k) * B (k x n).
 Tensor matmul(const Tensor& a, const Tensor& b);
 

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -120,6 +122,45 @@ TEST(InferenceSession, BitIdenticalToReferenceGru) {
                    " layers=" + std::to_string(layers));
       expect_bit_identical(m, cfg.seed + 1);
     }
+  }
+}
+
+// The session and the reference step() share ml/kernels.h, so the two
+// tests above cannot see a kernel change that moves both. These hashes
+// of a 300-packet prediction stream were recorded from the scalar Tensor
+// loops that the shared kernels replaced, and must hold under every
+// ESIM_INFERENCE_ISA variant the host supports.
+TEST(InferenceSession, PredictionStreamMatchesParentGolden) {
+  struct Case {
+    ml::TrunkKind trunk;
+    std::size_t hidden;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {ml::TrunkKind::Lstm, 5, 0xe7c141193432729a},
+      {ml::TrunkKind::Lstm, 16, 0x4634877582b11de9},
+      {ml::TrunkKind::Gru, 5, 0x97aa1e46c7bccfd9},
+      {ml::TrunkKind::Gru, 16, 0x54a541f79050c308},
+  };
+  const auto fold = [](std::uint64_t h, double v) {
+    h = (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+    return h ^ (h >> 32);
+  };
+  for (const Case& c : cases) {
+    MicroModel::Config cfg;
+    cfg.hidden = c.hidden;
+    cfg.layers = 2;
+    cfg.trunk = c.trunk;
+    cfg.seed = 41;
+    MicroModel m{cfg};
+    sim::Rng rng{43};
+    std::uint64_t h = 0;
+    for (int i = 0; i < 300; ++i) {
+      const auto p = m.predict(random_features(rng));
+      h = fold(fold(h, p.drop_probability), p.latency_seconds);
+    }
+    EXPECT_EQ(h, c.hash) << ml::trunk_kind_name(c.trunk) << " hidden "
+                         << c.hidden << ": 0x" << std::hex << h;
   }
 }
 

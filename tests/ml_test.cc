@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "ml/activations.h"
 #include "ml/inference.h"
@@ -72,6 +76,71 @@ TEST(Tensor, TransposedVariantsAgree) {
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
       EXPECT_NEAR(c1.at(i, j), c3.at(i, j), 1e-12);
+    }
+  }
+}
+
+// The products run on ml/kernels.h, whose SIMD variants put output
+// columns (matmul, matmul_tn) or rows (matmul_nt) side by side. Each
+// element must still equal the plain loop to the bit: terms summed in
+// p order from +0.0, and for matmul/matmul_tn the zero-A terms skipped,
+// which an infinite B entry would expose (0 * inf is NaN). The shapes
+// cross every block and tail: 1..37 output columns, 1..33 terms.
+TEST(Tensor, ProductsMatchPlainLoopsBitForBit) {
+  const auto same_bits = [](const Tensor& x, const Tensor& y) {
+    if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (std::bit_cast<std::uint64_t>(x.data()[i]) !=
+          std::bit_cast<std::uint64_t>(y.data()[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  Rng rng{12};
+  for (const std::size_t m : {1UL, 3UL, 9UL}) {
+    for (const std::size_t k : {1UL, 7UL, 33UL}) {
+      for (const std::size_t n : {1UL, 5UL, 13UL, 16UL, 37UL}) {
+        Tensor a{m, k}, b{k, n};
+        a.fill_normal(rng, 1.0);
+        b.fill_normal(rng, 1.0);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t p = i % 3; p < k; p += 3) a.at(i, p) = 0.0;
+        }
+        Tensor at{k, m}, bt{n, k};  // transposes, for matmul_tn/matmul_nt
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t p = 0; p < k; ++p) at.at(p, i) = a.at(i, p);
+        }
+        for (std::size_t p = 0; p < k; ++p) {
+          for (std::size_t j = 0; j < n; ++j) bt.at(j, p) = b.at(p, j);
+        }
+        Tensor dense{m, n};  // no skips: what matmul_nt must produce
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double s = 0.0;
+            for (std::size_t p = 0; p < k; ++p) s += a.at(i, p) * bt.at(j, p);
+            dense.at(i, j) = s;
+          }
+        }
+        // Row 0 of a has a zero at p = 0, so an infinite b(0, j) must
+        // not reach row 0 of the skipping products.
+        b.at(0, n - 1) = std::numeric_limits<double>::infinity();
+        Tensor skip{m, n};
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t p = 0; p < k; ++p) {
+            const double av = a.at(i, p);
+            if (av == 0.0) continue;
+            for (std::size_t j = 0; j < n; ++j) {
+              skip.at(i, j) += av * b.at(p, j);
+            }
+          }
+        }
+        SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+        EXPECT_TRUE(same_bits(matmul_nt(a, bt), dense));
+        EXPECT_TRUE(same_bits(matmul(a, b), skip));
+        EXPECT_TRUE(same_bits(matmul_tn(at, b), skip));
+        EXPECT_TRUE(std::isfinite(skip.at(0, n - 1)));
+      }
     }
   }
 }
@@ -243,6 +312,16 @@ TEST(Loss, MaskedMseEmptyMask) {
   Tensor d;
   EXPECT_EQ(masked_mse(pred, target, mask, &d), 0.0);
   EXPECT_EQ(d.abs_max(), 0.0);
+}
+
+TEST(Loss, BceEmptyInputWritesGradient) {
+  // A caller reusing its gradient tensor must not keep a previous call's
+  // values and shape when the next batch is empty.
+  Tensor d{2, 2, {1.0, 2.0, 3.0, 4.0}};
+  const Tensor empty{0, 3};
+  EXPECT_EQ(bce_with_logits(empty, empty, &d), 0.0);
+  EXPECT_EQ(d.rows(), 0u);
+  EXPECT_EQ(d.cols(), 3u);
 }
 
 TEST(Lstm, ShapesAndStateCarry) {
@@ -427,6 +506,42 @@ TEST(Optimizer, ClipsLargeGradients) {
   EXPECT_GT(norm, 99.0);
   // Update magnitude is clipped to ~1 * lr.
   EXPECT_NEAR(std::abs(params[0].value->at(0, 0) - before), 1.0, 1e-6);
+}
+
+TEST(Optimizer, RejectsBadConfig) {
+  Rng rng{10};
+  Linear lin{2, 1, rng};
+  const auto rejects = [&](const SgdMomentum::Config& cfg, const char* field) {
+    try {
+      SgdMomentum opt{lin.parameters(), cfg};
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {0.0, -1e-3, nan, inf}) {
+    SgdMomentum::Config cfg;
+    cfg.learning_rate = v;
+    rejects(cfg, "learning_rate");
+  }
+  for (const double v : {-0.1, 1.0, 1.5, nan}) {
+    SgdMomentum::Config cfg;
+    cfg.momentum = v;
+    rejects(cfg, "momentum");
+  }
+  for (const double v : {-1.0, nan, inf}) {
+    SgdMomentum::Config cfg;
+    cfg.clip_norm = v;
+    rejects(cfg, "clip_norm");
+  }
+  // The edges that stay legal: no momentum, clipping off.
+  SgdMomentum::Config edge;
+  edge.momentum = 0.0;
+  edge.clip_norm = 0.0;
+  EXPECT_NO_THROW((SgdMomentum{lin.parameters(), edge}));
 }
 
 TEST(Serialize, RoundTrip) {
