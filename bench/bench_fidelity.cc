@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "check/hybrid_diff.h"
+#include "check/diff_runner.h"
 #include "telemetry/fidelity.h"
 #include "telemetry/report.h"
 
@@ -31,19 +31,20 @@ namespace {
 
 using namespace esim;  // NOLINT
 
-check::HybridScenario bench_scenario(bool quick) {
-  check::HybridScenario sc;
+check::Scenario bench_scenario(bool quick) {
+  check::Scenario sc;
+  check::Scenario::Approximation& a = sc.approx.emplace();
   sc.seed = 2026;
   sc.clusters = 4;
-  sc.tors_per_cluster = 2;
-  sc.aggs_per_cluster = 2;
+  sc.tors = 2;
+  sc.spines = 2;
   sc.hosts_per_tor = 2;
   sc.cores = 2;
-  sc.model_seed = 11;
-  sc.drop_bias = -2.0;
-  sc.latency_mean_us = 8.0;
-  sc.sample_drops = true;
-  sc.batch_max = 8;
+  a.model_seed = 11;
+  a.drop_bias = -2.0;
+  a.latency_mean_us = 8.0;
+  a.sample_drops = true;
+  a.batch_max = 8;
   sc.duration_ns = quick ? 2'000'000 : 40'000'000;
 
   // Dense all-pairs-ish flow schedule: every boundary crossing is a
@@ -75,7 +76,7 @@ struct Point {
   std::uint64_t rows = 0;
 };
 
-Point run_point(const check::HybridScenario& sc, std::uint32_t partitions,
+Point run_point(const check::Scenario& sc, std::uint32_t partitions,
                 std::uint32_t sample_period, int reps) {
   Point pt;
   pt.wall_best = 1e30;
@@ -90,8 +91,12 @@ Point run_point(const check::HybridScenario& sc, std::uint32_t partitions,
       sink = owned.get();
     }
     const auto start = std::chrono::steady_clock::now();
+    check::RunHooks hooks;
+    hooks.fidelity = sink;
     const auto digest =
-        check::run_hybrid(sc, partitions, /*batching=*/true, sink);
+        check::run_scenario(sc, {partitions},
+                            sim::SimTime::from_ns(sc.duration_ns), hooks)
+            .digest;
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "check/hybrid_diff.h"
+#include "check/diff_runner.h"
 #include "core/experiment.h"
 #include "core/run_report.h"
 #include "stats/distance.h"
@@ -89,29 +89,30 @@ core::ExperimentConfig make_config(bool quick) {
 // every one of them, while the cluster's utilization stays under the
 // quiescent threshold, so the adaptive policy demotes to the fluid rate
 // model almost immediately and keeps the savings for the whole run.
-check::HybridScenario quiescent_scenario(std::uint64_t i, bool quick) {
-  check::HybridScenario sc;
+check::Scenario quiescent_scenario(std::uint64_t i, bool quick) {
+  check::Scenario sc;
+  check::Scenario::Approximation& a = sc.approx.emplace();
   sc.seed = 3000 + i;
   sc.clusters = 3;
-  sc.tors_per_cluster = 2;
-  sc.aggs_per_cluster = 2;
+  sc.tors = 2;
+  sc.spines = 2;
   sc.hosts_per_tor = 2;
   sc.cores = 2;
-  sc.model_seed = 40 + i;
-  sc.model_hidden = 48;  // production-like inference cost
-  sc.model_layers = 2;
-  sc.drop_bias = -3.0;
-  sc.latency_mean_us = 8.0;
-  sc.sample_drops = true;  // sequential-only section, streams coincide
-  sc.min_latency_us = 5.0;
-  sc.batch_max = 8;
-  sc.batch_window_ns = 3'000;
-  sc.adaptive_tiers = false;  // run_corpus sets the policy per run
-  sc.min_dwell_windows = 2;
-  sc.quiescent_util = 0.25;
-  sc.congested_util = 0.6;
-  sc.congested_drop_rate = 0.5;
-  sc.classify_ewma_alpha = 0.6;
+  a.model_seed = 40 + i;
+  a.model_hidden = 48;  // production-like inference cost
+  a.model_layers = 2;
+  a.drop_bias = -3.0;
+  a.latency_mean_us = 8.0;
+  a.sample_drops = true;  // sequential-only section, streams coincide
+  a.min_latency_us = 5.0;
+  a.batch_max = 8;
+  a.batch_window_ns = 3'000;
+  a.adaptive_tiers = false;  // run_corpus sets the policy per run
+  a.min_dwell_windows = 2;
+  a.quiescent_util = 0.25;
+  a.congested_util = 0.6;
+  a.congested_drop_rate = 0.5;
+  a.classify_ewma_alpha = 0.6;
   sc.duration_ns = quick ? 6'000'000 : 25'000'000;
   const std::uint32_t hosts = sc.total_hosts();
   std::int64_t t = 10'000;
@@ -151,22 +152,19 @@ struct CorpusPoint {
   }
 };
 
-CorpusPoint run_corpus(const std::vector<check::HybridScenario>& corpus,
+CorpusPoint run_corpus(const std::vector<check::Scenario>& corpus,
                        bool adaptive, core::ClusterTier fixed_tier) {
   CorpusPoint pt;
-  for (check::HybridScenario sc : corpus) {
-    sc.adaptive_tiers = adaptive;
-    sc.fixed_tier = fixed_tier;
-    check::TierTraces traces;
+  for (check::Scenario sc : corpus) {
+    sc.approx->adaptive_tiers = adaptive;
+    sc.approx->fixed_tier = fixed_tier;
     const auto start = std::chrono::steady_clock::now();
-    const check::Digest d =
-        check::run_hybrid(sc, /*partitions=*/0, /*batching=*/true,
-                          /*fidelity=*/nullptr, adaptive ? &traces : nullptr);
+    const check::RunOutcome run = check::DiffRunner{}.run(sc, {});
     pt.wall +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    pt.events += d.events;
-    for (const auto& [cluster, trace] : traces) {
+    pt.events += run.digest.events;
+    for (const auto& [cluster, trace] : run.traces) {
       pt.transitions += trace.size();
     }
   }
@@ -248,7 +246,7 @@ int main() {
 
   // ---- Section B: events/s on the quiescent-heavy fuzz corpus ----
   const std::size_t n_scenarios = quick ? 2 : 6;
-  std::vector<check::HybridScenario> corpus;
+  std::vector<check::Scenario> corpus;
   for (std::size_t i = 0; i < n_scenarios; ++i) {
     corpus.push_back(quiescent_scenario(i, quick));
   }

@@ -59,13 +59,15 @@ for preset in default asan-ubsan; do
   done
 done
 
-# The PDES scale-out path (graph-cut placement, per-pair lookahead
-# windows, SPSC rings) must stay digest-identical to the sequential
-# engine at the partition counts the scaling bench targets. Always run
-# this — it is the determinism gate for the parallel engine, not an
-# opt-in extra.
-echo "=== default — esim_diffcheck scale-out fuzz (8/16 partitions) ==="
-(cd build && ./tools/esim_diffcheck fuzz --n 15 --seed 23 --partitions 8,16)
+# The six standing esim_diffcheck corpora, each closing on its corpus
+# fingerprint: the all-packet fuzz sweep, the PDES scale-out sweep at the
+# partition counts the scaling bench targets (graph-cut placement,
+# per-pair lookahead windows, SPSC rings), hybrid batching, fidelity,
+# adaptive granularity and memo. Always run this — it is the determinism
+# gate, not an opt-in extra; diff its output against an older build's to
+# prove a change digest-identical.
+echo "=== default — esim_diffcheck corpus fingerprints ==="
+scripts/fingerprints.sh build
 
 # The inference bench doubles as a sanitizer workout for the packed
 # SIMD kernels and the workspace plan. `--batch` runs the batched

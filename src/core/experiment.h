@@ -67,24 +67,6 @@ struct ExperimentConfig {
   /// tail) for post-training evaluation. 0 (default) trains on the full
   /// dataset and skips evaluation — existing pipelines are unchanged.
   double eval_holdout = 0.0;
-
-  /// Phase-memoization knobs (DESIGN.md §13). core only *carries* the
-  /// configuration — the machinery lives in src/memo, which depends on
-  /// core and not vice versa — so experiment configs stay memo-agnostic
-  /// and a disabled memo block changes nothing.
-  struct MemoOptions {
-    bool enabled = false;
-    /// Bounded LRU cache: evict past either limit.
-    std::size_t cache_bytes = std::size_t{64} << 20;
-    std::size_t max_entries = 256;
-    /// Rolling-summary window: how many trailing per-phase counter
-    /// summaries participate in the state signature.
-    std::uint32_t window_phases = 1;
-    /// Workload phase period (0 = no phase structure known; memoization
-    /// never engages without one).
-    std::int64_t period_ns = 0;
-  };
-  MemoOptions memo;
 };
 
 /// The trained pair of boundary models plus training diagnostics.

@@ -1,7 +1,6 @@
 #include "memo/memo_diff.h"
 
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "check/diff_runner.h"
@@ -46,70 +45,47 @@ std::string check_memo(const PeriodicScenario& ps,
                        const std::vector<std::uint32_t>& partition_counts,
                        const MemoConfig& memo, MemoStats* accumulate,
                        std::vector<check::Digest>* digests_out) {
-  std::vector<check::EngineSpec> specs;
-  specs.push_back({});  // sequential
-  for (std::uint32_t p : partition_counts) specs.push_back({p});
-
-  const check::DiffRunner::Options options{};
   MemoConfig off = memo;
   off.enabled = false;
+  // Each memo run gets a fresh runner, so its cache starts cold.
+  const auto memo_run = [&ps, accumulate](const MemoConfig& cfg,
+                                          const check::EngineSpec& spec,
+                                          bool with_digest, const char* note) {
+    check::RunSpec r{ps.scenario, spec};
+    r.note = note;
+    r.exec = [&ps, cfg, spec, with_digest, accumulate] {
+      MemoRunner runner{cfg};
+      const MemoRunOutcome m =
+          runner.run(ps.scenario, ps.pattern, spec, with_digest);
+      if (accumulate != nullptr && cfg.enabled) *accumulate += m.stats;
+      check::RunOutcome out;
+      out.digest = m.digest;
+      out.digest_attached = m.digest_attached;
+      out.flows_completed = m.flows_completed;
+      out.final_state_fp = m.final_state_fp;
+      return out;
+    };
+    return r;
+  };
 
-  std::ostringstream diag;
+  std::vector<check::EngineSpec> specs{{}};  // sequential
+  for (std::uint32_t p : partition_counts) specs.push_back({p});
+  std::vector<check::Group> groups;
   for (const check::EngineSpec& spec : specs) {
-    MemoRunner off_runner{options, off};
-    const MemoRunOutcome base =
-        off_runner.run(ps.scenario, ps.pattern, spec, /*with_digest=*/true);
-
-    MemoRunner on_runner{options, memo};
-    const MemoRunOutcome memoized =
-        on_runner.run(ps.scenario, ps.pattern, spec, /*with_digest=*/true);
-
-    if (!(memoized.digest == base.digest) ||
-        memoized.flows_completed != base.flows_completed) {
-      diag << spec.label() << ": memo-on digest diverges from memo-off\n"
-           << "  off: " << base.digest.to_string() << "\n"
-           << "  on:  " << memoized.digest.to_string() << " (hits "
-           << memoized.stats.hits << ", near misses "
-           << memoized.stats.near_misses << ", store aborts "
-           << memoized.stats.store_aborts << ")\n";
-    }
-
-    // Anchor the chunked memo-off baseline to the seed harness.
-    const check::DiffRunner ref_runner{options};
-    const check::RunOutcome ref = ref_runner.run(ps.scenario, spec);
-    const bool anchored = spec.partitions == 0
-                              ? ref.digest == base.digest
-                              : ref.digest.engine_invariant_equal(base.digest);
-    if (!anchored || ref.flows_completed != base.flows_completed) {
-      diag << spec.label()
-           << ": chunked memo-off diverges from unchunked reference\n"
-           << "  ref:     " << ref.digest.to_string() << "\n"
-           << "  chunked: " << base.digest.to_string() << "\n";
-    }
-
-    if (digests_out != nullptr) {
-      digests_out->push_back(base.digest);
-      digests_out->push_back(memoized.digest);
-      digests_out->push_back(ref.digest);
-    }
-
-    // Aggregate-only memoization must land on the same final state.
-    MemoRunner agg_runner{options, memo};
-    const MemoRunOutcome agg =
-        agg_runner.run(ps.scenario, ps.pattern, spec, /*with_digest=*/false);
-    if (agg.final_state_fp != base.final_state_fp ||
-        agg.flows_completed != base.flows_completed) {
-      diag << spec.label()
-           << ": aggregate memo final state fp " << agg.final_state_fp
-           << " != memo-off " << base.final_state_fp << "\n";
-    }
-
-    if (accumulate != nullptr) {
-      *accumulate += memoized.stats;
-      *accumulate += agg.stats;
-    }
+    // Chunking only perturbs drain-round seq assignment under PDES, so
+    // the unchunked reference anchors the baseline on the full digest
+    // sequentially and on the engine-invariant lanes otherwise.
+    groups.push_back(
+        {memo_run(off, spec, true, "memo off, chunked"),
+         {{memo_run(memo, spec, true, "memo on, chunked"),
+           check::Relation::FullDigest},
+          {check::RunSpec{ps.scenario, spec, {}, {}, "unchunked"},
+           spec.partitions == 0 ? check::Relation::FullDigest
+                                : check::Relation::EngineInvariant},
+          {memo_run(memo, spec, false, "memo on, aggregate"),
+           check::Relation::FinalState}}});
   }
-  return diag.str();
+  return check::describe_failures(check::run_groups(groups, digests_out));
 }
 
 }  // namespace esim::memo

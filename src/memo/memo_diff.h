@@ -1,18 +1,18 @@
 // The memo diffcheck lane: replay equivalence between memoized and
 // unmemoized execution (DESIGN.md §13).
 //
-// check_memo runs one periodic scenario under every requested engine and
-// verifies, per engine spec:
-//   1. memo-on vs memo-off, both digest-attached and chunked at phase
-//      boundaries: FULL digest equality (order lane included) and equal
-//      completion counts — a verified fast-forward is bit-invisible.
-//   2. memo-off chunked vs check::DiffRunner unchunked: full equality
+// check_memo runs one periodic scenario under every requested engine as
+// one check::Group per engine spec. The baseline is memo-off, digest-
+// attached and chunked at phase boundaries; against it:
+//   1. memo-on, chunked: FULL digest equality (order lane included) and
+//      equal completion counts — a verified fast-forward is bit-invisible;
+//   2. the unchunked reference run (check::run_scenario): full equality
 //      sequential, engine-invariant under PDES (chunking only perturbs
 //      drain-round seq assignment) — the chunked baseline is anchored to
-//      the seed harness, not just to itself.
+//      the seed harness, not just to itself;
 //   3. memo-on aggregate-only (no digest): final-state fingerprint equal
 //      to the memo-off run's — the speedup mode lands on the same network
-//      state.
+//      state. This run is not logged.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +44,10 @@ PeriodicScenario make_periodic(const check::Scenario& base,
 
 /// Runs the full memo equivalence check on `ps` under the sequential
 /// engine plus a PDES engine per entry of `partition_counts`. Returns ""
-/// on pass, else a diagnostic naming the engine and the failed relation.
-/// When `accumulate` is non-null the memo-on runners' stats are added to
-/// it (the fuzz gate asserts the corpus produced real hits); every
-/// digest-attached run's digest is appended, in run order, to
-/// `digests_out` when non-null.
+/// on pass, else the failing comparisons. When `accumulate` is non-null
+/// the memo-on runners' stats are added to it (the fuzz gate asserts the
+/// corpus produced real hits); every digest-attached run's digest is
+/// appended, in run order, to `digests_out` when non-null.
 std::string check_memo(const PeriodicScenario& ps,
                        const std::vector<std::uint32_t>& partition_counts,
                        const MemoConfig& memo = {},

@@ -2,9 +2,10 @@
 // recording each phase's state delta on first occurrence and
 // fast-forwarding over verified repeats (DESIGN.md §13).
 //
-// The runner mirrors check::DiffRunner's engine setup exactly — same
-// builders, same flow-injection idiom, same digest hookup — but chunks
-// the run at workload phase boundaries (workload::PhasePattern). At every
+// The runner builds its engine and network through check::run_scenario,
+// the harness's one run path, and replaces that path's "inject, run to the
+// horizon" with a phase loop chunked at workload phase boundaries
+// (workload::PhasePattern). At every
 // boundary it recomputes a rolling per-phase counter summary, then, when
 // memoization is enabled and both boundary ends are quiescent (nothing
 // pending but future injections), it computes the phase signature and
@@ -69,14 +70,15 @@ struct MemoRunOutcome {
 /// Executes periodic scenarios phase by phase with memoization.
 class MemoRunner {
  public:
-  MemoRunner(const check::DiffRunner::Options& engine_options,
-             const MemoConfig& memo)
-      : options_{engine_options}, memo_{memo}, cache_{memo.limits} {}
-
-  explicit MemoRunner(const MemoConfig& memo) : MemoRunner({}, memo) {}
+  explicit MemoRunner(const MemoConfig& memo)
+      : memo_{memo}, cache_{memo.limits} {}
 
   /// Runs `scenario` (whose flow list must be pattern.expand(1) — throws
-  /// otherwise) under `engine`, chunked at pattern boundaries. The phase
+  /// otherwise) under `engine`, chunked at pattern boundaries. Throws
+  /// std::invalid_argument for a scenario with approximated clusters:
+  /// ApproxCluster::start() re-arms its macro-window timer every window,
+  /// so such a run always has a pending event, no phase boundary is ever
+  /// quiescent, and memoization could never engage. The phase
   /// cache persists across run() calls on one MemoRunner, so a second run
   /// of the same scenario can hit from the first's recordings.
   ///
@@ -93,7 +95,6 @@ class MemoRunner {
   const PhaseCache& cache() const { return cache_; }
 
  private:
-  check::DiffRunner::Options options_;
   MemoConfig memo_;
   PhaseCache cache_;
   MemoStats stats_;

@@ -6,7 +6,8 @@
 // coalescing active.
 #include <gtest/gtest.h>
 
-#include "check/hybrid_diff.h"
+#include "check/diff_runner.h"
+#include "check/fuzzer.h"
 #include "core/network.h"
 #include "stats/collectors.h"
 
@@ -15,9 +16,16 @@ namespace {
 
 using approx::MicroModel;
 using check::Digest;
-using check::HybridScenario;
+using check::Scenario;
 using sim::SimTime;
 using sim::Simulator;
+
+/// Runs `sc` under `partitions` with the prediction queue on or off (off
+/// is the same scenario with batch_max = 1).
+Digest hybrid_digest(Scenario sc, std::uint32_t partitions, bool batching) {
+  if (!batching) sc.approx->batch_max = 1;
+  return check::DiffRunner{}.run(sc, {partitions}).digest;
+}
 
 net::ClosSpec spec_with_clusters(std::uint32_t clusters) {
   net::ClosSpec s;
@@ -92,13 +100,13 @@ TEST(BatchCluster, PdesBuilderRejectsWindowBeyondLookaheadSlack) {
 // component creation order, so digest identity is exact evidence.
 TEST(BatchCluster, SequentialDigestIdenticalBatchingOnVsOff) {
   for (const std::uint64_t seed : {101ULL, 202ULL, 303ULL}) {
-    HybridScenario sc = check::random_hybrid_scenario(seed);
-    sc.sample_drops = true;
+    Scenario sc = check::random_hybrid_scenario(seed);
+    sc.approx->sample_drops = true;
     // A gentle baseline (~12% sampled drops) keeps TCP moving so the
     // comparison below is not vacuous; the fuzz tier covers hot biases.
-    sc.drop_bias = -2.0;
-    const Digest off = check::run_hybrid(sc, 0, /*batching=*/false);
-    const Digest on = check::run_hybrid(sc, 0, /*batching=*/true);
+    sc.approx->drop_bias = -2.0;
+    const Digest off = hybrid_digest(sc, 0, /*batching=*/false);
+    const Digest on = hybrid_digest(sc, 0, /*batching=*/true);
     EXPECT_TRUE(off.engine_invariant_equal(on))
         << "seed " << seed << "\n  off: " << off.to_string()
         << "\n  on:  " << on.to_string();
@@ -194,12 +202,12 @@ TEST(BatchCluster, LatencyFloorAndBacklogClampMatchUnbatched) {
 // coalesced queue's flush timers and cross-partition deliveries run under
 // the race detector here.
 TEST(HybridPdesBatch, EnginesAgreeWithCoalescingActive) {
-  HybridScenario sc = check::random_hybrid_scenario(7);
-  sc.sample_drops = false;  // cross-engine: RNG streams differ by design
-  sc.drop_bias = -2.0;      // below threshold: traffic actually flows
-  const Digest seq = check::run_hybrid(sc, 0, /*batching=*/true);
+  Scenario sc = check::random_hybrid_scenario(7);
+  sc.approx->sample_drops = false;  // cross-engine: RNG streams differ
+  sc.approx->drop_bias = -2.0;      // below threshold: traffic flows
+  const Digest seq = hybrid_digest(sc, 0, /*batching=*/true);
   for (const std::uint32_t partitions : {2u, 3u}) {
-    const Digest pdes = check::run_hybrid(sc, partitions, /*batching=*/true);
+    const Digest pdes = hybrid_digest(sc, partitions, /*batching=*/true);
     EXPECT_TRUE(seq.engine_invariant_equal(pdes))
         << "partitions " << partitions << "\n  seq:  " << seq.to_string()
         << "\n  pdes: " << pdes.to_string();

@@ -11,7 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "check/hybrid_diff.h"
+#include "check/diff_runner.h"
+#include "check/fuzzer.h"
 #include "core/experiment.h"
 #include "core/run_report.h"
 #include "telemetry/fidelity.h"
@@ -21,13 +22,22 @@ namespace esim {
 namespace {
 
 using check::Digest;
-using check::HybridScenario;
+using check::Scenario;
 using telemetry::ClusterFidelityProbe;
 using telemetry::CongestionState;
 using telemetry::FidelityConfig;
 using telemetry::FidelityRow;
 using telemetry::FidelitySink;
 using telemetry::Json;
+
+/// A sequential run of `sc` with `sink` attached to every ApproxCluster.
+Digest run_with_sink(const Scenario& sc, FidelitySink* sink) {
+  check::RunHooks hooks;
+  hooks.fidelity = sink;
+  return check::run_scenario(sc, {}, sim::SimTime::from_ns(sc.duration_ns),
+                             hooks)
+      .digest;
+}
 
 FidelityConfig enabled_config() {
   FidelityConfig cfg;
@@ -300,7 +310,7 @@ TEST(FidelitySink, RowsAreSortedAndSummariesAggregate) {
 // --- digest invariance (the tentpole contract) ---
 
 TEST(FidelityDigest, HybridRunIsBitIdenticalWithFidelityOnSequential) {
-  const HybridScenario sc = check::random_hybrid_scenario(3);
+  const Scenario sc = check::random_hybrid_scenario(3);
   std::uint64_t rows = 0, shadow = 0;
   const std::string diag = check::check_fidelity(sc, {}, &rows, &shadow);
   EXPECT_TRUE(diag.empty()) << diag;
@@ -309,7 +319,7 @@ TEST(FidelityDigest, HybridRunIsBitIdenticalWithFidelityOnSequential) {
 }
 
 TEST(FidelityDigest, HybridRunIsBitIdenticalWithFidelityOnPdes) {
-  const HybridScenario sc = check::random_hybrid_scenario(11);
+  const Scenario sc = check::random_hybrid_scenario(11);
   std::uint64_t rows = 0, shadow = 0;
   const std::string diag = check::check_fidelity(sc, {2, 4}, &rows, &shadow);
   EXPECT_TRUE(diag.empty()) << diag;
@@ -320,14 +330,14 @@ TEST(FidelityDigest, InstrumentedRunsAgreeAcrossEngines) {
   // The observatory itself must be deterministic: the same scenario
   // instrumented twice produces identical digests AND identical shadow
   // totals; rows from sequential and PDES runs describe the same run.
-  HybridScenario sc = check::random_hybrid_scenario(5);
-  sc.sample_drops = true;
+  Scenario sc = check::random_hybrid_scenario(5);
+  sc.approx->sample_drops = true;
   FidelityConfig cfg = enabled_config();
 
   FidelitySink a{cfg};
-  const Digest da = check::run_hybrid(sc, 0, true, &a);
+  const Digest da = run_with_sink(sc, &a);
   FidelitySink b{cfg};
-  const Digest db = check::run_hybrid(sc, 0, true, &b);
+  const Digest db = run_with_sink(sc, &b);
   EXPECT_TRUE(da == db);
   ASSERT_EQ(a.rows_appended(), b.rows_appended());
   const auto ra = a.rows();
@@ -343,10 +353,10 @@ TEST(FidelityDigest, InstrumentedRunsAgreeAcrossEngines) {
 // --- report plumbing ---
 
 TEST(FidelityReport, RunReportCarriesFidelitySection) {
-  HybridScenario sc = check::random_hybrid_scenario(2);
-  sc.sample_drops = true;
+  Scenario sc = check::random_hybrid_scenario(2);
+  sc.approx->sample_drops = true;
   FidelitySink sink{enabled_config()};
-  (void)check::run_hybrid(sc, 0, true, &sink);
+  (void)run_with_sink(sc, &sink);
   ASSERT_GT(sink.rows_appended(), 0u);
 
   core::RunResult result;

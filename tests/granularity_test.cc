@@ -7,7 +7,8 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "check/hybrid_diff.h"
+#include "check/diff_runner.h"
+#include "check/fuzzer.h"
 #include "core/cluster_backend.h"
 #include "core/granularity.h"
 #include "net/packet.h"
@@ -239,10 +240,13 @@ TEST(Granularity, ControllerHonorsMinDwellHysteresis) {
 // --- end-to-end adaptive runs --------------------------------------------
 
 TEST(Granularity, AdaptiveRunIsReproducibleWithNontrivialTrace) {
-  const check::HybridScenario sc = check::random_granularity_scenario(3);
-  check::TierTraces t1, t2;
-  const check::Digest d1 = check::run_hybrid(sc, 0, true, nullptr, &t1);
-  const check::Digest d2 = check::run_hybrid(sc, 0, true, nullptr, &t2);
+  const check::Scenario sc = check::random_granularity_scenario(3);
+  const check::RunOutcome r1 = check::DiffRunner{}.run(sc, {});
+  const check::RunOutcome r2 = check::DiffRunner{}.run(sc, {});
+  const check::Digest& d1 = r1.digest;
+  const check::Digest& d2 = r2.digest;
+  const check::TierTraces& t1 = r1.traces;
+  const check::TierTraces& t2 = r2.traces;
   EXPECT_TRUE(d1 == d2);
   EXPECT_EQ(t1, t2);
   // The corpus is built to actually exercise the controller.
@@ -261,7 +265,7 @@ TEST(Granularity, AdaptiveScenarioIsEngineInvariant) {
   // One full equivalence check: batching on/off (sampled drops) and
   // sequential vs PDES(2) (threshold drops), tier traces element-wise
   // identical. The fuzz-tier ctest entry runs 25 of these.
-  const check::HybridScenario sc = check::random_granularity_scenario(11);
+  const check::Scenario sc = check::random_granularity_scenario(11);
   std::uint64_t transitions = 0;
   EXPECT_EQ(check::check_granularity(sc, {2}, &transitions), "");
   EXPECT_GT(transitions, 0u);

@@ -261,6 +261,24 @@ TEST(MemoRunnerTest, RejectsMismatchedScenarioAndPattern) {
 
 // --- adversarial: collisions, mutation, aperiodicity ------------------
 
+TEST(MemoRunnerTest, RejectsApproximatedClustersAndSaysWhy) {
+  // An ApproxCluster re-arms its macro-window timer every window, so no
+  // phase boundary of a hybrid run is ever quiescent.
+  PeriodicScenario ps = small_periodic();
+  ps.scenario.clusters = 2;
+  ps.scenario.cores = 1;
+  ps.scenario.approx.emplace();
+  MemoRunner runner{MemoConfig{}};
+  try {
+    runner.run(ps.scenario, ps.pattern, EngineSpec{}, true);
+    ADD_FAILURE() << "MemoRunner accepted approximated clusters";
+  } catch (const std::invalid_argument& e) {
+    const std::string why = e.what();
+    EXPECT_NE(why.find("macro-window timer"), std::string::npos) << why;
+    EXPECT_NE(why.find("quiescent"), std::string::npos) << why;
+  }
+}
+
 TEST(MemoRunnerTest, SignatureCollisionNeverProducesFalseHit) {
   // Collapse every signature to a constant: only hit-time verification
   // separates phases. Run pattern A, then a pattern differing in one

@@ -18,8 +18,7 @@
 //     batching-on vs batching-off with sampled drops (the RNG draw-order
 //     contract), then sequential vs PDES at every partition count with
 //     N>1 coalescing on both sides (threshold drops; engine-invariant
-//     digest lanes). Scenarios are pure functions of S, so a failure is
-//     reproducible from the printed seed alone.
+//     digest lanes).
 //
 //   esim_diffcheck fidelity [--n N] [--seed S] [--partitions 2,4]
 //     Generates N hybrid scenarios and checks, for each, that enabling
@@ -35,9 +34,8 @@
 //     Generates N quiescent-heavy adaptive-tier scenarios (DESIGN.md §12)
 //     and checks each one: sequential batching on vs off with sampled
 //     drops, then sequential vs PDES at every partition count with
-//     threshold drops — engine-invariant digest lanes (tier lane
-//     included) plus element-wise tier-transition trace comparison per
-//     cluster. Also requires that the corpus executed at least one real
+//     threshold drops — engine-invariant digest lanes, tier lane
+//     included. Also requires that the corpus executed at least one real
 //     transition, so a controller that never engages cannot pass.
 //
 //   esim_diffcheck memo [--n N] [--seed S] [--partitions 2,4]
@@ -45,10 +43,10 @@
 //     one's phase-memoization equivalence (src/memo): memo-on vs memo-off
 //     at FULL digest identity (order lane included) sequentially and at
 //     every PDES partition count, the chunked memo-off baseline against
-//     the unchunked DiffRunner, and the aggregate-only fast-forward mode
-//     against the memo-off final-state fingerprint. Also requires the
-//     corpus produced real cache hits, so memoization that never engages
-//     cannot pass.
+//     the unchunked run, and the aggregate-only fast-forward mode against
+//     the memo-off final-state fingerprint. Also requires the corpus
+//     produced real cache hits, so memoization that never engages cannot
+//     pass.
 //
 //   esim_diffcheck selftest
 //     Proves the harness has teeth: runs a crafted tie-rich scenario with
@@ -56,23 +54,32 @@
 //     divergence is caught, localized, and shrunk. Exits 0 only when the
 //     injected bug is detected AND clean configurations still agree.
 //
+// hybrid, fidelity, granularity and memo are rows of one corpus table:
+// scenario k comes from seed S + k, so a failure is reproducible from the
+// printed seed alone, and a divergence between plain runs prints its
+// bisected horizon and first divergent packet record.
+//
 // Every subcommand but selftest closes with a summary line that ends in
-// `fingerprint=<16 hex>`: an order-sensitive fold of every full digest
-// the subcommand computed, in run order (check::corpus_fingerprint). Two
-// builds that print the same fingerprint for one corpus ran it
-// digest-identically, order lane included.
+// `fingerprint=<16 hex>`: an order-sensitive fold of every digest the
+// subcommand logged, in run order (check::corpus_fingerprint). Two builds
+// that print the same fingerprint for one corpus ran it digest-
+// identically, order lane included. scripts/fingerprints.sh prints the
+// closing lines of the standing corpora.
 //
 // Exit codes: 0 = all equivalent, 1 = divergence (or selftest failure),
 // 2 = usage / IO error.
-#include <cstring>
+#include <charconv>
+#include <cstdint>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/diff_runner.h"
 #include "check/fuzzer.h"
-#include "check/hybrid_diff.h"
 #include "check/scenario.h"
 #include "memo/memo_diff.h"
 
@@ -86,6 +93,24 @@ using esim::check::FlowSpec;
 using esim::check::Scenario;
 using esim::check::ScenarioFuzzer;
 
+constexpr const char* kUsage =
+    "usage: esim_diffcheck fuzz [--n N] [--seed S] [--partitions 1,2,4] "
+    "[--out PREFIX] [--inject-tiebreak-bug]\n"
+    "       esim_diffcheck replay FILE [--partitions 1,2,4] "
+    "[--inject-tiebreak-bug]\n"
+    "       esim_diffcheck hybrid [--n N] [--seed S] [--partitions 2,3]\n"
+    "       esim_diffcheck fidelity [--n N] [--seed S] [--partitions 2,4]\n"
+    "       esim_diffcheck granularity [--n N] [--seed S] "
+    "[--partitions 2,4]\n"
+    "       esim_diffcheck memo [--n N] [--seed S] [--partitions 2,4]\n"
+    "       esim_diffcheck selftest\n";
+
+/// A malformed command line: main prints the message and the usage, and
+/// exits 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct Args {
   std::string mode;
   std::string replay_file;
@@ -97,22 +122,18 @@ struct Args {
   bool inject_tiebreak_bug = false;
 };
 
-[[noreturn]] void usage() {
-  std::cerr
-      << "usage: esim_diffcheck fuzz [--n N] [--seed S] [--partitions "
-         "1,2,4] [--out PREFIX] [--inject-tiebreak-bug]\n"
-         "       esim_diffcheck replay FILE [--partitions 1,2,4] "
-         "[--inject-tiebreak-bug]\n"
-         "       esim_diffcheck hybrid [--n N] [--seed S] "
-         "[--partitions 2,3]\n"
-         "       esim_diffcheck fidelity [--n N] [--seed S] "
-         "[--partitions 2,4]\n"
-         "       esim_diffcheck granularity [--n N] [--seed S] "
-         "[--partitions 2,4]\n"
-         "       esim_diffcheck memo [--n N] [--seed S] "
-         "[--partitions 2,4]\n"
-         "       esim_diffcheck selftest\n";
-  std::exit(2);
+/// `text` as an unsigned decimal in [min, max], else a UsageError naming
+/// `what`.
+std::uint64_t parse_number(const std::string& what, const std::string& text,
+                           std::uint64_t min, std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || v < min || v > max) {
+    throw UsageError(what + " wants an integer in [" + std::to_string(min) +
+                     ", " + std::to_string(max) + "], got '" + text + "'");
+  }
+  return v;
 }
 
 std::vector<std::uint32_t> parse_partitions(const std::string& s) {
@@ -120,37 +141,35 @@ std::vector<std::uint32_t> parse_partitions(const std::string& s) {
   std::istringstream is{s};
   std::string part;
   while (std::getline(is, part, ',')) {
-    const unsigned long v = std::stoul(part);
-    if (v == 0) {
-      std::cerr << "esim_diffcheck: partition counts must be >= 1\n";
-      std::exit(2);
-    }
-    out.push_back(static_cast<std::uint32_t>(v));
+    out.push_back(static_cast<std::uint32_t>(parse_number(
+        "--partitions", part, 1, std::numeric_limits<std::uint32_t>::max())));
   }
-  if (out.empty()) usage();
+  if (out.empty()) throw UsageError("--partitions wants a list like 1,2,4");
   return out;
 }
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  if (argc < 2) usage();
+  if (argc < 2) throw UsageError("missing subcommand");
   a.mode = argv[1];
   int i = 2;
   if (a.mode == "replay") {
-    if (argc < 3) usage();
+    if (argc < 3) throw UsageError("replay wants a scenario FILE");
     a.replay_file = argv[2];
     i = 3;
   }
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage();
+      if (i + 1 >= argc) throw UsageError(arg + " wants a value");
       return argv[++i];
     };
     if (arg == "--n") {
-      a.n = std::stoi(value());
+      a.n = static_cast<int>(
+          parse_number("--n", value(), 1, std::numeric_limits<int>::max()));
     } else if (arg == "--seed") {
-      a.seed = std::stoull(value());
+      a.seed = parse_number("--seed", value(), 0,
+                            std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--partitions") {
       a.partitions = parse_partitions(value());
       a.partitions_set = true;
@@ -159,7 +178,7 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--inject-tiebreak-bug") {
       a.inject_tiebreak_bug = true;
     } else {
-      usage();
+      throw UsageError("unknown argument '" + arg + "'");
     }
   }
   return a;
@@ -171,17 +190,15 @@ std::string fingerprint_field(const std::vector<Digest>& digests) {
          esim::check::fingerprint_hex(esim::check::corpus_fingerprint(digests));
 }
 
-/// Runs check_all and prints each report, appending its digests (base,
-/// then other) to `digests`; returns the first failing report, if any.
+/// Runs check_all, logging its digests to `digests`, and prints each
+/// report; returns the first failing report, if any.
 bool run_checks(const DiffRunner& runner, const Scenario& sc,
                 const Args& args, DiffReport* failing,
                 std::vector<Digest>& digests) {
-  const auto reports =
-      runner.check_all(sc, args.partitions, args.inject_tiebreak_bug);
+  const auto reports = runner.check_all(sc, args.partitions,
+                                        args.inject_tiebreak_bug, &digests);
   bool ok = true;
   for (const DiffReport& r : reports) {
-    digests.push_back(r.base_digest);
-    digests.push_back(r.other_digest);
     if (r.equivalent) {
       std::cout << "  " << r.base.label() << " vs " << r.other.label()
                 << ": EQUIVALENT\n";
@@ -208,18 +225,18 @@ int cmd_fuzz(const Args& args) {
 
     ++failures;
     std::cout << "shrinking repro...\n";
-    const Scenario shrunk =
-        fuzzer.shrink(sc, [&](const Scenario& cand) {
-          return !runner.diff(cand, failing.base, failing.other).equivalent;
-        });
+    const EngineSpec base = failing.base.engine;
+    const EngineSpec other = failing.other.engine;
+    const Scenario shrunk = fuzzer.shrink(sc, [&](const Scenario& cand) {
+      return !runner.diff(cand, base, other).equivalent;
+    });
     const std::string path =
         args.out_prefix + std::to_string(k) + ".scenario";
     esim::check::save_scenario(shrunk, path);
     std::cout << "shrunk to " << shrunk.summary() << "\nrepro written: "
               << path << "  (replay with: esim_diffcheck replay " << path
               << ")\n"
-              << runner.diff(shrunk, failing.base, failing.other).to_string()
-              << "\n";
+              << runner.diff(shrunk, base, other).to_string() << "\n";
   }
   std::cout << (args.n - failures) << "/" << args.n
             << " scenarios equivalent across engines"
@@ -228,13 +245,7 @@ int cmd_fuzz(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
-  Scenario sc;
-  try {
-    sc = esim::check::load_scenario(args.replay_file);
-  } catch (const std::exception& e) {
-    std::cerr << "esim_diffcheck: " << e.what() << "\n";
-    return 2;
-  }
+  const Scenario sc = esim::check::load_scenario(args.replay_file);
   std::cout << "replaying " << args.replay_file << ": " << sc.summary()
             << "\n";
   DiffRunner runner;
@@ -246,161 +257,156 @@ int cmd_replay(const Args& args) {
   return ok ? 0 : 1;
 }
 
-int cmd_hybrid(const Args& args) {
-  // Sequential-vs-PDES needs real partitioning; 1 would only re-run the
-  // sequential config against a single-partition engine.
-  const std::vector<std::uint32_t> partitions =
-      args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 3};
-  int failures = 0;
-  std::vector<Digest> digests;
-  for (int k = 0; k < args.n; ++k) {
-    const std::uint64_t scenario_seed = args.seed + static_cast<std::uint64_t>(k);
-    const esim::check::HybridScenario sc =
-        esim::check::random_hybrid_scenario(scenario_seed);
-    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
-              << ": " << sc.summary() << "\n";
-    const std::string diag =
-        esim::check::check_hybrid(sc, partitions, &digests);
-    if (diag.empty()) {
-      std::cout << "  batching on/off + sequential vs pdes: EQUIVALENT\n";
-    } else {
-      ++failures;
-      std::cout << diag << "\n  reproduce with: esim_diffcheck hybrid --n 1 "
-                << "--seed " << scenario_seed << "\n";
-    }
-  }
-  std::cout << (args.n - failures) << "/" << args.n
-            << " hybrid scenarios digest-identical with batching active"
-            << fingerprint_field(digests) << "\n";
-  return failures == 0 ? 0 : 1;
-}
+// --- the corpus table ---------------------------------------------------
 
-int cmd_fidelity(const Args& args) {
-  const std::vector<std::uint32_t> partitions =
-      args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 4};
-  int failures = 0;
+/// What a corpus accumulates for its closing line.
+struct Tally {
   std::uint64_t rows = 0;
   std::uint64_t shadow = 0;
-  std::vector<Digest> digests;
-  for (int k = 0; k < args.n; ++k) {
-    const std::uint64_t scenario_seed =
-        args.seed + static_cast<std::uint64_t>(k);
-    const esim::check::HybridScenario sc =
-        esim::check::random_hybrid_scenario(scenario_seed);
-    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
-              << ": " << sc.summary() << "\n";
-    const std::string diag =
-        esim::check::check_fidelity(sc, partitions, &rows, &shadow, &digests);
-    if (diag.empty()) {
-      std::cout << "  fidelity off vs on: DIGEST-IDENTICAL\n";
-    } else {
-      ++failures;
-      std::cout << diag << "\n  reproduce with: esim_diffcheck fidelity "
-                << "--n 1 --seed " << scenario_seed << "\n";
-    }
-  }
-  std::cout << (args.n - failures) << "/" << args.n
-            << " scenarios digest-identical with fidelity on (" << shadow
-            << " shadow samples, " << rows << " time-series rows)"
-            << fingerprint_field(digests) << "\n";
-  if (failures == 0 && shadow == 0) {
-    std::cerr << "esim_diffcheck: fidelity check produced ZERO shadow "
-                 "samples — the observatory never engaged\n";
-    return 1;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-int cmd_granularity(const Args& args) {
-  const std::vector<std::uint32_t> partitions =
-      args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 4};
-  int failures = 0;
   std::uint64_t transitions = 0;
-  std::vector<Digest> digests;
-  for (int k = 0; k < args.n; ++k) {
-    const std::uint64_t scenario_seed =
-        args.seed + static_cast<std::uint64_t>(k);
-    const esim::check::HybridScenario sc =
-        esim::check::random_granularity_scenario(scenario_seed);
-    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
-              << ": " << sc.summary() << "\n";
-    const std::string diag =
-        esim::check::check_granularity(sc, partitions, &transitions,
-                                       &digests);
-    if (diag.empty()) {
-      std::cout << "  adaptive tiers, batching on/off + sequential vs pdes: "
-                   "EQUIVALENT\n";
-    } else {
-      ++failures;
-      std::cout << diag << "\n  reproduce with: esim_diffcheck granularity "
-                << "--n 1 --seed " << scenario_seed << "\n";
-    }
-  }
-  std::cout << (args.n - failures) << "/" << args.n
-            << " scenarios digest-identical with the adaptive controller on ("
-            << transitions << " tier transitions)"
-            << fingerprint_field(digests) << "\n";
-  if (failures == 0 && transitions == 0) {
-    std::cerr << "esim_diffcheck: granularity check executed ZERO tier "
-                 "transitions — the controller never engaged\n";
-    return 1;
-  }
-  return failures == 0 ? 0 : 1;
+  esim::memo::MemoStats memo;
+};
+
+/// One scenario of a corpus: its summary, and its check (a group list
+/// over check::run_groups) returning "" or the failing comparisons.
+struct Case {
+  std::string summary;
+  std::function<std::string(const std::vector<std::uint32_t>& partitions,
+                            Tally& tally, std::vector<Digest>* log)>
+      check;
+};
+
+struct Corpus {
+  const char* name;
+  std::vector<std::uint32_t> partitions;  ///< default --partitions
+  Case (*make)(std::uint64_t scenario_seed);
+  const char* pass;  ///< per-scenario line on success
+  /// Closing-line text between "<passed>/<n> " and the fingerprint.
+  std::string (*closing)(const Tally& tally);
+  /// A passing corpus still fails when this count is zero: the checked
+  /// layer never engaged (nullptr: nothing to engage).
+  std::uint64_t (*engaged)(const Tally& tally);
+  const char* idle;  ///< the message for that failure
+};
+
+Case hybrid_case(std::uint64_t seed) {
+  const Scenario sc = esim::check::random_hybrid_scenario(seed);
+  return {sc.summary(), [sc](const auto& partitions, Tally&, auto* log) {
+            return esim::check::check_hybrid(sc, partitions, log);
+          }};
 }
 
-int cmd_memo(const Args& args) {
-  const std::vector<std::uint32_t> partitions =
-      args.partitions_set ? args.partitions : std::vector<std::uint32_t>{2, 4};
+Case fidelity_case(std::uint64_t seed) {
+  const Scenario sc = esim::check::random_hybrid_scenario(seed);
+  return {sc.summary(), [sc](const auto& partitions, Tally& t, auto* log) {
+            return esim::check::check_fidelity(sc, partitions, &t.rows,
+                                               &t.shadow, log);
+          }};
+}
+
+Case granularity_case(std::uint64_t seed) {
+  const Scenario sc = esim::check::random_granularity_scenario(seed);
+  return {sc.summary(), [sc](const auto& partitions, Tally& t, auto* log) {
+            return esim::check::check_granularity(sc, partitions,
+                                                  &t.transitions, log);
+          }};
+}
+
+Case memo_case(std::uint64_t seed) {
   // Small flows that drain well inside half a period, so phase boundaries
   // are usually quiescent and the memo layer actually engages.
   ScenarioFuzzer::Options fuzz_options;
   fuzz_options.min_flows = 3;
   fuzz_options.max_flows = 6;
   fuzz_options.max_flow_mss = 20;
+  ScenarioFuzzer fuzzer{seed, fuzz_options};
+  const std::uint32_t phases = 3 + static_cast<std::uint32_t>(seed % 3);
+  const std::int64_t period_ns =
+      900'000 + static_cast<std::int64_t>(seed % 5) * 150'000;
+  const esim::memo::PeriodicScenario ps =
+      esim::memo::make_periodic(fuzzer.next(), phases, period_ns);
+  return {ps.scenario.summary() + " (" + std::to_string(phases) +
+              " phases of " + std::to_string(period_ns) + "ns)",
+          [ps](const auto& partitions, Tally& t, auto* log) {
+            return esim::memo::check_memo(ps, partitions, {}, &t.memo, log);
+          }};
+}
+
+const Corpus kCorpora[] = {
+    {"hybrid", {2, 3}, hybrid_case,
+     "batching on/off + sequential vs pdes: EQUIVALENT",
+     [](const Tally&) {
+       return std::string{"hybrid scenarios digest-identical with batching "
+                          "active"};
+     },
+     nullptr, nullptr},
+    {"fidelity", {2, 4}, fidelity_case, "fidelity off vs on: DIGEST-IDENTICAL",
+     [](const Tally& t) {
+       return "scenarios digest-identical with fidelity on (" +
+              std::to_string(t.shadow) + " shadow samples, " +
+              std::to_string(t.rows) + " time-series rows)";
+     },
+     [](const Tally& t) { return t.shadow; },
+     "fidelity check produced ZERO shadow samples — the observatory never "
+     "engaged"},
+    {"granularity", {2, 4}, granularity_case,
+     "adaptive tiers, batching on/off + sequential vs pdes: EQUIVALENT",
+     [](const Tally& t) {
+       return "scenarios digest-identical with the adaptive controller on (" +
+              std::to_string(t.transitions) + " tier transitions)";
+     },
+     [](const Tally& t) { return t.transitions; },
+     "granularity check executed ZERO tier transitions — the controller "
+     "never engaged"},
+    {"memo", {2, 4}, memo_case,
+     "memo on/off + chunked vs reference: EQUIVALENT",
+     [](const Tally& t) {
+       const esim::memo::MemoStats& m = t.memo;
+       std::ostringstream os;
+       os << "periodic scenarios digest-identical with memoization on ("
+          << m.lookups << " lookups, " << m.hits << " hits, " << m.misses
+          << " misses, " << m.near_misses << " near misses [pattern "
+          << m.near_miss_pattern << ", route " << m.near_miss_route
+          << ", stale connection " << m.near_miss_stale_connection << "], "
+          << m.port_wrap_skips << " port-wrap skips, " << m.stores
+          << " stores, " << m.store_aborts << " store aborts, "
+          << m.fast_forwarded_ns << "ns fast-forwarded)";
+       return os.str();
+     },
+     [](const Tally& t) { return t.memo.hits; },
+     "memo check produced ZERO cache hits — memoization never engaged"},
+};
+
+int cmd_corpus(const Corpus& corpus, const Args& args) {
+  // Sequential-vs-PDES needs real partitioning; 1 would only re-run the
+  // sequential config against a single-partition engine.
+  const std::vector<std::uint32_t>& partitions =
+      args.partitions_set ? args.partitions : corpus.partitions;
   int failures = 0;
-  esim::memo::MemoStats totals;
+  Tally tally;
   std::vector<Digest> digests;
   for (int k = 0; k < args.n; ++k) {
-    const std::uint64_t scenario_seed =
-        args.seed + static_cast<std::uint64_t>(k);
-    ScenarioFuzzer fuzzer{scenario_seed, fuzz_options};
-    const Scenario base = fuzzer.next();
-    const std::uint32_t phases =
-        3 + static_cast<std::uint32_t>(scenario_seed % 3);
-    const std::int64_t period_ns =
-        900'000 + static_cast<std::int64_t>(scenario_seed % 5) * 150'000;
-    const esim::memo::PeriodicScenario ps =
-        esim::memo::make_periodic(base, phases, period_ns);
-    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << scenario_seed
-              << ": " << ps.scenario.summary() << " (" << phases
-              << " phases of " << period_ns << "ns)\n";
-    const std::string diag =
-        esim::memo::check_memo(ps, partitions, {}, &totals, &digests);
+    const std::uint64_t seed = args.seed + static_cast<std::uint64_t>(k);
+    const Case c = corpus.make(seed);
+    std::cout << "[" << (k + 1) << "/" << args.n << "] seed " << seed << ": "
+              << c.summary << "\n";
+    const std::string diag = c.check(partitions, tally, &digests);
     if (diag.empty()) {
-      std::cout << "  memo on/off + chunked vs reference: EQUIVALENT\n";
+      std::cout << "  " << corpus.pass << "\n";
     } else {
       ++failures;
-      std::cout << diag << "\n  reproduce with: esim_diffcheck memo --n 1 "
-                << "--seed " << scenario_seed << "\n";
+      std::cout << diag << "\n  reproduce with: esim_diffcheck "
+                << corpus.name << " --n 1 --seed " << seed << "\n";
     }
   }
-  std::cout << (args.n - failures) << "/" << args.n
-            << " periodic scenarios digest-identical with memoization on ("
-            << totals.lookups << " lookups, " << totals.hits << " hits, "
-            << totals.misses << " misses, " << totals.near_misses
-            << " near misses [pattern " << totals.near_miss_pattern
-            << ", route " << totals.near_miss_route << ", stale connection "
-            << totals.near_miss_stale_connection << "], "
-            << totals.port_wrap_skips << " port-wrap skips, "
-            << totals.stores << " stores, " << totals.store_aborts
-            << " store aborts, " << totals.fast_forwarded_ns
-            << "ns fast-forwarded)" << fingerprint_field(digests) << "\n";
-  if (failures == 0 && totals.hits == 0) {
-    std::cerr << "esim_diffcheck: memo check produced ZERO cache hits — "
-                 "memoization never engaged\n";
+  std::cout << (args.n - failures) << "/" << args.n << " "
+            << corpus.closing(tally) << fingerprint_field(digests) << "\n";
+  if (failures != 0) return 1;
+  if (corpus.engaged != nullptr && corpus.engaged(tally) == 0) {
+    std::cerr << "esim_diffcheck: " << corpus.idle << "\n";
     return 1;
   }
-  return failures == 0 ? 0 : 1;
+  return 0;
 }
 
 /// A scenario engineered to put two packets on one switch at the same
@@ -484,18 +490,20 @@ int cmd_selftest() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
   try {
+    const Args args = parse_args(argc, argv);
     if (args.mode == "fuzz") return cmd_fuzz(args);
     if (args.mode == "replay") return cmd_replay(args);
-    if (args.mode == "hybrid") return cmd_hybrid(args);
-    if (args.mode == "fidelity") return cmd_fidelity(args);
-    if (args.mode == "granularity") return cmd_granularity(args);
-    if (args.mode == "memo") return cmd_memo(args);
     if (args.mode == "selftest") return cmd_selftest();
+    for (const Corpus& corpus : kCorpora) {
+      if (args.mode == corpus.name) return cmd_corpus(corpus, args);
+    }
+    throw UsageError("unknown subcommand '" + args.mode + "'");
+  } catch (const UsageError& e) {
+    std::cerr << "esim_diffcheck: " << e.what() << "\n" << kUsage;
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "esim_diffcheck: " << e.what() << "\n";
     return 2;
   }
-  usage();
 }
