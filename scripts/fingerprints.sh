@@ -7,6 +7,10 @@
 # the check for a change that must not alter simulation behaviour: run it
 # on both builds and diff the output.
 #
+# Each corpus's wall time goes to stderr, so stdout stays diffable. The
+# PDES corpora run up to 16 partitions, more than most hosts have cores:
+# the times show what oversubscription costs the engine's barrier.
+#
 # Exits non-zero if any corpus reports a divergence or fails to run.
 #
 # Usage: scripts/fingerprints.sh [build-dir]   (default: build/)
@@ -28,14 +32,25 @@ corpora=(
   "memo --n 100 --seed 7 --partitions 2,4"
 )
 
+# Prints the wall seconds since $1 (an EPOCHREALTIME stamp) and label $2
+# on stderr.
+elapsed() {
+  awk -v a="$1" -v b="${EPOCHREALTIME}" -v label="$2" \
+    'BEGIN { printf "fingerprints.sh: %6.2f s  %s\n", b - a, label }' >&2
+}
+
 # A failing fuzz corpus writes its shrunk repro files into the cwd.
 cd "${build}" || exit 2
 status=0
+all_start=${EPOCHREALTIME}
 for args in "${corpora[@]}"; do
+  start=${EPOCHREALTIME}
   # shellcheck disable=SC2086  # args is a word list by design
   if ! out=$("${bin}" ${args}); then
     status=1
   fi
   printf '%s: %s\n' "${args}" "$(tail -n 1 <<<"${out}")"
+  elapsed "${start}" "${args}"
 done
+elapsed "${all_start}" "total"
 exit "${status}"

@@ -1,6 +1,7 @@
 #include "core/cluster_backend.h"
 
 #include <algorithm>
+#include <set>
 
 namespace esim::core {
 
@@ -36,17 +37,25 @@ FluidClusterBackend::FluidClusterBackend(const Config& config)
           config.spec, config.bandwidth_bps)} {}
 
 std::size_t FluidClusterBackend::tracked_flows() const {
-  std::size_t n = flows_.size();
+  std::set<Key> untracked;
   for (const auto& [key, fk] : pending_) {
-    if (flows_.find(key) == flows_.end()) ++n;
+    if (!flows_.contains(key)) untracked.insert(key);
   }
-  return n;
+  return flows_.size() + untracked.size();
 }
 
 void FluidClusterBackend::flush_pending() {
   // Canonical key order: tied admissions buffered in any pop order flush
   // identically, so fluid ids — and the model's float summation order —
-  // are engine-invariant.
+  // are engine-invariant. A key's duplicates carry the same 4-tuple, so
+  // keeping any one of them is exact.
+  std::sort(pending_.begin(), pending_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  pending_.erase(std::unique(pending_.begin(), pending_.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }),
+                 pending_.end());
   const sim::SimTime t = sim::SimTime::from_ns(cur_instant_ns_);
   for (const auto& [key, fk] : pending_) {
     auto it = flows_.find(key);
@@ -105,7 +114,7 @@ TierDecision FluidClusterBackend::admit(const AdmitContext& ctx) {
   if (const auto it = flows_.find(key); it != flows_.end()) {
     rate = model_->rate_of(it->second.fluid_id);
   }
-  pending_.emplace(key, ctx.pkt.flow);
+  pending_.emplace_back(key, ctx.pkt.flow);
   TierDecision d;
   const double bits = static_cast<double>(ctx.pkt.size_bytes()) * 8.0;
   d.latency_s = bits / (rate > 0.0 ? rate : config_.bandwidth_bps);

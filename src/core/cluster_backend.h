@@ -32,6 +32,7 @@
 #include <memory>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "approx/micro_model.h"
 #include "flowsim/flow_level.h"
@@ -194,9 +195,9 @@ class FluidClusterBackend final : public ClusterBackend {
     std::uint64_t fluid_id = 0;
     std::int64_t last_seen_ns = 0;  ///< last flushed touch
   };
-  // Exact 4-tuple key: (src<<32|dst, sport<<16|dport). std::map so
-  // flushes and expiry sweeps iterate in a deterministic, canonical
-  // order regardless of the admission order that buffered them.
+  // Exact 4-tuple key: (src<<32|dst, sport<<16|dport). Flushes and
+  // expiry sweeps iterate in ascending key order — a canonical order,
+  // whatever the admission order that buffered them.
   using Key = std::pair<std::uint64_t, std::uint32_t>;
   static Key key_of(const net::FlowKey& f) {
     return {static_cast<std::uint64_t>(f.src_host) << 32 | f.dst_host,
@@ -214,7 +215,9 @@ class FluidClusterBackend final : public ClusterBackend {
   Config config_;
   std::unique_ptr<flowsim::FlowLevelSimulator> model_;
   std::map<Key, Tracked> flows_;
-  std::map<Key, net::FlowKey> pending_;  // touches in the current instant
+  /// Touches in the current instant, in admission order, duplicates
+  /// included; flush_pending() sorts and de-duplicates them by key.
+  std::vector<std::pair<Key, net::FlowKey>> pending_;
   std::int64_t cur_instant_ns_ = 0;
   std::int64_t synced_boundary_ns_ = 0;
   std::uint64_t next_id_ = 1;  // never reused, even across reactivations

@@ -1,6 +1,7 @@
 #include "flowsim/flow_level.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -30,6 +31,9 @@ FlowLevelSimulator::FlowLevelSimulator(const net::ClosSpec& spec,
   const std::size_t agg_core = static_cast<std::size_t>(spec_.clusters) *
                                spec_.aggs_per_cluster * spec_.cores;
   link_count_ = 2 * hosts + 2 * tor_agg + 2 * agg_core;
+  capacity_.resize(link_count_);
+  load_.resize(link_count_);
+  loaded_.resize((link_count_ + 63) / 64);
 }
 
 std::uint32_t FlowLevelSimulator::uplink_id(net::HostId h) const {
@@ -120,49 +124,64 @@ void FlowLevelSimulator::add_flow(std::uint64_t id, net::HostId src,
   arrivals_.push(&flows_.back());
 }
 
-void FlowLevelSimulator::recompute_rates(std::vector<PendingFlow*>& active,
-                                         std::vector<double>& rates) const {
+void FlowLevelSimulator::recompute_rates() {
   // Progressive filling: repeatedly find the link with the smallest fair
   // share among unfrozen flows, freeze those flows at that share.
-  const std::size_t n = active.size();
-  rates.assign(n, -1.0);
-  std::vector<double> capacity(link_count_, bandwidth_bps_);
-  std::vector<std::uint32_t> load(link_count_, 0);
-  for (const auto* f : active) {
-    for (auto l : f->links) ++load[l];
+  //
+  // Only links that carry an active flow can bottleneck, so the search
+  // walks the `loaded_` bitmap (ascending link id, a link's bit cleared
+  // when its last unfrozen flow freezes) instead of every link in the
+  // topology. Ascending id keeps the first-minimum tie-break, and flows
+  // freeze in active-set order, so every share and every capacity
+  // subtraction is the same floating-point operation, in the same order,
+  // as a scan over all links.
+  const std::size_t n = active_.size();
+  rates_.assign(n, -1.0);
+  std::fill(loaded_.begin(), loaded_.end(), 0);
+  for (const auto* f : active_) {
+    for (auto l : f->links) {
+      capacity_[l] = bandwidth_bps_;
+      load_[l] = 0;
+    }
+  }
+  for (const auto* f : active_) {
+    for (auto l : f->links) {
+      ++load_[l];
+      loaded_[l / 64] |= std::uint64_t{1} << (l % 64);
+    }
   }
   std::size_t frozen = 0;
   while (frozen < n) {
     double best_share = std::numeric_limits<double>::infinity();
     std::uint32_t best_link = 0;
     bool found = false;
-    for (std::uint32_t l = 0; l < link_count_; ++l) {
-      if (load[l] == 0) continue;
-      const double share = capacity[l] / load[l];
-      if (share < best_share) {
-        best_share = share;
-        best_link = l;
-        found = true;
+    for (std::size_t w = 0; w < loaded_.size(); ++w) {
+      for (std::uint64_t bits = loaded_[w]; bits != 0; bits &= bits - 1) {
+        const auto l =
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+        const double share = capacity_[l] / load_[l];
+        if (share < best_share) {
+          best_share = share;
+          best_link = l;
+          found = true;
+        }
       }
     }
     if (!found) break;  // defensive: every flow uses >= 1 link
     for (std::size_t i = 0; i < n; ++i) {
-      if (rates[i] >= 0) continue;
-      auto& f = *active[i];
+      if (rates_[i] >= 0) continue;
+      auto& f = *active_[i];
       if (std::find(f.links.begin(), f.links.end(), best_link) ==
           f.links.end()) {
         continue;
       }
-      rates[i] = best_share;
+      rates_[i] = best_share;
       ++frozen;
       for (auto l : f.links) {
-        capacity[l] -= best_share;
-        --load[l];
+        capacity_[l] -= best_share;
+        if (--load_[l] == 0) loaded_[l / 64] &= ~(std::uint64_t{1} << (l % 64));
       }
     }
-    // Numerical hygiene: the bottleneck link ends exactly exhausted.
-    capacity[best_link] = std::max(capacity[best_link], 0.0);
-    load[best_link] = 0;
   }
 }
 
@@ -173,7 +192,7 @@ void FlowLevelSimulator::refresh_rates() {
     rates_.clear();
     return;
   }
-  recompute_rates(active_, rates_);
+  recompute_rates();
   ++recomputations_;
 }
 
@@ -246,32 +265,33 @@ void FlowLevelSimulator::step_until(double target_s, bool stop_at_target) {
 
     const double dt = std::min({dt_complete, dt_arrival, dt_target});
     if (dt <= 0.0) return;  // at the target with nothing due right now
-    // Drain bytes over dt.
+    // Drain bytes over dt, compacting survivors in place (order kept).
     now_s_ += dt;
-    std::vector<PendingFlow*> still_active;
-    std::vector<double> still_rates;
-    bool completed = false;
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < active_.size(); ++i) {
+      PendingFlow* f = active_[i];
       const double r = rates_[i] / 8.0;
-      active_[i]->remaining -= r * dt;
-      if (active_[i]->remaining <= kDrainedBytes) {
+      f->remaining -= r * dt;
+      if (f->remaining <= kDrainedBytes) {
         FlowResult res;
-        res.id = active_[i]->id;
-        res.src = active_[i]->src;
-        res.dst = active_[i]->dst;
-        res.bytes = active_[i]->bytes_total;
-        res.arrival = active_[i]->arrival;
+        res.id = f->id;
+        res.src = f->src;
+        res.dst = f->dst;
+        res.bytes = f->bytes_total;
+        res.arrival = f->arrival;
         res.completion = sim::SimTime::from_seconds_f(now_s_);
         results_.push_back(res);
-        completed = true;
       } else {
-        still_active.push_back(active_[i]);
-        still_rates.push_back(rates_[i]);
+        active_[kept] = f;
+        rates_[kept] = rates_[i];
+        ++kept;
       }
     }
-    active_.swap(still_active);
-    rates_.swap(still_rates);
-    if (completed) rates_dirty_ = true;
+    if (kept < active_.size()) {
+      active_.resize(kept);
+      rates_.resize(kept);
+      rates_dirty_ = true;
+    }
   }
 }
 

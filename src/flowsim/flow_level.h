@@ -118,8 +118,8 @@ class FlowLevelSimulator {
   };
 
   std::vector<std::uint32_t> route(net::HostId src, net::HostId dst) const;
-  void recompute_rates(std::vector<PendingFlow*>& active,
-                       std::vector<double>& rates) const;
+  /// Max-min rates of active_ into rates_ (progressive filling).
+  void recompute_rates();
   void refresh_rates();
   /// Advances to `target_s`; when `stop_at_target` is false the target
   /// acts only as an upper bound and now() is left at the last event
@@ -147,6 +147,13 @@ class FlowLevelSimulator {
   std::vector<PendingFlow*> active_;
   std::vector<double> rates_;  // aligned with active_
   bool rates_dirty_ = false;
+  // Progressive-filling scratch, sized once per topology: per-link
+  // residual capacity and unfrozen-flow count (valid only on links of the
+  // current active set), and a bitmap of the links still carrying an
+  // unfrozen flow.
+  std::vector<double> capacity_;
+  std::vector<std::uint32_t> load_;
+  std::vector<std::uint64_t> loaded_;
   double now_s_ = 0.0;
   std::vector<FlowResult> results_;
   std::uint64_t recomputations_ = 0;

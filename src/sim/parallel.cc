@@ -1,7 +1,6 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <exception>
 #include <limits>
@@ -24,6 +23,72 @@ std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
              : a + b;
 }
 
+/// A spin-wait hint: lets the sibling hyperthread run while we poll.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// The barrier every partition crosses twice per sync round.
+///
+/// Sense-reversing: the last party to arrive runs the round's serial step,
+/// re-arms the arrival count and bumps `generation_`, which releases the
+/// others. A PDES round is short (the adaptive Clos runs ~59k windows of
+/// ~1 us, a few us of work each), so how a waiter notices the bump is the
+/// barrier's whole cost. A futex sleep costs tens of us per wake-up, so
+/// waiters poll in three stages: a few pause-spins for the common case of
+/// a near-simultaneous arrival, then `yield()` for a bounded number of
+/// polls — which hands the core to a runnable partition when there are
+/// more partitions than cores — and only then `atomic::wait`, so a long
+/// imbalance (one partition's heavy window) sleeps instead of burning a
+/// core. The budgets are constants: yielding keeps oversubscribed runs
+/// cheap without knowing the CPU count.
+class RoundBarrier {
+ public:
+  explicit RoundBarrier(std::uint32_t parties)
+      : parties_{parties}, waiting_{parties} {}
+
+  /// Blocks until all parties have arrived. The last to arrive runs
+  /// `step()` before releasing the others, so every party sees what
+  /// `step` wrote, and what every party wrote before arriving.
+  template <typename Step>
+  void arrive_and_wait(Step&& step) {
+    // Read before arriving: the bump cannot happen until we have arrived.
+    const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
+    if (waiting_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      step();
+      waiting_.store(parties_, std::memory_order_relaxed);
+      generation_.store(gen + 1, std::memory_order_release);
+      generation_.notify_all();
+      return;
+    }
+    for (int i = 0; i < kSpinPolls; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      cpu_relax();
+    }
+    for (int i = 0; i < kYieldPolls; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      std::this_thread::yield();
+    }
+    while (generation_.load(std::memory_order_acquire) == gen) {
+      generation_.wait(gen, std::memory_order_acquire);
+    }
+  }
+
+ private:
+  static constexpr int kSpinPolls = 16;
+  static constexpr int kYieldPolls = 2000;
+
+  const std::uint32_t parties_;
+  // Arrivals and the release flag on separate cache lines: waiters poll
+  // generation_ while late arrivals decrement waiting_.
+  alignas(64) std::atomic<std::uint32_t> waiting_;
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+};
+
 }  // namespace
 
 Partition::Partition(std::uint32_t index, std::uint64_t seed,
@@ -33,6 +98,8 @@ Partition::Partition(std::uint32_t index, std::uint64_t seed,
       ring_capacity_{ring_capacity},
       rings_(num_sources),
       drain_runs_(num_sources) {
+  drain_sources_.reserve(num_sources);
+  drain_pos_.reserve(num_sources);
   for (auto& r : rings_) r.store(nullptr, std::memory_order_relaxed);
 }
 
@@ -91,8 +158,8 @@ std::size_t Partition::drain_inbox() {
   // delays), so sort each small run by (deliver_at, seq). The runs are
   // mostly sorted already, which keeps this cheap.
   std::size_t total = 0;
-  std::vector<std::uint32_t> sources;
-  sources.reserve(S);
+  std::vector<std::uint32_t>& sources = drain_sources_;
+  sources.clear();
   for (std::uint32_t s = 0; s < S; ++s) {
     auto& run = drain_runs_[s];
     if (run.empty()) continue;
@@ -117,7 +184,8 @@ std::size_t Partition::drain_inbox() {
   // Merge the ordered per-source streams into the FES by
   // (deliver_at, source, seq) — the same total order the old full-inbox
   // sort produced, so cross-engine determinism is unchanged.
-  std::vector<std::size_t> pos(sources.size(), 0);
+  std::vector<std::size_t>& pos = drain_pos_;
+  pos.assign(sources.size(), 0);
   for (std::size_t n = 0; n < total; ++n) {
     std::size_t best = sources.size();
     for (std::size_t i = 0; i < sources.size(); ++i) {
@@ -315,7 +383,6 @@ void ParallelEngine::run_until(SimTime end) {
   const bool per_pair = config_.window_mode == WindowMode::per_pair;
   if (per_pair && pair_reach_dirty_) recompute_pair_reach();
 
-  std::atomic<std::int64_t> min_next{kNeverNs};
   // Published by each partition before the window barrier, read by every
   // partition after it (the barrier orders the accesses).
   std::vector<std::int64_t> next_ns(P, kNeverNs);
@@ -323,10 +390,10 @@ void ParallelEngine::run_until(SimTime end) {
   bool done = false;
 
   auto on_window_computed = [&]() noexcept {
-    // Runs on exactly one thread while the others wait in the barrier:
-    // decides run termination (and, in global mode, the shared window) and
-    // models the MPI synchronization cost.
-    const std::int64_t next = min_next.load(std::memory_order_relaxed);
+    // Runs on the last partition to arrive while the others wait: decides
+    // run termination (and, in global mode, the shared window) and models
+    // the MPI synchronization cost.
+    const std::int64_t next = *std::min_element(next_ns.begin(), next_ns.end());
     if (next == kNeverNs || SimTime::from_ns(next) >= end) {
       done = true;
     } else if (!per_pair) {
@@ -347,12 +414,12 @@ void ParallelEngine::run_until(SimTime end) {
                     config_.per_message_overhead_us *
                         static_cast<double>(msgs));
     }
-    min_next.store(kNeverNs, std::memory_order_relaxed);
   };
 
-  std::barrier window_barrier(static_cast<std::ptrdiff_t>(P),
-                              on_window_computed);
-  std::barrier round_barrier(static_cast<std::ptrdiff_t>(P));
+  // One barrier, crossed twice per round: before the window (with the
+  // window step) and after it, so no partition drains its inbox while
+  // another still posts into it.
+  RoundBarrier barrier{P};
 
   std::vector<std::exception_ptr> errors(P);
 
@@ -364,6 +431,17 @@ void ParallelEngine::run_until(SimTime end) {
     if (auto* trace = telemetry::TraceSession::active()) {
       trace->set_thread_name("partition " + std::to_string(idx));
     }
+    std::uint64_t waited_total = 0;
+    auto sync = [&](auto&& step) {
+      const auto wait_start = std::chrono::steady_clock::now();
+      barrier.arrive_and_wait(step);
+      const auto waited = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - wait_start)
+              .count());
+      waited_total += waited;
+      if (wait_counters != nullptr) wait_counters[idx]->inc(waited);
+    };
     bool failed = false;
     for (;;) {
       std::int64_t local_next = kNeverNs;
@@ -378,25 +456,10 @@ void ParallelEngine::run_until(SimTime end) {
           failed = true;
         }
       }
+      // A failed partition reports "never" so the run winds down without
+      // deadlocking the barrier.
       next_ns[idx] = local_next;
-      // Fold into the global minimum (drives termination and the global-
-      // mode window). A failed partition reports "never" so the run winds
-      // down without deadlocking the barriers.
-      std::int64_t cur = min_next.load(std::memory_order_relaxed);
-      while (local_next < cur &&
-             !min_next.compare_exchange_weak(cur, local_next,
-                                             std::memory_order_relaxed)) {
-      }
-      {
-        const auto wait_start = std::chrono::steady_clock::now();
-        window_barrier.arrive_and_wait();
-        const auto waited = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - wait_start)
-                .count());
-        sync_wait_ns_total_.fetch_add(waited, std::memory_order_relaxed);
-        if (wait_counters != nullptr) wait_counters[idx]->inc(waited);
-      }
+      sync(on_window_computed);
       if (done) break;
       if (!failed) {
         try {
@@ -430,8 +493,9 @@ void ParallelEngine::run_until(SimTime end) {
           failed = true;
         }
       }
-      round_barrier.arrive_and_wait();
+      sync([] {});
     }
+    sync_wait_ns_total_.fetch_add(waited_total, std::memory_order_relaxed);
     if (!failed) {
       // Advance the clock to the requested end for a consistent epilogue.
       part.sim().run_until(end);

@@ -141,8 +141,11 @@ class Partition {
   std::vector<CrossMessage> overflow_;
   std::atomic<std::uint64_t> overflow_posts_{0};
 
-  // Drain scratch, reused across rounds (no steady-state allocation).
+  // Drain scratch, reused across rounds (no steady-state allocation):
+  // each source's backlog, the sources with one, and the merge cursors.
   std::vector<std::vector<CrossMessage>> drain_runs_;
+  std::vector<std::uint32_t> drain_sources_;
+  std::vector<std::size_t> drain_pos_;
   std::int64_t ring_high_water_ = 0;
 
   telemetry::Gauge* ring_high_water_gauge_ = nullptr;
@@ -197,8 +200,10 @@ class ParallelEngine {
     std::uint64_t cross_messages = 0;
     std::uint64_t events_executed = 0;
     double modeled_overhead_seconds = 0.0;  // wall time spent in the model
-    /// Wall-clock seconds summed over all partitions spent waiting at the
-    /// window barrier (always accounted; the scaling bench reports
+    /// Wall-clock seconds summed over all partitions spent at the two
+    /// barriers of every round — the window barrier before a window
+    /// (including the window step the last arrival runs) and the round
+    /// barrier after it (always accounted; the scaling bench reports
     /// sync_wait_seconds / (num_partitions * wall) as the sync fraction).
     double sync_wait_seconds = 0.0;
   };
@@ -265,9 +270,10 @@ class ParallelEngine {
   /// counters (`pdes.pair.p<from>_p<to>.messages`, created lazily on first
   /// traffic), and per-partition engine metrics under `pdes.p<i>.*` (event
   /// accounting, ring high-water, messages drained, overflow spills, wall
-  /// nanoseconds spent waiting at the window barrier). While a telemetry
-  /// TraceSession is active it also emits one `pdes.window` span per
-  /// partition per sync round plus a `pdes.sync_round` instant per round.
+  /// nanoseconds spent at both barriers of each round). While a
+  /// telemetry TraceSession is active it also emits one `pdes.window` span
+  /// per partition per sync round plus a `pdes.sync_round` instant per
+  /// round.
   /// Call before building components in the partitions.
   void set_telemetry(telemetry::Registry* registry);
 

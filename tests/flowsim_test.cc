@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "flowsim/flow_level.h"
@@ -283,6 +284,70 @@ TEST(FlowLevel, OnlineDeterministicAcrossRuns) {
     EXPECT_EQ(r1[i].id, r2[i].id);
     EXPECT_EQ(r1[i].completion.ns(), r2[i].completion.ns());
   }
+}
+
+// These hashes were recorded from the solver before it kept scratch
+// buffers and scanned only loaded links (a full scan of every link per
+// filling iteration, fresh vectors on every step). The online rates and
+// completions it produces must stay bit-identical: the fluid tier's
+// latencies, and so every adaptive run, are built from them.
+TEST(FlowLevel, OnlineRatesMatchParentGolden) {
+  net::ClosSpec spec;  // the repository benchmark's 8-cluster Clos
+  spec.clusters = 8;
+  spec.tors_per_cluster = 2;
+  spec.aggs_per_cluster = 2;
+  spec.hosts_per_tor = 4;
+  spec.cores = 2;
+  const auto fold = [](std::uint64_t h, std::uint64_t v) {
+    h = (h ^ v) * 0x100000001b3ULL;
+    return h ^ (h >> 32);
+  };
+  FlowLevelSimulator sim{spec, 10e9};
+  sim::Rng rng{2024};
+  const auto hosts = static_cast<std::uint64_t>(spec.total_hosts());
+  std::vector<std::uint64_t> live;  // added and not withdrawn
+  std::uint64_t next_id = 1;
+  std::size_t peak_active = 0;
+  std::uint64_t rate_hash = 0;
+  std::int64_t t_ns = 0;
+  for (int step = 0; step < 600; ++step) {
+    for (std::uint64_t a = rng.uniform_int(3); a > 0; --a) {
+      // Three flows in ten converge on host 5: a shared bottleneck.
+      const auto src = static_cast<net::HostId>(rng.uniform_int(hosts));
+      auto dst = static_cast<net::HostId>(
+          rng.uniform() < 0.3 ? 5 : rng.uniform_int(hosts));
+      if (dst == src) dst = static_cast<net::HostId>((src + 1) % hosts);
+      const std::uint64_t bytes = 20'000 + rng.uniform_int(400'000);
+      const SimTime arrival = SimTime::from_ns(
+          t_ns + static_cast<std::int64_t>(rng.uniform_int(3000)));
+      sim.add_flow(next_id, src, dst, bytes, arrival);
+      live.push_back(next_id++);
+    }
+    if (step % 7 == 3 && !live.empty()) {
+      const auto victim = live.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.uniform_int(live.size()));
+      sim.remove_flow(*victim);
+      live.erase(victim);
+    }
+    t_ns += 1000 + static_cast<std::int64_t>(rng.uniform_int(4000));
+    sim.advance_to(SimTime::from_ns(t_ns));
+    peak_active = std::max(peak_active, sim.active_flows());
+    for (std::uint64_t id : live) {
+      rate_hash =
+          fold(rate_hash, std::bit_cast<std::uint64_t>(sim.rate_of(id)));
+    }
+  }
+  std::uint64_t completion_hash = 0;
+  for (const auto& r : sim.results()) {
+    completion_hash = fold(fold(completion_hash, r.id),
+                           static_cast<std::uint64_t>(r.completion.ns()));
+  }
+  EXPECT_GE(peak_active, 20u);
+  EXPECT_GT(sim.results().size(), 100u);
+  EXPECT_EQ(rate_hash, 0xa947470e6e674ac3ULL) << std::hex << rate_hash;
+  EXPECT_EQ(completion_hash, 0x357de1e0800bb67cULL)
+      << std::hex << completion_hash;
+  EXPECT_EQ(sim.rate_recomputations(), 821u);
 }
 
 TEST(FlowLevel, AdvanceToIsMonotone) {

@@ -4,6 +4,7 @@
 // end-to-end engine-invariance of adaptive runs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -164,6 +165,44 @@ TEST(FluidCluster, NeverDropsAndReactivationResets) {
   const auto pkt = make_packet(0, 1);
   const TierDecision d = admit_at(b, pkt, 501'000);
   EXPECT_DOUBLE_EQ(d.latency_s, line_rate_latency(pkt, 10e9));
+}
+
+// Recorded from the backend before its pending touches became a flat,
+// sorted buffer and before the rate solver kept scratch buffers: a few
+// thousand admissions on the benchmark's 8-cluster Clos — same-instant
+// ties, idle gaps that cross several window sweeps, and a small byte
+// budget so flows re-arm — must decide every latency bit-identically.
+TEST(FluidCluster, AdmissionStreamMatchesParentGolden) {
+  FluidClusterBackend::Config cfg = fluid_config();
+  cfg.spec.clusters = 8;
+  cfg.flow_bytes = 256u << 10;
+  FluidClusterBackend b{cfg};
+  b.on_activated(SimTime{});
+  const auto fold = [](std::uint64_t h, std::uint64_t v) {
+    h = (h ^ v) * 0x100000001b3ULL;
+    return h ^ (h >> 32);
+  };
+  sim::Rng rng{99};
+  std::uint64_t h = 0;
+  std::int64_t t = 1'000;
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t r = rng.uniform_int(100);
+    if (r >= 27) {
+      t += 1 + static_cast<std::int64_t>(rng.uniform_int(2000));
+    } else if (r >= 25) {
+      t += 250'000 + static_cast<std::int64_t>(rng.uniform_int(200'000));
+    }  // else: tied with the previous admission
+    // 40 flows into four destinations, so flows share bottlenecks.
+    const auto f = static_cast<std::uint32_t>(rng.uniform_int(40));
+    const net::HostId dst = (f % 4) * 17 + 3;
+    const net::HostId src = (f * 7 + 1) % 64 == dst ? 0 : (f * 7 + 1) % 64;
+    auto pkt = make_packet(src, dst, static_cast<std::uint16_t>(1000 + f));
+    pkt.payload = 64 + static_cast<std::uint32_t>(rng.uniform_int(1400));
+    if (i % 500 == 499) b.on_macro_window(SimTime::from_ns(t));
+    h = fold(h, std::bit_cast<std::uint64_t>(admit_at(b, pkt, t).latency_s));
+  }
+  h = fold(h, b.tracked_flows());
+  EXPECT_EQ(h, 0xada6165628f74938ULL) << std::hex << h;
 }
 
 // --- GranularityController -----------------------------------------------

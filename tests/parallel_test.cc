@@ -6,6 +6,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/component.h"
@@ -370,6 +371,100 @@ TEST(ParallelEngine, RepeatedRunUntilExtends) {
   EXPECT_EQ(count.load(), 1);
   eng.run_until(SimTime::from_ms(5));
   EXPECT_EQ(count.load(), 2);
+}
+
+// --- Barrier stress ---------------------------------------------------
+//
+// Every partition crosses the round barrier twice per window. These runs
+// push tens of thousands of windows through it with fewer partitions than
+// CPUs, as many, and more (oversubscribed waiters must yield the core to
+// the partition they wait for), and check the engine's exact accounting.
+
+std::uint32_t cpu_count() {
+  return std::max(2u, std::thread::hardware_concurrency());
+}
+
+constexpr std::int64_t kRingHops = 20'000;
+
+// P tokens travel the ring 0 -> 1 -> ... -> P-1 -> 0, one hop per
+// lookahead: every partition handles exactly one token per microsecond,
+// so every window advances 1 us and the run takes exactly kRingHops
+// windows. Partition `throw_at` (if any) throws on its hop `throw_hop`.
+struct TokenRing {
+  explicit TokenRing(std::uint32_t parts)
+      : eng{basic_config(parts)}, handled(parts, 0), off_schedule(parts, 0) {
+    for (std::uint32_t p = 0; p < parts; ++p) {
+      eng.partition(p).sim().schedule_at(SimTime::from_us(1),
+                                         [this, p] { hop(p, 1); });
+    }
+  }
+
+  void hop(std::uint32_t at, std::int64_t n) {
+    // Each slot is written only by its own partition's worker thread.
+    auto& sim = eng.partition(at).sim();
+    ++handled[at];
+    if (sim.now().ns() != n * 1000) ++off_schedule[at];
+    if (at == throw_at && n == throw_hop) {
+      throw std::runtime_error("partition failed mid-run");
+    }
+    if (n == kRingHops) return;
+    const std::uint32_t next = (at + 1) % eng.num_partitions();
+    eng.send_cross(at, next, sim.now() + SimTime::from_us(1),
+                   [this, next, n] { hop(next, n + 1); });
+  }
+
+  ParallelEngine eng;
+  std::vector<std::int64_t> handled;
+  std::vector<std::int64_t> off_schedule;
+  std::uint32_t throw_at = ~0u;
+  std::int64_t throw_hop = 0;
+};
+
+void expect_exact_token_ring(std::uint32_t parts) {
+  SCOPED_TRACE("partitions=" + std::to_string(parts));
+  TokenRing ring{parts};
+  ring.eng.run_until(SimTime::from_ms(100));
+  const auto& st = ring.eng.stats();
+  const auto hops = static_cast<std::uint64_t>(kRingHops);
+  EXPECT_EQ(st.sync_rounds, hops);
+  EXPECT_EQ(st.cross_messages, parts * (hops - 1));
+  EXPECT_EQ(st.events_executed, parts * hops);
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    EXPECT_EQ(ring.handled[p], kRingHops) << "partition " << p;
+    EXPECT_EQ(ring.off_schedule[p], 0) << "partition " << p;
+  }
+  EXPECT_GT(st.sync_wait_seconds, 0.0);
+}
+
+TEST(ParallelEngine, BarrierStressTwoPartitions) {
+  expect_exact_token_ring(2);
+}
+
+TEST(ParallelEngine, BarrierStressOnePartitionPerCpu) {
+  expect_exact_token_ring(cpu_count());
+}
+
+TEST(ParallelEngine, BarrierStressOversubscribed) {
+  expect_exact_token_ring(cpu_count() + 4);
+}
+
+TEST(ParallelEngine, BarrierStressThrowMidRunRethrows) {
+  // A partition that throws keeps crossing the barrier (reporting no next
+  // event) until the others wind down, so the run ends and rethrows
+  // instead of hanging; nothing before the throw runs off schedule.
+  for (const std::uint32_t parts : {2u, cpu_count(), cpu_count() + 4}) {
+    SCOPED_TRACE("partitions=" + std::to_string(parts));
+    TokenRing ring{parts};
+    ring.throw_at = parts - 1;
+    ring.throw_hop = 5'000;
+    EXPECT_THROW(ring.eng.run_until(SimTime::from_ms(100)), std::runtime_error);
+    EXPECT_EQ(ring.handled[parts - 1], 5'000);
+    EXPECT_LT(ring.eng.stats().sync_rounds,
+              static_cast<std::uint64_t>(kRingHops));
+    for (std::uint32_t p = 0; p < parts; ++p) {
+      EXPECT_EQ(ring.off_schedule[p], 0) << "partition " << p;
+    }
+  }
 }
 
 }  // namespace
