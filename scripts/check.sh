@@ -145,6 +145,12 @@ echo "=== preset: tsan — test (threaded suites) ==="
 ctest --preset tsan "${jobs}" -R \
   'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainFromTrace'
 
+# The memo corpus under PDES: a live phase's injections are scheduled
+# from the driving thread into partitions parked between engine windows,
+# and their flows complete on partition threads.
+echo "=== tsan — esim_diffcheck memo smoke ==="
+(cd build-tsan && ./tools/esim_diffcheck memo --n 10 --seed 7 --partitions 2,4)
+
 if [[ "${ESIM_CHECK_COVERAGE:-0}" == "1" ]]; then
   echo "=== preset: coverage — configure ==="
   cmake --preset coverage

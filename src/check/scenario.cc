@@ -1,12 +1,15 @@
 #include "check/scenario.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace esim::check {
 namespace {
@@ -29,6 +32,26 @@ std::uint64_t parse_uint(const std::string& value, const std::string& key,
                                 std::to_string(max) + ")");
   }
   return v;
+}
+
+/// The smallest index whose key equals an earlier flow's key, or SIZE_MAX
+/// when all keys differ. Sorted (key, index) pairs lead each run of equal
+/// keys with its earliest flow; every later member of the run repeats it.
+template <typename KeyOf>
+std::size_t first_repeat(const std::vector<FlowSpec>& flows, KeyOf key_of) {
+  using Key = std::invoke_result_t<KeyOf, const FlowSpec&>;
+  std::vector<std::pair<Key, std::size_t>> keyed(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    keyed[i] = {key_of(flows[i]), i};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::size_t first = std::numeric_limits<std::size_t>::max();
+  for (std::size_t i = 1; i < keyed.size(); ++i) {
+    if (keyed[i].first == keyed[i - 1].first) {
+      first = std::min(first, keyed[i].second);
+    }
+  }
+  return first;
 }
 
 }  // namespace
@@ -263,9 +286,15 @@ void Scenario::validate() const {
            "at most min_latency_us");
     }
   }
-  std::set<std::pair<net::HostId, std::int64_t>> starts;
-  std::set<std::uint64_t> ids;
-  for (const FlowSpec& f : flows) {
+  // Repeats are found by sorting, not by inserting every flow into a set;
+  // the scan below still throws at the first failing flow in list order,
+  // with that flow's first failing check.
+  const std::size_t first_repeated_id =
+      first_repeat(flows, [](const FlowSpec& f) { return f.flow_id; });
+  const std::size_t first_repeated_start = first_repeat(
+      flows, [](const FlowSpec& f) { return std::pair{f.src, f.start_ns}; });
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const FlowSpec& f = flows[i];
     if (f.src >= total_hosts() || f.dst >= total_hosts()) {
       fail("flow endpoint out of range");
     }
@@ -274,10 +303,10 @@ void Scenario::validate() const {
     if (f.start_ns < 0 || f.start_ns >= duration_ns) {
       fail("flow start outside [0, duration)");
     }
-    if (f.flow_id == 0 || !ids.insert(f.flow_id).second) {
+    if (f.flow_id == 0 || i == first_repeated_id) {
       fail("flow ids must be unique and > 0");
     }
-    if (!starts.insert({f.src, f.start_ns}).second) {
+    if (i == first_repeated_start) {
       fail("per-host flow start times must be unique (two same-instant "
            "open_flow calls on one host would leave port assignment "
            "order-dependent)");

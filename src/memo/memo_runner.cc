@@ -1,7 +1,7 @@
 #include "memo/memo_runner.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <stdexcept>
 #include <utility>
@@ -12,18 +12,9 @@ namespace esim::memo {
 namespace {
 
 using check::Hash64;
-using check::mix64;
 
 constexpr std::uint64_t kSigTag = 0x4D454D4F50484153ULL;  // "MEMOPHAS"
 constexpr std::uint64_t kLow40 = (std::uint64_t{1} << 40) - 1;
-
-/// One scheduled phase injection with the bookkeeping replay needs.
-struct InjectionRec {
-  workload::PhasePattern::Injection inj;
-  std::uint32_t part = 0;
-  sim::EventHandle handle;
-  std::uint64_t seq = 0;  ///< FES insertion seq of the injection event
-};
 
 /// Why hit verification refused a signature match (each refusal is a
 /// near-miss, counted per reason in MemoStats).
@@ -58,28 +49,20 @@ struct Session {
   std::vector<std::uint32_t> part_of_host;
   check::StateDigest* digest = nullptr;  // null in aggregate-only runs
 
-  std::vector<InjectionRec> injections;
-  /// Per partition, its injection events still pending. Each element is
-  /// written by its own partition's thread while the engine runs (the
-  /// injection fires) and by the driving thread between windows (setup,
-  /// replay cancels), so the quiescence check needs no scan.
-  std::vector<std::uint64_t> live_injections;
-
   std::mutex mu;
   bool recording = false;
   std::vector<CompletionEvent> completion_log;
   std::uint64_t flows_completed = 0;
 
-  void on_completion(const workload::PhasePattern::Injection& inj,
+  void on_completion(std::uint64_t flow_id, const workload::PhaseFlow& f,
                      sim::SimTime start, sim::SimTime end) {
     if (digest != nullptr) {
-      digest->on_flow_complete(inj.flow_id, inj.src, inj.dst, inj.bytes,
-                               start, end);
+      digest->on_flow_complete(flow_id, f.src, f.dst, f.bytes, start, end);
     }
     std::lock_guard<std::mutex> lock(mu);
     ++flows_completed;
     if (recording) {
-      completion_log.push_back({inj.flow_id, start.ns(), end.ns()});
+      completion_log.push_back({flow_id, start.ns(), end.ns()});
     }
   }
 };
@@ -104,38 +87,13 @@ void discover_components(Session& s) {
   }
 }
 
-void schedule_injections(Session& s, const workload::PhasePattern& pattern) {
-  Session* sp = &s;
-  s.live_injections.assign(s.parts.size(), 0);
-  for (const auto& inj : pattern.expand(1)) {
-    const std::uint32_t part = s.part_of_host[inj.src];
-    sim::Simulator* sim = s.parts[part];
-    tcp::Host* host = s.hosts[inj.src];
-    InjectionRec rec;
-    rec.inj = inj;
-    rec.part = part;
-    rec.handle = sim->schedule_at(
-        sim::SimTime::from_ns(inj.start_ns), [sp, host, inj, part] {
-          --sp->live_injections[part];
-          auto* conn = host->open_flow(inj.dst, inj.bytes, inj.flow_id);
-          const sim::SimTime start = host->sim().now();
-          conn->on_complete = [sp, host, inj, start] {
-            sp->on_completion(inj, start, host->sim().now());
-          };
-        });
-    rec.seq = sim->event_seq_of(rec.handle);
-    s.injections.push_back(rec);
-    ++s.live_injections[part];
-  }
-}
-
-std::vector<stats::PacketCounter> snapshot_counters(const Session& s) {
-  std::vector<stats::PacketCounter> out;
-  out.reserve(s.links.size() + s.switches.size() + s.hosts.size());
+/// Fills `out` with every component's counters: links, switches, hosts.
+void snapshot_counters(const Session& s,
+                       std::vector<stats::PacketCounter>& out) {
+  out.clear();
   for (const net::Link* l : s.links) out.push_back(l->counter());
   for (const net::Switch* sw : s.switches) out.push_back(sw->counter());
   for (const tcp::Host* h : s.hosts) out.push_back(h->counter());
-  return out;
 }
 
 /// Drives the phase loop for one engine session. Holds references to the
@@ -150,13 +108,32 @@ struct PhaseDriver {
   const check::EngineSpec& engine;
   bool with_digest;
 
-  std::vector<RelFlow> rel_flows;
+  std::vector<RelFlow> rel_flows{};
   /// Pattern indices sorted by (offset, src, dst): the order phase flows
   /// consume ephemeral ports.
-  std::vector<std::size_t> by_offset;
-  std::vector<std::uint32_t> opens_per_host;
-  std::deque<std::uint64_t> summaries;
-  std::vector<stats::PacketCounter> prev_counters;
+  std::vector<std::size_t> by_offset{};
+  std::vector<std::uint32_t> opens_per_host{};
+  /// The trailing window_phases per-phase summaries, oldest first.
+  std::vector<std::uint64_t> summaries{};
+
+  /// Injection bookkeeping. Pattern flow i is injected on partition
+  /// part_of_flow[i]; flows_on[p] lists partition p's pattern indices in
+  /// ascending order, and rank[i] is i's position in that list. inj_base[p]
+  /// is the first of the sequences partition p reserved for its
+  /// injections at run start.
+  std::vector<std::uint32_t> part_of_flow{};
+  std::vector<std::uint32_t> rank{};
+  std::vector<std::vector<std::uint32_t>> flows_on{};
+  std::vector<std::uint64_t> inj_base{};
+
+  // Per-boundary scratch, reused rather than allocated at every boundary.
+  std::vector<stats::PacketCounter> prev_counters{};
+  std::vector<stats::PacketCounter> cur_counters{};
+  std::vector<std::uint32_t> ports{};
+  std::vector<net::FlowKey> tuples{};
+  std::vector<std::int64_t> port_delta{};
+  std::vector<std::uint64_t> rec_pkt_base{};
+  std::vector<std::uint64_t> cur_pkt_base{};
 
   void init() {
     for (const auto& f : pattern.pattern) {
@@ -173,49 +150,103 @@ struct PhaseDriver {
               });
     opens_per_host.assign(s.hosts.size(), 0);
     for (const auto& f : pattern.pattern) ++opens_per_host[f.src];
+    reserve_injections();
   }
 
-  const InjectionRec& injection(std::uint32_t phase, std::uint32_t index)
-      const {
-    return s.injections[static_cast<std::size_t>(phase) *
-                            pattern.pattern.size() +
-                        index];
-  }
-
-  /// Quiescent at a boundary: every partition's pending set is exactly
-  /// its live future-injection events — no timers, no packets in flight.
-  bool quiescent() const {
+  /// Claims, per partition, one FES sequence for every injection of every
+  /// phase, in (phase, pattern index) order: exactly the sequences an
+  /// eager schedule of pattern.expand(1) would consume here, so pops,
+  /// tie-breaks and the order lane are those of scheduling everything up
+  /// front, while the FES holds only the phases that run live.
+  void reserve_injections() {
+    flows_on.assign(s.parts.size(), {});
+    for (std::size_t i = 0; i < pattern.pattern.size(); ++i) {
+      const std::uint32_t p = s.part_of_host[pattern.pattern[i].src];
+      part_of_flow.push_back(p);
+      rank.push_back(static_cast<std::uint32_t>(flows_on[p].size()));
+      flows_on[p].push_back(static_cast<std::uint32_t>(i));
+    }
     for (std::size_t p = 0; p < s.parts.size(); ++p) {
-      if (s.parts[p]->events_pending() != s.live_injections[p]) return false;
+      inj_base.push_back(s.parts[p]->fes_next_seq());
+      s.parts[p]->fes_advance(flows_on[p].size() * pattern.phases);
+    }
+  }
+
+  /// The reserved FES sequence of pattern flow `index`'s injection in
+  /// phase `phase`, on its partition.
+  std::uint64_t injection_seq(std::uint32_t phase, std::size_t index) const {
+    const std::uint32_t p = part_of_flow[index];
+    return inj_base[p] +
+           static_cast<std::uint64_t>(phase) * flows_on[p].size() +
+           rank[index];
+  }
+
+  /// Puts phase `phase`'s injections in the FES under their reserved
+  /// sequences. Only a phase that runs live is materialized; a replayed
+  /// phase's injections never enter the FES.
+  void materialize(std::uint32_t phase) {
+    Session* sp = &s;
+    const std::int64_t t_ns = pattern.boundary_ns(phase);
+    const std::uint64_t base_flow_id =
+        1 + static_cast<std::uint64_t>(phase) * pattern.pattern.size();
+    for (std::size_t i = 0; i < pattern.pattern.size(); ++i) {
+      const workload::PhaseFlow* f = &pattern.pattern[i];
+      tcp::Host* host = s.hosts[f->src];
+      const std::uint64_t flow_id = base_flow_id + i;
+      s.parts[part_of_flow[i]]->schedule_reserved(
+          sim::SimTime::from_ns(t_ns + f->offset_ns),
+          injection_seq(phase, i), [sp, host, f, flow_id] {
+            auto* conn = host->open_flow(f->dst, f->bytes, flow_id);
+            const sim::SimTime start = host->sim().now();
+            conn->on_complete = [sp, host, f, flow_id, start] {
+              sp->on_completion(flow_id, *f, start, host->sim().now());
+            };
+          });
+    }
+  }
+
+  /// Materializes phase `phase` and simulates it to `tn_ns`.
+  void run_live(std::uint32_t phase, std::int64_t tn_ns) {
+    materialize(phase);
+    s.run_engine_until(sim::SimTime::from_ns(tn_ns));
+  }
+
+  /// Quiescent at a boundary: every partition's FES is empty — no timers,
+  /// no packets in flight. The previous phase's injections have all fired
+  /// (offsets are below the period) and this phase's are not yet in it.
+  bool quiescent() const {
+    for (const sim::Simulator* part : s.parts) {
+      if (part->events_pending() != 0) return false;
     }
     return true;
   }
 
   /// Predicts the phase's ECMP paths from the hosts' current ephemeral
   /// port allocators (both directions of every flow) and collects the
-  /// predicted 4-tuples for the stale-connection check. Sets `wrap` when
-  /// any host's allocation would cross the port-space wrap, which breaks
-  /// the translation arithmetic — the phase is then not memoizable.
-  std::uint64_t route_fingerprint(std::vector<net::FlowKey>* tuples,
-                                  bool* wrap) const {
+  /// predicted 4-tuples in `tuples` for the stale-connection check. Sets
+  /// `wrap` when any host's allocation would cross the port-space wrap,
+  /// which breaks the translation arithmetic — the phase is then not
+  /// memoizable.
+  std::uint64_t route_fingerprint(bool* wrap) {
     *wrap = false;
-    std::vector<std::uint32_t> port(s.hosts.size());
+    ports.resize(s.hosts.size());
     for (std::size_t h = 0; h < s.hosts.size(); ++h) {
-      port[h] = s.hosts[h]->next_port();
+      ports[h] = s.hosts[h]->next_port();
       if (opens_per_host[h] != 0 &&
-          port[h] + opens_per_host[h] - 1 > tcp::Host::kEphemeralPortLast) {
+          ports[h] + opens_per_host[h] - 1 > tcp::Host::kEphemeralPortLast) {
         *wrap = true;
       }
     }
+    tuples.clear();
     Hash64 h;
     for (std::size_t i : by_offset) {
       const auto& f = pattern.pattern[i];
       net::FlowKey key;
       key.src_host = f.src;
       key.dst_host = f.dst;
-      key.src_port = static_cast<std::uint16_t>(port[f.src]++);
+      key.src_port = static_cast<std::uint16_t>(ports[f.src]++);
       key.dst_port = 80;
-      if (tuples != nullptr) tuples->push_back(key);
+      tuples.push_back(key);
       net::FlowKey hashed = key;
       if (!s.port_sensitive) {
         hashed.src_port = 0;
@@ -230,8 +261,10 @@ struct PhaseDriver {
     return h.value();
   }
 
-  std::uint64_t signature(std::int64_t t_ns, std::int64_t tn_ns,
-                          std::uint64_t route_fp) const {
+  /// The phase signature. Lookups happen only at quiescent boundaries,
+  /// where the FES is empty and the phase's own injections are already
+  /// hashed through rel_flows, so no pending-event term is needed.
+  std::uint64_t signature(std::uint64_t route_fp) const {
     if (memo.debug_collide_signatures) return kSigTag;
     Hash64 h;
     h.absorb(kSigTag);
@@ -255,20 +288,6 @@ struct PhaseDriver {
       h.absorb(f.bytes);
       h.absorb(static_cast<std::uint64_t>(f.offset_ns));
     }
-    // Pending-event-set signature, windowed to the phase: only events
-    // that can fire inside [T, Tn) participate, in phase-relative form.
-    // Commutative over partitions and events. The walk never touches the
-    // later phases' pre-scheduled injections.
-    std::uint64_t pending = 0;
-    for (const sim::Simulator* part : s.parts) {
-      part->for_each_pending_before(
-          sim::SimTime::from_ns(tn_ns),
-          [&](sim::SimTime t, std::uint64_t key) {
-            pending += mix64(static_cast<std::uint64_t>(t.ns() - t_ns) ^
-                             mix64(key));
-          });
-    }
-    h.absorb(pending);
     h.absorb(route_fp);
     h.absorb(summaries.size());
     for (std::uint64_t v : summaries) h.absorb(v);
@@ -277,8 +296,7 @@ struct PhaseDriver {
 
   /// Hit verification: why a signature match may not be applied, or
   /// Refusal::kNone when it may.
-  Refusal verify(const PhaseEntry& entry, std::uint64_t route_fp,
-                 const std::vector<net::FlowKey>& tuples) const {
+  Refusal verify(const PhaseEntry& entry, std::uint64_t route_fp) const {
     if (entry.with_digest != with_digest || entry.flows != rel_flows ||
         entry.partitions.size() != s.parts.size()) {
       return Refusal::kPattern;
@@ -303,9 +321,9 @@ struct PhaseDriver {
         1 + static_cast<std::uint64_t>(phase) * pattern.pattern.size();
 
     // Per-host translation bases: recorded (entry) -> current.
-    std::vector<std::int64_t> port_delta(s.hosts.size(), 0);
-    std::vector<std::uint64_t> rec_pkt_base(s.hosts.size(), 0);
-    std::vector<std::uint64_t> cur_pkt_base(s.hosts.size(), 0);
+    port_delta.assign(s.hosts.size(), 0);
+    rec_pkt_base.assign(s.hosts.size(), 0);
+    cur_pkt_base.assign(s.hosts.size(), 0);
     for (const HostIdentity& hi : entry.identities) {
       port_delta[hi.host] =
           static_cast<std::int64_t>(s.hosts[hi.host]->next_port()) -
@@ -314,27 +332,16 @@ struct PhaseDriver {
       cur_pkt_base[hi.host] = s.hosts[hi.host]->next_packet_seq();
     }
 
-    std::vector<std::uint64_t> base_seq(s.parts.size());
-    for (std::size_t p = 0; p < s.parts.size(); ++p) {
-      base_seq[p] = s.parts[p]->fes_next_seq();
-    }
-
-    // Retire this phase's injection events: a live run would pop them,
-    // the replay cancels them (same live-count effect; the executed-count
-    // delta below accounts for the pops).
-    for (std::size_t i = 0; i < pattern.pattern.size(); ++i) {
-      const InjectionRec& r =
-          injection(phase, static_cast<std::uint32_t>(i));
-      if (s.parts[r.part]->cancel(r.handle)) --s.live_injections[r.part];
-    }
-
+    // The phase's injections were never materialized: their pops are
+    // replayed under their reserved sequences, and the executed-count
+    // delta below accounts for them.
     if (s.digest != nullptr) {
       for (std::size_t p = 0; p < entry.partitions.size(); ++p) {
+        const std::uint64_t base_seq = s.parts[p]->fes_next_seq();
         for (const RelPop& pop : entry.partitions[p].pops) {
           const std::uint64_t seq =
-              pop.injection
-                  ? injection(phase, static_cast<std::uint32_t>(pop.dseq)).seq
-                  : base_seq[p] + pop.dseq;
+              pop.injection ? injection_seq(phase, pop.dseq)
+                            : base_seq + pop.dseq;
           s.digest->replay_event_pop(
               p, sim::SimTime::from_ns(t_ns + pop.rel_ns), seq);
         }
@@ -408,8 +415,8 @@ struct PhaseDriver {
       base_sched[p] = s.parts[p]->events_scheduled();
       base_exec[p] = s.parts[p]->events_executed();
     }
-    const std::vector<stats::PacketCounter> base_counters =
-        snapshot_counters(s);
+    std::vector<stats::PacketCounter> base_counters;
+    snapshot_counters(s, base_counters);
     std::vector<std::uint16_t> port_base(s.hosts.size());
     std::vector<std::uint64_t> pkt_base(s.hosts.size());
     for (std::size_t h = 0; h < s.hosts.size(); ++h) {
@@ -489,18 +496,13 @@ struct PhaseDriver {
       PartitionDelta pd;
       pd.scheduled = s.parts[p]->events_scheduled() - base_sched[p];
       pd.executed = s.parts[p]->events_executed() - base_exec[p];
-      // This partition's injection seqs for this phase, for classifying
-      // pre-phase pops. Seq numbering is per-partition, so injections on
-      // other partitions must not participate — their seqs can collide.
-      std::vector<std::pair<std::uint64_t, std::uint32_t>> inj_seqs;
-      for (std::size_t i = 0; i < pattern.pattern.size(); ++i) {
-        const InjectionRec& r =
-            injection(phase, static_cast<std::uint32_t>(i));
-        if (r.part == p) {
-          inj_seqs.emplace_back(r.seq, static_cast<std::uint32_t>(i));
-        }
-      }
-      std::sort(inj_seqs.begin(), inj_seqs.end());
+      // This partition's injections for this phase hold the reserved
+      // sequences [first_inj, first_inj + n): a pre-phase pop in that
+      // range is injection flows_on[p][seq - first_inj]. Seq numbering is
+      // per-partition, so injections on other partitions must not
+      // participate — their seqs can collide.
+      const std::uint64_t n = flows_on[p].size();
+      const std::uint64_t first_inj = inj_base[p] + phase * n;
       if (s.digest != nullptr) {
         for (const auto& [t, seq] : pop_recorders[p].log) {
           RelPop pop;
@@ -508,17 +510,14 @@ struct PhaseDriver {
           if (seq >= base_seq[p]) {
             pop.dseq = seq - base_seq[p];
           } else {
-            const auto it = std::lower_bound(
-                inj_seqs.begin(), inj_seqs.end(),
-                std::make_pair(seq, std::uint32_t{0}));
-            if (it == inj_seqs.end() || it->first != seq) {
+            if (seq < first_inj || seq - first_inj >= n) {
               // A pre-phase event that is not one of this phase's
               // injections fired inside the phase — not memoizable.
               ++stats.store_aborts;
               return;
             }
             pop.injection = true;
-            pop.dseq = it->second;
+            pop.dseq = flows_on[p][seq - first_inj];
           }
           pd.pops.push_back(pop);
         }
@@ -574,8 +573,8 @@ struct PhaseDriver {
                                    c.start_ns - t_ns, c.end_ns - t_ns});
     }
 
-    const std::vector<stats::PacketCounter> end_counters =
-        snapshot_counters(s);
+    std::vector<stats::PacketCounter> end_counters;
+    snapshot_counters(s, end_counters);
     auto push_deltas = [&](std::size_t from, std::size_t count,
                            std::vector<CounterDelta>& out) {
       for (std::size_t i = 0; i < count; ++i) {
@@ -616,7 +615,7 @@ struct PhaseDriver {
 
   void run_all() {
     init();
-    prev_counters = snapshot_counters(s);
+    snapshot_counters(s, prev_counters);
     for (std::uint32_t k = 0; k < pattern.phases; ++k) {
       const std::int64_t t_ns = pattern.boundary_ns(k);
       const std::int64_t tn_ns = pattern.boundary_ns(k + 1);
@@ -626,39 +625,42 @@ struct PhaseDriver {
       // so the summaries — and therefore later signatures — agree with a
       // memo-off run bit for bit).
       if (k > 0) {
-        const std::vector<stats::PacketCounter> cur = snapshot_counters(s);
+        snapshot_counters(s, cur_counters);
         Hash64 h;
-        for (std::size_t i = 0; i < cur.size(); ++i) {
-          h.absorb(cur[i].sent - prev_counters[i].sent);
-          h.absorb(cur[i].delivered - prev_counters[i].delivered);
-          h.absorb(cur[i].dropped - prev_counters[i].dropped);
+        for (std::size_t i = 0; i < cur_counters.size(); ++i) {
+          h.absorb(cur_counters[i].sent - prev_counters[i].sent);
+          h.absorb(cur_counters[i].delivered - prev_counters[i].delivered);
+          h.absorb(cur_counters[i].dropped - prev_counters[i].dropped);
         }
         summaries.push_back(h.value());
-        while (summaries.size() > memo.window_phases) summaries.pop_front();
-        prev_counters = cur;
+        if (summaries.size() > memo.window_phases) {
+          summaries.erase(summaries.begin(),
+                          summaries.end() - static_cast<std::ptrdiff_t>(
+                                                memo.window_phases));
+        }
+        std::swap(prev_counters, cur_counters);
       }
 
       if (!memo.enabled || !quiescent()) {
-        s.run_engine_until(sim::SimTime::from_ns(tn_ns));
+        run_live(k, tn_ns);
         continue;
       }
-      std::vector<net::FlowKey> tuples;
       bool wrap = false;
-      const std::uint64_t route_fp = route_fingerprint(&tuples, &wrap);
+      const std::uint64_t route_fp = route_fingerprint(&wrap);
       if (wrap) {
         // Port-space wrap inside the phase: identity translation is
         // undefined, so neither hit nor store.
         ++stats.port_wrap_skips;
-        s.run_engine_until(sim::SimTime::from_ns(tn_ns));
+        run_live(k, tn_ns);
         continue;
       }
-      const std::uint64_t sig = signature(t_ns, tn_ns, route_fp);
+      const std::uint64_t sig = signature(route_fp);
       ++stats.lookups;
       const PhaseEntry* entry = cache.find(sig);
       if (entry == nullptr) {
         ++stats.misses;
       } else {
-        switch (verify(*entry, route_fp, tuples)) {
+        switch (verify(*entry, route_fp)) {
           case Refusal::kNone:
             apply(*entry, k, t_ns, tn_ns);
             continue;
@@ -674,6 +676,7 @@ struct PhaseDriver {
         }
         ++stats.near_misses;
       }
+      materialize(k);
       record(sig, route_fp, k, t_ns, tn_ns);
     }
     if (scenario.duration_ns > pattern.total_duration_ns()) {
@@ -696,23 +699,23 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
         "boundary is ever quiescent, and memoization could never engage");
   }
   // run_scenario validates the scenario; validation is O(flows log flows),
-  // a large share of a fast-forwarded run, so it is not repeated here.
+  // so it is not repeated here.
   pattern.validate();
-  {
-    const auto injections = pattern.expand(1);
-    if (scenario.flows.size() != injections.size()) {
-      throw std::invalid_argument(
-          "MemoRunner: scenario flows != pattern expansion");
-    }
-    for (std::size_t i = 0; i < injections.size(); ++i) {
-      const check::FlowSpec& f = scenario.flows[i];
-      const auto& inj = injections[i];
-      if (f.src != inj.src || f.dst != inj.dst || f.bytes != inj.bytes ||
-          f.start_ns != inj.start_ns || f.flow_id != inj.flow_id) {
-        throw std::invalid_argument(
-            "MemoRunner: scenario flows != pattern expansion");
-      }
-    }
+  // The flows must be pattern.expand(1), compared in place rather than
+  // materialized: flow j is pattern flow j % n of phase j / n, with id j + 1.
+  const std::size_t n = pattern.pattern.size();
+  bool expansion = scenario.flows.size() == n * pattern.phases;
+  for (std::size_t j = 0; expansion && j < scenario.flows.size(); ++j) {
+    const check::FlowSpec& f = scenario.flows[j];
+    const workload::PhaseFlow& pf = pattern.pattern[j % n];
+    expansion = f.src == pf.src && f.dst == pf.dst && f.bytes == pf.bytes &&
+                f.start_ns == pattern.boundary_ns(static_cast<std::uint32_t>(
+                                  j / n)) + pf.offset_ns &&
+                f.flow_id == j + 1;
+  }
+  if (!expansion) {
+    throw std::invalid_argument(
+        "MemoRunner: scenario flows != pattern expansion");
   }
   if (scenario.duration_ns < pattern.total_duration_ns()) {
     throw std::invalid_argument(
@@ -720,6 +723,7 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
   }
 
   std::uint64_t flows_completed = 0;
+  std::vector<std::uint64_t> fes_next_seq;
   check::RunHooks hooks;
   hooks.digest = with_digest;
   hooks.drive = [&](check::Rig& rig) {
@@ -733,12 +737,13 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
     s.part_of_host = *rig.partition_of_host;
     s.digest = rig.digest;
     discover_components(s);
-    schedule_injections(s, pattern);
-    PhaseDriver driver{cache_, stats_, memo_,    s,  scenario,
-                       pattern, engine, with_digest, {}, {},
-                       {},      {},     {}};
+    PhaseDriver driver{cache_, stats_, memo_, s, scenario, pattern, engine,
+                       with_digest};
     driver.run_all();
     flows_completed = s.flows_completed;
+    for (const sim::Simulator* part : s.parts) {
+      fes_next_seq.push_back(part->fes_next_seq());
+    }
   };
   const check::RunOutcome run = check::run_scenario(
       scenario, engine, sim::SimTime::from_ns(scenario.duration_ns), hooks);
@@ -748,6 +753,7 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
   out.digest_attached = with_digest;
   out.final_state_fp = run.final_state_fp;
   out.flows_completed = flows_completed;
+  out.fes_next_seq = std::move(fes_next_seq);
   stats_.evictions = cache_.evictions();
   out.stats = stats_;
   out.cache_entries = cache_.entries();

@@ -5,19 +5,21 @@
 // The runner builds its engine and network through check::run_scenario,
 // the harness's one run path, and replaces that path's "inject, run to the
 // horizon" with a phase loop chunked at workload phase boundaries
-// (workload::PhasePattern). At every
-// boundary it recomputes a rolling per-phase counter summary, then, when
-// memoization is enabled and both boundary ends are quiescent (nothing
-// pending but future injections), it computes the phase signature and
-// either applies a verified cached delta (hit: jump virtual time past the
-// phase) or records the phase while simulating it live (miss). Any
-// verification failure — pattern mismatch, route divergence,
-// stale-connection collision — is a near-miss, counted by reason; a
-// predicted ephemeral-port wrap skips the lookup (port_wrap_skips). Either
-// way the phase falls back to live simulation, never an unsound
-// fast-forward. Per boundary the runner costs O(events due in the phase +
-// components): the pending walk stops at the phase end and quiescence
-// compares counters.
+// (workload::PhasePattern). At run start each partition reserves one FES
+// sequence per injection of every phase, in (phase, index) order; a
+// phase's injections enter the FES under those sequences only when the
+// phase runs live, so pops order exactly as if all were scheduled up
+// front. At every boundary the runner recomputes a rolling per-phase
+// counter summary, then, when memoization is enabled and both boundary
+// ends are quiescent (every partition's FES empty), it computes the phase
+// signature and either applies a verified cached delta (hit: jump virtual
+// time past the phase, scheduling nothing) or records the phase while
+// simulating it live (miss). Any verification failure — pattern mismatch,
+// route divergence, stale-connection collision — is a near-miss, counted
+// by reason; a predicted ephemeral-port wrap skips the lookup
+// (port_wrap_skips). Either way the phase falls back to live simulation,
+// never an unsound fast-forward. Per boundary the runner costs
+// O(pattern + components), however many phases and flows the run has.
 //
 // Comparison contract (verified by tools/esim_diffcheck memo):
 //   * memo-on vs memo-off under the SAME engine spec, both chunked at
@@ -62,6 +64,10 @@ struct MemoRunOutcome {
   /// the aggregate-only equivalence check).
   std::uint64_t final_state_fp = 0;
   std::uint64_t flows_completed = 0;
+  /// Per partition, the FES sequence its next schedule would take at run
+  /// end. A replayed phase advances it as if the phase ran, so memo-on
+  /// equals memo-off.
+  std::vector<std::uint64_t> fes_next_seq;
   MemoStats stats;
   std::uint64_t cache_entries = 0;
   std::uint64_t cache_bytes = 0;

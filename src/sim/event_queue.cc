@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace esim::sim {
@@ -29,16 +30,32 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-EventHandle EventQueue::schedule(SimTime t, std::uint64_t key,
-                                 EventFn&& fn) {
+EventHandle EventQueue::push(SimTime t, std::uint64_t key, std::uint64_t seq,
+                             EventFn&& fn) {
   const std::uint32_t slot = acquire_slot(std::move(fn));
   const std::uint32_t gen = slots_[slot].gen;
-  slots_[slot].seq = next_seq_;
-  heap_.push_back(Entry{t, key, next_seq_++, slot, gen});
+  slots_[slot].seq = seq;
+  heap_.push_back(Entry{t, key, seq, slot, gen});
   sift_up(heap_.size() - 1);
   ++live_;
-  ++total_scheduled_;
   return EventHandle{handle_id(slot, gen)};
+}
+
+EventHandle EventQueue::schedule(SimTime t, std::uint64_t key,
+                                 EventFn&& fn) {
+  ++total_scheduled_;
+  return push(t, key, next_seq_++, std::move(fn));
+}
+
+EventHandle EventQueue::schedule_reserved(SimTime t, std::uint64_t seq,
+                                          EventFn&& fn) {
+  if (seq == 0 || seq >= next_seq_) {
+    throw std::logic_error("schedule_reserved: sequence " +
+                           std::to_string(seq) +
+                           " was never reserved (next_seq=" +
+                           std::to_string(next_seq_) + ")");
+  }
+  return push(t, 0, seq, std::move(fn));
 }
 
 bool EventQueue::cancel(EventHandle h) {

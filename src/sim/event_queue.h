@@ -28,7 +28,6 @@
 // compacted wholesale when they outnumber the live ones.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -75,6 +74,16 @@ class EventQueue {
   /// events). Keys must be engine-invariant values (e.g. packet ids) —
   /// that is the whole point.
   EventHandle schedule(SimTime t, std::uint64_t key, EventFn&& fn);
+
+  /// Schedules `fn` at `t` with key 0 under insertion sequence `seq`,
+  /// which the caller claimed earlier through advance_accounting(): a
+  /// reserved sequence is an event already counted as scheduled but not
+  /// yet in the heap, so materializing it advances neither next_seq()
+  /// nor total_scheduled(), and it pops exactly where an eager
+  /// schedule() at claim time would have. Each reserved sequence may be
+  /// materialized at most once. Throws std::logic_error when `seq` was
+  /// never handed out (0, or >= next_seq()).
+  EventHandle schedule_reserved(SimTime t, std::uint64_t seq, EventFn&& fn);
 
   /// Cancels a previously scheduled event, destroying its closure
   /// immediately. Returns false if the event already executed or was
@@ -123,18 +132,6 @@ class EventQueue {
     return live(h) ? slots_[slot].seq : 0;
   }
 
-  /// Visits every live (non-cancelled) pending event with time < `end` as
-  /// f(time, key), in unspecified (heap) order. The heap orders by time
-  /// first under either tie-break, so those entries form a root-connected
-  /// subtree: the walk descends depth-first and prunes every subtree whose
-  /// root is due at or after `end`. Cost is O(entries due before `end`,
-  /// dead ones included), however far the rest of the queue reaches;
-  /// nothing is allocated and the recursion depth is the heap height.
-  template <typename F>
-  void for_each_pending_before(SimTime end, F&& f) const {
-    if (!heap_.empty()) visit_before(0, end, f);
-  }
-
   /// Commutative (order-independent) fingerprint of the live pending
   /// (time, key) multiset. Two queues holding the same pending events —
   /// regardless of scheduling history, cancellations, or heap layout —
@@ -175,7 +172,10 @@ class EventQueue {
   //     `n` schedules happened logically (a memoized phase replay) without
   //     materializing them, keeping subsequent sequence numbers — and
   //     therefore same-(time, key) tie-breaks — bit-identical to a run
-  //     that executed the phase live.
+  //     that executed the phase live. The same call reserves sequences
+  //     for events known in advance (a periodic run's flow injections):
+  //     schedule_reserved() later puts one in the heap under its claimed
+  //     sequence, or it is never materialized when its phase is replayed.
 
   /// Accounting state captured by snapshot_accounting().
   struct AccountingSnapshot {
@@ -270,20 +270,10 @@ class EventQueue {
     return slots_[e.slot].gen != e.gen;
   }
 
-  /// for_each_pending_before's walk of the subtree rooted at `i`. Dead
-  /// entries are descended through (their children may still be due)
-  /// but not reported.
-  template <typename F>
-  void visit_before(std::size_t i, SimTime end, F& f) const {
-    const Entry& e = heap_[i];
-    if (e.time >= end) return;
-    if (!entry_dead(e)) f(e.time, e.key);
-    const std::size_t first = kArity * i + 1;
-    const std::size_t last = std::min(first + kArity, heap_.size());
-    for (std::size_t c = first; c < last; ++c) visit_before(c, end, f);
-  }
-
   std::uint32_t acquire_slot(EventFn&& fn);
+  /// Puts a live entry for `fn` in the heap under (t, key, seq).
+  EventHandle push(SimTime t, std::uint64_t key, std::uint64_t seq,
+                   EventFn&& fn);
   /// Pops the (live) root entry. Requires a pruned, non-empty heap.
   Event take_top();
   /// Invalidates handles/entries for `slot` and recycles it.

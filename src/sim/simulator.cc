@@ -29,6 +29,15 @@ EventHandle Simulator::schedule_at_keyed(SimTime t, std::uint64_t key,
   return queue_.schedule(t, key, std::move(fn));
 }
 
+EventHandle Simulator::schedule_reserved(SimTime t, std::uint64_t seq,
+                                         EventFn&& fn) {
+  if (t < now_) {
+    throw std::logic_error("schedule_reserved: time " + t.to_string() +
+                           " is in the past (now=" + now_.to_string() + ")");
+  }
+  return queue_.schedule_reserved(t, seq, std::move(fn));
+}
+
 EventHandle Simulator::schedule_in(SimTime d, EventFn&& fn) {
   if (d < SimTime{}) {
     throw std::logic_error("schedule_in: negative delay " + d.to_string());

@@ -157,15 +157,9 @@ class Simulator {
   /// The FES insertion sequence the next schedule will consume.
   std::uint64_t fes_next_seq() const { return queue_.next_seq(); }
 
-  /// Insertion sequence of a live event; 0 when dead.
-  std::uint64_t event_seq_of(EventHandle h) const { return queue_.seq_of(h); }
-
-  /// Visits every live pending event due before `end` as f(time, key),
-  /// unspecified order; see EventQueue::for_each_pending_before.
-  template <typename F>
-  void for_each_pending_before(SimTime end, F&& f) const {
-    queue_.for_each_pending_before(end, std::forward<F>(f));
-  }
+  /// Schedules `fn` at `t` (must be >= now()) under a sequence reserved
+  /// earlier with fes_advance(); see EventQueue::schedule_reserved.
+  EventHandle schedule_reserved(SimTime t, std::uint64_t seq, EventFn&& fn);
 
   /// TEST-ONLY: forwards to EventQueue::debug_set_invert_tiebreak — the
   /// determinism harness's injected ordering bug. Throws if any event has

@@ -227,6 +227,64 @@ TEST(ScenarioTest, ValidateRejectsInconsistentFlows) {
   EXPECT_THROW(sc.validate(), std::invalid_argument);
 }
 
+// Each flow list carries two faults (the last one three); validate() must
+// throw at the earlier faulty flow, with that flow's first failing check.
+TEST(ScenarioTest, ValidateReportsFirstFailingFlowInListOrder) {
+  const std::string repeated_id = "scenario: flow ids must be unique and > 0";
+  const std::string repeated_start =
+      "scenario: per-host flow start times must be unique (two same-instant "
+      "open_flow calls on one host would leave port assignment "
+      "order-dependent)";
+  const std::string out_of_range = "scenario: flow endpoint out of range";
+  const std::string late_start = "scenario: flow start outside [0, duration)";
+  const struct {
+    const char* what;
+    std::vector<FlowSpec> flows;
+    std::string message;
+  } cases[] = {
+      {"repeated start, then repeated id",
+       {{0, 2, 1000, 5'000, 1}, {0, 3, 1000, 5'000, 2}, {1, 3, 1000, 7'000, 1}},
+       repeated_start},
+      {"repeated id, then repeated start",
+       {{0, 2, 1000, 5'000, 1}, {1, 3, 1000, 7'000, 1}, {0, 3, 1000, 5'000, 3}},
+       repeated_id},
+      {"one flow repeating both id and start",
+       {{0, 2, 1000, 5'000, 1}, {0, 3, 1000, 5'000, 1}},
+       repeated_id},
+      {"repeated id whose first copy sorts after a smaller id",
+       {{0, 2, 1000, 5'000, 5}, {1, 3, 1000, 7'000, 3}, {3, 0, 1000, 5'000, 4},
+        {2, 0, 1000, 9'000, 5}, {0, 3, 1000, 5'000, 6}},
+       repeated_id},
+      {"endpoint out of range, then repeated id",
+       {{0, 2, 1000, 5'000, 1}, {0, 9, 1000, 7'000, 2}, {1, 3, 1000, 9'000, 1}},
+       out_of_range},
+      {"start past the horizon, then repeated start",
+       {{0, 2, 1000, 5'000, 1}, {1, 3, 1000, 2'000'000, 2},
+        {0, 3, 1000, 5'000, 3}},
+       late_start},
+      {"repeated start, then id 0",
+       {{0, 2, 1000, 5'000, 1}, {0, 3, 1000, 5'000, 2}, {1, 3, 1000, 7'000, 0}},
+       repeated_start},
+      {"id 0, then repeated start",
+       {{0, 2, 1000, 5'000, 1}, {1, 3, 1000, 7'000, 0}, {0, 3, 1000, 5'000, 3}},
+       repeated_id},
+      {"three copies of one start after a repeated id",
+       {{2, 0, 1000, 1'000, 1}, {1, 3, 1000, 7'000, 1}, {2, 1, 1000, 1'000, 3},
+        {2, 3, 1000, 1'000, 4}},
+       repeated_id},
+  };
+  for (const auto& c : cases) {
+    Scenario sc = small_scenario();
+    sc.flows = c.flows;
+    try {
+      sc.validate();
+      ADD_FAILURE() << "accepted: " << c.what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()}, c.message) << c.what;
+    }
+  }
+}
+
 TEST(FuzzerTest, SameSeedSameSequence) {
   ScenarioFuzzer a{2024}, b{2024};
   for (int i = 0; i < 5; ++i) EXPECT_EQ(a.next(), b.next());

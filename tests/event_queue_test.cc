@@ -308,110 +308,6 @@ TEST(EventQueue, RandomizedAgainstReference) {
   }
 }
 
-// --- time-bounded pending walk (the memo signature window) -------------
-
-using TimeKey = std::pair<std::int64_t, std::uint64_t>;
-
-std::vector<TimeKey> pending_before(const EventQueue& q, std::int64_t end) {
-  std::vector<TimeKey> out;
-  q.for_each_pending_before(SimTime::from_ns(end),
-                            [&out](SimTime t, std::uint64_t key) {
-                              out.emplace_back(t.ns(), key);
-                            });
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-// Property test: under schedule/cancel/pop churn — cancels heavy enough
-// to force compactions, both tie-break orders — the pruned walk visits
-// exactly the live (time, key) multiset due strictly before the bound.
-TEST(EventQueue, PendingBeforeMatchesReferenceUnderChurn) {
-  for (const bool invert : {false, true}) {
-    Rng rng{invert ? 31u : 30u};
-    EventQueue q;
-    q.debug_set_invert_tiebreak(invert);
-    struct Live {
-      EventHandle h;
-      TimeKey tk;
-    };
-    std::vector<Live> live;
-    std::int64_t now = 0;
-    int compactions = 0;
-    for (int step = 0; step < 6000; ++step) {
-      const double u = rng.uniform();
-      if (u < 0.5 || live.empty()) {
-        const std::int64_t t =
-            now + static_cast<std::int64_t>(rng.uniform_int(400));
-        const std::uint64_t key =
-            rng.bernoulli(0.5) ? 0 : 1 + rng.uniform_int(4);
-        live.push_back({q.schedule(SimTime::from_ns(t), key, [] {}), {t, key}});
-      } else if (u < 0.85) {
-        const std::size_t i = rng.uniform_int(live.size());
-        const std::size_t before = q.heap_entries();
-        ASSERT_TRUE(q.cancel(live[i].h));
-        if (before - q.heap_entries() >= 32) ++compactions;
-        live[i] = live.back();
-        live.pop_back();
-      } else {
-        const auto e = q.pop();
-        ASSERT_TRUE(e.has_value());
-        now = e->time.ns();
-        const auto it =
-            std::find_if(live.begin(), live.end(),
-                         [&](const Live& l) { return l.h.id == e->id; });
-        ASSERT_NE(it, live.end());
-        *it = live.back();
-        live.pop_back();
-      }
-      if (step % 50 != 0) continue;
-      // Bounds: random, on a live event's time (must be excluded), below
-      // everything, above everything.
-      std::vector<std::int64_t> bounds = {
-          now + static_cast<std::int64_t>(rng.uniform_int(400)), now, 1 << 30};
-      if (!live.empty()) {
-        bounds.push_back(live[rng.uniform_int(live.size())].tk.first);
-      }
-      for (const std::int64_t end : bounds) {
-        std::vector<TimeKey> want;
-        for (const Live& l : live) {
-          if (l.tk.first < end) want.push_back(l.tk);
-        }
-        std::sort(want.begin(), want.end());
-        ASSERT_EQ(pending_before(q, end), want)
-            << "invert " << invert << " step " << step << " end " << end;
-      }
-    }
-    EXPECT_GT(compactions, 0) << "churn never compacted the heap";
-  }
-}
-
-TEST(EventQueue, PendingBeforeEdgeCases) {
-  EventQueue q;
-  EXPECT_TRUE(pending_before(q, 100).empty());
-
-  q.schedule(SimTime::from_ns(10), [] {});
-  q.schedule(SimTime::from_ns(20), 7, [] {});
-  EXPECT_TRUE(pending_before(q, 10).empty());  // time == bound excluded
-  EXPECT_EQ(pending_before(q, 20), (std::vector<TimeKey>{{10, 0}}));
-  EXPECT_EQ(pending_before(q, 21), (std::vector<TimeKey>{{10, 0}, {20, 7}}));
-
-  // A dead root whose live children are due before the bound: cancel an
-  // interior entry (not the root, so it is not pruned), then pop the
-  // root — the dead entry, now the earliest, surfaces as the new root.
-  EventQueue d;
-  d.schedule(SimTime::from_ns(5), [] {});
-  const EventHandle dead = d.schedule(SimTime::from_ns(10), [] {});
-  d.schedule(SimTime::from_ns(15), [] {});
-  d.schedule(SimTime::from_ns(20), 3, [] {});
-  ASSERT_TRUE(d.cancel(dead));
-  ASSERT_TRUE(d.pop().has_value());
-  ASSERT_EQ(d.heap_entries(), 3u);  // dead@10 (the root) + two live
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_EQ(pending_before(d, 30), (std::vector<TimeKey>{{15, 0}, {20, 3}}));
-  EXPECT_EQ(pending_before(d, 16), (std::vector<TimeKey>{{15, 0}}));
-  EXPECT_TRUE(pending_before(d, 11).empty());
-}
-
 // --- accounting snapshot/restore (the memo fast-forward contract) -----
 
 TEST(EventQueue, AccountingSnapshotCapturesLiveSet) {
@@ -535,6 +431,102 @@ TEST(EventQueue, AdvanceAccountingMirrorsScheduling) {
   // 17 events had actually been scheduled (and popped) in between.
   const EventHandle h = q.schedule(SimTime::from_ns(20), [] {});
   EXPECT_EQ(q.seq_of(h), seq_before + 17);
+}
+
+// A reserved sequence pops exactly where an eager schedule would have put
+// it. Two queues share a history; `eager` schedules two phases of key-0
+// events up front, `lazy` only claims their sequences and materializes each
+// phase at its boundary — after later key-0 and keyed events, many due at
+// the same nanosecond, and after the first phase has been popped.
+TEST(EventQueue, ScheduleReservedPopsWhereEagerWould) {
+  using Pops = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+  for (const bool invert : {false, true}) {
+    Rng rng{invert ? 41u : 40u};
+    EventQueue eager;
+    EventQueue lazy;
+    eager.debug_set_invert_tiebreak(invert);
+    lazy.debug_set_invert_tiebreak(invert);
+    const auto both = [&](std::int64_t t, std::uint64_t key) {
+      eager.schedule(SimTime::from_ns(t), key, [] {});
+      lazy.schedule(SimTime::from_ns(t), key, [] {});
+    };
+    // Times on a 10 ns grid over two 100 ns phases, so reserved events tie
+    // with each other and with the rest of the history.
+    const auto grid = [&rng](std::int64_t phase) {
+      return 100 * phase + 10 * static_cast<std::int64_t>(rng.uniform_int(10));
+    };
+    both(0, 0);
+    both(grid(0), 2);
+
+    constexpr std::uint64_t kPerPhase = 32;
+    std::vector<std::int64_t> times;
+    for (std::int64_t phase = 0; phase < 2; ++phase) {
+      for (std::uint64_t i = 0; i < kPerPhase; ++i) {
+        times.push_back(grid(phase));
+      }
+    }
+    const std::uint64_t base = lazy.next_seq();
+    for (const std::int64_t t : times) {
+      eager.schedule(SimTime::from_ns(t), [] {});
+    }
+    lazy.advance_accounting(times.size());
+    ASSERT_EQ(lazy.next_seq(), eager.next_seq());
+    ASSERT_EQ(lazy.total_scheduled(), eager.total_scheduled());
+
+    for (int i = 0; i < 200; ++i) {
+      const std::int64_t jitter =
+          rng.bernoulli(0.5) ? 0
+                             : static_cast<std::int64_t>(rng.uniform_int(10));
+      both(grid(static_cast<std::int64_t>(rng.uniform_int(2))) + jitter,
+           rng.bernoulli(0.5) ? 0 : 1 + rng.uniform_int(4));
+    }
+
+    // Materializes phase `phase`'s reserved events in shuffled order.
+    const auto materialize = [&](std::uint64_t phase) {
+      std::vector<std::uint64_t> order(kPerPhase);
+      for (std::uint64_t i = 0; i < kPerPhase; ++i) {
+        order[i] = phase * kPerPhase + i;
+      }
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.uniform_int(i)]);
+      }
+      for (const std::uint64_t i : order) {
+        const std::uint64_t next = lazy.next_seq();
+        const std::uint64_t total = lazy.total_scheduled();
+        const EventHandle h =
+            lazy.schedule_reserved(SimTime::from_ns(times[i]), base + i, [] {});
+        EXPECT_EQ(lazy.seq_of(h), base + i);
+        EXPECT_EQ(lazy.next_seq(), next);
+        EXPECT_EQ(lazy.total_scheduled(), total);
+      }
+    };
+    const auto drain = [](EventQueue& q, std::int64_t end) {
+      Pops out;
+      while (auto e = q.pop_before(SimTime::from_ns(end))) {
+        out.emplace_back(e->time.ns(), e->seq);
+      }
+      return out;
+    };
+
+    materialize(0);
+    const Pops first = drain(eager, 100);
+    EXPECT_EQ(drain(lazy, 100), first) << "invert " << invert;
+    EXPECT_GT(first.size(), kPerPhase);
+    materialize(1);
+    EXPECT_EQ(lazy.size(), eager.size());
+    EXPECT_EQ(drain(lazy, 1000), drain(eager, 1000)) << "invert " << invert;
+    EXPECT_TRUE(lazy.empty());
+    EXPECT_EQ(lazy.next_seq(), eager.next_seq());
+    EXPECT_EQ(lazy.total_scheduled(), eager.total_scheduled());
+
+    // Sequences never handed out are refused.
+    EXPECT_THROW(lazy.schedule_reserved(SimTime::from_ns(500), lazy.next_seq(),
+                                        [] {}),
+                 std::logic_error);
+    EXPECT_THROW(lazy.schedule_reserved(SimTime::from_ns(500), 0, [] {}),
+                 std::logic_error);
+    EXPECT_TRUE(lazy.empty());
+  }
 }
 
 }  // namespace

@@ -162,6 +162,44 @@ TEST(MemoRunnerTest, PdesFullDigestIdenticalWithHits) {
   }
 }
 
+// Injections enter the FES only when their phase runs live, under
+// sequences reserved at run start. The full digest (order lane included)
+// and each partition's final FES sequence must be those of the parent
+// revision, which scheduled every injection up front; the constants were
+// recorded by building this body against it.
+TEST(MemoRunnerTest, ReservedInjectionsMatchParentGolden) {
+  const PeriodicScenario ps = small_periodic(8);
+  struct Golden {
+    std::uint32_t partitions;
+    check::Digest digest;
+    std::vector<std::uint64_t> fes_next_seq;
+  };
+  const Golden golden[] = {
+      {0,
+       {0xb98f2ad089e87422ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
+        0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
+       {3889}},
+      {2,
+       {0x0bf814057cdf9f72ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
+        0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
+       {2481, 1409}},
+  };
+  for (const Golden& g : golden) {
+    const EngineSpec spec{g.partitions};
+    for (const bool enabled : {false, true}) {
+      MemoRunner runner{MemoConfig{.enabled = enabled, .limits = {}}};
+      const MemoRunOutcome out =
+          runner.run(ps.scenario, ps.pattern, spec, true);
+      EXPECT_EQ(out.digest, g.digest)
+          << spec.label() << " memo " << enabled << ": "
+          << out.digest.to_string();
+      EXPECT_EQ(out.fes_next_seq, g.fes_next_seq)
+          << spec.label() << " memo " << enabled;
+      EXPECT_EQ(out.stats.hits, enabled ? 6u : 0u) << spec.label();
+    }
+  }
+}
+
 TEST(MemoRunnerTest, AggregateModeMatchesFinalState) {
   const PeriodicScenario ps = small_periodic(6);
   MemoRunner off_runner{MemoConfig{.enabled = false}};
@@ -180,10 +218,10 @@ TEST(MemoRunnerTest, AggregateModeMatchesFinalState) {
 }
 
 TEST(MemoRunnerTest, LongRunAggregateHitsEveryRepeat) {
-  // Hundreds of phases drive the per-partition live-injection counters
-  // through thousands of injections — fired live on partition threads,
-  // cancelled by replay on the driving thread — and the quiescence gate
-  // built on them must still open at every boundary.
+  // Hundreds of phases reserve thousands of injection sequences per
+  // partition; only the phases that run live materialize theirs, and the
+  // quiescence gate (every partition's FES empty) must still open at
+  // every boundary.
   constexpr std::uint32_t kPhases = 320;
   const PeriodicScenario ps = small_periodic(kPhases);
   MemoConfig off;

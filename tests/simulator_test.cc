@@ -56,6 +56,13 @@ TEST(Simulator, SchedulingInPastThrows) {
   });
   sim.run();
   EXPECT_THROW(sim.schedule_in(SimTime::from_ns(-1), [] {}), std::logic_error);
+  // So does an event scheduled under a reserved sequence.
+  const std::uint64_t seq = sim.fes_next_seq();
+  sim.fes_advance(1);
+  EXPECT_THROW(sim.schedule_reserved(SimTime::from_us(5), seq, [] {}),
+               std::logic_error);
+  sim.schedule_reserved(sim.now(), seq, [] {});
+  EXPECT_EQ(sim.events_pending(), 1u);
 }
 
 TEST(Simulator, RunUntilStopsBeforeBoundary) {
