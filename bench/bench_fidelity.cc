@@ -12,9 +12,10 @@
 // as a determinism check at a scale the fuzz tier does not reach.
 //
 // Runs use the largest scenario the differential harness generates
-// (hand-pinned, not fuzzed) with sampled drops and batching on — the
-// production configuration. Each point is the best of R repetitions to
-// shave scheduler noise; overhead is reported against the off baseline.
+// (hand-pinned, not fuzzed) with sampled drops and per-packet
+// inference — the production configuration. Each point is the best of R
+// repetitions to shave scheduler noise; overhead is reported against the
+// off baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -44,7 +45,6 @@ check::Scenario bench_scenario(bool quick) {
   a.drop_bias = -2.0;
   a.latency_mean_us = 8.0;
   a.sample_drops = true;
-  a.batch_max = 8;
   sc.duration_ns = quick ? 2'000'000 : 40'000'000;
 
   // Dense all-pairs-ish flow schedule: every boundary crossing is a

@@ -105,8 +105,6 @@ check::Scenario quiescent_scenario(std::uint64_t i, bool quick) {
   a.latency_mean_us = 8.0;
   a.sample_drops = true;  // sequential-only section, streams coincide
   a.min_latency_us = 5.0;
-  a.batch_max = 8;
-  a.batch_window_ns = 3'000;
   a.adaptive_tiers = false;  // run_corpus sets the policy per run
   a.min_dwell_windows = 2;
   a.quiescent_util = 0.25;

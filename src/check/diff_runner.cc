@@ -151,23 +151,17 @@ Group engine_pair(const Scenario& sc, const EngineSpec& base,
                                               : Relation::EngineInvariant}}};
 }
 
-/// check_hybrid's and check_granularity's groups: A (sequential,
-/// unbatched vs batched, sampled drops), then B (batched, threshold drops,
-/// the sequential baseline against every partition count).
-std::vector<Group> batching_groups(
-    const Scenario& sc, const std::vector<std::uint32_t>& partitions) {
-  Scenario sampled = sc;
-  sampled.approx.value().sample_drops = true;
-  Scenario unbatched = sampled;
-  unbatched.approx->batch_max = 1;
+/// check_hybrid's and check_granularity's group: the sequential baseline
+/// against every partition count, threshold drops.
+Group engine_group(const Scenario& sc,
+                   const std::vector<std::uint32_t>& partitions) {
   Scenario threshold = sc;
-  threshold.approx->sample_drops = false;
-
-  Group b{RunSpec{threshold, {}}, {}};
+  threshold.approx.value().sample_drops = false;
+  Group g{RunSpec{threshold, {}}, {}};
   for (const std::uint32_t p : partitions) {
-    b.members.push_back({RunSpec{threshold, {p}}});
+    g.members.push_back({RunSpec{threshold, {p}}});
   }
-  return {Group{RunSpec{unbatched, {}}, {{RunSpec{sampled, {}}}}}, b};
+  return g;
 }
 
 /// Schedules on `sim` every flow whose source host lives on partition `p`
@@ -301,7 +295,6 @@ std::string EngineSpec::label() const {
 std::string RunSpec::label() const {
   std::string s = engine.label();
   if (scenario.approx) {
-    s += scenario.approx->batch_max > 1 ? ", batched" : ", unbatched";
     s += scenario.approx->sample_drops ? ", sampled drops"
                                        : ", threshold drops";
     if (scenario.approx->adaptive_tiers) s += ", adaptive tiers";
@@ -420,7 +413,7 @@ std::string check_hybrid(const Scenario& sc,
                          const std::vector<std::uint32_t>& partitions,
                          std::vector<Digest>* digests_out) {
   return describe_failures(
-      run_groups(batching_groups(sc, partitions), digests_out));
+      run_groups({engine_group(sc, partitions)}, digests_out));
 }
 
 std::string check_fidelity(const Scenario& sc,
@@ -432,21 +425,18 @@ std::string check_fidelity(const Scenario& sc,
   // the observatory touching simulation state.
   Scenario sampled = sc;
   sampled.approx.value().sample_drops = true;
-  Scenario unbatched = sampled;
-  unbatched.approx->batch_max = 1;
   telemetry::FidelityConfig on;
   on.enabled = true;
   on.sample_period = 16;  // dense enough that small scenarios shadow
 
   std::vector<Group> groups;
-  const auto off_on = [&](const Scenario& s, std::uint32_t p) {
-    RunSpec with = RunSpec{s, {p}};
+  const auto off_on = [&](std::uint32_t p) {
+    RunSpec with = RunSpec{sampled, {p}};
     with.fidelity = on;
-    groups.push_back({RunSpec{s, {p}}, {{with, Relation::FullDigest}}});
+    groups.push_back({RunSpec{sampled, {p}}, {{with, Relation::FullDigest}}});
   };
-  off_on(unbatched, 0);
-  off_on(sampled, 0);
-  for (const std::uint32_t p : partitions) off_on(sampled, p);
+  off_on(0);
+  for (const std::uint32_t p : partitions) off_on(p);
 
   const std::vector<DiffReport> reports = run_groups(groups, digests_out);
   for (const DiffReport& r : reports) {
@@ -463,12 +453,9 @@ std::string check_granularity(const Scenario& sc,
   Scenario adaptive = sc;
   adaptive.approx.value().adaptive_tiers = true;
   const std::vector<DiffReport> reports =
-      run_groups(batching_groups(adaptive, partitions), digests_out);
-  for (const DiffReport& r : reports) {
-    if (transitions_out != nullptr && !r.base.scenario.approx->sample_drops) {
-      *transitions_out += r.base_run.digest.transitions;
-      break;
-    }
+      run_groups({engine_group(adaptive, partitions)}, digests_out);
+  if (transitions_out != nullptr && !reports.empty()) {
+    *transitions_out += reports.front().base_run.digest.transitions;
   }
   return describe_failures(reports);
 }

@@ -213,37 +213,31 @@ class DiffRunner {
       std::vector<Digest>* log = nullptr) const;
 };
 
-/// Hybrid batching equivalence (DESIGN.md §8), two groups:
-///   A. sequential, batching off vs on, sampled drops: component creation
-///      order — and so every cluster's RNG stream — is identical, so the
-///      batched path must consume per-packet drop draws at admission in
-///      arrival order (ApproxCluster::decide_drop's draw-order contract);
-///   B. batched, threshold drops: sequential vs PDES at every partition
-///      count. Cross-engine RNG forks differ by construction, so only
-///      threshold drops (which consume no randomness) are comparable; this
-///      proves N>1 coalescing respects the cluster->core lookahead.
-/// Both use engine-invariant lanes: the batched mode schedules flush
-/// timers the unbatched mode does not. Returns "" when all agree.
+/// Hybrid engine equivalence (DESIGN.md §9), one group: the sequential
+/// run against PDES at every partition count, on the engine-invariant
+/// lanes. Cross-engine RNG forks differ by construction, so only
+/// threshold drops (which consume no randomness) are comparable; the
+/// group proves the cluster -> core deliveries respect the lookahead.
+/// Returns "" when all agree.
 std::string check_hybrid(const Scenario& sc,
                          const std::vector<std::uint32_t>& partitions,
                          std::vector<Digest>* digests_out = nullptr);
 
 /// Fidelity digest-invariance (DESIGN.md §11): one (off, on) group per
-/// engine config — sequential unbatched, sequential batched, then each
-/// PDES count batched — with the observatory shadowing 1 in 16 packets,
-/// sampled drops throughout, compared on the FULL digest. Accumulates the
-/// instrumented runs' rows and shadow samples into the out-params.
+/// engine config — sequential, then each PDES count — with the
+/// observatory shadowing 1 in 16 packets, sampled drops throughout,
+/// compared on the FULL digest. Accumulates the instrumented runs' rows
+/// and shadow samples into the out-params.
 std::string check_fidelity(const Scenario& sc,
                            const std::vector<std::uint32_t>& partitions,
                            std::uint64_t* rows_out = nullptr,
                            std::uint64_t* shadow_out = nullptr,
                            std::vector<Digest>* digests_out = nullptr);
 
-/// Adaptive-granularity equivalence (DESIGN.md §12): check_hybrid's two
-/// groups with adaptive_tiers forced on, so transitions must fire at
-/// identical virtual times across batching modes and engines (the tier
-/// lane). Accumulates the batched sequential run's executed transitions
-/// into `transitions_out`.
+/// Adaptive-granularity equivalence (DESIGN.md §12): check_hybrid's
+/// group with adaptive_tiers forced on, so transitions must fire at
+/// identical virtual times across engines (the tier lane). Accumulates
+/// the sequential run's executed transitions into `transitions_out`.
 std::string check_granularity(const Scenario& sc,
                               const std::vector<std::uint32_t>& partitions,
                               std::uint64_t* transitions_out = nullptr,

@@ -163,13 +163,6 @@ Scenario random_hybrid_scenario(std::uint64_t scenario_seed) {
   a.latency_std = 0.2 + rng.uniform() * 0.3;
   a.min_latency_us = 4.0 + rng.uniform() * 2.0;
   a.max_port_backlog_us = 20.0 + rng.uniform() * 20.0;
-  const std::size_t batch_choices[] = {4, 8, 16};
-  a.batch_max = batch_choices[rng.uniform_int(3)];
-  const std::int64_t max_window =
-      static_cast<std::int64_t>(a.min_latency_us * 1e3) - kLookaheadNs;
-  a.batch_window_ns =
-      1'000 + static_cast<std::int64_t>(rng.uniform_int(
-                  static_cast<std::uint64_t>(max_window - 1'000)));
   sc.duration_ns = 2'000'000 + static_cast<std::int64_t>(
                                    rng.uniform_int(1'000'000));
 
@@ -206,9 +199,6 @@ Scenario random_granularity_scenario(std::uint64_t scenario_seed) {
   a.latency_std = 0.2 + rng.uniform() * 0.2;
   a.min_latency_us = 4.0 + rng.uniform() * 2.0;
   a.max_port_backlog_us = 25.0 + rng.uniform() * 15.0;
-  a.batch_max = 8;
-  a.batch_window_ns =
-      1'500 + static_cast<std::int64_t>(rng.uniform_int(1'000));
 
   a.adaptive_tiers = true;
   a.min_dwell_windows = 2 + static_cast<std::uint32_t>(rng.uniform_int(2));

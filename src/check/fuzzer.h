@@ -54,8 +54,8 @@ class ScenarioFuzzer {
   Options options_;
 };
 
-/// Samples a hybrid scenario (3-4 clusters, batched inference, a seeded
-/// model recipe) as a pure function of `scenario_seed`.
+/// Samples a hybrid scenario (3-4 clusters, a seeded model recipe) as a
+/// pure function of `scenario_seed`.
 Scenario random_hybrid_scenario(std::uint64_t scenario_seed);
 
 /// Samples an adaptive-granularity scenario: quiescent-heavy traffic

@@ -111,10 +111,6 @@ core::HybridConfig Scenario::hybrid_config() const {
   cfg.approx.min_latency_s = a.min_latency_us * 1e-6;
   cfg.approx.max_port_backlog = sim::SimTime::from_ns(
       static_cast<std::int64_t>(a.max_port_backlog_us * 1e3));
-  if (a.batch_max > 1) {
-    cfg.approx.batch_max = a.batch_max;
-    cfg.approx.batch_window = sim::SimTime::from_ns(a.batch_window_ns);
-  }
   if (a.adaptive_tiers) {
     cfg.approx.tier.mode = core::ClusterTierPolicy::Mode::Adaptive;
     cfg.approx.tier.fixed_tier = core::ClusterTier::Ml;  // initial tier
@@ -129,8 +125,7 @@ std::string Scenario::summary() const {
   std::ostringstream os;
   if (approx) {
     os << clusters << " clusters x " << tors * hosts_per_tor << " hosts, "
-       << flows.size() << " flows, batch " << approx->batch_max << "/"
-       << approx->batch_window_ns << "ns, minlat " << approx->min_latency_us
+       << flows.size() << " flows, minlat " << approx->min_latency_us
        << "us, bias " << approx->drop_bias << ", "
        << duration_ns / 1'000'000.0 << "ms";
     return os.str();
@@ -276,14 +271,6 @@ void Scenario::validate() const {
     if (a.latency_mean_us <= 0.0 || a.latency_std <= 0.0 ||
         a.min_latency_us <= 0.0) {
       fail("non-positive approximation latency knob");
-    }
-    if (a.batch_max == 0) fail("batch_max must be >= 1");
-    if (a.batch_max > 1 &&
-        (a.batch_window_ns <= 0 ||
-         static_cast<double>(a.batch_window_ns + kLookaheadNs) >
-             a.min_latency_us * 1e3)) {
-      fail("batch_window_ns must be positive and, plus the 1us lookahead, "
-           "at most min_latency_us");
     }
   }
   // Repeats are found by sorting, not by inserting every flow into a set;

@@ -13,9 +13,9 @@
 // A leaf-spine is clusters = 1, cores = 0. With an approximation block,
 // cluster 0 and the cores run at packet fidelity and every other cluster
 // is an ApproxCluster (the paper's Figure 3 configuration) whose boundary
-// models come from a deterministic recipe; batching, drop sampling and
-// the tier policy are fields of the block, so "the same run, unbatched"
-// is a scenario with batch_max = 1.
+// models come from a deterministic recipe; drop sampling and the tier
+// policy are fields of the block, so "the same run, threshold drops" is a
+// scenario with sample_drops = false.
 //
 // Start times must be unique per source host (Scenario::validate enforces
 // it): two same-instant open_flow calls on one host would make its port
@@ -87,10 +87,6 @@ struct Scenario {
     bool sample_drops = false;
     double min_latency_us = 5.0;
     double max_port_backlog_us = 40.0;
-    /// Coalesced prediction queue (DESIGN.md §8); batch_max = 1 is the
-    /// unbatched per-packet path, and batch_window_ns is then unused.
-    std::size_t batch_max = 8;
-    std::int64_t batch_window_ns = 3'000;
 
     /// Adaptive multi-granularity (DESIGN.md §12): every approximated
     /// cluster runs ClusterTierPolicy::Adaptive with the knobs below, and

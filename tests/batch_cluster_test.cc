@@ -1,13 +1,8 @@
 // Tests for cross-packet batched inference at the cluster boundary
-// (DESIGN.md §8): the coalesced prediction queue's flush triggers and
-// config validation, the RNG draw-order contract (drop draws consumed at
-// admission in arrival order), the min-latency floor and max-backlog
-// clamps under batching, and sequential-vs-PDES digest identity with
-// coalescing active.
+// (DESIGN.md §8): the coalesced prediction queue's config validation and
+// the min-latency floor and max-backlog clamps under batching.
 #include <gtest/gtest.h>
 
-#include "check/diff_runner.h"
-#include "check/fuzzer.h"
 #include "core/network.h"
 #include "stats/collectors.h"
 
@@ -15,17 +10,8 @@ namespace esim::core {
 namespace {
 
 using approx::MicroModel;
-using check::Digest;
-using check::Scenario;
 using sim::SimTime;
 using sim::Simulator;
-
-/// Runs `sc` under `partitions` with the prediction queue on or off (off
-/// is the same scenario with batch_max = 1).
-Digest hybrid_digest(Scenario sc, std::uint32_t partitions, bool batching) {
-  if (!batching) sc.approx->batch_max = 1;
-  return check::DiffRunner{}.run(sc, {partitions}).digest;
-}
 
 net::ClosSpec spec_with_clusters(std::uint32_t clusters) {
   net::ClosSpec s;
@@ -90,29 +76,6 @@ TEST(BatchCluster, PdesBuilderRejectsWindowBeyondLookaheadSlack) {
     sim::ParallelEngine engine{ecfg};
     cfg.approx.batch_window = SimTime::from_us(4);
     EXPECT_NO_THROW(build_hybrid_network_partitioned(engine, cfg, m, m));
-  }
-}
-
-// The RNG draw-order contract (the decide_drop bugfix): with sampled
-// drops, the batched path must consume exactly one uniform draw per
-// packet in arrival order — at admission, not at flush — so coalescing
-// N > 1 predictions cannot shift any packet's draw. Same engine, same
-// component creation order, so digest identity is exact evidence.
-TEST(BatchCluster, SequentialDigestIdenticalBatchingOnVsOff) {
-  for (const std::uint64_t seed : {101ULL, 202ULL, 303ULL}) {
-    Scenario sc = check::random_hybrid_scenario(seed);
-    sc.approx->sample_drops = true;
-    // A gentle baseline (~12% sampled drops) keeps TCP moving so the
-    // comparison below is not vacuous; the fuzz tier covers hot biases.
-    sc.approx->drop_bias = -2.0;
-    const Digest off = hybrid_digest(sc, 0, /*batching=*/false);
-    const Digest on = hybrid_digest(sc, 0, /*batching=*/true);
-    EXPECT_TRUE(off.engine_invariant_equal(on))
-        << "seed " << seed << "\n  off: " << off.to_string()
-        << "\n  on:  " << on.to_string();
-    // The comparison must not be vacuous: traffic flowed and completed.
-    EXPECT_GT(on.packets, 100u) << "seed " << seed;
-    EXPECT_GT(on.flows, 0u) << "seed " << seed;
   }
 }
 
@@ -196,23 +159,6 @@ TEST(BatchCluster, LatencyFloorAndBacklogClampMatchUnbatched) {
   EXPECT_EQ(on.stats.predicted_drops, off.stats.predicted_drops);
   EXPECT_EQ(on.stats.backlog_drops, off.stats.backlog_drops);
   EXPECT_EQ(on.stats.conflicts_resolved, off.stats.conflicts_resolved);
-}
-
-// Named HybridPdesBatch so scripts/check.sh's tsan tier picks it up: the
-// coalesced queue's flush timers and cross-partition deliveries run under
-// the race detector here.
-TEST(HybridPdesBatch, EnginesAgreeWithCoalescingActive) {
-  Scenario sc = check::random_hybrid_scenario(7);
-  sc.approx->sample_drops = false;  // cross-engine: RNG streams differ
-  sc.approx->drop_bias = -2.0;      // below threshold: traffic flows
-  const Digest seq = hybrid_digest(sc, 0, /*batching=*/true);
-  for (const std::uint32_t partitions : {2u, 3u}) {
-    const Digest pdes = hybrid_digest(sc, partitions, /*batching=*/true);
-    EXPECT_TRUE(seq.engine_invariant_equal(pdes))
-        << "partitions " << partitions << "\n  seq:  " << seq.to_string()
-        << "\n  pdes: " << pdes.to_string();
-  }
-  EXPECT_GT(seq.packets, 100u);
 }
 
 }  // namespace

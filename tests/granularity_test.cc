@@ -301,9 +301,9 @@ TEST(Granularity, AdaptiveRunIsReproducibleWithNontrivialTrace) {
 }
 
 TEST(Granularity, AdaptiveScenarioIsEngineInvariant) {
-  // One full equivalence check: batching on/off (sampled drops) and
-  // sequential vs PDES(2) (threshold drops), tier traces element-wise
-  // identical. The fuzz-tier ctest entry runs 25 of these.
+  // One full equivalence check: sequential vs PDES(2) (threshold drops),
+  // tier traces element-wise identical. The fuzz-tier ctest entry runs 25
+  // of these.
   const check::Scenario sc = check::random_granularity_scenario(11);
   std::uint64_t transitions = 0;
   EXPECT_EQ(check::check_granularity(sc, {2}, &transitions), "");

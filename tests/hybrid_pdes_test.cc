@@ -4,6 +4,8 @@
 
 #include <atomic>
 
+#include "check/diff_runner.h"
+#include "check/fuzzer.h"
 #include "core/network.h"
 #include "stats/collectors.h"
 
@@ -221,6 +223,25 @@ TEST(HybridPdes, SinglePartitionDegradesGracefully) {
   engine.run_until(SimTime::from_ms(100));
   EXPECT_TRUE(complete.load());
   EXPECT_EQ(engine.stats().cross_messages, 0u);
+}
+
+// One scenario of the random hybrid corpus, threshold drops: sequential
+// against PDES(2, 3) on the engine-invariant lanes. Named HybridPdes so
+// scripts/check.sh's tsan tier runs its cross-partition deliveries under
+// the race detector.
+TEST(HybridPdes, RandomHybridEnginesAgree) {
+  check::Scenario sc = check::random_hybrid_scenario(7);
+  sc.approx->sample_drops = false;  // cross-engine: RNG streams differ
+  sc.approx->drop_bias = -2.0;      // below threshold: traffic flows
+  const check::DiffRunner runner;
+  const check::Digest seq = runner.run(sc, {}).digest;
+  for (const std::uint32_t partitions : {2u, 3u}) {
+    const check::Digest pdes = runner.run(sc, {partitions}).digest;
+    EXPECT_TRUE(seq.engine_invariant_equal(pdes))
+        << "partitions " << partitions << "\n  seq:  " << seq.to_string()
+        << "\n  pdes: " << pdes.to_string();
+  }
+  EXPECT_GT(seq.packets, 100u);
 }
 
 }  // namespace

@@ -13,28 +13,23 @@
 //     Re-runs the checks on a saved (possibly shrunk) scenario file.
 //
 //   esim_diffcheck hybrid [--n N] [--seed S] [--partitions 2,3]
-//     Generates N hybrid (approx-cluster) scenarios with cross-packet
-//     batched inference active and checks each one twice: sequential
-//     batching-on vs batching-off with sampled drops (the RNG draw-order
-//     contract), then sequential vs PDES at every partition count with
-//     N>1 coalescing on both sides (threshold drops; engine-invariant
-//     digest lanes).
+//     Generates N hybrid (approx-cluster) scenarios and checks each one:
+//     sequential vs PDES at every partition count, threshold drops
+//     (engine-invariant digest lanes).
 //
 //   esim_diffcheck fidelity [--n N] [--seed S] [--partitions 2,4]
 //     Generates N hybrid scenarios and checks, for each, that enabling
 //     the fidelity observatory (shadow sampling at 1/16 + congestion
 //     telemetry) leaves the FULL digest — event counts, pop order, every
-//     lane — bit-identical to the same run with it off: sequentially
-//     (batched and unbatched) and at every PDES partition count, sampled
-//     drops throughout. Also requires that the instrumented runs did
-//     real work (shadow samples > 0 overall), so a silently-disabled
-//     probe cannot pass.
+//     lane — bit-identical to the same run with it off: sequentially and
+//     at every PDES partition count, sampled drops throughout. Also
+//     requires that the instrumented runs did real work (shadow samples
+//     > 0 overall), so a silently-disabled probe cannot pass.
 //
 //   esim_diffcheck granularity [--n N] [--seed S] [--partitions 2,4]
 //     Generates N quiescent-heavy adaptive-tier scenarios (DESIGN.md §12)
-//     and checks each one: sequential batching on vs off with sampled
-//     drops, then sequential vs PDES at every partition count with
-//     threshold drops — engine-invariant digest lanes, tier lane
+//     and checks each one: sequential vs PDES at every partition count
+//     with threshold drops — engine-invariant digest lanes, tier lane
 //     included. Also requires that the corpus executed at least one real
 //     transition, so a controller that never engages cannot pass.
 //
@@ -333,11 +328,9 @@ Case memo_case(std::uint64_t seed) {
 }
 
 const Corpus kCorpora[] = {
-    {"hybrid", {2, 3}, hybrid_case,
-     "batching on/off + sequential vs pdes: EQUIVALENT",
+    {"hybrid", {2, 3}, hybrid_case, "sequential vs pdes: EQUIVALENT",
      [](const Tally&) {
-       return std::string{"hybrid scenarios digest-identical with batching "
-                          "active"};
+       return std::string{"hybrid scenarios digest-identical across engines"};
      },
      nullptr, nullptr},
     {"fidelity", {2, 4}, fidelity_case, "fidelity off vs on: DIGEST-IDENTICAL",
@@ -350,7 +343,7 @@ const Corpus kCorpora[] = {
      "fidelity check produced ZERO shadow samples — the observatory never "
      "engaged"},
     {"granularity", {2, 4}, granularity_case,
-     "adaptive tiers, batching on/off + sequential vs pdes: EQUIVALENT",
+     "adaptive tiers, sequential vs pdes: EQUIVALENT",
      [](const Tally& t) {
        return "scenarios digest-identical with the adaptive controller on (" +
               std::to_string(t.transitions) + " tier transitions)";
