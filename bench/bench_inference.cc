@@ -9,22 +9,19 @@
 // and fails (exit 1) on any mismatch, so a perf regression can never hide
 // a correctness one.
 //
-// A second phase sweeps cross-packet batched inference (DESIGN.md §8):
-// lanes mode (set_lane_count + predict_lanes, N independent streams, both
-// matmuls amortize the weight stream) and sequence mode
-// (MicroModel::predict_batch, one stream coalesced N timesteps at a
-// time), for N in {1, 4, 16, 64}. N = 1 must stay bit-identical to the
-// per-packet session path, and every batched prediction is cross-checked
-// against independent single-lane sessions.
+// A second phase sweeps sequence-mode batched inference (DESIGN.md §8a):
+// MicroModel::predict_batch, one stream coalesced N timesteps at a time,
+// for N in {1, 4, 16, 64}, against per-packet predict() on the same
+// model. Every batched prediction is cross-checked against per-packet
+// predict() calls.
 //
 // A third phase runs a small hybrid simulation through ApproxCluster with
 // telemetry on: session vs Config::reference_inference (the
-// approx.inference_ns means), plus batching on vs off (observables must
-// match exactly — the coalesced queue may not change the simulation).
+// approx.inference_ns means).
 //
 // Writes machine-readable BENCH_inference.json into the working directory
 // (format documented in EXPERIMENTS.md). `--batch` runs only the batched
-// phases (the sanitizer smoke in scripts/check.sh uses it).
+// sweep (the sanitizer smoke in scripts/check.sh uses it).
 
 #include <algorithm>
 #include <chrono>
@@ -42,9 +39,6 @@
 #include "approx/micro_model.h"
 #include "bench_common.h"
 #include "core/experiment.h"
-#include "ml/inference.h"
-#include "ml/linear.h"
-#include "ml/sequence_model.h"
 #include "sim/random.h"
 #include "telemetry/report.h"
 
@@ -56,8 +50,6 @@ using esim::bench::print_header;
 using esim::bench::print_note;
 using esim::bench::quick_mode;
 using esim::ml::TrunkKind;
-
-namespace sim = esim::sim;
 
 /// Deterministic synthetic feature stream: shaped like FeatureExtractor
 /// output (ids, gaps, size, macro one-hot) but driven straight from an
@@ -131,82 +123,6 @@ bool check_bit_identical(MicroModel& model,
   return true;
 }
 
-/// One trunk + two fused heads, mirroring MicroModel's compiled session
-/// (input = PacketFeatures::kDim, outputs = drop logit + latency), built
-/// deterministically so the lanes sweep can instantiate as many
-/// bit-identical sessions as it needs.
-struct LaneBench {
-  std::unique_ptr<esim::ml::SequenceModel> trunk;
-  esim::ml::Linear drop_head;
-  esim::ml::Linear latency_head;
-
-  LaneBench(TrunkKind kind, std::size_t hidden, sim::Rng& rng)
-      : trunk{esim::ml::make_sequence_model(kind, PacketFeatures::kDim,
-                                            hidden, 2, rng)},
-        drop_head{hidden, 1, rng},
-        latency_head{hidden, 1, rng} {}
-
-  std::unique_ptr<esim::ml::InferenceSession> session() const {
-    return trunk->make_inference_session(
-        {{&drop_head.weight(), &drop_head.bias()},
-         {&latency_head.weight(), &latency_head.bias()}});
-  }
-};
-
-/// Streams `total` predictions through an L-lane session (lane l advances
-/// on rows l, l+L, l+2L, ... of the feature stream) and returns packets/s
-/// across all lanes. The per-step gather into the lane buffer is part of
-/// the measured cost, as it is for a real caller.
-double run_lanes(esim::ml::InferenceSession& session, std::size_t lanes,
-                 const std::vector<PacketFeatures>& feats, double* sink) {
-  constexpr std::size_t kDim = PacketFeatures::kDim;
-  session.set_lane_count(lanes);  // resets lane state
-  std::vector<double> x(lanes * kDim);
-  const std::size_t steps = feats.size() / lanes;
-  const auto t0 = std::chrono::steady_clock::now();
-  double acc = 0.0;
-  for (std::size_t t = 0; t < steps; ++t) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const auto& f = feats[t * lanes + l];
-      std::copy(f.v.begin(), f.v.end(), x.begin() + l * kDim);
-    }
-    const auto out = session.predict_lanes(x);
-    acc += out[0] + out[out.size() - 1];
-  }
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  *sink += acc;
-  return static_cast<double>(steps * lanes) / dt.count();
-}
-
-/// predict_lanes(L) against L independent single-lane sessions of the
-/// same weights, double-for-double over `steps` timesteps.
-bool check_lanes_identical(const LaneBench& bench, std::size_t lanes,
-                           const std::vector<PacketFeatures>& feats,
-                           std::size_t steps) {
-  constexpr std::size_t kDim = PacketFeatures::kDim;
-  auto wide = bench.session();
-  wide->set_lane_count(lanes);
-  std::vector<std::unique_ptr<esim::ml::InferenceSession>> singles;
-  for (std::size_t l = 0; l < lanes; ++l) singles.push_back(bench.session());
-  std::vector<double> x(lanes * kDim);
-  for (std::size_t t = 0; t < steps; ++t) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const auto& f = feats[(t * lanes + l) % feats.size()];
-      std::copy(f.v.begin(), f.v.end(), x.begin() + l * kDim);
-    }
-    const auto out = wide->predict_lanes(x);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const auto ref = singles[l]->predict(
-          std::span<const double>{x.data() + l * kDim, kDim});
-      for (std::size_t j = 0; j < ref.size(); ++j) {
-        if (out[l * ref.size() + j] != ref[j]) return false;
-      }
-    }
-  }
-  return true;
-}
-
 /// Streams the whole feature list through MicroModel::predict_batch in
 /// chunks of `n`, returns packets/s (sequence mode: one recurrent stream,
 /// the input-side matmul batched across the chunk).
@@ -273,29 +189,10 @@ bool check_sequence_identical(const MicroModel::Config& cfg, std::size_t n,
 struct BatchRow {
   std::string name;
   std::size_t n = 1;
-  double lanes_pps = 0.0;
   double stream_pps = 0.0;
-  double speedup_vs_n1 = 0.0;  // lanes_pps over the N=1 session baseline
+  double speedup = 0.0;  // stream_pps over per-packet predict()
   bool bit_identical = true;
 };
-
-/// The N = 1 baseline: per-packet predict() on a single-lane session,
-/// the exact path ApproxCluster uses without coalescing.
-double run_single(esim::ml::InferenceSession& session,
-                  const std::vector<PacketFeatures>& feats, double* sink) {
-  constexpr std::size_t kDim = PacketFeatures::kDim;
-  session.set_lane_count(1);
-  const auto t0 = std::chrono::steady_clock::now();
-  double acc = 0.0;
-  for (const auto& f : feats) {
-    const auto out = session.predict(std::span<const double>{f.v.data(), kDim});
-    acc += out[0] + out[out.size() - 1];
-  }
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  *sink += acc;
-  return static_cast<double>(feats.size()) / dt.count();
-}
 
 /// Mean of the approx.inference_ns histogram from one hybrid run, or -1
 /// when the metric is missing. `count` receives the sample count.
@@ -310,7 +207,7 @@ double hybrid_inference_ns_mean(const esim::core::RunResult& result,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --batch: only the batched phases, at reduced scale — the sanitizer
+  // --batch: only the batched sweep, at reduced scale — the sanitizer
   // smoke in scripts/check.sh cares about memory discipline and the
   // bit-identity gates, not throughput numbers.
   bool batch_only = false;
@@ -384,18 +281,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Phase 2: the cross-packet batch sweep (DESIGN.md §8). For every
-  // config, N = 1 is the per-packet session predict() path; N > 1 runs
-  // lanes mode (N independent streams, both matmuls lane-batched) and
-  // sequence mode (one stream, predict_batch chunks of N). Each row's
-  // bit-identity gate cross-checks the batched outputs against the
-  // equivalent unbatched predictions, double for double.
+  // Phase 2: the sequence-mode batch sweep (DESIGN.md §8a). For every
+  // config, per-packet predict() is the baseline the simulator runs;
+  // each N streams the same features through predict_batch chunks of N.
+  // Each row's bit-identity gate cross-checks the batched outputs against
+  // per-packet predictions, double for double.
   const std::vector<std::size_t> batch_ns = {1, 4, 16, 64};
   std::vector<BatchRow> batch_rows;
-  std::printf("\nbatched inference (lanes = independent streams, "
-              "stream = predict_batch chunks)\n");
-  std::printf("%-10s %4s %16s %16s %9s %9s\n", "config", "N", "lanes pkt/s",
-              "stream pkt/s", "vs N=1", "bitident");
+  std::printf("\nsequence-mode predict_batch (chunks of N) vs per-packet "
+              "predict\n");
+  std::printf("%-10s %4s %16s %16s %9s %9s\n", "config", "N", "predict pkt/s",
+              "batch pkt/s", "speedup", "bitident");
   for (const auto& c : cases) {
     MicroModel::Config cfg;
     cfg.trunk = c.trunk;
@@ -404,72 +300,60 @@ int main(int argc, char** argv) {
     cfg.seed = 7;
     MicroModel model{cfg};
     model.set_latency_normalization(2.0, 0.8);
-    sim::Rng lane_rng{seed + c.hidden * 2 +
-                      (c.trunk == TrunkKind::Lstm ? 0 : 1)};
-    const LaneBench bench{c.trunk, c.hidden, lane_rng};
-    auto wide = bench.session();
-    wide->reserve_batch(64);
     const std::string name = std::string{esim::ml::trunk_kind_name(c.trunk)} +
                              "_h" + std::to_string(c.hidden);
-    double n1_pps = 0.0;
+    const double predict_pps = best_of(repeats, [&] {
+      return run_stream(
+          model, feats,
+          [](MicroModel& m, const PacketFeatures& f) { return m.predict(f); },
+          &sink);
+    });
     for (const std::size_t batch_n : batch_ns) {
       BatchRow br;
       br.name = name;
       br.n = batch_n;
-      br.lanes_pps = best_of(repeats, [&] {
-        return batch_n == 1 ? run_single(*wide, feats, &sink)
-                            : run_lanes(*wide, batch_n, feats, &sink);
-      });
       br.stream_pps = best_of(repeats, [&] {
         return run_sequence_batch(model, batch_n, feats, &sink);
       });
-      if (batch_n == 1) n1_pps = br.lanes_pps;
-      br.speedup_vs_n1 = n1_pps > 0.0 ? br.lanes_pps / n1_pps : 0.0;
-      const std::size_t lane_steps =
-          std::min<std::size_t>(96, feats.size() / batch_n);
-      br.bit_identical =
-          check_sequence_identical(cfg, batch_n, feats,
-                                   std::min<std::size_t>(n, 256)) &&
-          (batch_n == 1 ||
-           check_lanes_identical(bench, batch_n, feats, lane_steps));
+      br.speedup = predict_pps > 0.0 ? br.stream_pps / predict_pps : 0.0;
+      br.bit_identical = check_sequence_identical(
+          cfg, batch_n, feats, std::min<std::size_t>(n, 256));
       all_identical = all_identical && br.bit_identical;
       batch_rows.push_back(br);
       std::printf("%-10s %4zu %16.0f %16.0f %8.2fx %9s\n", br.name.c_str(),
-                  br.n, br.lanes_pps, br.stream_pps, br.speedup_vs_n1,
+                  br.n, predict_pps, br.stream_pps, br.speedup,
                   br.bit_identical ? "yes" : "NO");
     }
   }
 
-  // Phase 3a: the same comparison end to end — a hybrid run through
-  // ApproxCluster with telemetry on, once per inference path. The
-  // approx.inference_ns histogram is the per-prediction wall cost as the
-  // cluster sees it (feature extraction included).
-  esim::core::ExperimentConfig hcfg;
-  hcfg.net.spec.clusters = 3;
-  hcfg.net.spec.tors_per_cluster = 2;
-  hcfg.net.spec.aggs_per_cluster = 2;
-  hcfg.net.spec.hosts_per_tor = 2;
-  hcfg.net.spec.cores = 2;
-  hcfg.load = 0.3;
-  hcfg.duration =
-      esim::sim::SimTime::from_ms(quick_mode() ? 5 : 40);
-  hcfg.model.hidden = 16;
-  hcfg.model.layers = 2;
-  hcfg.model.seed = 7;
-  hcfg.telemetry = true;
-  esim::core::TrainedModels models;
-  models.ingress = std::make_unique<MicroModel>(hcfg.model);
-  models.egress = std::make_unique<MicroModel>(hcfg.model);
-  const auto hybrid_session =
-      esim::core::run_hybrid_simulation(hcfg, hcfg.net.spec, models);
+  // Phase 3: the session-vs-reference comparison end to end — a hybrid
+  // run through ApproxCluster with telemetry on, once per inference path.
+  // The approx.inference_ns histogram is the per-prediction wall cost as
+  // the cluster sees it (feature extraction included).
   std::uint64_t session_count = 0, reference_count = 0;
   double session_ns = -1.0, reference_ns = -1.0;
   bool hybrid_identical = true;
   if (!batch_only) {
+    esim::core::ExperimentConfig hcfg;
+    hcfg.net.spec.clusters = 3;
+    hcfg.net.spec.tors_per_cluster = 2;
+    hcfg.net.spec.aggs_per_cluster = 2;
+    hcfg.net.spec.hosts_per_tor = 2;
+    hcfg.net.spec.cores = 2;
+    hcfg.load = 0.3;
+    hcfg.duration = esim::sim::SimTime::from_ms(quick_mode() ? 5 : 40);
+    hcfg.model.hidden = 16;
+    hcfg.model.layers = 2;
+    hcfg.model.seed = 7;
+    hcfg.telemetry = true;
+    esim::core::TrainedModels models;
+    models.ingress = std::make_unique<MicroModel>(hcfg.model);
+    models.egress = std::make_unique<MicroModel>(hcfg.model);
+    const auto hybrid_session =
+        esim::core::run_hybrid_simulation(hcfg, hcfg.net.spec, models);
     hcfg.approx.reference_inference = true;
     const auto hybrid_reference =
         esim::core::run_hybrid_simulation(hcfg, hcfg.net.spec, models);
-    hcfg.approx.reference_inference = false;
     session_ns = hybrid_inference_ns_mean(hybrid_session, &session_count);
     reference_ns = hybrid_inference_ns_mean(hybrid_reference, &reference_count);
     hybrid_identical =
@@ -484,37 +368,6 @@ int main(int argc, char** argv) {
         session_ns, session_ns > 0.0 ? reference_ns / session_ns : 0.0,
         hybrid_identical ? "yes" : "NO");
   }
-
-  // Phase 3b: the same hybrid run with the prediction queue coalescing
-  // up to 16 packets per window. Batching may not change the simulation:
-  // every observable except the event count (the flush timers are extra
-  // events) must match the unbatched run exactly.
-  hcfg.approx.batch_max = 16;
-  hcfg.approx.batch_window = esim::sim::SimTime::from_us(2);
-  const auto hybrid_batched =
-      esim::core::run_hybrid_simulation(hcfg, hcfg.net.spec, models);
-  const auto& off_stats = hybrid_session.approx_stats;
-  const auto& on_stats = hybrid_batched.approx_stats;
-  const bool batch_runs_identical =
-      hybrid_batched.flows_launched == hybrid_session.flows_launched &&
-      hybrid_batched.flows_completed == hybrid_session.flows_completed &&
-      hybrid_batched.mean_fct_seconds == hybrid_session.mean_fct_seconds &&
-      on_stats.ingress_packets == off_stats.ingress_packets &&
-      on_stats.egress_packets == off_stats.egress_packets &&
-      on_stats.predicted_drops == off_stats.predicted_drops &&
-      on_stats.backlog_drops == off_stats.backlog_drops &&
-      on_stats.conflicts_resolved == off_stats.conflicts_resolved;
-  all_identical = all_identical && batch_runs_identical;
-  std::printf(
-      "hybrid batching on vs off (batch_max=16, window=2us): flows %llu/%llu, "
-      "boundary pkts %llu/%llu, observables identical: %s\n",
-      static_cast<unsigned long long>(hybrid_batched.flows_completed),
-      static_cast<unsigned long long>(hybrid_session.flows_completed),
-      static_cast<unsigned long long>(on_stats.ingress_packets +
-                                      on_stats.egress_packets),
-      static_cast<unsigned long long>(off_stats.ingress_packets +
-                                      off_stats.egress_packets),
-      batch_runs_identical ? "yes" : "NO");
 
   if (batch_only) {
     print_note("batch-only mode: no JSON written");
@@ -543,13 +396,12 @@ int main(int argc, char** argv) {
     report.set("configs." + r.name + ".speedup", r.speedup());
     report.set("configs." + r.name + ".bit_identical", r.bit_identical);
   }
-  // Batched sweep (EXPERIMENTS.md): batch.<config>.N<k>.* — lanes mode
-  // vs the N=1 session baseline, plus the sequence-mode stream rate.
+  // Batched sweep (EXPERIMENTS.md): batch.<config>.N<k>.* — the
+  // sequence-mode stream rate and its ratio to per-packet predict().
   for (const auto& br : batch_rows) {
     const std::string key = "batch." + br.name + ".N" + std::to_string(br.n);
-    report.set(key + ".lanes_pps", br.lanes_pps);
     report.set(key + ".stream_pps", br.stream_pps);
-    report.set(key + ".speedup", br.speedup_vs_n1);
+    report.set(key + ".speedup", br.speedup);
     report.set(key + ".bit_identical", br.bit_identical);
   }
   report.set("hybrid.inference_count", session_count);
@@ -558,7 +410,6 @@ int main(int argc, char** argv) {
   report.set("hybrid.inference_ns_speedup",
              session_ns > 0.0 ? reference_ns / session_ns : 0.0);
   report.set("hybrid.runs_identical", hybrid_identical);
-  report.set("hybrid.batch_runs_identical", batch_runs_identical);
   const std::string path = "BENCH_inference.json";
   if (report.write(path)) {
     std::printf("wrote %s\n", path.c_str());

@@ -62,18 +62,17 @@ done
 # The six standing esim_diffcheck corpora, each closing on its corpus
 # fingerprint: the all-packet fuzz sweep, the PDES scale-out sweep at the
 # partition counts the scaling bench targets (graph-cut placement,
-# per-pair lookahead windows, SPSC rings), hybrid batching, fidelity,
-# adaptive granularity and memo. Always run this — it is the determinism
+# per-pair lookahead windows, SPSC rings), hybrid engine equivalence,
+# fidelity, adaptive granularity and memo. Always run this — it is the determinism
 # gate, not an opt-in extra; diff its output against an older build's to
 # prove a change digest-identical.
 echo "=== default — esim_diffcheck corpus fingerprints ==="
 scripts/fingerprints.sh build
 
 # The inference bench doubles as a sanitizer workout for the packed
-# SIMD kernels and the workspace plan. `--batch` runs the batched
-# phases: the lanes/sequence sweep at N in {1,4,16,64} (bit-identity
-# checked against independent single-lane sessions, exit 1 on mismatch)
-# plus a hybrid run with the coalesced prediction queue on vs off.
+# SIMD kernels and the workspace plan. `--batch` runs only the
+# sequence-mode predict_batch sweep at N in {1,4,16,64} (bit-identity
+# checked against per-packet predict(), exit 1 on mismatch).
 echo "=== asan-ubsan — bench_inference --batch smoke ==="
 (cd build-asan && ./bench/bench_inference --batch)
 
@@ -93,7 +92,7 @@ echo "=== asan-ubsan — esim_diffcheck fidelity smoke ==="
 # Hybrid (approximated-cluster) engine equivalence under the sanitizers:
 # ApproxCluster's key-0 deliveries into the core are the sends that most
 # often land exactly on a link's departure instant, so this exercises the
-# links' same-instant rule (DESIGN.md §5) across engines, batching on/off.
+# links' same-instant rule (DESIGN.md §5) across engines.
 echo "=== asan-ubsan — esim_diffcheck hybrid smoke ==="
 (cd build-asan && ./tools/esim_diffcheck hybrid --n 10 --seed 7 --partitions 2,3)
 
@@ -106,9 +105,9 @@ echo "=== asan-ubsan — esim_diffcheck granularity smoke ==="
 
 # Phase-memoization replay equivalence under the sanitizers: the delta
 # recorder's observer wrapping, the LRU cache's eviction accounting, and
-# the fast-forward's FES counter surgery must keep memo-on runs
-# digest-identical to memo-off (DESIGN.md §13) with no lifetime bugs in
-# the snapshot/restore path.
+# the fast-forward's FES accounting advance and reserved-sequence
+# injections must keep memo-on runs digest-identical to memo-off
+# (DESIGN.md §13) with no lifetime bugs in the record and replay paths.
 echo "=== asan-ubsan — esim_diffcheck memo smoke ==="
 (cd build-asan && ./tools/esim_diffcheck memo --n 10 --seed 7 --partitions 2,4)
 
@@ -130,9 +129,8 @@ cmake --preset tsan
 echo "=== preset: tsan — build ==="
 cmake --build --preset tsan "${jobs}"
 echo "=== preset: tsan — test (threaded suites) ==="
-# BatchCluster / HybridPdesBatch cover the coalesced prediction queue's
-# flush timers interleaving with the telemetry flusher and with
-# cross-partition deliveries.
+# HybridPdes covers ApproxCluster deliveries into cores on other
+# partitions.
 # Fidelity suites exercise the shared FidelitySink from concurrent PDES
 # partition threads (window closes append rows under the sink mutex).
 # Granularity / FluidCluster cover adaptive tier switches and the fluid
@@ -143,7 +141,7 @@ echo "=== preset: tsan — test (threaded suites) ==="
 # TrainFromTrace covers train_from_trace's egress worker thread, on the
 # success path and when the worker's training throws.
 ctest --preset tsan "${jobs}" -R \
-  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|BatchCluster|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainFromTrace'
+  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainFromTrace'
 
 # The memo corpus under PDES: a live phase's injections are scheduled
 # from the driving thread into partitions parked between engine windows,

@@ -222,7 +222,6 @@ RunOutcome run_scenario(const Scenario& sc, const EngineSpec& engine,
     }
     for (core::ApproxCluster* c : rig.net->clusters) {
       if (c == nullptr) continue;
-      c->flush_batch();
       c->finalize_fidelity();
       // Fold the transition trace into the engine-invariant tier lane.
       for (const core::TierTransition& t : c->tier_trace()) {

@@ -103,8 +103,8 @@ struct RunHooks {
 /// network for `scenario` (all-packet, or hybrid when it has an
 /// approximation block), attaches the digest, the fidelity sink and record
 /// capture per `hooks`, injects the flows and runs until `end` (or hands
-/// the rig to hooks.drive), then flushes and finalizes every ApproxCluster
-/// and folds its tier trace into the digest.
+/// the rig to hooks.drive), then finalizes every ApproxCluster's fidelity
+/// window and folds its tier trace into the digest.
 RunOutcome run_scenario(const Scenario& scenario, const EngineSpec& engine,
                         sim::SimTime end, const RunHooks& hooks = {});
 

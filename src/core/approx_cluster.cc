@@ -27,24 +27,6 @@ ApproxCluster::ApproxCluster(sim::Simulator& sim, std::string name,
       egress_features_{config.spec, config.cluster, Direction::Egress},
       macro_{config.macro} {
   config_.spec.validate();
-  if (batching()) {
-    // A queued packet admitted at t is flushed no later than t +
-    // batch_window and delivered no earlier than t + min_latency_s; the
-    // window must not exceed the floor or a flush could have to
-    // schedule a delivery in its past.
-    if (config_.batch_window >
-        sim::SimTime::from_seconds_f(config_.min_latency_s)) {
-      throw std::invalid_argument(
-          this->name() + ": batch_window exceeds min_latency_s");
-    }
-    pending_.reserve(config_.batch_max);
-    egress_feat_.reserve(config_.batch_max * approx::PacketFeatures::kDim);
-    ingress_feat_.reserve(config_.batch_max * approx::PacketFeatures::kDim);
-    egress_preds_.resize(config_.batch_max);
-    ingress_preds_.resize(config_.batch_max);
-    ingress_model_.reserve_batch(config_.batch_max);
-    egress_model_.reserve_batch(config_.batch_max);
-  }
   ingress_model_.reset_state();
   egress_model_.reset_state();
   cores_.resize(config_.spec.cores, nullptr);
@@ -149,11 +131,6 @@ void ApproxCluster::attach_host(net::HostId id, tcp::Host* host) {
 
 void ApproxCluster::start() {
   schedule_in(macro_.window(), [this] {
-    // Simulator-barrier flush: queued packets were admitted (and in the
-    // unbatched ordering would have been observed by the macro model)
-    // before this window boundary, so they must be resolved before the
-    // window advances.
-    flush_batch();
     const approx::MacroState before = macro_.state();
     macro_.advance_window();
     if (macro_.state() != before) {
@@ -166,12 +143,11 @@ void ApproxCluster::start() {
     if (probe_) probe_->on_macro_window(now().ns(), macro_.window().ns());
     // Tier housekeeping on the active backend (e.g. the fluid model
     // expires idle flows), then the controller's transition decision.
-    // Ordering is the drain-before-switch rule: flush_batch() above
-    // resolved every queued prediction, so a switch at this boundary
-    // starts the new tier with no in-flight work. The controller's
-    // inputs (probe EWMAs) and this timer's firing times are engine-
-    // invariant, so sequential and PDES runs transition at identical
-    // virtual times (DESIGN.md §12).
+    // Every tier decides a packet at its admission, so a switch at this
+    // boundary starts the new tier with no in-flight work. The
+    // controller's inputs (probe EWMAs) and this timer's firing times are
+    // engine-invariant, so sequential and PDES runs transition at
+    // identical virtual times (DESIGN.md §12).
     active_backend().on_macro_window(now());
     if (controller_) {
       if (const auto next = controller_->on_macro_window(now().ns())) {
@@ -210,28 +186,15 @@ const std::vector<TierTransition>& ApproxCluster::tier_trace() const {
 
 // RNG draw-order contract: with sample_drops, every admitted packet
 // consumes exactly one uniform draw from this component's stream at
-// ADMISSION, in arrival order (enqueue_packet/process_packet), and the
-// decision replays that pre-drawn value here — never a fresh draw at
-// flush time, which would permute the stream against the unbatched
-// path. `draw < p` is precisely Rng::bernoulli(p). Threshold mode draws
-// nothing in either path.
+// admission, in arrival order (handle_packet), and every drop decision
+// on that packet replays the pre-drawn value. `draw < p` is precisely
+// Rng::bernoulli(p). Threshold mode draws nothing.
 bool ApproxCluster::decide_drop(double probability, double draw) const {
   if (config_.sample_drops) return draw < probability;
   return probability > 0.5;
 }
 
 void ApproxCluster::handle_packet(Packet pkt) {
-  // The batched prediction queue is an Ml-tier fast path; the other
-  // tiers decide synchronously at admission (their decisions are cheap,
-  // so there is nothing to coalesce).
-  if (tier_for(now()) == ClusterTier::Ml && batching()) {
-    enqueue_packet(std::move(pkt));
-  } else {
-    process_packet(std::move(pkt));
-  }
-}
-
-void ApproxCluster::process_packet(Packet pkt) {
   const std::uint32_t src_cluster =
       config_.spec.cluster_of_host(pkt.flow.src_host);
   const std::uint32_t dst_cluster =
@@ -248,7 +211,7 @@ void ApproxCluster::process_packet(Packet pkt) {
   // contract is tier-independent).
   const approx::PacketFeatures features =
       extractor.extract(pkt, now(), macro_.state());
-  Pending p;
+  Admission p;
   p.arrival = now();
   p.egress = egress;
   p.dst_cluster = dst_cluster;
@@ -281,114 +244,7 @@ void ApproxCluster::process_packet(Packet pkt) {
                  std::span<const double>{features.v});
 }
 
-void ApproxCluster::enqueue_packet(Packet pkt) {
-  const std::uint32_t src_cluster =
-      config_.spec.cluster_of_host(pkt.flow.src_host);
-  const bool egress = src_cluster == config_.cluster;
-  approx::FeatureExtractor& extractor =
-      egress ? egress_features_ : ingress_features_;
-  // Everything arrival-time-dependent happens at admission: the feature
-  // row (inter-arrival gap EWMA, macro one-hot) and — critically for
-  // digest identity — the per-packet drop draw, which the unbatched
-  // path consumes from this component's RNG stream in arrival order.
-  const approx::PacketFeatures features =
-      extractor.extract(pkt, now(), macro_.state());
-  std::vector<double>& feat = egress ? egress_feat_ : ingress_feat_;
-  feat.insert(feat.end(), features.v.begin(), features.v.end());
-  Pending p;
-  p.arrival = now();
-  p.egress = egress;
-  p.dst_cluster = config_.spec.cluster_of_host(pkt.flow.dst_host);
-  p.pkt = std::move(pkt);
-  if (config_.sample_drops) p.drop_draw = rng().uniform();
-  if (pending_.empty()) {
-    // Window-edge flush. The epoch guard voids the timer when a
-    // queue-full or barrier flush empties the queue first.
-    const std::uint64_t epoch = batch_epoch_;
-    schedule_in(config_.batch_window, [this, epoch] {
-      if (epoch == batch_epoch_) flush_batch();
-    });
-  }
-  pending_.push_back(std::move(p));
-  if (pending_.size() >= config_.batch_max) flush_batch();
-}
-
-void ApproxCluster::flush_batch() {
-  if (pending_.empty()) return;
-  ++batch_epoch_;
-  const std::size_t n_egress = egress_feat_.size() / approx::PacketFeatures::kDim;
-  const std::size_t n_ingress =
-      ingress_feat_.size() / approx::PacketFeatures::kDim;
-  {
-    // One batched prediction per direction; each direction's rows are in
-    // its own arrival order, so the recurrent state advances exactly as
-    // the unbatched per-packet calls would.
-    telemetry::Span span{"approx.inference_batch"};
-    const auto t0 = std::chrono::steady_clock::now();
-    if (config_.reference_inference) {
-      std::size_t ei = 0, ii = 0;
-      for (const Pending& p : pending_) {
-        approx::MicroModel& model = p.egress ? egress_model_ : ingress_model_;
-        const std::vector<double>& feat =
-            p.egress ? egress_feat_ : ingress_feat_;
-        std::size_t& cursor = p.egress ? ei : ii;
-        const std::span<const double> row{
-            feat.data() + cursor * approx::PacketFeatures::kDim,
-            approx::PacketFeatures::kDim};
-        (p.egress ? egress_preds_ : ingress_preds_)[cursor] =
-            model.predict_reference(row);
-        ++cursor;
-      }
-    } else {
-      if (n_egress > 0) {
-        egress_model_.predict_batch(egress_feat_,
-                                    std::span{egress_preds_});
-      }
-      if (n_ingress > 0) {
-        ingress_model_.predict_batch(ingress_feat_,
-                                     std::span{ingress_preds_});
-      }
-    }
-    if (m_inferences_ != nullptr) {
-      m_inferences_->inc(pending_.size());
-      // Wall-clock cost of the whole batch; per-packet cost is this
-      // over pending_batch().
-      m_inference_ns_->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
-  }
-  // Outcomes replay in global arrival order: macro observations, stats,
-  // and port reservations all happen in the same sequence — with the
-  // same desired times — as the unbatched path.
-  std::size_t ei = 0, ii = 0;
-  for (Pending& p : pending_) {
-    std::size_t& cursor = p.egress ? ei : ii;
-    const std::vector<double>& feat = p.egress ? egress_feat_ : ingress_feat_;
-    const std::span<const double> row{
-        feat.data() + cursor * approx::PacketFeatures::kDim,
-        approx::PacketFeatures::kDim};
-    const approx::MicroModel::Prediction& prediction =
-        (p.egress ? egress_preds_ : ingress_preds_)[cursor];
-    ++cursor;
-    apply_outcome(std::move(p), prediction, row);
-  }
-  pending_.clear();
-  egress_feat_.clear();
-  ingress_feat_.clear();
-}
-
-void ApproxCluster::apply_outcome(
-    Pending&& p, const approx::MicroModel::Prediction& prediction,
-    std::span<const double> features) {
-  TierDecision decision;
-  decision.drop = decide_drop(prediction.drop_probability, p.drop_draw);
-  decision.latency_s = prediction.latency_seconds;
-  apply_decision(std::move(p), ClusterTier::Ml, decision, features);
-}
-
-void ApproxCluster::apply_decision(Pending&& p, ClusterTier tier,
+void ApproxCluster::apply_decision(Admission&& p, ClusterTier tier,
                                    TierDecision decision,
                                    std::span<const double> features) {
   const double latency = std::max(decision.latency_s, config_.min_latency_s);
@@ -439,7 +295,7 @@ void ApproxCluster::apply_decision(Pending&& p, ClusterTier tier,
   }
 }
 
-void ApproxCluster::shadow_evaluate(const Pending& p,
+void ApproxCluster::shadow_evaluate(const Admission& p,
                                     std::span<const double> features,
                                     double model_latency, bool model_drop) {
   // Reference second opinion: whichever inference path production does

@@ -67,21 +67,6 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     /// the bit-identity contract (the two paths produce identical
     /// predictions); production keeps the session.
     bool reference_inference = false;
-    /// Cross-packet batched inference (DESIGN.md §8): when batch_max > 1
-    /// and batch_window > 0, boundary packets are queued and predicted
-    /// in one MicroModel::predict_batch call per direction. The queue
-    /// flushes on the window edge, when batch_max packets are pending,
-    /// or at the macro-window barrier — a packet is never held past
-    /// batch_window, and batch_window may not exceed min_latency_s (so a
-    /// queued packet's delivery, at arrival + >= min_latency_s, can
-    /// always still be scheduled at flush time; the partitioned hybrid
-    /// build additionally bounds it by min_latency_s - lookahead, see
-    /// core/network.h). Outcomes are bit-identical to the unbatched
-    /// path: features are extracted and drop draws consumed at admission
-    /// in arrival order, and deliveries are reserved relative to each
-    /// packet's arrival time.
-    std::size_t batch_max = 1;
-    sim::SimTime batch_window{};
     /// Macro classifier parameters.
     approx::MacroClassifier::Config macro;
     /// Fidelity-tier policy (DESIGN.md §12). Fixed/Ml (the default) is
@@ -142,19 +127,13 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   /// Current macro state.
   approx::MacroState macro_state() const { return macro_.state(); }
 
-  /// Predicts, decides, and delivers every queued packet (batched mode).
-  /// Called on the window-edge timer, on queue-full, before the macro
-  /// window advances, and as the barrier at stats snapshots (a duration
-  /// cutoff can land mid-window; the queued outcomes are already fully
-  /// determined at admission). Harmless when nothing is pending.
-  void flush_batch();
-
-  /// Number of packets currently coalesced in the prediction queue.
-  std::size_t pending_batch() const { return pending_.size(); }
+  /// Does nothing: every packet is decided at admission, so there is no
+  /// queue to flush. Kept only because benchmark/workloads.cc calls it.
+  void flush_batch() {}
 
   /// Closes the probe's partial fidelity window at the current virtual
   /// time (end-of-run flush; no-op when fidelity is off or the window is
-  /// empty). Call after the final flush_batch().
+  /// empty).
   void finalize_fidelity();
 
   /// The attached fidelity probe; null when the observatory is off.
@@ -175,10 +154,9 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// A packet admitted to the prediction queue. Its features were
-  /// extracted and its drop draw consumed at admission, so the deferred
-  /// prediction reproduces the unbatched outcome exactly.
-  struct Pending {
+  /// A boundary packet at admission: its features were extracted and its
+  /// drop draw consumed before any tier decides it.
+  struct Admission {
     net::Packet pkt;
     sim::SimTime arrival;
     double drop_draw = 0.0;  ///< rng().uniform(), sample_drops only
@@ -186,19 +164,11 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     std::uint32_t dst_cluster = 0;
   };
 
-  bool batching() const {
-    return config_.batch_max > 1 && config_.batch_window > sim::SimTime{};
-  }
-  void enqueue_packet(net::Packet pkt);
-  void process_packet(net::Packet pkt);
   void deliver_egress(net::Packet pkt, sim::SimTime desired);
   void deliver_ingress(net::Packet pkt, sim::SimTime desired);
-  void apply_outcome(Pending&& p,
-                     const approx::MicroModel::Prediction& prediction,
-                     std::span<const double> features);
   /// Common tail of every tier: clamp the latency floor, feed the macro
   /// model and the probe, count under `tier`, and deliver (or drop).
-  void apply_decision(Pending&& p, ClusterTier tier, TierDecision decision,
+  void apply_decision(Admission&& p, ClusterTier tier, TierDecision decision,
                       std::span<const double> features);
   /// The tier deciding a packet admitted at `arrival`. Normally tier_;
   /// a packet arriving at EXACTLY the instant of the latest transition
@@ -217,7 +187,7 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   /// truth peeked (read-only) from the destination port. Runs before
   /// the production delivery reserves the port and mutates nothing the
   /// simulation reads.
-  void shadow_evaluate(const Pending& p, std::span<const double> features,
+  void shadow_evaluate(const Admission& p, std::span<const double> features,
                        double model_latency, bool model_drop);
 
   Config config_;
@@ -231,12 +201,6 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   std::vector<tcp::Host*> hosts_;              // by offset within cluster
   std::vector<DeliverySerializer> core_ports_;  // per core
   std::vector<DeliverySerializer> host_ports_;  // per cluster host offset
-  // Batched-mode prediction queue (arrival order) plus per-direction
-  // feature rows and prediction scratch, preallocated for batch_max.
-  std::vector<Pending> pending_;
-  std::vector<double> egress_feat_, ingress_feat_;
-  std::vector<approx::MicroModel::Prediction> egress_preds_, ingress_preds_;
-  std::uint64_t batch_epoch_ = 0;  // guards the window-edge timer
   Stats stats_;
   // Fidelity tiers (DESIGN.md §12). tier_ is the runtime state; the
   // Ml/Packet backends always exist, the fluid backend only when the

@@ -13,9 +13,8 @@
 //     real queueing delay and drop-tail behaviour, so this is the
 //     highest-fidelity queue-model tier (used when a cluster is
 //     congested and ML drift would be most expensive).
-//   * Ml — the trained micro-model path (the paper's black box). The
-//     batched prediction queue stays inside ApproxCluster; this backend
-//     serves the unbatched decision and defines the tier's contract.
+//   * Ml — the trained micro-model path (the paper's black box): one
+//     prediction per boundary packet, at its admission.
 //   * Fluid — an online max-min fair rate model (flowsim stepped by
 //     packet arrivals): latency = packet bits / current fair share of
 //     the flow. No queues, no TCP dynamics, never drops — the honest
@@ -123,10 +122,9 @@ class PacketTierBackend final : public ClusterBackend {
   }
 };
 
-/// Ml tier: the per-packet micro-model decision (unbatched path). Holds
-/// non-owning pointers to the cluster's models — prediction advances the
-/// same recurrent state the batched path uses, so switching between the
-/// batched queue and this backend never forks model state.
+/// Ml tier: the per-packet micro-model decision. Holds non-owning
+/// pointers to the cluster's models, so the recurrent state lives with
+/// the cluster and survives tier switches.
 class MlTierBackend final : public ClusterBackend {
  public:
   MlTierBackend(approx::MicroModel* ingress, approx::MicroModel* egress,

@@ -289,14 +289,6 @@ RunResult run_simulation(const ExperimentConfig& config,
   }
   for (auto* cluster : network.clusters) {
     if (cluster == nullptr) continue;
-    // The stats snapshot is a flush barrier: a duration cutoff can land
-    // inside a batch window, leaving admitted packets whose flush timer
-    // is past the cutoff. Their outcomes are fully determined at
-    // admission (features, drop draw), and batch_window <= min_latency_s
-    // guarantees their deliveries would not have executed before the
-    // cutoff either way — so flushing here makes the counters match the
-    // unbatched run exactly instead of undercounting the final window.
-    cluster->flush_batch();
     cluster->finalize_fidelity();
     result.approx_stats.egress_packets += cluster->stats().egress_packets;
     result.approx_stats.ingress_packets += cluster->stats().ingress_packets;

@@ -31,18 +31,12 @@ struct Approximation {
   const HybridConfig& config;
   const approx::MicroModel& ingress;
   const approx::MicroModel& egress;
-
-  bool batching() const {
-    return config.approx.batch_max > 1 &&
-           config.approx.batch_window > sim::SimTime{};
-  }
 };
 
 /// Throws std::invalid_argument (prefixed with `who`) unless the build is
 /// well formed: a valid spec; for hybrids, >= 2 clusters and an existing
 /// full_cluster; under an engine, a lookahead no longer than any link's
-/// propagation and, for hybrids, than the model's latency floor net of
-/// the batch window.
+/// propagation and, for hybrids, than the model's latency floor.
 void check_build(const std::string& who, const NetworkConfig& config,
                  const Approximation* approx,
                  const sim::ParallelEngine* engine) {
@@ -68,18 +62,6 @@ void check_build(const std::string& who, const NetworkConfig& config,
     fail(
         "lookahead exceeds the model's minimum latency (egress deliveries "
         "would violate causality)");
-  }
-  if (approx->batching() &&
-      model.batch_window + lookahead >
-          sim::SimTime::from_seconds_f(model.min_latency_s)) {
-    // A packet admitted at t may only be predicted at flush time
-    // tf <= t + batch_window, and its egress delivery lands at
-    // >= t + min_latency_s >= tf + (min_latency_s - batch_window). That
-    // slack is the cluster partition's real send horizon, so it must
-    // cover the engine's conservative lookahead.
-    fail(
-        "batch_window exceeds min_latency_s - lookahead (a coalesced packet "
-        "could be held past the PDES lookahead it was admitted under)");
   }
 }
 
@@ -269,18 +251,13 @@ PartitionedNetwork wire(const std::vector<sim::Simulator*>& sims,
   }
 
   // Core -> ApproxCluster links; egress deliveries go back to the cores
-  // directly. Unbatched, an egress injection granted at t_d is reserved
-  // at arrival t with t_d >= t + min_latency_s. With batching the
-  // reservation is deferred to the flush at tf <= t + batch_window,
-  // shrinking the provable send horizon to min_latency_s - batch_window
-  // (check_build makes it cover the engine lookahead).
+  // directly. An egress injection granted at t_d is reserved at arrival t
+  // with t_d >= t + min_latency_s, so min_latency_s is the provable send
+  // horizon (check_build makes it cover the engine lookahead).
   sim::SimTime egress_horizon;
   if (approx != nullptr) {
     egress_horizon =
         sim::SimTime::from_seconds_f(approx->config.approx.min_latency_s);
-    if (approx->batching()) {
-      egress_horizon = egress_horizon - approx->config.approx.batch_window;
-    }
     if (engine != nullptr) {
       egress_horizon = std::max(egress_horizon, engine->lookahead());
     }

@@ -20,8 +20,8 @@
 //   * under PDES, registers a remote scheduler on every link whose ends
 //     live in different partitions, and programs the engine's per-pair
 //     lookahead from the channels it wired: L[a][b] is the minimum
-//     propagation over a -> b cross links, max(min_latency_s -
-//     batch_window, lookahead) for ApproxCluster -> core deliveries, and
+//     propagation over a -> b cross links, max(min_latency_s, lookahead)
+//     for ApproxCluster -> core deliveries, and
 //     ParallelEngine::infinite_lookahead() for pairs with no channel.
 //
 // Placement: all-packet fabrics follow make_partition_plan (hosts ride
@@ -174,9 +174,8 @@ BuiltNetwork build_hybrid_network(sim::Simulator& sim,
 
 /// The hybrid topology across the engine's partitions. On top of the
 /// link rule of build_clos_partitioned, the engine lookahead must not
-/// exceed the model's min_latency_s, less batch_window when batching (a
-/// coalesced packet may only be predicted at its flush, up to
-/// batch_window after admission); throws std::invalid_argument otherwise.
+/// exceed the model's min_latency_s; throws std::invalid_argument
+/// otherwise.
 PartitionedNetwork build_hybrid_network_partitioned(
     sim::ParallelEngine& engine, const HybridConfig& config,
     const approx::MicroModel& ingress_model,

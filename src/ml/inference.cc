@@ -162,8 +162,6 @@ void InferenceSession::finalize_plan() {
       state_size += layer.hidden;
     }
   }
-  state_size_ = state_size;
-  lanes_ = 1;
   state_.assign(state_size, 0.0);
   // Gate scratch: both kernels accumulate the input-side and hidden-side
   // matvec results in two G-wide blocks before combining.
@@ -239,31 +237,15 @@ void InferenceSession::write_heads(const double* h, double* out) const {
   }
 }
 
-// One lane's gate pass (kernels::lstm_gates / gru_gates, the pass the
-// training step runs): `gi` and `gh` are writable rows holding the
-// input-side and hidden-side gate sums; the lane's h (and c) advance in
-// place. All gate rows are computed before the state update, so reading
-// h/c in place is safe.
-void InferenceSession::combine(const Layer& layer, double* gi, double* gh,
-                               std::size_t lane) {
-  double* state = lane_state(lane);
-  if (kind_ == TrunkKind::Lstm) {
-    kernels::lstm_gates(weights_.data() + layer.b_ih, gi, gh,
-                        state + layer.h_off, state + layer.c_off, nullptr,
-                        layer.hidden);
-  } else {
-    kernels::gru_gates(weights_.data() + layer.b_ih,
-                       weights_.data() + layer.b_hh, gi, gh,
-                       state + layer.h_off, layer.hidden);
-  }
-}
-
-// One streaming step of one layer for one lane. `gi` (when non-null) is
-// a writable row holding the precomputed input-side gate values from a
-// batched matmul — exactly what the product below would produce — and
-// `x` may then be null.
-void InferenceSession::step(const Layer& layer, const double* x, double* gi,
-                            std::size_t lane) {
+// One streaming step of one layer. `gi` (when non-null) is a writable
+// row holding the precomputed input-side gate values from a batched
+// matmul — exactly what the product below would produce — and `x` may
+// then be null. The gate pass (kernels::lstm_gates / gru_gates, the pass
+// the training step runs) combines the input-side and hidden-side gate
+// sums and advances h (and c) in place; all gate rows are computed
+// before the state update, so reading h/c in place is safe.
+void InferenceSession::step(const Layer& layer, const double* x,
+                            double* gi) {
   const std::size_t G = gate_factor(kind_) * layer.hidden;
   double* gh = workspace_.data() + G;
   if (gi == nullptr) {
@@ -272,24 +254,29 @@ void InferenceSession::step(const Layer& layer, const double* x, double* gi,
                        weights_.data() + layer.w_ih, G, layer.input, x,
                        layer.input, 1, gi, G);
   }
+  double* h = state_.data() + layer.h_off;
   kernels::matmul_nt(packed_.data() + layer.pw_hh,
-                     weights_.data() + layer.w_hh, G, layer.hidden,
-                     lane_state(lane) + layer.h_off, layer.hidden, 1, gh, G);
-  combine(layer, gi, gh, lane);
+                     weights_.data() + layer.w_hh, G, layer.hidden, h,
+                     layer.hidden, 1, gh, G);
+  if (kind_ == TrunkKind::Lstm) {
+    kernels::lstm_gates(weights_.data() + layer.b_ih, gi, gh, h,
+                        state_.data() + layer.c_off, nullptr, layer.hidden);
+  } else {
+    kernels::gru_gates(weights_.data() + layer.b_ih,
+                       weights_.data() + layer.b_hh, gi, gh, h,
+                       layer.hidden);
+  }
 }
 
 std::span<const double> InferenceSession::predict(
     std::span<const double> features) {
   check_fresh();
-  if (lanes_ != 1) {
-    throw std::logic_error("InferenceSession: predict() requires one lane");
-  }
   if (features.size() != input_) {
     throw std::invalid_argument("InferenceSession: feature width mismatch");
   }
   const double* x = features.data();
   for (const Layer& layer : layers_) {
-    step(layer, x, nullptr, 0);
+    step(layer, x, nullptr);
     x = state_.data() + layer.h_off;  // feeds the layer above
   }
   const Layer& top = layers_.back();
@@ -307,21 +294,11 @@ void InferenceSession::reserve_batch(std::size_t max_n) {
   const std::size_t hidden = layers_.front().hidden;
   const std::size_t G = gate_factor(kind_) * hidden;
   batch_x_.assign(max_n * hidden, 0.0);
-  // One 2G row per step/lane: [0, G) input-side gates, [G, 2G) the
-  // hidden-side gates of lanes mode (sequence mode leaves them unused —
-  // its recurrence runs through the per-step workspace scratch).
-  batch_gates_.assign(max_n * 2 * G, 0.0);
+  // One G-wide row of input-side gates per step; the recurrence runs
+  // through the per-step workspace scratch.
+  batch_gates_.assign(max_n * G, 0.0);
   batch_out_.assign(max_n * row_width(), 0.0);
   batch_capacity_ = max_n;
-}
-
-void InferenceSession::set_lane_count(std::size_t lanes) {
-  if (lanes == 0) {
-    throw std::invalid_argument("InferenceSession: zero lanes");
-  }
-  lanes_ = lanes;
-  state_.assign(lanes * state_size_, 0.0);
-  reserve_batch(lanes);
 }
 
 // Sequence-mode batch: layer by layer, each layer first runs its
@@ -333,10 +310,6 @@ void InferenceSession::set_lane_count(std::size_t lanes) {
 std::span<const double> InferenceSession::predict_batch(
     std::span<const double> features, std::size_t n) {
   check_fresh();
-  if (lanes_ != 1) {
-    throw std::logic_error(
-        "InferenceSession: predict_batch() requires one lane");
-  }
   if (features.size() != n * input_) {
     throw std::invalid_argument("InferenceSession: feature width mismatch");
   }
@@ -344,7 +317,6 @@ std::span<const double> InferenceSession::predict_batch(
   reserve_batch(n);
   const std::size_t hidden = layers_.front().hidden;
   const std::size_t G = gate_factor(kind_) * hidden;
-  const std::size_t ldg = 2 * G;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     // Layer 0 reads the caller's feature rows; upper layers read the
@@ -353,12 +325,12 @@ std::span<const double> InferenceSession::predict_batch(
     const std::size_t ldx = l == 0 ? input_ : hidden;
     kernels::matmul_nt(packed_.data() + layer.pw_ih,
                        weights_.data() + layer.w_ih, G, layer.input, X, ldx,
-                       n, batch_gates_.data(), ldg);
+                       n, batch_gates_.data(), G);
     // Recurrence: the batched rows are consumed in arrival order, and
     // this layer's h_t overwrites batch_x_ row t (safe — the batched
     // matmul above already read every input row).
     for (std::size_t t = 0; t < n; ++t) {
-      step(layer, nullptr, batch_gates_.data() + t * ldg, 0);
+      step(layer, nullptr, batch_gates_.data() + t * G);
       std::copy_n(state_.data() + layer.h_off, hidden,
                   batch_x_.data() + t * hidden);
     }
@@ -368,50 +340,6 @@ std::span<const double> InferenceSession::predict_batch(
     write_heads(batch_x_.data() + t * hidden, batch_out_.data() + t * width);
   }
   return {batch_out_.data(), n * width};
-}
-
-// Lanes mode: every lane advances one timestep; both gate matmuls batch
-// across lanes, so each weight matrix streams once per call instead of
-// once per lane. Per lane the arithmetic is exactly one predict() step
-// on that lane's private state.
-std::span<const double> InferenceSession::predict_lanes(
-    std::span<const double> features) {
-  check_fresh();
-  if (features.size() != lanes_ * input_) {
-    throw std::invalid_argument("InferenceSession: feature width mismatch");
-  }
-  reserve_batch(lanes_);
-  const std::size_t hidden = layers_.front().hidden;
-  const std::size_t G = gate_factor(kind_) * hidden;
-  const std::size_t ldg = 2 * G;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    // Layer l > 0 reads layer l-1's freshly written h, striding the
-    // per-lane state blocks.
-    const double* X =
-        l == 0 ? features.data() : state_.data() + layers_[l - 1].h_off;
-    const std::size_t ldx = l == 0 ? input_ : state_size_;
-    kernels::matmul_nt(packed_.data() + layer.pw_ih,
-                       weights_.data() + layer.w_ih, G, layer.input, X, ldx,
-                       lanes_, batch_gates_.data(), ldg);
-    kernels::matmul_nt(packed_.data() + layer.pw_hh,
-                       weights_.data() + layer.w_hh, G, layer.hidden,
-                       state_.data() + layer.h_off, state_size_, lanes_,
-                       batch_gates_.data() + G, ldg);
-    // With the matmuls batched above, this per-lane gate pass over the
-    // flat gate buffer is what remains of the per-packet cost.
-    for (std::size_t lane = 0; lane < lanes_; ++lane) {
-      double* row = batch_gates_.data() + lane * ldg;
-      combine(layer, row, row + G, lane);
-    }
-  }
-  const Layer& top = layers_.back();
-  const std::size_t width = row_width();
-  for (std::size_t lane = 0; lane < lanes_; ++lane) {
-    write_heads(lane_state(lane) + top.h_off,
-                batch_out_.data() + lane * width);
-  }
-  return {batch_out_.data(), lanes_ * width};
 }
 
 std::vector<WeightView> InferenceSession::weight_views(

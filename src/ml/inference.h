@@ -38,19 +38,16 @@
 // written since the snapshot (optimizer steps bump the version, see
 // ml/module.h).
 //
-// Batched prediction (DESIGN.md §8): two entry points amortize weight
-// streaming across packets, both bit-identical per output to the
-// equivalent sequence of predict() calls.
-//   * predict_batch(): one stream, N arrival-ordered timesteps. Each
-//     layer batches its input-side W_ih matmul over all N steps (weights
-//     stream once per batch), then applies the W_hh recurrence step by
-//     step; recurrent state advances exactly as N predict() calls would.
-//   * lanes mode (set_lane_count(L) + predict_lanes()): L independent
-//     streams sharing weights but not state. Both gate matmuls batch
-//     across lanes, so every weight matrix streams once per L packets.
-// The batched kernels tile independent rows x lanes into vector
-// registers; each (row, lane) product still sums p = 0..n-1 in the
-// reference order, so the identity contract is unchanged.
+// Batched prediction (DESIGN.md §8a): predict_batch() consumes N
+// arrival-ordered timesteps of one stream, bit-identical per output to
+// N predict() calls. Each layer batches its input-side W_ih matmul over
+// all N steps (weights stream once per batch), then applies the W_hh
+// recurrence step by step; recurrent state advances exactly as N
+// predict() calls would. The batched kernel tiles independent rows x
+// steps into vector registers; each (row, step) product still sums
+// p = 0..n-1 in the reference order, so the identity contract is
+// unchanged. The simulator predicts per packet; predict_batch serves the
+// benchmark's ml.predict_batch8_ns_per_row layer metric.
 #pragma once
 
 #include <cstddef>
@@ -127,29 +124,13 @@ class InferenceSession {
   /// W_ih streams once per batch instead of once per packet. Zero heap
   /// allocations once capacity covers n (see reserve_batch; the first
   /// call at a new high-water n grows the batch workspace). The returned
-  /// span is valid until the next predict*/reset_state() call. Requires
-  /// lane_count() == 1.
+  /// span is valid until the next predict*/reset_state() call.
   std::span<const double> predict_batch(std::span<const double> features,
                                         std::size_t n);
 
-  /// Pre-sizes the batch workspace so predict_batch(n <= max_n) and
-  /// predict_lanes() after set_lane_count(L <= max_n) allocate nothing.
+  /// Pre-sizes the batch workspace so predict_batch(n <= max_n) allocates
+  /// nothing.
   void reserve_batch(std::size_t max_n);
-
-  /// Switches the session to `lanes` independent streams (state is
-  /// zeroed; lane 0 is the predict()/predict_batch() stream when
-  /// lanes == 1). Lanes share the weight snapshot but carry private
-  /// hidden/cell state.
-  void set_lane_count(std::size_t lanes);
-  std::size_t lane_count() const { return lanes_; }
-
-  /// Advances every lane by one timestep: features holds lane_count()
-  /// input rows (lane-major), the result holds lane_count() output rows.
-  /// Per lane bit-identical to a dedicated session running predict() on
-  /// that lane's stream; both gate matmuls batch across lanes so every
-  /// weight matrix streams once per call. Zero heap allocations (the
-  /// lane workspace is sized by set_lane_count/reserve_batch).
-  std::span<const double> predict_lanes(std::span<const double> features);
 
   /// Registers a weight-source module: predict entry points throw
   /// std::logic_error once the module's weight_version() moves past the
@@ -157,7 +138,7 @@ class InferenceSession {
   /// outlive the session.
   void watch_weight_source(const Module& module);
 
-  /// Zeroes the streaming hidden (and cell) state of every lane.
+  /// Zeroes the streaming hidden (and cell) state.
   void reset_state();
 
   TrunkKind kind() const { return kind_; }
@@ -199,13 +180,10 @@ class InferenceSession {
 
   void assign_offsets(const Arch& arch);  // lays out weights_, fills layers_
   void finalize_plan();  // sizes state_/workspace_/packed_, packs weights
-  void step(const Layer& layer, const double* x, double* gi,
-            std::size_t lane);
-  void combine(const Layer& layer, double* gi, double* gh, std::size_t lane);
+  void step(const Layer& layer, const double* x, double* gi);
   void check_fresh() const;  // throws on a stale watched weight source
   void write_heads(const double* h, double* out) const;
   std::size_t row_width() const;  // output_size_, or hidden when headless
-  double* lane_state(std::size_t lane) { return state_.data() + lane * state_size_; }
 
   TrunkKind kind_ = TrunkKind::Lstm;
   std::size_t input_ = 0;
@@ -213,14 +191,12 @@ class InferenceSession {
   std::vector<Head> heads_;
   std::vector<double> weights_;    // natural row-major weight storage
   std::vector<double> packed_;     // row-interleaved kernel copy of w_ih/w_hh
-  std::vector<double> state_;      // h (+ c) per layer, per lane, contiguous
+  std::vector<double> state_;      // h (+ c) per layer, contiguous
   std::vector<double> workspace_;  // gate scratch, then head outputs
   std::vector<double> batch_x_;    // batch: per-step layer inputs/outputs
   std::vector<double> batch_gates_;  // batch: input-side gate rows, per step
-  std::vector<double> batch_out_;  // batch: output rows, per step/lane
-  std::size_t batch_capacity_ = 0;  // steps/lanes the batch buffers cover
-  std::size_t state_size_ = 0;     // per-lane h (+ c) footprint
-  std::size_t lanes_ = 1;
+  std::vector<double> batch_out_;  // batch: output rows, per step
+  std::size_t batch_capacity_ = 0;  // steps the batch buffers cover
   std::size_t head_out_off_ = 0;   // into workspace_
   std::size_t output_size_ = 0;
   // Weight-source modules and the versions snapshotted from them.

@@ -99,11 +99,9 @@ TEST(HybridPdes, HonoursCoreLinkInWiringAndLookahead) {
 TEST(HybridPdes, ProgramsPerPairLookahead) {
   // Islands 1 and 3 on partition 1, island 2 on partition 2. Core ->
   // island channels are 1 us links; island -> core deliveries keep
-  // min_latency_s - batch_window = 2 us; islands never talk to each other.
+  // min_latency_s = 2 us; islands never talk to each other.
   HybridConfig cfg = hybrid_config(4);
-  cfg.approx.min_latency_s = 5e-6;
-  cfg.approx.batch_max = 8;
-  cfg.approx.batch_window = SimTime::from_us(3);
+  cfg.approx.min_latency_s = 2e-6;
   ParallelEngine engine{engine_config(3)};
   const auto m = benign_model(8.0);
   const auto out = build_hybrid_network_partitioned(engine, cfg, m, m);

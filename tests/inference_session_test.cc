@@ -382,43 +382,9 @@ TEST(InferenceSession, PredictBatchBitIdenticalToSequential) {
   }
 }
 
-// predict_lanes must advance L independent streams exactly as L separate
-// sessions would — both matmuls batch across lanes, so this pins the
-// lane-tiled kernels (including lane-count tails) to the single-lane path.
-TEST(InferenceSession, PredictLanesBitIdenticalToIndependentSessions) {
-  for (const ml::TrunkKind kind : {ml::TrunkKind::Lstm, ml::TrunkKind::Gru}) {
-    sim::Rng init{77};
-    const auto model = ml::make_sequence_model(kind, 6, 9, 2, init);
-    for (const std::size_t lanes : {2UL, 5UL, 8UL}) {  // 5 = AVX tile tail
-      auto wide = model->make_inference_session();
-      wide->set_lane_count(lanes);
-      std::vector<std::unique_ptr<ml::InferenceSession>> singles;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        singles.push_back(model->make_inference_session());
-      }
-      sim::Rng rng{78};
-      std::vector<double> x(lanes * 6);
-      for (int t = 0; t < 12; ++t) {
-        for (auto& v : x) v = rng.uniform() * 2.0 - 1.0;
-        const auto out = wide->predict_lanes(x);
-        ASSERT_EQ(out.size(), lanes * 9);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const auto ref = singles[l]->predict(
-              std::span<const double>{x.data() + l * 6, 6});
-          for (std::size_t j = 0; j < 9; ++j) {
-            ASSERT_EQ(out[l * 9 + j], ref[j])
-                << ml::trunk_kind_name(kind) << " lanes=" << lanes
-                << " t=" << t << " lane=" << l << " j=" << j;
-          }
-        }
-      }
-    }
-  }
-}
-
 // The zero-per-call-allocation contract extends to batches: once
 // reserve_batch() covers the batch size, predict_batch allocates nothing
-// for any N in 1..64, and neither does the lanes path.
+// for any N in 1..64.
 TEST(InferenceSession, PredictBatchIsAllocationFree) {
   MicroModel::Config cfg;
   cfg.hidden = 32;
@@ -441,18 +407,6 @@ TEST(InferenceSession, PredictBatchIsAllocationFree) {
   }
   EXPECT_EQ(counter.count(), 0u);
   EXPECT_NE(sink, 0.0);
-
-  // Lanes mode: set_lane_count allocates once, predict_lanes never.
-  sim::Rng init{92};
-  const auto trunk = ml::make_sequence_model(ml::TrunkKind::Lstm, 6, 16, 2,
-                                             init);
-  auto session = trunk->make_inference_session();
-  session->set_lane_count(8);
-  std::vector<double> x(8 * 6, 0.25);
-  (void)session->predict_lanes(x);  // warm up
-  AllocationCounter lane_counter;
-  for (int i = 0; i < 50; ++i) sink += session->predict_lanes(x)[0];
-  EXPECT_EQ(lane_counter.count(), 0u);
 }
 
 // The stale-session safety net: optimizer steps constructed against the

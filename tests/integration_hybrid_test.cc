@@ -189,6 +189,37 @@ TEST(HybridNetwork, DroppyModelForcesRetransmissions) {
   EXPECT_GT(net.clusters[1]->stats().predicted_drops, 0u);
 }
 
+// The min-latency floor and the max-port-backlog clamp on a live run. The
+// model predicts ~0.5 us, far below the 5 us floor, so every delivery
+// clamps to arrival + min_latency_s; three flows converge 3:1 on host 12,
+// one emulated ingress port whose virtual drop-tail holds 3 us.
+TEST(ApproxCluster, LatencyFloorAndBacklogClampBite) {
+  Simulator sim{7};
+  HybridConfig cfg;
+  cfg.net.spec = spec_with_clusters(2);
+  cfg.approx.min_latency_s = 5e-6;
+  cfg.approx.max_port_backlog = SimTime::from_us(3);
+  const auto model = make_benign_model(0.5);
+  auto net = build_hybrid_network(sim, cfg, model, model);
+  stats::LatencyCollector rtt;
+  net.hosts[0]->set_rtt_collector(&rtt);
+  sim.schedule_at(SimTime::from_us(10),
+                  [&] { net.hosts[0]->open_flow(12, 200'000, 1); });
+  sim.schedule_at(SimTime::from_us(11),
+                  [&] { net.hosts[1]->open_flow(12, 200'000, 2); });
+  sim.schedule_at(SimTime::from_us(12),
+                  [&] { net.hosts[4]->open_flow(12, 200'000, 3); });
+  sim.run_until(SimTime::from_ms(80));
+  // The floor bites: a sub-microsecond model prediction cannot produce an
+  // RTT below two clamped 5 us fabric traversals.
+  ASSERT_GT(rtt.summary().count(), 0u);
+  EXPECT_GT(rtt.summary().min(), 10e-6);
+  // The backlog clamp bites: the port sheds packets past its 3 us
+  // drop-tail and pushes conflicting deliveries to later slots.
+  EXPECT_GT(net.clusters[1]->stats().backlog_drops, 0u);
+  EXPECT_GT(net.clusters[1]->stats().conflicts_resolved, 0u);
+}
+
 TEST(HybridNetwork, ElisionFilterKeepsApproxOnlyTrafficOut) {
   // With 4 clusters, flows between approximated clusters are elided; the
   // ApproxClusters then only ever see traffic touching cluster 0.
