@@ -101,52 +101,6 @@ std::optional<Event> EventQueue::pop_before(SimTime end) {
   return take_top();
 }
 
-namespace {
-
-// SplitMix64 finalizer — local copy so sim stays dependency-free of
-// src/check (which owns the digest Hash64 built on the same mixer).
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-std::uint64_t EventQueue::pending_fingerprint() const {
-  // Commutative: sum of per-event mixes, so heap layout and visit order
-  // cannot leak into the fingerprint.
-  std::uint64_t acc = 0;
-  for (const Entry& e : heap_) {
-    if (entry_dead(e)) continue;
-    acc += mix64(mix64(static_cast<std::uint64_t>(e.time.ns())) ^
-                 mix64(e.key ^ 0x517CC1B727220A95ULL));
-  }
-  return acc;
-}
-
-void EventQueue::restore_accounting(const AccountingSnapshot& snap) {
-  if (live_ != snap.live) {
-    throw std::logic_error(
-        "restore_accounting: live pending count differs from snapshot");
-  }
-  if (pending_fingerprint() != snap.pending) {
-    throw std::logic_error(
-        "restore_accounting: pending (time, key) multiset differs from "
-        "snapshot");
-  }
-  for (const Entry& e : heap_) {
-    if (!entry_dead(e) && e.seq >= snap.next_seq) {
-      throw std::logic_error(
-          "restore_accounting: a live event was scheduled after the "
-          "snapshot — rewinding next_seq would duplicate its sequence");
-    }
-  }
-  next_seq_ = snap.next_seq;
-  total_scheduled_ = snap.total_scheduled;
-}
-
 void EventQueue::debug_set_invert_tiebreak(bool on) {
   if (total_scheduled_ != 0) {
     throw std::logic_error(

@@ -132,71 +132,20 @@ class EventQueue {
     return live(h) ? slots_[slot].seq : 0;
   }
 
-  /// Commutative (order-independent) fingerprint of the live pending
-  /// (time, key) multiset. Two queues holding the same pending events —
-  /// regardless of scheduling history, cancellations, or heap layout —
-  /// fingerprint identically. Insertion sequences are deliberately
-  /// excluded (they are history, not state).
-  std::uint64_t pending_fingerprint() const;
-
-  // --- accounting snapshot / restore (the memoization contract) --------
+  // --- accounting advance (the memoization contract) ------------------
   //
   // Generation-tagged slots make full FES state capture impossible by
   // design: closures are move-only and cancellation destroys them
-  // immediately. What CAN be snapshotted and restored is the queue's
+  // immediately. What memoization needs instead is the queue's
   // *accounting* — the (next_seq, total_scheduled) counters that drive
-  // deterministic tie-breaking — together with a fingerprint of the live
-  // pending set that pins down when a restore is sound.
-  //
-  // The contract across cancellations:
-  //
-  //   * snapshot_accounting() never blocks later operations; it is a pure
-  //     read.
-  //   * restore_accounting(snap) requires that the queue's live pending
-  //     multiset is EXACTLY the snapshot's — same live count, same
-  //     (time, key) fingerprint — and that every live event predates the
-  //     snapshot (insertion seq < snap.next_seq). In that state, every
-  //     event scheduled after the snapshot has been consumed (executed or
-  //     cancelled), so rewinding next_seq/total_scheduled cannot create a
-  //     duplicate sequence among live events and future pops order
-  //     exactly as if the interval never happened. Any violation throws
-  //     std::logic_error and leaves the queue untouched.
-  //   * Slot GENERATIONS are never restored: they are monotonic for the
-  //     queue's lifetime. A handle issued between snapshot and restore
-  //     stays dead forever, even though a post-restore schedule() may
-  //     reuse both its slot and its sequence number — handle identity is
-  //     (slot, generation), so the recycled slot's bumped generation keeps
-  //     old handles from ever matching (tested in event_queue_test.cc,
-  //     ChurnThenRestore).
-  //   * advance_accounting(n) is the fast-forward dual: it declares that
-  //     `n` schedules happened logically (a memoized phase replay) without
-  //     materializing them, keeping subsequent sequence numbers — and
-  //     therefore same-(time, key) tie-breaks — bit-identical to a run
-  //     that executed the phase live. The same call reserves sequences
-  //     for events known in advance (a periodic run's flow injections):
-  //     schedule_reserved() later puts one in the heap under its claimed
-  //     sequence, or it is never materialized when its phase is replayed.
-
-  /// Accounting state captured by snapshot_accounting().
-  struct AccountingSnapshot {
-    std::uint64_t next_seq = 0;
-    std::uint64_t total_scheduled = 0;
-    std::size_t live = 0;
-    std::uint64_t pending = 0;  ///< pending_fingerprint() at capture
-
-    bool operator==(const AccountingSnapshot&) const = default;
-  };
-
-  /// Captures the accounting counters and the pending-set fingerprint.
-  AccountingSnapshot snapshot_accounting() const {
-    return AccountingSnapshot{next_seq_, total_scheduled_, live_,
-                              pending_fingerprint()};
-  }
-
-  /// Rewinds the accounting counters to `snap`. See the contract above;
-  /// throws std::logic_error unless the live pending multiset matches the
-  /// snapshot and contains no post-snapshot events.
-  void restore_accounting(const AccountingSnapshot& snap);
+  // deterministic tie-breaking. advance_accounting(n) declares that `n`
+  // schedules happened logically (a memoized phase replay) without
+  // materializing them, keeping subsequent sequence numbers — and
+  // therefore same-(time, key) tie-breaks — bit-identical to a run that
+  // executed the phase live. The same call reserves sequences for events
+  // known in advance (a periodic run's flow injections):
+  // schedule_reserved() later puts one in the heap under its claimed
+  // sequence, or it is never materialized when its phase is replayed.
 
   /// Declares `scheduled_delta` logical schedules without materializing
   /// them: next_seq and total_scheduled advance in lockstep (each

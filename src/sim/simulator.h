@@ -142,14 +142,8 @@ class Simulator {
   /// running them, keeping events_executed() identical to a live run.
   void advance_executed_accounting(std::uint64_t n) { events_executed_ += n; }
 
-  /// FES accounting capture/rewind/advance — see EventQueue's
-  /// snapshot/restore contract in event_queue.h.
-  EventQueue::AccountingSnapshot fes_snapshot() const {
-    return queue_.snapshot_accounting();
-  }
-  void fes_restore(const EventQueue::AccountingSnapshot& snap) {
-    queue_.restore_accounting(snap);
-  }
+  /// FES accounting advance — see EventQueue::advance_accounting and the
+  /// memoization contract in event_queue.h.
   void fes_advance(std::uint64_t scheduled_delta) {
     queue_.advance_accounting(scheduled_delta);
   }

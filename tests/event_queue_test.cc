@@ -308,116 +308,7 @@ TEST(EventQueue, RandomizedAgainstReference) {
   }
 }
 
-// --- accounting snapshot/restore (the memo fast-forward contract) -----
-
-TEST(EventQueue, AccountingSnapshotCapturesLiveSet) {
-  EventQueue q;
-  q.schedule(SimTime::from_ns(10), [] {});
-  const EventHandle b = q.schedule(SimTime::from_ns(20), [] {});
-  const EventQueue::AccountingSnapshot snap = q.snapshot_accounting();
-  EXPECT_EQ(snap.live, 2u);
-  EXPECT_EQ(snap.next_seq, 3u);
-  EXPECT_EQ(snap.total_scheduled, 2u);
-  // The fingerprint is order-independent over the live set: cancelling
-  // and re-adding an equivalent (time, key) entry reproduces it.
-  q.cancel(b);
-  q.schedule(SimTime::from_ns(20), [] {});
-  EXPECT_EQ(q.pending_fingerprint(), snap.pending);
-}
-
-TEST(EventQueue, PendingFingerprintDistinguishesTimeAndKey) {
-  EventQueue a, b, c;
-  a.schedule(SimTime::from_ns(10), 5, [] {});
-  b.schedule(SimTime::from_ns(11), 5, [] {});
-  c.schedule(SimTime::from_ns(10), 6, [] {});
-  EXPECT_NE(a.pending_fingerprint(), b.pending_fingerprint());
-  EXPECT_NE(a.pending_fingerprint(), c.pending_fingerprint());
-  EXPECT_NE(b.pending_fingerprint(), c.pending_fingerprint());
-}
-
-// The regression named by the contract comment in event_queue.h: restore
-// after cancellation churn must keep every dead handle dead (generations
-// are monotonic for the queue's lifetime, never restored), while seq
-// numbering and scheduled totals rewind exactly.
-TEST(EventQueue, ChurnThenRestore) {
-  EventQueue q;
-  const EventHandle a = q.schedule(SimTime::from_ns(10), [] {});
-  const EventHandle b = q.schedule(SimTime::from_ns(20), [] {});
-
-  // Pre-snapshot churn: burn seqs and generations.
-  for (int i = 0; i < 5; ++i) {
-    const EventHandle h = q.schedule(SimTime::from_ns(100 + i), [] {});
-    ASSERT_TRUE(q.cancel(h));
-  }
-  const EventQueue::AccountingSnapshot snap = q.snapshot_accounting();
-  ASSERT_EQ(snap.live, 2u);
-  ASSERT_EQ(snap.next_seq, 8u);
-
-  // Post-snapshot churn that fully unwinds: schedule two more, cancel
-  // both — the live set is back to {a, b}.
-  const EventHandle f = q.schedule(SimTime::from_ns(30), [] {});
-  const EventHandle g = q.schedule(SimTime::from_ns(40), [] {});
-  ASSERT_TRUE(q.cancel(f));
-  ASSERT_TRUE(q.cancel(g));
-
-  q.restore_accounting(snap);
-  EXPECT_EQ(q.next_seq(), snap.next_seq);
-  EXPECT_EQ(q.total_scheduled(), snap.total_scheduled);
-  EXPECT_EQ(q.snapshot_accounting(), snap);
-
-  // The cancelled handles stay dead even though the seq range they
-  // occupied has been rewound and will be reissued.
-  EXPECT_FALSE(q.live(f));
-  EXPECT_FALSE(q.cancel(f));
-  EXPECT_FALSE(q.cancel(g));
-
-  // Reissued seqs go to NEW handles; the old ones still don't resolve.
-  const EventHandle h = q.schedule(SimTime::from_ns(30), [] {});
-  EXPECT_EQ(q.seq_of(h), 8u);  // f's old seq, reused
-  EXPECT_TRUE(q.live(h));
-  EXPECT_FALSE(q.live(f));
-  EXPECT_FALSE(q.cancel(f));  // stale handle cannot cancel the new event
-  EXPECT_TRUE(q.live(a));
-  EXPECT_TRUE(q.live(b));
-
-  // Pop order is unaffected: a@10, b@20, h@30.
-  std::vector<std::int64_t> times;
-  while (auto e = q.pop()) times.push_back(e->time.ns());
-  EXPECT_EQ(times, (std::vector<std::int64_t>{10, 20, 30}));
-}
-
-TEST(EventQueue, RestoreRejectsMismatchedLiveSet) {
-  EventQueue q;
-  q.schedule(SimTime::from_ns(10), [] {});
-  const EventQueue::AccountingSnapshot snap = q.snapshot_accounting();
-
-  // Live count drifted.
-  q.schedule(SimTime::from_ns(20), [] {});
-  EXPECT_THROW(q.restore_accounting(snap), std::logic_error);
-
-  // Count matches but the (time, key) multiset does not.
-  EventQueue q2;
-  const EventHandle h = q2.schedule(SimTime::from_ns(10), [] {});
-  const EventQueue::AccountingSnapshot snap2 = q2.snapshot_accounting();
-  ASSERT_TRUE(q2.cancel(h));
-  q2.schedule(SimTime::from_ns(11), [] {});
-  EXPECT_THROW(q2.restore_accounting(snap2), std::logic_error);
-}
-
-TEST(EventQueue, RestoreRejectsLiveEventFromTheFuture) {
-  // An event scheduled AFTER the snapshot that is still live at restore
-  // time sits above the rewound next_seq; its (time, key) matches the
-  // cancelled original's, so the fingerprint alone cannot tell them
-  // apart — the seq bound check must refuse, or two live events could
-  // later share one seq.
-  EventQueue q;
-  const EventHandle orig = q.schedule(SimTime::from_ns(10), [] {});
-  const EventQueue::AccountingSnapshot snap = q.snapshot_accounting();
-  const EventHandle later = q.schedule(SimTime::from_ns(10), [] {});
-  ASSERT_TRUE(q.cancel(orig));
-  ASSERT_TRUE(q.live(later));
-  EXPECT_THROW(q.restore_accounting(snap), std::logic_error);
-}
+// --- accounting advance (the memo fast-forward contract) -------------
 
 TEST(EventQueue, AdvanceAccountingMirrorsScheduling) {
   EventQueue q;
