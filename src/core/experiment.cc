@@ -233,7 +233,6 @@ RunResult run_simulation(const ExperimentConfig& config,
   } else {
     HybridConfig hcfg;
     hcfg.net = net_cfg;
-    hcfg.full_cluster = 0;
     hcfg.approx = config.approx;
     hcfg.approx.macro = config.macro;
     if (config.fidelity.enabled) {
@@ -247,7 +246,7 @@ RunResult run_simulation(const ExperimentConfig& config,
   RunResult result;
   stats::LatencyCollector rtt;
   for (net::HostId h = 0; h < spec.total_hosts(); ++h) {
-    if (spec.cluster_of_host(h) == 0) {
+    if (spec.cluster_of_host(h) == kFullCluster) {
       network.hosts[h]->set_rtt_collector(&rtt);
     }
   }
@@ -264,7 +263,8 @@ RunResult run_simulation(const ExperimentConfig& config,
     // Elide traffic entirely between approximated clusters (paper §6.2):
     // it cannot affect measurements taken in the full-fidelity cluster.
     gen->admission_filter = [&spec](net::HostId src, net::HostId dst) {
-      return spec.cluster_of_host(src) == 0 || spec.cluster_of_host(dst) == 0;
+      return spec.cluster_of_host(src) == kFullCluster ||
+             spec.cluster_of_host(dst) == kFullCluster;
     };
   }
   gen->start();

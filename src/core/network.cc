@@ -26,7 +26,7 @@ std::vector<const CoreAttachment*> BuiltNetwork::attachments_of(
 namespace {
 
 /// The approximated clusters of a hybrid build — every cluster but
-/// config.full_cluster — and the models each ApproxCluster copies.
+/// kFullCluster — and the models each ApproxCluster copies.
 struct Approximation {
   const HybridConfig& config;
   const approx::MicroModel& ingress;
@@ -34,8 +34,8 @@ struct Approximation {
 };
 
 /// Throws std::invalid_argument (prefixed with `who`) unless the build is
-/// well formed: a valid spec; for hybrids, >= 2 clusters and an existing
-/// full_cluster; under an engine, a lookahead no longer than any link's
+/// well formed: a valid spec; for hybrids, >= 2 clusters; under an
+/// engine, a lookahead no longer than any link's
 /// propagation and, for hybrids, than the model's latency floor.
 void check_build(const std::string& who, const NetworkConfig& config,
                  const Approximation* approx,
@@ -45,9 +45,8 @@ void check_build(const std::string& who, const NetworkConfig& config,
   const auto fail = [&who](const std::string& what) {
     throw std::invalid_argument(who + ": " + what);
   };
-  if (approx != nullptr) {
-    if (spec.clusters < 2) fail("need >= 2 clusters (one stays full)");
-    if (approx->config.full_cluster >= spec.clusters) fail("bad full_cluster");
+  if (approx != nullptr && spec.clusters < 2) {
+    fail("need >= 2 clusters (one stays full)");
   }
   if (engine == nullptr) return;
   const sim::SimTime lookahead = engine->lookahead();
@@ -84,7 +83,7 @@ PartitionedNetwork wire(const std::vector<sim::Simulator*>& sims,
   const ClosSpec& spec = config.spec;
   const auto P = static_cast<std::uint32_t>(sims.size());
   const auto approximated = [approx](std::uint32_t c) {
-    return approx != nullptr && c != approx->config.full_cluster;
+    return approx != nullptr && c != kFullCluster;
   };
 
   PartitionedNetwork out;
@@ -422,7 +421,7 @@ PartitionedNetwork build_hybrid_network_partitioned(
   if (P > 1) {
     std::vector<std::uint32_t> islands;
     for (std::uint32_t c = 0; c < spec.clusters; ++c) {
-      if (c != config.full_cluster) islands.push_back(c);
+      if (c != kFullCluster) islands.push_back(c);
     }
     const auto bins = assign_balanced(
         std::vector<std::uint64_t>(islands.size(), spec.hosts_per_cluster()),

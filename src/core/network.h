@@ -96,11 +96,13 @@ struct NetworkConfig {
   bool ecmp_port_sensitive = true;
 };
 
+/// The cluster a hybrid build keeps at packet fidelity. The run paths
+/// measure RTTs there and elide flows between the other clusters.
+inline constexpr std::uint32_t kFullCluster = 0;
+
 /// Extra knobs for the approximated clusters of a hybrid build.
 struct HybridConfig {
   NetworkConfig net;
-  /// Which cluster stays at packet fidelity.
-  std::uint32_t full_cluster = 0;
   /// ApproxCluster behaviour (spec/cluster fields are filled per cluster).
   ApproxCluster::Config approx;
 };
@@ -164,9 +166,9 @@ PartitionedNetwork build_clos_partitioned(
     sim::ParallelEngine& engine, const NetworkConfig& config,
     PlacementPolicy policy = PlacementPolicy::graph_cut);
 
-/// Builds the hybrid topology in `sim`: config.full_cluster and the cores
-/// at packet fidelity, every other cluster an ApproxCluster holding its
-/// own copy of the trained models. Requires spec.clusters >= 2.
+/// Builds the hybrid topology in `sim`: kFullCluster and the cores at
+/// packet fidelity, every other cluster an ApproxCluster holding its own
+/// copy of the trained models. Requires spec.clusters >= 2.
 BuiltNetwork build_hybrid_network(sim::Simulator& sim,
                                   const HybridConfig& config,
                                   const approx::MicroModel& ingress_model,

@@ -99,10 +99,12 @@ TEST(HybridBuilder, WiresComponents) {
 }
 
 TEST(HybridBuilder, RejectsBadConfig) {
+  // A valid leaf-spine (one cluster, no cores) leaves nothing to
+  // approximate, so only the hybrid builder's own rule rejects it.
   Simulator sim{1};
   HybridConfig cfg;
-  cfg.net.spec = spec_with_clusters(2);
-  cfg.full_cluster = 5;
+  cfg.net.spec = spec_with_clusters(1);
+  cfg.net.spec.cores = 0;
   const auto m = make_benign_model(8.0);
   EXPECT_THROW(build_hybrid_network(sim, cfg, m, m), std::invalid_argument);
 }
