@@ -272,6 +272,12 @@ void Scenario::validate() const {
         a.min_latency_us <= 0.0) {
       fail("non-positive approximation latency knob");
     }
+    // The partitioned hybrid build's causality rule, in its arithmetic:
+    // egress deliveries must not undercut the PDES lookahead.
+    if (sim::SimTime::from_ns(kLookaheadNs).to_seconds() >
+        a.min_latency_us * 1e-6) {
+      fail("min_latency_us must be at least the 1us PDES lookahead");
+    }
   }
   // Repeats are found by sorting, not by inserting every flow into a set;
   // the scan below still throws at the first failing flow in list order,

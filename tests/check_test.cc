@@ -227,6 +227,17 @@ TEST(ScenarioTest, ValidateRejectsInconsistentFlows) {
   EXPECT_THROW(sc.validate(), std::invalid_argument);
 }
 
+// Harness runs may go to PDES, so a latency floor below the 1 us
+// lookahead fails validate(), not the partitioned build.
+TEST(ScenarioTest, ValidateRejectsLatencyFloorBelowLookahead) {
+  Scenario sc = hybrid_tie_scenario();
+  sc.approx->min_latency_us = 0.5;
+  EXPECT_THROW(sc.validate(), std::invalid_argument);
+  sc.approx->min_latency_us = 1.0;  // exactly the lookahead
+  EXPECT_NO_THROW(sc.validate());
+  EXPECT_NO_THROW(DiffRunner{}.run(sc, {2}));
+}
+
 // Each flow list carries two faults (the last one three); validate() must
 // throw at the earlier faulty flow, with that flow's first failing check.
 TEST(ScenarioTest, ValidateReportsFirstFailingFlowInListOrder) {
