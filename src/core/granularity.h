@@ -45,7 +45,7 @@ struct TierTransition {
 
 /// Per-cluster transition state machine. Owned by ApproxCluster in
 /// adaptive mode; the cluster calls on_macro_window() once per macro
-/// tick, after flushing its prediction queue and advancing the probe.
+/// tick, after advancing the macro model and the probe.
 class GranularityController {
  public:
   /// `probe` supplies the congestion classification and must outlive the

@@ -35,8 +35,8 @@ struct Approximation {
 
 /// Throws std::invalid_argument (prefixed with `who`) unless the build is
 /// well formed: a valid spec; for hybrids, >= 2 clusters; under an
-/// engine, a lookahead no longer than any link's
-/// propagation and, for hybrids, than the model's latency floor.
+/// engine, a lookahead no longer than any link's propagation and, for
+/// hybrids, than the model's latency floor.
 void check_build(const std::string& who, const NetworkConfig& config,
                  const Approximation* approx,
                  const sim::ParallelEngine* engine) {
