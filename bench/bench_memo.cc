@@ -23,10 +23,12 @@
 //   C. Scaling: aggregate memo-on, sequential, at P and 10·P phases
 //      (240/2400; 60/600 under ESIM_BENCH_QUICK), each timed as the best
 //      of five runs on a cache warmed by one untimed run, so every phase
-//      fast-forwards. A phase boundary must cost O(pattern +
-//      components), not O(phases or flows in the run): the gate fails
-//      when the per-phase cost ratio exceeds 2x (a per-boundary walk of
-//      the whole run gives ~10x).
+//      fast-forwards. A fast-forwarded phase must cost O(pattern + its
+//      entry) — the run validates its pattern rather than the flow list,
+//      hashes its constants once and replays the entry's counter
+//      summary — not O(phases or flows in the run): the gate fails when
+//      the per-phase cost ratio exceeds 2x (a per-boundary walk of the
+//      whole run gives ~10x).
 //
 // Output schema (BENCH_memo.json) is documented in EXPERIMENTS.md.
 #include <algorithm>

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Builds the default and asan-ubsan presets and runs the CTest tiers
-# explicitly — unit, integration, slow — under both, then builds the
-# tsan preset and runs the threaded tests (ParallelEngine, PDES
-# networks, telemetry) under ThreadSanitizer. ASan catches lifetime bugs
-# in the FES inline storage, UBSan misaligned placement-new and signed
-# overflow, TSan races between PDES partitions — including concurrent
-# logging and shared telemetry instruments.
+# Builds the default preset (warnings as errors) and the asan-ubsan
+# preset and runs the CTest tiers explicitly — unit, integration, slow —
+# under both, then builds the tsan preset and runs the threaded tests
+# (ParallelEngine, PDES networks, telemetry) under ThreadSanitizer. ASan
+# catches lifetime bugs in the FES inline storage, UBSan misaligned
+# placement-new and signed overflow, TSan races between PDES partitions —
+# including concurrent logging and shared telemetry instruments.
 #
 # Opt-in extras:
 #   ESIM_CHECK_FUZZ=1      also run the differential fuzz tier
@@ -45,7 +45,14 @@ fi
 
 for preset in default asan-ubsan; do
   echo "=== preset: ${preset} — configure ==="
-  cmake --preset "${preset}"
+  # Warnings fail the default (RelWithDebInfo) build. Release builds stay
+  # without -Werror: at -O3, GCC 12 reports -Wrestrict false positives
+  # inside libstdc++'s char_traits.h.
+  werror=()
+  if [[ ${preset} == default ]]; then
+    werror=(-DESIM_WERROR=ON)
+  fi
+  cmake --preset "${preset}" "${werror[@]}"
   echo "=== preset: ${preset} — build ==="
   cmake --build --preset "${preset}" "${jobs}"
   for tier in "${tiers[@]}"; do

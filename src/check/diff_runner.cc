@@ -188,7 +188,8 @@ void inject_flows(sim::Simulator& sim, const std::vector<FlowSpec>& flows,
 
 RunOutcome run_scenario(const Scenario& sc, const EngineSpec& engine,
                         sim::SimTime end, const RunHooks& hooks) {
-  sc.validate();
+  sc.validate_shape();
+  if (!hooks.drive) sc.validate_flows();
   std::optional<approx::MicroModel> ingress;
   std::optional<approx::MicroModel> egress;
   std::unique_ptr<telemetry::FidelitySink> tracking;

@@ -95,11 +95,14 @@ struct RunHooks {
   /// False runs without a digest (memo's aggregate mode).
   bool digest = true;
   /// Replaces "inject the flows, run to the horizon": set by memo runs,
-  /// which inject and advance phase by phase.
+  /// which inject and advance phase by phase. The hook validates what it
+  /// injects: run_scenario then checks only the scenario's shape, not its
+  /// flow list.
   std::function<void(Rig&)> drive;
 };
 
-/// The harness's one run path: builds the engine for `engine` and the
+/// The harness's one run path: validates the scenario (its flow list
+/// only when it injects it), builds the engine for `engine` and the
 /// network for `scenario` (all-packet, or hybrid when it has an
 /// approximation block), attaches the digest, the fidelity sink and record
 /// capture per `hooks`, injects the flows and runs until `end` (or hands

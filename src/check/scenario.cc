@@ -34,6 +34,10 @@ std::uint64_t parse_uint(const std::string& value, const std::string& key,
   return v;
 }
 
+[[noreturn]] void fail(const std::string& what) {
+  throw std::invalid_argument("scenario: " + what);
+}
+
 /// The smallest index whose key equals an earlier flow's key, or SIZE_MAX
 /// when all keys differ. Sorted (key, index) pairs lead each run of equal
 /// keys with its earliest flow; every later member of the run repeats it.
@@ -241,9 +245,11 @@ Scenario Scenario::parse(const std::string& text) {
 }
 
 void Scenario::validate() const {
-  const auto fail = [](const std::string& what) {
-    throw std::invalid_argument("scenario: " + what);
-  };
+  validate_shape();
+  validate_flows();
+}
+
+void Scenario::validate_shape() const {
   clos().validate();
   // Sizes in 64 bits: the 32-bit accessors (total_hosts, ClosSpec's)
   // would wrap. Each partial product of two 32-bit values fits 64 bits.
@@ -279,6 +285,9 @@ void Scenario::validate() const {
       fail("min_latency_us must be at least the 1us PDES lookahead");
     }
   }
+}
+
+void Scenario::validate_flows() const {
   // Repeats are found by sorting, not by inserting every flow into a set;
   // the scan below still throws at the first failing flow in list order,
   // with that flow's first failing check.

@@ -161,11 +161,21 @@ struct Scenario {
   static Scenario parse(const std::string& text);
 
   /// Throws std::invalid_argument when dimensions or the flow list are
-  /// inconsistent (host or switch counts past 32 bits, a horizon past
-  /// kMaxDurationNs, out-of-range endpoints, src==dst, duplicate start
-  /// times, duplicate flow ids, flows past the horizon, approximation
-  /// knobs the builders would reject).
+  /// inconsistent: validate_shape() then validate_flows().
   void validate() const;
+
+  /// The checks that do not read the flow list: host or switch counts
+  /// past 32 bits, a horizon outside (0, kMaxDurationNs], a queue too
+  /// small for one packet, approximation knobs the builders would reject.
+  /// O(1).
+  void validate_shape() const;
+
+  /// The flow scan: out-of-range endpoints, src==dst, zero bytes,
+  /// duplicate flow ids, duplicate per-host start times, flows past the
+  /// horizon. O(flows log flows); a caller that injects flows derived
+  /// from a smaller description (memo's phase pattern) checks that
+  /// instead. Assumes validate_shape() has passed.
+  void validate_flows() const;
 };
 
 /// File helpers used by the CLI and tests.

@@ -27,17 +27,23 @@ PeriodicScenario make_periodic(const check::Scenario& base,
     used.insert({f.src, offset});
     out.pattern.pattern.push_back({f.src, f.dst, f.bytes, offset});
   }
-  out.pattern.validate();
 
   out.scenario = base;
   out.scenario.ecmp_port_sensitive = !host_pair_ecmp;
   out.scenario.duration_ns = out.pattern.total_duration_ns();
+  validate_periodic(out.scenario, out.pattern);
+  // The flows are pattern.expand(1), written in place.
+  const std::vector<workload::PhaseFlow>& pattern = out.pattern.pattern;
   out.scenario.flows.clear();
-  for (const auto& inj : out.pattern.expand(1)) {
-    out.scenario.flows.push_back(
-        {inj.src, inj.dst, inj.bytes, inj.start_ns, inj.flow_id});
+  out.scenario.flows.reserve(pattern.size() * phases);
+  std::uint64_t flow_id = 1;
+  for (std::uint32_t k = 0; k < phases; ++k) {
+    const std::int64_t boundary = out.pattern.boundary_ns(k);
+    for (const workload::PhaseFlow& f : pattern) {
+      out.scenario.flows.push_back(
+          {f.src, f.dst, f.bytes, boundary + f.offset_ns, flow_id++});
+    }
   }
-  out.scenario.validate();
   return out;
 }
 

@@ -113,6 +113,14 @@ struct PhaseDriver {
   /// consume ephemeral ports.
   std::vector<std::size_t> by_offset{};
   std::vector<std::uint32_t> opens_per_host{};
+  /// Phases [0, fresh_phases) cannot reuse a 4-tuple: no host has yet
+  /// opened more flows than the ephemeral port range holds.
+  std::uint64_t fresh_phases = 0;
+  /// hash_run_constants(), copied at every lookup.
+  Hash64 sig_prefix{};
+  /// Host-pair ECMP ignores ports, so every phase's route fingerprint is
+  /// this one, hashed once per run; unused under port-sensitive ECMP.
+  std::uint64_t fixed_route_fp = 0;
   /// The trailing window_phases per-phase summaries, oldest first.
   std::vector<std::uint64_t> summaries{};
 
@@ -127,8 +135,12 @@ struct PhaseDriver {
   std::vector<std::uint64_t> inj_base{};
 
   // Per-boundary scratch, reused rather than allocated at every boundary.
-  std::vector<stats::PacketCounter> prev_counters{};
-  std::vector<stats::PacketCounter> cur_counters{};
+  // start_counters and end_counters hold the counters at the start and
+  // end of the last phase that ran live; end_is_current says no phase has
+  // been replayed since, so end_counters still holds the current counters.
+  std::vector<stats::PacketCounter> start_counters{};
+  std::vector<stats::PacketCounter> end_counters{};
+  bool end_is_current = false;
   std::vector<std::uint32_t> ports{};
   std::vector<net::FlowKey> tuples{};
   std::vector<std::int64_t> port_delta{};
@@ -150,7 +162,50 @@ struct PhaseDriver {
               });
     opens_per_host.assign(s.hosts.size(), 0);
     for (const auto& f : pattern.pattern) ++opens_per_host[f.src];
+    // Host h opens opens_per_host[h] flows per phase, live or replayed,
+    // and hands ports out in order over the ephemeral range. Through
+    // phase k it has opened (k + 1) * opens_per_host[h] flows, all on
+    // distinct ports while that count fits the range.
+    constexpr std::uint64_t kPortRange = tcp::Host::kEphemeralPortLast -
+                                         tcp::Host::kEphemeralPortFirst + 1;
+    fresh_phases = pattern.phases;
+    for (const std::uint32_t opens : opens_per_host) {
+      if (opens != 0) fresh_phases = std::min(fresh_phases, kPortRange / opens);
+    }
+    sig_prefix = hash_run_constants();
+    if (!s.port_sensitive) {
+      predict_tuples();
+      fixed_route_fp = route_fingerprint();
+    }
     reserve_injections();
+  }
+
+  /// The signature's prefix: the scenario's shape, the engine, the period
+  /// and the relative flow pattern, which no phase changes.
+  Hash64 hash_run_constants() const {
+    Hash64 h;
+    h.absorb(kSigTag);
+    h.absorb((with_digest ? 1u : 0u) |
+             (engine.invert_tiebreak ? 2u : 0u) |
+             (static_cast<std::uint64_t>(engine.partitions) << 2));
+    h.absorb(scenario.seed);
+    h.absorb((static_cast<std::uint64_t>(scenario.clusters) << 32) |
+             scenario.cores);
+    h.absorb((static_cast<std::uint64_t>(scenario.tors) << 32) |
+             scenario.spines);
+    h.absorb(scenario.hosts_per_tor);
+    h.absorb((static_cast<std::uint64_t>(scenario.queue_bytes) << 32) |
+             scenario.ecn_threshold);
+    h.absorb(static_cast<std::uint64_t>(scenario.tcp));
+    h.absorb(s.port_sensitive ? 1 : 0);
+    h.absorb(static_cast<std::uint64_t>(pattern.period_ns));
+    h.absorb(pattern.pattern.size());
+    for (const RelFlow& f : rel_flows) {
+      h.absorb((static_cast<std::uint64_t>(f.src) << 32) | f.dst);
+      h.absorb(f.bytes);
+      h.absorb(static_cast<std::uint64_t>(f.offset_ns));
+    }
+    return h;
   }
 
   /// Claims, per partition, one FES sequence for every injection of every
@@ -205,10 +260,38 @@ struct PhaseDriver {
     }
   }
 
-  /// Materializes phase `phase` and simulates it to `tn_ns`.
-  void run_live(std::uint32_t phase, std::int64_t tn_ns) {
+  /// Appends one phase's summary to the rolling window.
+  void push_summary(std::uint64_t summary) {
+    summaries.push_back(summary);
+    if (summaries.size() > memo.window_phases) {
+      summaries.erase(summaries.begin(),
+                      summaries.end() -
+                          static_cast<std::ptrdiff_t>(memo.window_phases));
+    }
+  }
+
+  /// Materializes phase `phase`, simulates it to `tn_ns` and returns its
+  /// rolling summary: the hash of every component's counter delta across
+  /// the phase, zeros included, which it also pushes. The counters at the
+  /// phase's start and end are left in start_counters and end_counters.
+  std::uint64_t run_live(std::uint32_t phase, std::int64_t tn_ns) {
     materialize(phase);
+    if (end_is_current) {
+      std::swap(start_counters, end_counters);
+    } else {
+      snapshot_counters(s, start_counters);
+    }
     s.run_engine_until(sim::SimTime::from_ns(tn_ns));
+    snapshot_counters(s, end_counters);
+    end_is_current = true;
+    Hash64 h;
+    for (std::size_t i = 0; i < end_counters.size(); ++i) {
+      h.absorb(end_counters[i].sent - start_counters[i].sent);
+      h.absorb(end_counters[i].delivered - start_counters[i].delivered);
+      h.absorb(end_counters[i].dropped - start_counters[i].dropped);
+    }
+    push_summary(h.value());
+    return h.value();
   }
 
   /// Quiescent at a boundary: every partition's FES is empty — no timers,
@@ -221,24 +304,22 @@ struct PhaseDriver {
     return true;
   }
 
-  /// Predicts the phase's ECMP paths from the hosts' current ephemeral
-  /// port allocators (both directions of every flow) and collects the
-  /// predicted 4-tuples in `tuples` for the stale-connection check. Sets
-  /// `wrap` when any host's allocation would cross the port-space wrap,
-  /// which breaks the translation arithmetic — the phase is then not
-  /// memoizable.
-  std::uint64_t route_fingerprint(bool* wrap) {
-    *wrap = false;
+  /// Predicts the phase's 4-tuples from the hosts' current ephemeral port
+  /// allocators (each host's opens in offset order) into `tuples`.
+  /// Returns false when any host's allocation would cross the port-space
+  /// wrap, which breaks the translation arithmetic — the phase is then
+  /// not memoizable.
+  bool predict_tuples() {
+    bool fits = true;
     ports.resize(s.hosts.size());
     for (std::size_t h = 0; h < s.hosts.size(); ++h) {
       ports[h] = s.hosts[h]->next_port();
       if (opens_per_host[h] != 0 &&
           ports[h] + opens_per_host[h] - 1 > tcp::Host::kEphemeralPortLast) {
-        *wrap = true;
+        fits = false;
       }
     }
     tuples.clear();
-    Hash64 h;
     for (std::size_t i : by_offset) {
       const auto& f = pattern.pattern[i];
       net::FlowKey key;
@@ -247,12 +328,19 @@ struct PhaseDriver {
       key.src_port = static_cast<std::uint16_t>(ports[f.src]++);
       key.dst_port = 80;
       tuples.push_back(key);
-      net::FlowKey hashed = key;
+    }
+    return fits;
+  }
+
+  /// Hashes the ECMP paths of the predicted tuples, both directions.
+  std::uint64_t route_fingerprint() const {
+    Hash64 h;
+    for (net::FlowKey key : tuples) {
       if (!s.port_sensitive) {
-        hashed.src_port = 0;
-        hashed.dst_port = 0;
+        key.src_port = 0;
+        key.dst_port = 0;
       }
-      for (const net::FlowKey& dir : {hashed, hashed.reversed()}) {
+      for (const net::FlowKey& dir : {key, key.reversed()}) {
         const net::ClosPath path = net::compute_path(s.spec, dir);
         h.absorb(path.len);
         for (std::uint32_t j = 0; j < path.len; ++j) h.absorb(path.hops[j]);
@@ -266,37 +354,17 @@ struct PhaseDriver {
   /// hashed through rel_flows, so no pending-event term is needed.
   std::uint64_t signature(std::uint64_t route_fp) const {
     if (memo.debug_collide_signatures) return kSigTag;
-    Hash64 h;
-    h.absorb(kSigTag);
-    h.absorb((with_digest ? 1u : 0u) |
-             (engine.invert_tiebreak ? 2u : 0u) |
-             (static_cast<std::uint64_t>(engine.partitions) << 2));
-    h.absorb(scenario.seed);
-    h.absorb((static_cast<std::uint64_t>(scenario.clusters) << 32) |
-             scenario.cores);
-    h.absorb((static_cast<std::uint64_t>(scenario.tors) << 32) |
-             scenario.spines);
-    h.absorb(scenario.hosts_per_tor);
-    h.absorb((static_cast<std::uint64_t>(scenario.queue_bytes) << 32) |
-             scenario.ecn_threshold);
-    h.absorb(static_cast<std::uint64_t>(scenario.tcp));
-    h.absorb(s.port_sensitive ? 1 : 0);
-    h.absorb(static_cast<std::uint64_t>(pattern.period_ns));
-    h.absorb(pattern.pattern.size());
-    for (const RelFlow& f : rel_flows) {
-      h.absorb((static_cast<std::uint64_t>(f.src) << 32) | f.dst);
-      h.absorb(f.bytes);
-      h.absorb(static_cast<std::uint64_t>(f.offset_ns));
-    }
+    Hash64 h = sig_prefix;
     h.absorb(route_fp);
     h.absorb(summaries.size());
     for (std::uint64_t v : summaries) h.absorb(v);
     return h.value();
   }
 
-  /// Hit verification: why a signature match may not be applied, or
-  /// Refusal::kNone when it may.
-  Refusal verify(const PhaseEntry& entry, std::uint64_t route_fp) const {
+  /// Hit verification: why a signature match may not be applied to phase
+  /// `phase`, or Refusal::kNone when it may.
+  Refusal verify(const PhaseEntry& entry, std::uint64_t route_fp,
+                 std::uint32_t phase) const {
     if (entry.with_digest != with_digest || entry.flows != rel_flows ||
         entry.partitions.size() != s.parts.size()) {
       return Refusal::kPattern;
@@ -306,6 +374,8 @@ struct PhaseDriver {
     // connections, so an earlier port wrap could leave a live run finding
     // a stale connection under a reused 4-tuple where the replayed run
     // had none. Refuse the hit if any predicted tuple already exists.
+    // Before fresh_phases every predicted tuple is new to its hosts.
+    if (phase < fresh_phases) return Refusal::kNone;
     for (const net::FlowKey& t : tuples) {
       if (s.hosts[t.src_host]->has_connection(t) ||
           s.hosts[t.dst_host]->has_connection(t.reversed())) {
@@ -320,22 +390,21 @@ struct PhaseDriver {
     const std::uint64_t base_flow_id =
         1 + static_cast<std::uint64_t>(phase) * pattern.pattern.size();
 
-    // Per-host translation bases: recorded (entry) -> current.
-    port_delta.assign(s.hosts.size(), 0);
-    rec_pkt_base.assign(s.hosts.size(), 0);
-    cur_pkt_base.assign(s.hosts.size(), 0);
-    for (const HostIdentity& hi : entry.identities) {
-      port_delta[hi.host] =
-          static_cast<std::int64_t>(s.hosts[hi.host]->next_port()) -
-          static_cast<std::int64_t>(hi.port_base);
-      rec_pkt_base[hi.host] = hi.pkt_seq_base;
-      cur_pkt_base[hi.host] = s.hosts[hi.host]->next_packet_seq();
-    }
-
     // The phase's injections were never materialized: their pops are
     // replayed under their reserved sequences, and the executed-count
     // delta below accounts for them.
     if (s.digest != nullptr) {
+      // Per-host translation bases: recorded (entry) -> current.
+      port_delta.assign(s.hosts.size(), 0);
+      rec_pkt_base.assign(s.hosts.size(), 0);
+      cur_pkt_base.assign(s.hosts.size(), 0);
+      for (const HostIdentity& hi : entry.identities) {
+        port_delta[hi.host] =
+            static_cast<std::int64_t>(s.hosts[hi.host]->next_port()) -
+            static_cast<std::int64_t>(hi.port_base);
+        rec_pkt_base[hi.host] = hi.pkt_seq_base;
+        cur_pkt_base[hi.host] = s.hosts[hi.host]->next_packet_seq();
+      }
       for (std::size_t p = 0; p < entry.partitions.size(); ++p) {
         const std::uint64_t base_seq = s.parts[p]->fes_next_seq();
         for (const RelPop& pop : entry.partitions[p].pops) {
@@ -397,6 +466,10 @@ struct PhaseDriver {
       s.parts[p]->advance_executed_accounting(entry.partitions[p].executed);
       s.parts[p]->fast_forward_to(sim::SimTime::from_ns(tn_ns));
     }
+    // The phase changed the counters by exactly the entry's deltas, so
+    // its summary is the recorded one; the next live phase snapshots anew.
+    push_summary(entry.summary);
+    end_is_current = false;
 
     ++stats.hits;
     ++stats.fast_forwarded_phases;
@@ -415,8 +488,6 @@ struct PhaseDriver {
       base_sched[p] = s.parts[p]->events_scheduled();
       base_exec[p] = s.parts[p]->events_executed();
     }
-    std::vector<stats::PacketCounter> base_counters;
-    snapshot_counters(s, base_counters);
     std::vector<std::uint16_t> port_base(s.hosts.size());
     std::vector<std::uint64_t> pkt_base(s.hosts.size());
     for (std::size_t h = 0; h < s.hosts.size(); ++h) {
@@ -463,7 +534,7 @@ struct PhaseDriver {
       s.completion_log.clear();
     }
 
-    s.run_engine_until(sim::SimTime::from_ns(tn_ns));
+    const std::uint64_t summary = run_live(phase, tn_ns);
 
     {
       std::lock_guard<std::mutex> lock(s.mu);
@@ -491,6 +562,7 @@ struct PhaseDriver {
     entry.with_digest = with_digest;
     entry.flows = rel_flows;
     entry.route_fp = route_fp;
+    entry.summary = summary;
 
     for (std::size_t p = 0; p < nparts; ++p) {
       PartitionDelta pd;
@@ -573,12 +645,10 @@ struct PhaseDriver {
                                    c.start_ns - t_ns, c.end_ns - t_ns});
     }
 
-    std::vector<stats::PacketCounter> end_counters;
-    snapshot_counters(s, end_counters);
     auto push_deltas = [&](std::size_t from, std::size_t count,
                            std::vector<CounterDelta>& out) {
       for (std::size_t i = 0; i < count; ++i) {
-        const stats::PacketCounter& a = base_counters[from + i];
+        const stats::PacketCounter& a = start_counters[from + i];
         const stats::PacketCounter& b = end_counters[from + i];
         if (a.sent == b.sent && a.delivered == b.delivered &&
             a.dropped == b.dropped) {
@@ -615,52 +685,33 @@ struct PhaseDriver {
 
   void run_all() {
     init();
-    snapshot_counters(s, prev_counters);
+    // Every phase leaves its rolling summary in the window, live or
+    // replayed (replay applies exactly the recorded deltas), so the
+    // summaries — and therefore later signatures — agree with a memo-off
+    // run bit for bit.
     for (std::uint32_t k = 0; k < pattern.phases; ++k) {
       const std::int64_t t_ns = pattern.boundary_ns(k);
       const std::int64_t tn_ns = pattern.boundary_ns(k + 1);
-
-      // Rolling per-phase counter summary, recomputed uniformly at every
-      // boundary (hit or miss: replay reproduces the counters exactly,
-      // so the summaries — and therefore later signatures — agree with a
-      // memo-off run bit for bit).
-      if (k > 0) {
-        snapshot_counters(s, cur_counters);
-        Hash64 h;
-        for (std::size_t i = 0; i < cur_counters.size(); ++i) {
-          h.absorb(cur_counters[i].sent - prev_counters[i].sent);
-          h.absorb(cur_counters[i].delivered - prev_counters[i].delivered);
-          h.absorb(cur_counters[i].dropped - prev_counters[i].dropped);
-        }
-        summaries.push_back(h.value());
-        if (summaries.size() > memo.window_phases) {
-          summaries.erase(summaries.begin(),
-                          summaries.end() - static_cast<std::ptrdiff_t>(
-                                                memo.window_phases));
-        }
-        std::swap(prev_counters, cur_counters);
-      }
-
       if (!memo.enabled || !quiescent()) {
         run_live(k, tn_ns);
         continue;
       }
-      bool wrap = false;
-      const std::uint64_t route_fp = route_fingerprint(&wrap);
-      if (wrap) {
+      if (!predict_tuples()) {
         // Port-space wrap inside the phase: identity translation is
         // undefined, so neither hit nor store.
         ++stats.port_wrap_skips;
         run_live(k, tn_ns);
         continue;
       }
+      const std::uint64_t route_fp =
+          s.port_sensitive ? route_fingerprint() : fixed_route_fp;
       const std::uint64_t sig = signature(route_fp);
       ++stats.lookups;
       const PhaseEntry* entry = cache.find(sig);
       if (entry == nullptr) {
         ++stats.misses;
       } else {
-        switch (verify(*entry, route_fp)) {
+        switch (verify(*entry, route_fp, k)) {
           case Refusal::kNone:
             apply(*entry, k, t_ns, tn_ns);
             continue;
@@ -676,7 +727,6 @@ struct PhaseDriver {
         }
         ++stats.near_misses;
       }
-      materialize(k);
       record(sig, route_fp, k, t_ns, tn_ns);
     }
     if (scenario.duration_ns > pattern.total_duration_ns()) {
@@ -686,6 +736,29 @@ struct PhaseDriver {
 };
 
 }  // namespace
+
+void validate_periodic(const check::Scenario& scenario,
+                       const workload::PhasePattern& pattern) {
+  pattern.validate();
+  scenario.validate_shape();
+  const std::uint32_t hosts = scenario.total_hosts();
+  for (std::size_t i = 0; i < pattern.pattern.size(); ++i) {
+    for (const std::uint32_t host :
+         {pattern.pattern[i].src, pattern.pattern[i].dst}) {
+      if (host >= hosts) {
+        throw std::invalid_argument(
+            "memo: pattern flow " + std::to_string(i) + " endpoint " +
+            std::to_string(host) + " is past the scenario's " +
+            std::to_string(hosts) + " hosts");
+      }
+    }
+  }
+  // period * phases <= duration, without forming the product.
+  if (pattern.period_ns > scenario.duration_ns / pattern.phases) {
+    throw std::invalid_argument(
+        "memo: scenario duration shorter than the phase span");
+  }
+}
 
 MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
                                const workload::PhasePattern& pattern,
@@ -698,9 +771,10 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
         "every window, so the run always has a pending event, no phase "
         "boundary is ever quiescent, and memoization could never engage");
   }
-  // run_scenario validates the scenario; validation is O(flows log flows),
-  // so it is not repeated here.
-  pattern.validate();
+  // With the flows equal to pattern.expand(1), the pattern-level checks
+  // are exactly the rules the O(flows log flows) flow scan enforces, so
+  // run_scenario (which hands the run to the drive hook) skips that scan.
+  validate_periodic(scenario, pattern);
   // The flows must be pattern.expand(1), compared in place rather than
   // materialized: flow j is pattern flow j % n of phase j / n, with id j + 1.
   const std::size_t n = pattern.pattern.size();
@@ -716,10 +790,6 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
   if (!expansion) {
     throw std::invalid_argument(
         "MemoRunner: scenario flows != pattern expansion");
-  }
-  if (scenario.duration_ns < pattern.total_duration_ns()) {
-    throw std::invalid_argument(
-        "MemoRunner: scenario duration shorter than the phase span");
   }
 
   std::uint64_t flows_completed = 0;

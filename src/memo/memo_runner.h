@@ -9,17 +9,21 @@
 // sequence per injection of every phase, in (phase, index) order; a
 // phase's injections enter the FES under those sequences only when the
 // phase runs live, so pops order exactly as if all were scheduled up
-// front. At every boundary the runner recomputes a rolling per-phase
-// counter summary, then, when memoization is enabled and both boundary
-// ends are quiescent (every partition's FES empty), it computes the phase
+// front. Every phase leaves a rolling counter summary: a live phase
+// hashes its component counter deltas, a replayed one pushes the summary
+// its entry recorded. When memoization is enabled and the boundary is
+// quiescent (every partition's FES empty), the runner computes the phase
 // signature and either applies a verified cached delta (hit: jump virtual
 // time past the phase, scheduling nothing) or records the phase while
 // simulating it live (miss). Any verification failure — pattern mismatch,
 // route divergence, stale-connection collision — is a near-miss, counted
 // by reason; a predicted ephemeral-port wrap skips the lookup
 // (port_wrap_skips). Either way the phase falls back to live simulation,
-// never an unsound fast-forward. Per boundary the runner costs
-// O(pattern + components), however many phases and flows the run has.
+// never an unsound fast-forward. A run validates its pattern rather than
+// sorting its flow list, and hashes its constants once; a replayed phase
+// then costs O(pattern + its entry) in aggregate mode, and a live phase
+// adds O(components) for its counter snapshots, however many phases and
+// flows the run has.
 //
 // Comparison contract (verified by tools/esim_diffcheck memo):
 //   * memo-on vs memo-off under the SAME engine spec, both chunked at
@@ -45,7 +49,7 @@ namespace esim::memo {
 /// Memoization knobs for one MemoRunner.
 struct MemoConfig {
   bool enabled = true;
-  PhaseCache::Limits limits;
+  PhaseCache::Limits limits{};
   /// Rolling-summary window (trailing per-phase counter summaries in the
   /// signature).
   std::uint32_t window_phases = 1;
@@ -73,14 +77,25 @@ struct MemoRunOutcome {
   std::uint64_t cache_bytes = 0;
 };
 
+/// Throws std::invalid_argument unless `pattern` can drive `scenario`:
+/// a valid pattern (PhasePattern::validate) and scenario shape
+/// (Scenario::validate_shape), every pattern endpoint below the host
+/// count, and the phase span within the duration. For a flow list equal
+/// to pattern.expand(1) these are exactly Scenario::validate_flows's
+/// rules: ids are j + 1, per-host offsets are unique and below the period,
+/// and every start falls inside the span. O(pattern).
+void validate_periodic(const check::Scenario& scenario,
+                       const workload::PhasePattern& pattern);
+
 /// Executes periodic scenarios phase by phase with memoization.
 class MemoRunner {
  public:
   explicit MemoRunner(const MemoConfig& memo)
       : memo_{memo}, cache_{memo.limits} {}
 
-  /// Runs `scenario` (whose flow list must be pattern.expand(1) — throws
-  /// otherwise) under `engine`, chunked at pattern boundaries. Throws
+  /// Runs `scenario` (whose flow list must be pattern.expand(1), and
+  /// which must pass validate_periodic — throws otherwise) under
+  /// `engine`, chunked at pattern boundaries. Throws
   /// std::invalid_argument for a scenario with approximated clusters:
   /// ApproxCluster::start() re-arms its macro-window timer every window,
   /// so such a run always has a pending event, no phase boundary is ever

@@ -5,8 +5,9 @@
 // and route fingerprint (hit-time verification payload — a signature
 // match alone is never trusted), per-partition FES accounting deltas and
 // pop streams, per-link packet records in phase-relative form, flow
-// completions, per-component counter deltas, and per-host identity
-// consumption (ephemeral ports, packet sequence numbers).
+// completions, per-component counter deltas and their rolling summary,
+// and per-host identity consumption (ephemeral ports, packet sequence
+// numbers).
 //
 // Two granularities coexist, fixed per run:
 //   * digest-attached — pop streams and packet records are recorded and
@@ -14,9 +15,9 @@
 //     (order lane included) equals the unmemoized run's. O(events in the
 //     phase) per hit; the equivalence harness runs in this mode.
 //   * aggregate-only — only counters, completions, identity, and FES
-//     accounting are recorded. A boundary costs O(events due in the
-//     phase + components); the ≥10× speedup mode, verified by
-//     final-state fingerprint instead of full digest.
+//     accounting are recorded. A hit costs O(pattern + the entry); the
+//     ≥10× speedup mode, verified by final-state fingerprint instead of
+//     full digest.
 #pragma once
 
 #include <cstdint>
@@ -108,6 +109,9 @@ struct PhaseEntry {
   bool with_digest = false;
   std::vector<RelFlow> flows;      ///< verification: exact pattern match
   std::uint64_t route_fp = 0;      ///< verification: predicted ECMP paths
+  /// The phase's rolling summary (hash of every component's counter
+  /// delta, zeros included); a hit pushes it instead of re-hashing.
+  std::uint64_t summary = 0;
   std::vector<PartitionDelta> partitions;
   std::vector<RelPacket> packets;  ///< empty in aggregate-only entries
   std::vector<RelCompletion> completions;

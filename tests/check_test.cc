@@ -227,6 +227,24 @@ TEST(ScenarioTest, ValidateRejectsInconsistentFlows) {
   EXPECT_THROW(sc.validate(), std::invalid_argument);
 }
 
+// run_scenario scans the flow list whenever it injects that list itself;
+// only a drive hook, which validates what it injects, skips the scan.
+TEST(ScenarioTest, PlainRunRejectsRepeatedFlowId) {
+  Scenario sc = small_scenario();
+  sc.flows[2].flow_id = sc.flows[0].flow_id;
+  for (const std::uint32_t partitions : {0u, 2u}) {
+    try {
+      run_scenario(sc, {partitions}, sim::SimTime::from_ns(sc.duration_ns));
+      ADD_FAILURE() << "accepted a repeated flow id, partitions "
+                    << partitions;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("flow ids must be unique"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // Harness runs may go to PDES, so a latency floor below the 1 us
 // lookahead fails validate(), not the partitioned build.
 TEST(ScenarioTest, ValidateRejectsLatencyFloorBelowLookahead) {

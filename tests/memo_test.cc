@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "check/diff_runner.h"
@@ -123,6 +125,37 @@ PeriodicScenario small_periodic(std::uint32_t phases = 4) {
   };
   base.validate();
   return make_periodic(base, phases, 1'000'000);
+}
+
+/// pattern.expand(1) as a scenario flow list.
+std::vector<check::FlowSpec> expansion(const PhasePattern& pattern) {
+  std::vector<check::FlowSpec> flows;
+  for (const auto& inj : pattern.expand(1)) {
+    flows.push_back({inj.src, inj.dst, inj.bytes, inj.start_ns, inj.flow_id});
+  }
+  return flows;
+}
+
+/// Host 0 opens 600 short flows per 2 ms phase, to hosts 2 and 3
+/// alternately, so its ephemeral ports wrap inside phase 83 (50,001 ports
+/// at 600 a phase); host 1 opens one longer flow. Alternating keeps every
+/// post-wrap 4-tuple distinct from the pre-wrap ones (each reused port
+/// goes to the other destination), so no live SYN lands on a stale
+/// connection and memo-on must match memo-off across the wrap.
+PeriodicScenario port_wrap_periodic(std::uint32_t phases) {
+  Scenario base;
+  base.seed = 11;
+  base.tors = 2;
+  base.spines = 1;
+  base.hosts_per_tor = 2;
+  base.duration_ns = 2'000'000;
+  std::uint64_t id = 1;
+  for (std::uint32_t k = 0; k < 600; ++k) {
+    base.flows.push_back(
+        {0, 2 + k % 2, 200, 1'000 * static_cast<std::int64_t>(k + 1), id++});
+  }
+  base.flows.push_back({1, 2, 5'000, 3'000, id++});
+  return make_periodic(base, phases, 2'000'000);
 }
 
 TEST(MemoRunnerTest, SequentialFullDigestIdenticalWithHits) {
@@ -289,6 +322,127 @@ TEST(MemoRunnerTest, CachePersistsAcrossRunsOfOneRunner) {
   EXPECT_EQ(second.digest, base.digest);
 }
 
+// A replayed phase pushes the summary its entry recorded instead of
+// re-hashing the counters, and a run hashes its signature prefix and its
+// host-pair route fingerprint once. Signatures, and so every lookup's
+// outcome, must be those of the parent revision, which re-hashed all of
+// it at every boundary; the constants were recorded by building this body
+// against it.
+TEST(MemoRunnerTest, ReplayedSummariesMatchParentGolden) {
+  const PeriodicScenario ps = small_periodic(8);
+  struct Golden {
+    std::uint32_t window;
+    std::uint32_t partitions;
+    bool with_digest;
+    std::uint64_t lookups, hits, misses, stores;
+    check::Digest digest;
+    std::uint64_t final_state_fp;
+  };
+  const Golden golden[] = {
+      {1, 0, false, 8, 6, 2, 2, {}, 8657903858599634640ULL},
+      {1, 0, true, 8, 6, 2, 2,
+       {0xb98f2ad089e87422ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
+        0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
+       8657903858599634640ULL},
+      {1, 2, false, 8, 6, 2, 2, {}, 8657903858599634640ULL},
+      {1, 2, true, 8, 6, 2, 2,
+       {0x0bf814057cdf9f72ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
+        0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
+       8657903858599634640ULL},
+      {3, 0, false, 8, 4, 4, 4, {}, 8657903858599634640ULL},
+      {3, 0, true, 8, 4, 4, 4,
+       {0xb98f2ad089e87422ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
+        0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
+       8657903858599634640ULL},
+      {3, 2, false, 8, 4, 4, 4, {}, 8657903858599634640ULL},
+      {3, 2, true, 8, 4, 4, 4,
+       {0x0bf814057cdf9f72ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
+        0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
+       8657903858599634640ULL},
+  };
+  for (const Golden& g : golden) {
+    MemoConfig cfg;
+    cfg.window_phases = g.window;
+    MemoRunner runner{cfg};
+    const MemoRunOutcome out =
+        runner.run(ps.scenario, ps.pattern, EngineSpec{g.partitions},
+                   g.with_digest);
+    const std::string label = "window " + std::to_string(g.window) +
+                              " partitions " + std::to_string(g.partitions) +
+                              (g.with_digest ? " digest" : " aggregate");
+    EXPECT_EQ(out.stats.lookups, g.lookups) << label;
+    EXPECT_EQ(out.stats.hits, g.hits) << label;
+    EXPECT_EQ(out.stats.misses, g.misses) << label;
+    EXPECT_EQ(out.stats.stores, g.stores) << label;
+    EXPECT_EQ(out.digest, g.digest) << label << ": " << out.digest.to_string();
+    EXPECT_EQ(out.final_state_fp, g.final_state_fp) << label;
+  }
+}
+
+// Host 0's ports wrap once in 160 phases. The wrap phase is skipped
+// without a lookup; from the next phase on, every hit passes the
+// stale-connection check before it replays.
+TEST(MemoRunnerTest, PortWrapRunMatchesMemoOff) {
+  constexpr std::uint32_t kPhases = 160;
+  constexpr std::uint32_t kWrapPhase = 83;
+  const PeriodicScenario ps = port_wrap_periodic(kPhases);
+  for (const std::uint32_t partitions : {0u, 2u}) {
+    const EngineSpec spec{partitions};
+    MemoRunner off_runner{MemoConfig{.enabled = false}};
+    const MemoRunOutcome base =
+        off_runner.run(ps.scenario, ps.pattern, spec, true);
+    EXPECT_EQ(base.flows_completed, ps.scenario.flows.size()) << spec.label();
+    EXPECT_EQ(base.final_state_fp, 8985220248136519995ULL) << spec.label();
+    for (const std::uint32_t window : {1u, 3u}) {
+      for (const bool with_digest : {false, true}) {
+        MemoConfig cfg;
+        cfg.window_phases = window;
+        MemoRunner runner{cfg};
+        const MemoRunOutcome out =
+            runner.run(ps.scenario, ps.pattern, spec, with_digest);
+        const std::string label = spec.label() + " window " +
+                                  std::to_string(window) +
+                                  (with_digest ? " digest" : " aggregate");
+        EXPECT_EQ(out.final_state_fp, base.final_state_fp) << label;
+        EXPECT_EQ(out.flows_completed, base.flows_completed) << label;
+        if (with_digest) {
+          EXPECT_EQ(out.digest, base.digest) << label;
+        }
+        EXPECT_EQ(out.stats.port_wrap_skips, 1u) << label;
+        EXPECT_EQ(out.stats.lookups, kPhases - 1) << label;
+        // No phase before the wrap can account for this many hits.
+        EXPECT_GT(out.stats.hits, kWrapPhase) << label;
+        EXPECT_EQ(out.stats.hits, window == 1 ? 157u : 155u) << label;
+      }
+    }
+  }
+}
+
+// validate_periodic stands in for the flow-list scan on memo runs, so it
+// must reject what that scan rejected: here a pattern, and its matching
+// expansion, naming host 4 of a 4-host leaf-spine.
+TEST(MemoRunnerTest, RejectsPatternEndpointOutOfRange) {
+  PeriodicScenario ps;
+  ps.scenario.tors = 2;
+  ps.scenario.spines = 1;
+  ps.scenario.hosts_per_tor = 2;
+  ps.scenario.ecmp_port_sensitive = false;
+  ps.pattern.period_ns = 1'000'000;
+  ps.pattern.phases = 3;
+  ps.pattern.pattern = {{0, 2, 10'000, 5'000}, {1, 4, 10'000, 7'000}};
+  ps.scenario.duration_ns = ps.pattern.total_duration_ns();
+  ps.scenario.flows = expansion(ps.pattern);
+  MemoRunner runner{MemoConfig{}};
+  try {
+    runner.run(ps.scenario, ps.pattern, EngineSpec{}, false);
+    ADD_FAILURE() << "MemoRunner accepted an endpoint past the host count";
+  } catch (const std::invalid_argument& e) {
+    const std::string why = e.what();
+    EXPECT_NE(why.find("endpoint 4"), std::string::npos) << why;
+  }
+  EXPECT_EQ(runner.stats().lookups, 0u);
+}
+
 TEST(MemoRunnerTest, RejectsMismatchedScenarioAndPattern) {
   PeriodicScenario ps = small_periodic();
   ps.scenario.flows[0].bytes += 1;  // no longer pattern.expand(1)
@@ -326,11 +480,7 @@ TEST(MemoRunnerTest, SignatureCollisionNeverProducesFalseHit) {
   const PeriodicScenario a = small_periodic();
   PeriodicScenario b = a;
   b.pattern.pattern[1].bytes += 1'460;
-  b.scenario.flows.clear();
-  for (const auto& inj : b.pattern.expand(1)) {
-    b.scenario.flows.push_back(
-        {inj.src, inj.dst, inj.bytes, inj.start_ns, inj.flow_id});
-  }
+  b.scenario.flows = expansion(b.pattern);
 
   MemoConfig collide;
   collide.debug_collide_signatures = true;
@@ -358,11 +508,7 @@ TEST(MemoRunnerTest, MutatedFlowChangesSignature) {
   const PeriodicScenario a = small_periodic();
   PeriodicScenario b = a;
   b.pattern.pattern[0].bytes += 1'460;
-  b.scenario.flows.clear();
-  for (const auto& inj : b.pattern.expand(1)) {
-    b.scenario.flows.push_back(
-        {inj.src, inj.dst, inj.bytes, inj.start_ns, inj.flow_id});
-  }
+  b.scenario.flows = expansion(b.pattern);
 
   MemoRunner runner{MemoConfig{}};
   const MemoRunOutcome out_a =
@@ -428,11 +574,7 @@ TEST(MemoRunnerTest, HitAfterEvictionReRecords) {
   const PeriodicScenario a = small_periodic();
   PeriodicScenario b = a;
   b.pattern.pattern[0].bytes += 1'460;
-  b.scenario.flows.clear();
-  for (const auto& inj : b.pattern.expand(1)) {
-    b.scenario.flows.push_back(
-        {inj.src, inj.dst, inj.bytes, inj.start_ns, inj.flow_id});
-  }
+  b.scenario.flows = expansion(b.pattern);
 
   MemoConfig tiny;
   tiny.limits.max_entries = 1;

@@ -262,7 +262,9 @@ TEST(Trace, ChromeJsonIsValidOrderedAndLabelled) {
     const double ts = e.find("ts")->as_double();
     EXPECT_GE(ts, last_ts);  // sorted by timestamp
     last_ts = ts;
-    if (ph == "X") EXPECT_GE(e.find("dur")->as_double(), 0.0);
+    if (ph == "X") {
+      EXPECT_GE(e.find("dur")->as_double(), 0.0);
+    }
     tids_seen |= std::uint64_t{1} << e.find("tid")->as_uint();
   }
   // Both threads recorded; span nesting puts outer first at equal names.
