@@ -59,6 +59,12 @@ for preset in default asan-ubsan; do
     echo "=== preset: ${preset} — test tier: ${tier} ==="
     ctest --preset "${preset}" "${jobs}" -L "${tier}"
   done
+  if [[ ${preset} == default ]]; then
+    # The benchmark's pre-merge check: every workload, shrunk, through
+    # the benchmark's correctness gate (it builds benchmark/build).
+    echo "=== benchmark — run.sh --smoke ==="
+    benchmark/run.sh --smoke
+  fi
   for isa in "${isas[@]}"; do
     echo "=== preset: ${preset} — ML suites, ESIM_INFERENCE_ISA=${isa} ==="
     ESIM_INFERENCE_ISA="${isa}" ctest --preset "${preset}" "${jobs}" \

@@ -1,6 +1,8 @@
 #include "memo/memo_diff.h"
 
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/diff_runner.h"
@@ -10,18 +12,29 @@ namespace esim::memo {
 PeriodicScenario make_periodic(const check::Scenario& base,
                                std::uint32_t phases, std::int64_t period_ns,
                                bool host_pair_ecmp) {
+  // The offset bump below divides by the period.
+  if (period_ns <= 0) {
+    throw std::invalid_argument("PhasePattern: period must be positive");
+  }
   PeriodicScenario out;
   out.pattern.period_ns = period_ns;
   out.pattern.phases = phases;
 
   // Fold each base flow's start into the first half of the period (so
   // phases get slack to drain) and keep per-source offsets unique, the
-  // same ambiguity rule Scenario::validate enforces on start times.
+  // same ambiguity rule Scenario::validate enforces on start times. A
+  // source has period_ns offsets to give, so the bump walks at most that
+  // many.
   const std::int64_t fold = period_ns / 2 > 0 ? period_ns / 2 : 1;
   std::set<std::pair<std::uint32_t, std::int64_t>> used;
   for (const check::FlowSpec& f : base.flows) {
     std::int64_t offset = f.start_ns % fold;
-    while (used.count({f.src, offset}) != 0) {
+    for (std::int64_t tried = 1; used.count({f.src, offset}) != 0; ++tried) {
+      if (tried >= period_ns) {
+        throw std::invalid_argument(
+            "make_periodic: source " + std::to_string(f.src) +
+            " has more flows than the period has nanoseconds");
+      }
       offset = (offset + 1) % period_ns;
     }
     used.insert({f.src, offset});

@@ -1,5 +1,7 @@
 #include "stats/collectors.h"
 
+#include <stdexcept>
+
 namespace esim::stats {
 
 void LatencyCollector::record(sim::SimTime latency) {
@@ -11,8 +13,22 @@ void LatencyCollector::record(sim::SimTime latency) {
 void FlowCollector::on_start(std::uint64_t flow_id, std::uint32_t src,
                              std::uint32_t dst, std::uint64_t bytes,
                              sim::SimTime at) {
-  if (flow_id >= index_.size()) index_.resize(flow_id + 1, -1);
-  index_[flow_id] = static_cast<std::int64_t>(records_.size());
+  if (records_.empty()) first_id_ = flow_id;
+  if (flow_id < first_id_) {
+    throw std::invalid_argument("FlowCollector: flow id " +
+                                std::to_string(flow_id) +
+                                " is below the first id started, " +
+                                std::to_string(first_id_));
+  }
+  const std::uint64_t slot = flow_id - first_id_;
+  if (slot >= (1ULL << 32)) {
+    throw std::invalid_argument("FlowCollector: flow id " +
+                                std::to_string(flow_id) +
+                                " is 2^32 or more past the first id started, " +
+                                std::to_string(first_id_));
+  }
+  if (slot >= index_.size()) index_.resize(slot + 1, -1);
+  index_[slot] = static_cast<std::int64_t>(records_.size());
   FlowRecord r;
   r.flow_id = flow_id;
   r.src_host = src;
@@ -23,8 +39,10 @@ void FlowCollector::on_start(std::uint64_t flow_id, std::uint32_t src,
 }
 
 void FlowCollector::on_complete(std::uint64_t flow_id, sim::SimTime at) {
-  if (flow_id >= index_.size() || index_[flow_id] < 0) return;
-  FlowRecord& r = records_[static_cast<std::size_t>(index_[flow_id])];
+  if (flow_id < first_id_ || flow_id - first_id_ >= index_.size()) return;
+  const std::int64_t pos = index_[flow_id - first_id_];
+  if (pos < 0) return;
+  FlowRecord& r = records_[static_cast<std::size_t>(pos)];
   if (r.completed) return;
   r.end = at;
   r.completed = true;

@@ -47,7 +47,9 @@ struct FlowRecord {
 /// Collects flow lifecycle records and derives FCT statistics.
 class FlowCollector {
  public:
-  /// Notes a flow start.
+  /// Notes a flow start. Records are indexed by id relative to the first
+  /// id started, so ids may begin anywhere; an id below that first one,
+  /// or 2^32 or more above it, throws std::invalid_argument.
   void on_start(std::uint64_t flow_id, std::uint32_t src, std::uint32_t dst,
                 std::uint64_t bytes, sim::SimTime at);
 
@@ -68,7 +70,9 @@ class FlowCollector {
 
  private:
   std::vector<FlowRecord> records_;
-  std::vector<std::int64_t> index_;  // flow_id -> records_ position (or -1)
+  // flow_id - first_id_ -> records_ position (or -1)
+  std::vector<std::int64_t> index_;
+  std::uint64_t first_id_ = 0;
   std::size_t completed_ = 0;
 };
 

@@ -16,6 +16,7 @@ TcpConnection* Host::open_flow(net::HostId dst, std::uint64_t bytes,
   if (uplink_ == nullptr) {
     throw std::logic_error(name() + ": open_flow before set_uplink");
   }
+  reclaim_finished();
   net::FlowKey key;
   key.src_host = id_;
   key.dst_host = dst;
@@ -26,6 +27,7 @@ TcpConnection* Host::open_flow(net::HostId dst, std::uint64_t bytes,
   auto conn = TcpConnection::make_active(*this, key, flow_id, bytes,
                                          tcp_config_);
   TcpConnection* raw = conn.get();
+  finished_.erase(key);
   connections_[key] = std::move(conn);
   raw->open();
   return raw;
@@ -35,23 +37,73 @@ void Host::handle_packet(net::Packet pkt) {
   // Connections are keyed by OUR outgoing 4-tuple; an arriving packet's
   // key is the reverse.
   const net::FlowKey key = pkt.flow.reversed();
-  auto it = connections_.find(key);
-  if (it == connections_.end()) {
-    if (pkt.has(net::TcpFlag::Syn) && !pkt.has(net::TcpFlag::Ack)) {
-      auto conn =
-          TcpConnection::make_passive(*this, key, pkt.flow_id, tcp_config_);
-      TcpConnection* raw = conn.get();
-      it = connections_.emplace(key, std::move(conn)).first;
-      if (on_accept) on_accept(*raw);
-    } else {
-      ++counter_.dropped;
-      ESIM_LOG(*this, sim::LogLevel::Debug,
-               "no connection for " + pkt.to_string() + ", dropping");
+  // A pure SYN under a new flow id reopens a finished tuple, as RFC 1122
+  // §4.2.2.13 lets a new SYN reopen a TIME-WAIT connection. Anything else
+  // for a finished tuple is a late duplicate.
+  const bool syn = pkt.has(net::TcpFlag::Syn) && !pkt.has(net::TcpFlag::Ack);
+  if (auto it = connections_.find(key); it != connections_.end()) {
+    TcpConnection& conn = *it->second;
+    if (!syn || conn.state() != TcpState::Done ||
+        conn.flow_id() == pkt.flow_id) {
+      ++counter_.delivered;
+      deliver(conn, pkt);
       return;
     }
+    connections_.erase(it);
+  } else if (auto t = finished_.find(key); t != finished_.end()) {
+    const Tombstone& tomb = t->second;
+    if (!syn || tomb.flow_id == pkt.flow_id) {
+      ++counter_.delivered;
+      // What a finished receiver's TcpConnection::transmit_ack(sent_at)
+      // sends; a finished sender sends nothing.
+      if (!tomb.sender) {
+        net::Packet ack;
+        ack.flow = key;
+        ack.flow_id = tomb.flow_id;
+        ack.flags = net::TcpFlag::Ack;
+        ack.ack_seq = tomb.rcv_nxt;
+        ack.ts_echo = pkt.sent_at;
+        tcp_transmit(std::move(ack));
+      }
+      return;
+    }
+    finished_.erase(t);
+  } else if (!syn) {
+    ++counter_.dropped;
+    ESIM_LOG(*this, sim::LogLevel::Debug,
+             "no connection for " + pkt.to_string() + ", dropping");
+    return;
   }
+
+  reclaim_finished();
+  auto conn =
+      TcpConnection::make_passive(*this, key, pkt.flow_id, tcp_config_);
+  TcpConnection& raw = *conn;
+  connections_.emplace(key, std::move(conn));
+  if (on_accept) on_accept(raw);
   ++counter_.delivered;
-  it->second->on_packet(pkt);
+  deliver(raw, pkt);
+}
+
+void Host::deliver(TcpConnection& conn, const net::Packet& pkt) {
+  // Its callbacks may open or accept a connection on this host, which
+  // reclaims: `conn` must survive that, and nothing may touch it after.
+  delivering_ = &conn;
+  conn.on_packet(pkt);
+  delivering_ = nullptr;
+}
+
+void Host::reclaim_finished() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    const TcpConnection& c = *it->second;
+    if (c.state() == TcpState::Done && &c != delivering_) {
+      finished_.insert_or_assign(
+          it->first, Tombstone{c.flow_id(), c.rcv_nxt(), c.is_sender()});
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void Host::tcp_transmit(net::Packet pkt) {

@@ -45,6 +45,14 @@ class Host : public sim::Component,
 
   /// Opens a new flow of `bytes` payload to `dst` (well-known port 80) and
   /// starts the handshake. Returns the connection, owned by this host.
+  ///
+  /// Lifetime: the returned pointer, like the reference on_accept gets,
+  /// stays valid while the connection is open. Once it reaches
+  /// TcpState::Done it stays valid until this host next opens or accepts
+  /// a connection: that call turns every finished connection (except one
+  /// whose packet is being handled) into a tombstone, which answers late
+  /// duplicates as the finished connection did. The new connection
+  /// replaces whatever its tuple held: a connection or a tombstone.
   TcpConnection* open_flow(net::HostId dst, std::uint64_t bytes,
                            std::uint64_t flow_id);
 
@@ -53,7 +61,9 @@ class Host : public sim::Component,
   static constexpr std::uint16_t kEphemeralPortFirst = 10'000;
   static constexpr std::uint16_t kEphemeralPortLast = 60'000;
 
-  /// Active + passive connections keyed by this side's outgoing 4-tuple.
+  /// Active + passive connections not yet reclaimed (open ones, and
+  /// finished ones since this host last opened or accepted), keyed by
+  /// this side's outgoing 4-tuple.
   const std::unordered_map<net::FlowKey, std::unique_ptr<TcpConnection>,
                            net::FlowKeyHash>&
   connections() const {
@@ -61,7 +71,8 @@ class Host : public sim::Component,
   }
 
   /// Called when a passive connection is created in response to a SYN,
-  /// before the SYN is processed; use it to attach callbacks.
+  /// before the SYN is processed; use it to attach callbacks. The
+  /// reference follows open_flow's lifetime rule.
   std::function<void(TcpConnection&)> on_accept;
 
   /// Routes this host's RTT samples into a shared collector (Figure 4).
@@ -81,13 +92,14 @@ class Host : public sim::Component,
   /// 40 bits of its packet id).
   std::uint64_t next_packet_seq() const { return next_packet_seq_; }
 
-  /// True if a connection (active or passive, completed or not) exists
-  /// under this side's outgoing 4-tuple `key`. Memo hit verification uses
-  /// this to reject fast-forward when a replayed phase's predicted 4-tuple
-  /// would collide with a stale connection left by an earlier port wrap —
-  /// a live run would find and confuse that connection, a replay wouldn't.
+  /// True if a connection (active or passive, completed or not, or its
+  /// tombstone) exists under this side's outgoing 4-tuple `key`. Memo hit
+  /// verification uses this to reject fast-forward when a replayed phase's
+  /// predicted 4-tuple would collide with a stale connection left by an
+  /// earlier port wrap — a live run would find that connection, a replay
+  /// wouldn't.
   bool has_connection(const net::FlowKey& key) const {
-    return connections_.find(key) != connections_.end();
+    return connections_.contains(key) || finished_.contains(key);
   }
 
   /// Replays a memoized phase's identity consumption: advances the
@@ -123,12 +135,31 @@ class Host : public sim::Component,
                      : static_cast<std::uint16_t>(next_port_ + 1);
   }
 
+  /// What a finished connection still needs: a receiver re-ACKs late
+  /// packets with its final rcv_nxt, a sender only counts them.
+  struct Tombstone {
+    std::uint64_t flow_id;
+    std::uint32_t rcv_nxt;
+    bool sender;
+  };
+
+  /// Hands `pkt` to `conn`, marking it as the connection being delivered.
+  void deliver(TcpConnection& conn, const net::Packet& pkt);
+
+  /// Turns every finished connection except `delivering_` into a
+  /// tombstone.
+  void reclaim_finished();
+
   net::HostId id_;
   TcpConnection::Config tcp_config_;
   net::Link* uplink_ = nullptr;
   std::unordered_map<net::FlowKey, std::unique_ptr<TcpConnection>,
                      net::FlowKeyHash>
       connections_;
+  std::unordered_map<net::FlowKey, Tombstone, net::FlowKeyHash> finished_;
+  // The connection whose on_packet is running; a reclaim started from
+  // one of its callbacks must not free it.
+  const TcpConnection* delivering_ = nullptr;
   stats::LatencyCollector* rtt_collector_ = nullptr;
   stats::PacketCounter counter_;
   std::uint16_t next_port_ = kEphemeralPortFirst;

@@ -139,6 +139,13 @@ class TcpConnection {
   /// Workload flow id carried in every packet of this connection.
   std::uint64_t flow_id() const { return flow_id_; }
 
+  /// True for the active (sending) endpoint.
+  bool is_sender() const { return sender_; }
+
+  /// Next sequence number expected from the peer: the cumulative ACK
+  /// this side sends.
+  std::uint32_t rcv_nxt() const { return rcv_nxt_; }
+
   /// Congestion window in bytes (sender side).
   double cwnd() const { return cwnd_; }
 

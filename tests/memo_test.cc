@@ -136,13 +136,15 @@ std::vector<check::FlowSpec> expansion(const PhasePattern& pattern) {
   return flows;
 }
 
-/// Host 0 opens 600 short flows per 2 ms phase, to hosts 2 and 3
-/// alternately, so its ephemeral ports wrap inside phase 83 (50,001 ports
-/// at 600 a phase); host 1 opens one longer flow. Alternating keeps every
-/// post-wrap 4-tuple distinct from the pre-wrap ones (each reused port
-/// goes to the other destination), so no live SYN lands on a stale
-/// connection and memo-on must match memo-off across the wrap.
-PeriodicScenario port_wrap_periodic(std::uint32_t phases) {
+/// Host 0 opens 600 short flows per 2 ms phase, so its ephemeral ports
+/// wrap inside phase 83 (50,001 ports at 600 a phase); host 1 opens one
+/// longer flow. With `alternate`, host 0's flows go to hosts 2 and 3
+/// alternately, which keeps every post-wrap 4-tuple distinct from the
+/// pre-wrap ones (each reused port goes to the other destination), so no
+/// live SYN lands on a finished connection. Without it every host-0 flow
+/// goes to host 2, and after the wrap each SYN reuses a finished tuple.
+PeriodicScenario port_wrap_periodic(std::uint32_t phases,
+                                    bool alternate = true) {
   Scenario base;
   base.seed = 11;
   base.tors = 2;
@@ -151,8 +153,8 @@ PeriodicScenario port_wrap_periodic(std::uint32_t phases) {
   base.duration_ns = 2'000'000;
   std::uint64_t id = 1;
   for (std::uint32_t k = 0; k < 600; ++k) {
-    base.flows.push_back(
-        {0, 2 + k % 2, 200, 1'000 * static_cast<std::int64_t>(k + 1), id++});
+    base.flows.push_back({0, alternate ? 2 + k % 2 : 2, 200,
+                          1'000 * static_cast<std::int64_t>(k + 1), id++});
   }
   base.flows.push_back({1, 2, 5'000, 3'000, id++});
   return make_periodic(base, phases, 2'000'000);
@@ -418,6 +420,35 @@ TEST(MemoRunnerTest, PortWrapRunMatchesMemoOff) {
   }
 }
 
+// Every host-0 flow goes to host 2, so from phase 83 on each SYN lands on
+// a finished receiver under a reused tuple. A new flow id reopens it, so
+// the live run completes every flow, and a replayed phase (which leaves
+// no connection behind) must end where the live run does.
+TEST(MemoRunnerTest, TupleReuseAfterPortWrapMatchesMemoOff) {
+  const PeriodicScenario ps = port_wrap_periodic(120, /*alternate=*/false);
+  ASSERT_EQ(ps.scenario.flows.size(), 72'120u);
+  for (const std::uint32_t partitions : {0u, 2u}) {
+    const EngineSpec spec{partitions};
+    MemoRunner off_runner{MemoConfig{.enabled = false}};
+    const MemoRunOutcome base =
+        off_runner.run(ps.scenario, ps.pattern, spec, false);
+    EXPECT_EQ(base.flows_completed, ps.scenario.flows.size()) << spec.label();
+    EXPECT_EQ(base.final_state_fp, 9678658312390758094ULL) << spec.label();
+    for (const std::uint32_t window : {1u, 3u}) {
+      MemoConfig cfg;
+      cfg.window_phases = window;
+      MemoRunner runner{cfg};
+      const MemoRunOutcome out =
+          runner.run(ps.scenario, ps.pattern, spec, false);
+      const std::string label =
+          spec.label() + " window " + std::to_string(window);
+      EXPECT_EQ(out.final_state_fp, base.final_state_fp) << label;
+      EXPECT_EQ(out.flows_completed, base.flows_completed) << label;
+      EXPECT_GT(out.stats.hits, 0u) << label;
+    }
+  }
+}
+
 // validate_periodic stands in for the flow-list scan on memo runs, so it
 // must reject what that scan rejected: here a pattern, and its matching
 // expansion, naming host 4 of a 4-host leaf-spine.
@@ -628,6 +659,32 @@ TEST(MemoDiffTest, MakePeriodicFoldsAndValidates) {
   for (const auto& f : ps.pattern.pattern) {
     EXPECT_GE(f.offset_ns, 0);
     EXPECT_LT(f.offset_ns, 1'000'000);
+  }
+}
+
+// Two same-source flows need two distinct offsets below the period. A
+// period of 0 used to die of SIGFPE in the offset bump and one of 1 ns to
+// loop forever; both, and a negative period, must throw before folding.
+TEST(MemoDiffTest, MakePeriodicRejectsDegeneratePeriod) {
+  Scenario base;
+  base.tors = 2;
+  base.spines = 1;
+  base.hosts_per_tor = 2;
+  base.duration_ns = 3'000'000;
+  base.flows = {{0, 1, 10'000, 0, 1}, {0, 2, 10'000, 0, 2}};
+  for (const std::int64_t period : {0, -2, 1}) {
+    try {
+      make_periodic(base, 3, period);
+      ADD_FAILURE() << "make_periodic accepted a period of " << period;
+    } catch (const std::invalid_argument& e) {
+      const std::string why = e.what();
+      if (period == 1) {
+        EXPECT_NE(why.find("source 0"), std::string::npos) << why;
+      } else {
+        EXPECT_NE(why.find("period must be positive"), std::string::npos)
+            << why;
+      }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/random.h"
@@ -359,6 +360,41 @@ TEST(FlowCollector, IgnoresUnknownAndDoubleComplete) {
   fc.on_complete(1, SimTime::from_ms(3));
   EXPECT_EQ(fc.completed_count(), 1u);
   EXPECT_EQ(fc.records()[0].end, SimTime::from_ms(2));
+}
+
+// Ids index relative to the first one started, so a generator whose ids
+// begin at 2^40 costs two index entries, not 2^40.
+TEST(FlowCollector, IndexesIdsFromTheFirstStarted) {
+  constexpr std::uint64_t kFirst = 1ULL << 40;
+  FlowCollector fc;
+  fc.on_start(kFirst, 0, 1, 1'000, SimTime::from_ms(1));
+  fc.on_start(kFirst + 1, 1, 0, 2'000, SimTime::from_ms(2));
+  fc.on_complete(kFirst + 1, SimTime::from_ms(4));
+  fc.on_complete(kFirst, SimTime::from_ms(6));
+  fc.on_complete(kFirst - 1, SimTime::from_ms(7));  // never started
+  EXPECT_EQ(fc.completed_count(), 2u);
+  ASSERT_EQ(fc.records().size(), 2u);
+  EXPECT_EQ(fc.records()[0].flow_id, kFirst);
+  EXPECT_EQ(fc.records()[0].fct(), SimTime::from_ms(5));
+  EXPECT_EQ(fc.records()[1].fct(), SimTime::from_ms(2));
+  const EmpiricalCdf cdf = fc.fct_cdf();
+  ASSERT_EQ(cdf.size(), 2u);
+  EXPECT_DOUBLE_EQ(cdf.min(), 0.002);
+  EXPECT_DOUBLE_EQ(cdf.max(), 0.005);
+  EXPECT_DOUBLE_EQ(cdf.at(0.003), 0.5);
+
+  try {
+    fc.on_start(kFirst - 1, 0, 1, 100, SimTime::from_ms(8));
+    ADD_FAILURE() << "an id below the first one was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(std::to_string(kFirst - 1)),
+              std::string::npos)
+        << e.what();
+  }
+  // 2^40 entries past the first id: far beyond the 2^32 index bound.
+  EXPECT_THROW(fc.on_start(2 * kFirst, 0, 1, 100, SimTime::from_ms(8)),
+               std::invalid_argument);
+  EXPECT_EQ(fc.records().size(), 2u);
 }
 
 TEST(PacketCounter, DropRate) {

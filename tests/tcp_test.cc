@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <vector>
@@ -492,6 +494,156 @@ TEST(Host, PacketIdsUniqueAndTagged) {
                     [&] { p.a->open_flow(1, 50'000, 1); });
   p.sim.run();
   EXPECT_GT(ids.size(), 30u);
+}
+
+
+// --- finished connections ----------------------------------------------
+
+/// Folds every field of each transmitted packet, and its arrival time,
+/// into one order-sensitive value.
+struct TransmitHash {
+  void absorb(std::uint64_t v) {
+    value = (value ^ v) * 0x100000001B3ULL;
+    value ^= value >> 29;
+  }
+  void absorb(const Packet& pkt, SimTime arrival) {
+    for (const std::uint64_t v :
+         {pkt.id, std::uint64_t{pkt.flow.src_host},
+          std::uint64_t{pkt.flow.dst_host}, std::uint64_t{pkt.flow.src_port},
+          std::uint64_t{pkt.flow.dst_port}, pkt.flow_id,
+          static_cast<std::uint64_t>(pkt.flags), std::uint64_t{pkt.seq},
+          std::uint64_t{pkt.ack_seq}, std::uint64_t{pkt.payload},
+          std::uint64_t{pkt.ecn}, std::uint64_t{pkt.ece},
+          static_cast<std::uint64_t>(pkt.ts_echo.ns()),
+          static_cast<std::uint64_t>(pkt.sent_at.ns()),
+          static_cast<std::uint64_t>(arrival.ns())}) {
+      absorb(v);
+    }
+  }
+  std::uint64_t value = 0xCBF29CE484222325ULL;
+};
+
+// A copy of the FIN reaches the receiver ~5 ms late, after both ends have
+// finished and both hosts have opened or accepted another connection, so
+// both finished ends answer it as tombstones: the receiver re-ACKs once
+// under the old flow id, and the sender counts that ACK and stays silent.
+// The packet stream and counters equal those of a build that keeps every
+// finished connection (constants recorded there).
+TEST(Host, LateDuplicateDrawsOneTombstoneAck) {
+  Pair p;
+  constexpr std::uint64_t kBytes = 3'000;
+  TransmitHash hash;
+  std::vector<std::pair<SimTime, Packet>> from_b;
+  p.ab->on_transmit = [&](const Packet& pkt, SimTime arrival) {
+    hash.absorb(pkt, arrival);
+  };
+  p.ba->on_transmit = [&](const Packet& pkt, SimTime arrival) {
+    hash.absorb(pkt, arrival);
+    from_b.emplace_back(p.sim.now(), pkt);
+  };
+
+  Packet late;
+  SimTime late_at;
+  p.gate_to_b->should_drop = [&](const Packet& pkt) {
+    if (pkt.has(net::TcpFlag::Fin) && late_at == SimTime{}) {
+      late = pkt;
+      late_at = p.sim.now() + SimTime::from_ms(5);
+      p.sim.schedule_at(late_at, [&] { p.b->handle_packet(late); });
+    }
+    return false;
+  };
+  std::uint64_t a_delivered_before = 0;
+  std::uint64_t a_sent_before = 0;
+  p.gate_to_a->should_drop = [&](const Packet&) {
+    if (late_at != SimTime{} && p.sim.now() >= late_at) {
+      a_delivered_before = p.a->counter().delivered;
+      a_sent_before = p.a->counter().sent;
+    }
+    return false;
+  };
+
+  TcpConnection* first = nullptr;
+  net::FlowKey first_key;
+  bool first_done = false;
+  bool second_done = false;
+  p.sim.schedule_at(SimTime::from_us(1), [&] {
+    first = p.a->open_flow(1, kBytes, 7);
+    first_key = first->key();
+    first->on_complete = [&] { first_done = true; };
+  });
+  p.sim.schedule_at(SimTime::from_ms(1), [&] {
+    ASSERT_EQ(first->state(), TcpState::Done);
+    ASSERT_EQ(p.b->connections().at(first_key.reversed())->state(),
+              TcpState::Done);
+    auto* second = p.b->open_flow(0, 2'000, 8);
+    second->on_complete = [&] { second_done = true; };
+  });
+  p.sim.run();
+
+  EXPECT_TRUE(first_done);
+  EXPECT_TRUE(second_done);
+  ASSERT_GT(late_at, SimTime::from_ms(5));
+  std::vector<Packet> answers;
+  for (const auto& [at, pkt] : from_b) {
+    if (at >= late_at) answers.push_back(pkt);
+  }
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].flow, first_key.reversed());
+  EXPECT_EQ(answers[0].flow_id, 7u);
+  EXPECT_EQ(answers[0].flags, net::TcpFlag::Ack);
+  EXPECT_EQ(answers[0].ack_seq, 1 + kBytes + 1);
+  EXPECT_EQ(answers[0].ts_echo, late.sent_at);
+  EXPECT_FALSE(answers[0].ece);
+  EXPECT_EQ(p.a->counter().delivered, a_delivered_before + 1);
+  EXPECT_EQ(p.a->counter().sent, a_sent_before);
+
+  // Both ends of the first flow are tombstones by now.
+  EXPECT_EQ(p.a->connections().count(first_key), 0u);
+  EXPECT_EQ(p.b->connections().count(first_key.reversed()), 0u);
+  EXPECT_TRUE(p.a->has_connection(first_key));
+  EXPECT_TRUE(p.b->has_connection(first_key.reversed()));
+
+  EXPECT_EQ(hash.value, 13675904897724477740ULL);
+  EXPECT_EQ(p.a->counter().sent, 10u);
+  EXPECT_EQ(p.a->counter().delivered, 11u);
+  EXPECT_EQ(p.a->counter().dropped, 0u);
+  EXPECT_EQ(p.b->counter().sent, 11u);
+  EXPECT_EQ(p.b->counter().delivered, 11u);
+  EXPECT_EQ(p.b->counter().dropped, 0u);
+}
+
+// Memory follows the open flows: back-to-back flows on one pair leave at
+// most a couple of connections per host, every finished tuple is still
+// known to has_connection, and reclaiming schedules and cancels nothing
+// (the event count equals that of a build that keeps every connection).
+TEST(Host, BackToBackFlowsKeepTheLiveSetSmall) {
+  Pair p;
+  constexpr std::size_t kFlows = 5'000;
+  std::vector<net::FlowKey> keys;
+  std::size_t max_live = 0;
+  std::size_t completions = 0;
+  p.b->on_accept = [&](TcpConnection&) {
+    max_live = std::max(max_live, p.b->connections().size());
+  };
+  std::function<void()> launch = [&] {
+    auto* c = p.a->open_flow(1, 2'000, keys.size() + 1);
+    keys.push_back(c->key());
+    max_live = std::max(max_live, p.a->connections().size());
+    c->on_complete = [&] {
+      ++completions;
+      if (keys.size() < kFlows) launch();
+    };
+  };
+  p.sim.schedule_at(SimTime::from_us(1), [&] { launch(); });
+  p.sim.run();
+
+  EXPECT_EQ(completions, kFlows);
+  EXPECT_LE(max_live, 2u);
+  for (const net::FlowKey& key : keys) {
+    EXPECT_TRUE(p.a->has_connection(key));
+    EXPECT_TRUE(p.b->has_connection(key.reversed()));
+  }
+  EXPECT_EQ(p.sim.events_scheduled(), 70'001u);
 }
 
 }  // namespace
