@@ -13,13 +13,18 @@
 //
 // Runs use the largest scenario the differential harness generates
 // (hand-pinned, not fuzzed) with sampled drops and per-packet
-// inference — the production configuration. Each point is the best of R
-// repetitions to shave scheduler noise; overhead is reported against the
-// off baseline.
+// inference — the production configuration. Each repetition runs the
+// three points back to back, off first on even repetitions and last on
+// odd ones, so host noise hits both sides of a comparison alike. A point
+// reports the median and quartiles of its repetitions' events/s. The
+// overhead is taken per repetition against the same repetition's off
+// run; its median and quartiles decide the bar, which is `unresolved`
+// while the quartiles straddle it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +36,8 @@
 namespace {
 
 using namespace esim;  // NOLINT
+
+constexpr double kOverheadBar = 0.05;
 
 check::Scenario bench_scenario(bool quick) {
   check::Scenario sc;
@@ -45,13 +52,13 @@ check::Scenario bench_scenario(bool quick) {
   a.drop_bias = -2.0;
   a.latency_mean_us = 8.0;
   a.sample_drops = true;
-  sc.duration_ns = quick ? 2'000'000 : 40'000'000;
+  sc.duration_ns = quick ? 2'000'000 : 100'000'000;
 
   // Dense all-pairs-ish flow schedule: every boundary crossing is a
   // candidate for shadow admission, so the on-vs-off delta is dominated
   // by observatory cost rather than idle engine ticks.
   const std::uint32_t hosts = sc.total_hosts();
-  const std::size_t flows = quick ? 160 : 2'400;
+  const std::size_t flows = quick ? 160 : 12'000;
   std::int64_t t = 1'000;
   for (std::size_t i = 0; i < flows; ++i) {
     check::FlowSpec f;
@@ -68,49 +75,56 @@ check::Scenario bench_scenario(bool quick) {
   return sc;
 }
 
-struct Point {
-  double wall_best = 0;          // seconds, best of reps
-  std::uint64_t events = 0;
+struct Run {
+  double events_per_sec = 0;
   check::Digest digest;
   std::uint64_t shadow_samples = 0;
   std::uint64_t rows = 0;
 };
 
-Point run_point(const check::Scenario& sc, std::uint32_t partitions,
-                std::uint32_t sample_period, int reps) {
-  Point pt;
-  pt.wall_best = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    telemetry::FidelitySink* sink = nullptr;
-    std::unique_ptr<telemetry::FidelitySink> owned;
-    if (sample_period > 0) {
-      telemetry::FidelityConfig fcfg;
-      fcfg.enabled = true;
-      fcfg.sample_period = sample_period;
-      owned = std::make_unique<telemetry::FidelitySink>(fcfg);
-      sink = owned.get();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    check::RunHooks hooks;
-    hooks.fidelity = sink;
-    const auto digest =
-        check::run_scenario(sc, {partitions},
-                            sim::SimTime::from_ns(sc.duration_ns), hooks)
-            .digest;
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    pt.wall_best = std::min(pt.wall_best, wall);
-    pt.events = digest.events;
-    pt.digest = digest;
-    if (sink) {
-      std::uint64_t shadow = 0;
-      for (const auto& s : sink->summaries()) shadow += s.shadow_samples;
-      pt.shadow_samples = shadow;
-      pt.rows = sink->rows_appended();
-    }
+Run run_once(const check::Scenario& sc, std::uint32_t partitions,
+             std::uint32_t sample_period) {
+  std::unique_ptr<telemetry::FidelitySink> sink;
+  if (sample_period > 0) {
+    telemetry::FidelityConfig fcfg;
+    fcfg.enabled = true;
+    fcfg.sample_period = sample_period;
+    sink = std::make_unique<telemetry::FidelitySink>(fcfg);
   }
-  return pt;
+  const auto start = std::chrono::steady_clock::now();
+  check::RunHooks hooks;
+  hooks.fidelity = sink.get();
+  Run run;
+  run.digest = check::run_scenario(sc, {partitions},
+                                   sim::SimTime::from_ns(sc.duration_ns), hooks)
+                   .digest;
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  run.events_per_sec = static_cast<double>(run.digest.events) / wall;
+  if (sink) {
+    for (const auto& s : sink->summaries()) {
+      run.shadow_samples += s.shadow_samples;
+    }
+    run.rows = sink->rows_appended();
+  }
+  return run;
+}
+
+struct Quartiles {
+  double q1 = 0, median = 0, q3 = 0;
+};
+
+/// Linearly interpolated quartiles of `v` (non-empty).
+Quartiles quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
 }  // namespace
@@ -123,7 +137,7 @@ int main() {
   if (quick) bench::print_note("quick mode: shrunken horizon and flow count");
 
   const auto sc = bench_scenario(quick);
-  const int reps = quick ? 2 : 5;
+  const int reps = quick ? 3 : 10;
   const std::vector<std::uint32_t> engines = {0, 2};  // sequential, PDES(2)
   const std::vector<std::uint32_t> periods = {0, 64, 16};
 
@@ -131,45 +145,70 @@ int main() {
   report.set("scenario.flows", static_cast<std::uint64_t>(sc.flows.size()));
   report.set("scenario.duration_ns",
              static_cast<std::uint64_t>(sc.duration_ns));
+  report.set("repetitions", static_cast<std::uint64_t>(reps));
 
-  std::printf("%-12s %-10s %12s %14s %10s %8s %8s\n", "engine", "sampling",
-              "events", "events/s", "overhead", "shadow", "rows");
+  std::printf("%-11s %-8s %9s %26s %26s %-10s %7s %6s\n", "engine",
+              "sampling", "events", "M events/s: q1 median q3",
+              "overhead %: q1 median q3", "bar <=5%", "shadow", "rows");
   bool digest_ok = true;
   for (std::uint32_t p : engines) {
-    Point base;
-    const std::string engine = p == 0 ? "sequential" : "pdes(" +
-                                   std::to_string(p) + ")";
-    for (std::uint32_t period : periods) {
-      const Point pt = run_point(sc, p, period, reps);
-      if (period == 0) {
-        base = pt;
-      } else if (!(pt.digest == base.digest)) {
-        digest_ok = false;
+    const std::string engine =
+        p == 0 ? "sequential" : "pdes(" + std::to_string(p) + ")";
+    // runs[i][r]: point periods[i], repetition r.
+    std::vector<std::vector<Run>> runs(periods.size());
+    for (int r = 0; r < reps; ++r) {
+      for (std::size_t k = 0; k < periods.size(); ++k) {
+        const std::size_t i = r % 2 == 0 ? k : periods.size() - 1 - k;
+        runs[i].push_back(run_once(sc, p, periods[i]));
+        if (!(runs[i].back().digest == runs[0].front().digest)) {
+          digest_ok = false;
+        }
       }
-      const double eps = pt.wall_best > 0
-                             ? static_cast<double>(pt.events) / pt.wall_best
-                             : 0;
-      const double base_eps =
-          base.wall_best > 0
-              ? static_cast<double>(base.events) / base.wall_best
-              : 0;
-      const double overhead =
-          period == 0 || base_eps <= 0 ? 0.0 : (base_eps - eps) / base_eps;
+    }
+    for (std::size_t i = 0; i < periods.size(); ++i) {
+      std::vector<double> eps;
+      std::vector<double> overhead;
+      for (int r = 0; r < reps; ++r) {
+        eps.push_back(runs[i][r].events_per_sec);
+        const double off = runs[0][r].events_per_sec;
+        overhead.push_back((off - runs[i][r].events_per_sec) / off);
+      }
+      const Quartiles e = quartiles(eps);
+      const Quartiles o = quartiles(overhead);
       const std::string sampling =
-          period == 0 ? "off" : "1/" + std::to_string(period);
-      std::printf("%-12s %-10s %12llu %14.0f %9.2f%% %8llu %8llu\n",
-                  engine.c_str(), sampling.c_str(),
-                  static_cast<unsigned long long>(pt.events), eps,
-                  overhead * 100.0,
-                  static_cast<unsigned long long>(pt.shadow_samples),
-                  static_cast<unsigned long long>(pt.rows));
+          periods[i] == 0 ? "off" : "1/" + std::to_string(periods[i]);
+      const char* verdict = periods[i] == 0       ? ""
+                            : o.q3 <= kOverheadBar ? "met"
+                            : o.q1 > kOverheadBar  ? "missed"
+                                                   : "unresolved";
+      const Run& last = runs[i].back();
+      std::printf("%-11s %-8s %9llu %8.3f %8.3f %8.3f ", engine.c_str(),
+                  sampling.c_str(),
+                  static_cast<unsigned long long>(last.digest.events),
+                  e.q1 / 1e6, e.median / 1e6, e.q3 / 1e6);
+      if (periods[i] == 0) {
+        std::printf("%26s %-10s", "", "");
+      } else {
+        std::printf("%+8.2f %+8.2f %+8.2f %-10s", o.q1 * 100,
+                    o.median * 100, o.q3 * 100, verdict);
+      }
+      std::printf(" %7llu %6llu\n",
+                  static_cast<unsigned long long>(last.shadow_samples),
+                  static_cast<unsigned long long>(last.rows));
       const std::string key =
-          "series." + engine + ".period_" + std::to_string(period);
-      report.set(key + ".events", pt.events);
-      report.set(key + ".events_per_sec", eps);
-      report.set(key + ".overhead", overhead);
-      report.set(key + ".shadow_samples", pt.shadow_samples);
-      report.set(key + ".rows", pt.rows);
+          "series." + engine + ".period_" + std::to_string(periods[i]);
+      report.set(key + ".events", last.digest.events);
+      report.set(key + ".events_per_sec", e.median);
+      report.set(key + ".events_per_sec_q1", e.q1);
+      report.set(key + ".events_per_sec_q3", e.q3);
+      if (periods[i] != 0) {
+        report.set(key + ".overhead", o.median);
+        report.set(key + ".overhead_q1", o.q1);
+        report.set(key + ".overhead_q3", o.q3);
+        report.set(key + ".bar", std::string{verdict});
+      }
+      report.set(key + ".shadow_samples", last.shadow_samples);
+      report.set(key + ".rows", last.rows);
     }
   }
   report.set("digest_invariant", digest_ok);
@@ -177,7 +216,7 @@ int main() {
     std::printf("FAIL: instrumented digest diverged from baseline\n");
   else
     bench::print_note(
-        "all instrumented runs digest-identical to their baselines");
+        "every repetition digest-identical to its engine's first off run");
   report.write("BENCH_fidelity.json");
   return digest_ok ? 0 : 1;
 }

@@ -1,8 +1,9 @@
 // PDES scale-out: events/s and sync-wait fraction vs partition count on a
 // synthetic multi-cluster fat-tree, comparing the pre-existing engine
 // configuration (global YAWNS window + rack-round-robin placement) against
-// the scale-out path (per-pair lookahead windows + graph-cut placement +
-// SPSC cross-partition rings).
+// the scale-out path (per-pair lookahead windows + graph-cut placement).
+// Both paths send cross-partition messages through the same plain
+// per-pair mailboxes, which the round barrier alone keeps safe.
 //
 // The topology gives the partitioner something to exploit: intra-cluster
 // links are short (1us) while agg<->core runs are long (8us). Round-robin
@@ -191,12 +192,13 @@ int main() {
   bench::print_note(
       "baseline = the pre-existing engine path (global YAWNS window, "
       "rack-round-robin placement); scale-out = per-pair lookahead windows "
-      "+ graph-cut placement + SPSC rings. Both are digest-identical to "
-      "the sequential engine (esim_diffcheck).");
+      "+ graph-cut placement. Both send cross-partition messages through "
+      "per-pair mailboxes and are digest-identical to the sequential "
+      "engine (esim_diffcheck).");
   bench::print_note(
       "expected shape: baseline rounds grow with P while windows stay "
       "pinned at the 1us global lookahead; scale-out windows follow the "
       "8us inter-cluster links, so rounds (and events/s) hold up as P "
-      "grows. sync%% is barrier wall time / (P * wall).");
+      "grows. sync% is barrier wall time / (P * wall).");
   return 0;
 }

@@ -35,13 +35,10 @@ fi
 # The tiers above run whichever kernel variant the CPU dispatches to
 # (ml/kernels.h). Every variant must give the same bits, so the ML suites
 # — whose golden tests pin training and serving numerics — also run with
-# each variant pinned: scalar and AVX2 always, AVX-512 where the CPU has
-# it (ESIM_INFERENCE_ISA falls back to scalar when it does not).
+# each variant pinned: scalar and AVX2 (ESIM_INFERENCE_ISA falls back to
+# scalar when the CPU has no AVX2).
 ml_suites='^(Tensor|Activations|Linear|Loss|Lstm|Gru|Optimizer|Serialize|SequenceModelFactory|MicroModel|MicroModelGru|MicroModelSerialize|InferenceSession|Trainer|TrainFromTrace)\.'
 isas=(scalar avx2)
-if grep -qw avx512f /proc/cpuinfo; then
-  isas+=(avx512)
-fi
 
 for preset in default asan-ubsan; do
   echo "=== preset: ${preset} — configure ==="
@@ -75,8 +72,8 @@ done
 # The six standing esim_diffcheck corpora, each closing on its corpus
 # fingerprint: the all-packet fuzz sweep, the PDES scale-out sweep at the
 # partition counts the scaling bench targets (graph-cut placement,
-# per-pair lookahead windows, SPSC rings), hybrid engine equivalence,
-# fidelity, adaptive granularity and memo. Always run this — it is the determinism
+# per-pair lookahead windows, cross-partition mailboxes), hybrid engine
+# equivalence, fidelity, adaptive granularity and memo. Always run this — it is the determinism
 # gate, not an opt-in extra; diff its output against an older build's to
 # prove a change digest-identical.
 echo "=== default — esim_diffcheck corpus fingerprints ==="
@@ -90,7 +87,7 @@ echo "=== asan-ubsan — bench_inference --batch smoke ==="
 (cd build-asan && ./bench/bench_inference --batch)
 
 # Quick sweep of the PDES scaling bench under ASan/UBSan: drives the
-# partitioner, per-pair windows, and SPSC rings at 1..8 partitions with
+# partitioner, per-pair windows, and mailboxes at 1..8 partitions with
 # real TCP traffic.
 echo "=== asan-ubsan — bench_pdes_scaling smoke ==="
 (cd build-asan && ESIM_BENCH_QUICK=1 ./bench/bench_pdes_scaling)
@@ -154,7 +151,7 @@ echo "=== preset: tsan — test (threaded suites) ==="
 # TrainFromTrace covers train_from_trace's egress worker thread, on the
 # success path and when the worker's training throws.
 ctest --preset tsan "${jobs}" -R \
-  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|SpscQueue|Partitioner|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainFromTrace'
+  'ParallelEngine|PdesBuilder|PdesNetwork|HybridPdes|TelemetryIntegration|Trace|Partitioner|Fidelity|Granularity|FluidCluster|Memo|PhaseCache|TrainFromTrace'
 
 # The memo corpus under PDES: a live phase's injections are scheduled
 # from the driving thread into partitions parked between engine windows,

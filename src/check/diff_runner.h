@@ -20,7 +20,7 @@
 // lane depends on it: the seed comes from the scenario and the PDES
 // lookahead is kLookaheadNs. All-packet scenarios use graph-cut placement
 // and per-pair windows, so the gate exercises the scale-out path
-// (per-pair lookahead + SPSC drains); approximated scenarios use the
+// (per-pair lookahead + mailbox drains); approximated scenarios use the
 // hybrid builder's placement and ParallelEngine's default global windows.
 #pragma once
 

@@ -56,7 +56,8 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     /// Floor on predicted latency (a fabric traversal is never faster
     /// than its unloaded store-and-forward minimum).
     double min_latency_s = 2e-6;
-    /// Line rate of the emulated output ports (for conflict resolution).
+    /// Line rate of the emulated output ports (for conflict resolution);
+    /// the hybrid builder sets the fabric's.
     double port_bandwidth_bps = 10e9;
     /// Maximum queueing delay an emulated port may impose before the
     /// packet is dropped instead (the virtual analogue of the real

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -34,7 +35,8 @@ struct Approximation {
 };
 
 /// Throws std::invalid_argument (prefixed with `who`) unless the build is
-/// well formed: a valid spec; for hybrids, >= 2 clusters; under an
+/// well formed: a valid spec; for hybrids, >= 2 clusters and one link rate
+/// (an ApproxCluster emulates every port at the fabric's); under an
 /// engine, a lookahead no longer than any link's propagation and, for
 /// hybrids, than the model's latency floor.
 void check_build(const std::string& who, const NetworkConfig& config,
@@ -47,6 +49,15 @@ void check_build(const std::string& who, const NetworkConfig& config,
   };
   if (approx != nullptr && spec.clusters < 2) {
     fail("need >= 2 clusters (one stays full)");
+  }
+  const double core_bps = config.core_link_config().bandwidth_bps;
+  const double fabric_bps = config.fabric_link.bandwidth_bps;
+  if (approx != nullptr && core_bps != fabric_bps) {
+    std::ostringstream msg;
+    msg << "core_link rate " << core_bps / 1e9
+        << " Gb/s differs from fabric_link rate " << fabric_bps / 1e9
+        << " Gb/s (an ApproxCluster models one port rate)";
+    fail(msg.str());
   }
   if (engine == nullptr) return;
   const sim::SimTime lookahead = engine->lookahead();
@@ -110,8 +121,8 @@ PartitionedNetwork wire(const std::vector<sim::Simulator*>& sims,
         sims[p]->add_component<tcp::Host>(spec.host_name(h), h, config.tcp);
   }
   const auto add_switch = [&](SwitchId id, std::string name) {
-    Switch* sw = sims[switch_part[id]]->add_component<Switch>(
-        std::move(name), id, config.switch_processing);
+    Switch* sw =
+        sims[switch_part[id]]->add_component<Switch>(std::move(name), id);
     sw->set_port_sensitive_ecmp(config.ecmp_port_sensitive);
     net.switches[id] = sw;
   };
@@ -132,6 +143,7 @@ PartitionedNetwork wire(const std::vector<sim::Simulator*>& sims,
     ApproxCluster::Config acfg = approx->config.approx;
     acfg.spec = spec;
     acfg.cluster = c;
+    acfg.port_bandwidth_bps = config.fabric_link.bandwidth_bps;
     net.clusters[c] = sims[cluster_part[c]]->add_component<ApproxCluster>(
         "approx.c" + std::to_string(c), acfg, approx->ingress, approx->egress);
   }

@@ -83,9 +83,6 @@ struct NetworkConfig {
     return core_link.has_value() ? *core_link : fabric_link;
   }
 
-  /// Forwarding pipeline latency per switch.
-  sim::SimTime switch_processing;
-
   /// TCP parameters for every host.
   tcp::TcpConnection::Config tcp;
 

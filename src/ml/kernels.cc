@@ -116,47 +116,6 @@ __attribute__((target("avx2"))) void matvec_avx2(const double* pk,
   }
 }
 
-/// AVX-512 matvec: four groups (32 rows) per pass = four independent zmm
-/// accumulator chains. No vfmadd — mul and add stay separate so every
-/// lane rounds twice, exactly like the scalar variant.
-__attribute__((target("avx512f"))) void matvec_avx512(const double* pk,
-                                                      std::size_t groups,
-                                                      std::size_t n,
-                                                      const double* x,
-                                                      double* out) {
-  std::size_t g = 0;
-  for (; g + 4 <= groups; g += 4) {
-    const double* a = pk + g * 8 * n;
-    const double* b = a + 8 * n;
-    const double* c = b + 8 * n;
-    const double* d = c + 8 * n;
-    __m512d sa = _mm512_setzero_pd();
-    __m512d sb = _mm512_setzero_pd();
-    __m512d sc = _mm512_setzero_pd();
-    __m512d sd = _mm512_setzero_pd();
-    for (std::size_t p = 0; p < n; ++p) {
-      const __m512d xv = _mm512_set1_pd(x[p]);
-      sa = _mm512_add_pd(sa, _mm512_mul_pd(xv, _mm512_loadu_pd(a + p * 8)));
-      sb = _mm512_add_pd(sb, _mm512_mul_pd(xv, _mm512_loadu_pd(b + p * 8)));
-      sc = _mm512_add_pd(sc, _mm512_mul_pd(xv, _mm512_loadu_pd(c + p * 8)));
-      sd = _mm512_add_pd(sd, _mm512_mul_pd(xv, _mm512_loadu_pd(d + p * 8)));
-    }
-    _mm512_storeu_pd(out + g * 8, sa);
-    _mm512_storeu_pd(out + g * 8 + 8, sb);
-    _mm512_storeu_pd(out + g * 8 + 16, sc);
-    _mm512_storeu_pd(out + g * 8 + 24, sd);
-  }
-  for (; g < groups; ++g) {
-    const double* a = pk + g * 8 * n;
-    __m512d sa = _mm512_setzero_pd();
-    for (std::size_t p = 0; p < n; ++p) {
-      const __m512d xv = _mm512_set1_pd(x[p]);
-      sa = _mm512_add_pd(sa, _mm512_mul_pd(xv, _mm512_loadu_pd(a + p * 8)));
-    }
-    _mm512_storeu_pd(out + g * 8, sa);
-  }
-}
-
 /// AVX2 matmul: four lanes share every weight load. The 4x8 (lane x row)
 /// tile keeps eight independent ymm accumulator chains — two per lane —
 /// so one pass over a weight group serves four input rows. Per (lane,
@@ -208,47 +167,6 @@ __attribute__((target("avx2"))) void matmul_avx2(
   }
   for (; lane < lanes; ++lane) {
     matvec_avx2(pk, groups, n, x + lane * ldx, out + lane * ldo);
-  }
-}
-
-/// AVX-512 matmul: eight lanes share every weight load (one zmm covers a
-/// full 8-row group column), eight independent zmm chains.
-__attribute__((target("avx512f"))) void matmul_avx512(
-    const double* pk, std::size_t groups, std::size_t n, const double* x,
-    std::size_t ldx, std::size_t lanes, double* out, std::size_t ldo) {
-  std::size_t lane = 0;
-  for (; lane + 8 <= lanes; lane += 8) {
-    const double* xr[8];
-    for (std::size_t l = 0; l < 8; ++l) xr[l] = x + (lane + l) * ldx;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const double* w = pk + g * 8 * n;
-      __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-      __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
-      __m512d a4 = _mm512_setzero_pd(), a5 = _mm512_setzero_pd();
-      __m512d a6 = _mm512_setzero_pd(), a7 = _mm512_setzero_pd();
-      for (std::size_t p = 0; p < n; ++p) {
-        const __m512d wv = _mm512_loadu_pd(w + p * 8);
-        a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_set1_pd(xr[0][p]), wv));
-        a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_set1_pd(xr[1][p]), wv));
-        a2 = _mm512_add_pd(a2, _mm512_mul_pd(_mm512_set1_pd(xr[2][p]), wv));
-        a3 = _mm512_add_pd(a3, _mm512_mul_pd(_mm512_set1_pd(xr[3][p]), wv));
-        a4 = _mm512_add_pd(a4, _mm512_mul_pd(_mm512_set1_pd(xr[4][p]), wv));
-        a5 = _mm512_add_pd(a5, _mm512_mul_pd(_mm512_set1_pd(xr[5][p]), wv));
-        a6 = _mm512_add_pd(a6, _mm512_mul_pd(_mm512_set1_pd(xr[6][p]), wv));
-        a7 = _mm512_add_pd(a7, _mm512_mul_pd(_mm512_set1_pd(xr[7][p]), wv));
-      }
-      _mm512_storeu_pd(out + lane * ldo + g * 8, a0);
-      _mm512_storeu_pd(out + (lane + 1) * ldo + g * 8, a1);
-      _mm512_storeu_pd(out + (lane + 2) * ldo + g * 8, a2);
-      _mm512_storeu_pd(out + (lane + 3) * ldo + g * 8, a3);
-      _mm512_storeu_pd(out + (lane + 4) * ldo + g * 8, a4);
-      _mm512_storeu_pd(out + (lane + 5) * ldo + g * 8, a5);
-      _mm512_storeu_pd(out + (lane + 6) * ldo + g * 8, a6);
-      _mm512_storeu_pd(out + (lane + 7) * ldo + g * 8, a7);
-    }
-  }
-  for (; lane < lanes; ++lane) {
-    matvec_avx512(pk, groups, n, x + lane * ldx, out + lane * ldo);
   }
 }
 
@@ -690,10 +608,8 @@ struct Table {
 };
 
 /// Every variant is bit-identical, so this is purely a throughput
-/// decision. AVX2 is preferred over AVX-512 by default: the 512-bit
-/// license downclock on server parts slows the gate passes that share a
-/// step more than the wider tiles win. The AVX-512 variant widens only
-/// the x W^T tiles; everything else runs its AVX2 variant there.
+/// decision: AVX2 when the CPU has it. A forced value other than `scalar`
+/// or `avx2` selects scalar.
 Table select_kernels() {
   Table t{matmul_scalar,
           matmul_skip_scalar,
@@ -702,14 +618,10 @@ Table select_kernels() {
           lstm_gates_backward_scalar,
           gru_gates_backward_scalar};
 #ifdef ESIM_X86_DISPATCH
-  const bool avx2 = __builtin_cpu_supports("avx2");
-  bool use_avx2 = avx2;
-  bool use_avx512 = false;
+  bool use_avx2 = __builtin_cpu_supports("avx2");
   const char* force = std::getenv("ESIM_INFERENCE_ISA");
   if (force != nullptr && force[0] != '\0') {
-    const std::string_view v{force};
-    use_avx512 = v == "avx512" && avx2 && __builtin_cpu_supports("avx512f");
-    use_avx2 = use_avx512 || (v == "avx2" && avx2);
+    use_avx2 = use_avx2 && std::string_view{force} == "avx2";
   }
   if (use_avx2) {
     t = {matmul_avx2,
@@ -719,7 +631,6 @@ Table select_kernels() {
          lstm_gates_backward_avx2,
          gru_gates_backward_avx2};
   }
-  if (use_avx512) t.matmul_nt = matmul_avx512;
 #endif
   return t;
 }

@@ -3,16 +3,17 @@
 // and serving (InferenceSession) both call these entry points; nothing
 // else in src/ml computes a matrix product or a gate pass of its own.
 //
-// Every entry point is bit-identical across its scalar, AVX2 and AVX-512
-// variants: each output element is produced by the exact IEEE operation
-// sequence of the plain scalar loop its comment states — a dot product
-// sums p = 0..n-1 from +0.0, one mul and one add per term (kernels.cc is
+// Every entry point is bit-identical across its scalar and AVX2 variants:
+// each output element is produced by the exact IEEE operation sequence of
+// the plain scalar loop its comment states — a dot product sums
+// p = 0..n-1 from +0.0, one mul and one add per term (kernels.cc is
 // compiled with -ffp-contract=off, and no variant enables FMA), and the
 // gate passes replay ml/activations.h lane for lane. SIMD variants only
 // put independent output elements side by side in vector lanes. The
 // variant is picked once per process: AVX2 when the CPU has it, else
-// scalar; ESIM_INFERENCE_ISA=scalar|avx2|avx512 pins one, for tests and
-// benches (the name predates training's use of the same dispatch).
+// scalar; ESIM_INFERENCE_ISA=scalar|avx2 pins one, for tests and benches
+// (the name predates training's use of the same dispatch). Any other
+// value selects scalar.
 #pragma once
 
 #include <cstddef>

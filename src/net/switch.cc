@@ -7,11 +7,8 @@
 
 namespace esim::net {
 
-Switch::Switch(sim::Simulator& sim, std::string name, SwitchId id,
-               sim::SimTime processing_delay)
-    : Component(sim, std::move(name)),
-      id_{id},
-      processing_delay_{processing_delay} {
+Switch::Switch(sim::Simulator& sim, std::string name, SwitchId id)
+    : Component(sim, std::move(name)), id_{id} {
   if (auto* r = sim.telemetry()) {
     m_received_ = r->counter("net.switch.received");
     m_forwarded_ = r->counter("net.switch.forwarded");
@@ -66,16 +63,6 @@ void Switch::memo_apply_counter_delta(const stats::PacketCounter& d) {
 void Switch::handle_packet(Packet pkt) {
   ++counter_.sent;
   if (m_received_ != nullptr) m_received_->inc();
-  if (processing_delay_ > sim::SimTime{}) {
-    schedule_in(processing_delay_, [this, pkt = std::move(pkt)]() mutable {
-      forward(std::move(pkt));
-    });
-  } else {
-    forward(std::move(pkt));
-  }
-}
-
-void Switch::forward(Packet pkt) {
   if (pkt.flow.dst_host >= routes_.size() ||
       routes_[pkt.flow.dst_host].empty()) {
     ++counter_.dropped;

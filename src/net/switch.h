@@ -25,10 +25,9 @@ namespace esim::net {
 /// Store-and-forward output-queued switch.
 class Switch : public sim::Component, public PacketHandler {
  public:
-  /// `id` is the dense switch id used as the ECMP salt; `processing_delay`
-  /// models the forwarding pipeline (0 by default, like INET's EtherSwitch).
-  Switch(sim::Simulator& sim, std::string name, SwitchId id,
-         sim::SimTime processing_delay = sim::SimTime{});
+  /// `id` is the dense switch id used as the ECMP salt. Forwarding takes no
+  /// time, like INET's EtherSwitch.
+  Switch(sim::Simulator& sim, std::string name, SwitchId id);
 
   /// This switch's dense id.
   SwitchId id() const { return id_; }
@@ -46,7 +45,8 @@ class Switch : public sim::Component, public PacketHandler {
   /// chosen port for `flow`; throws if no route exists.
   std::uint32_t route_port(const FlowKey& flow) const;
 
-  /// Delivers a packet into the forwarding pipeline.
+  /// Forwards a packet to its route's output port, or drops it when no
+  /// route exists.
   void handle_packet(Packet pkt) override;
 
   /// Number of attached ports.
@@ -73,11 +73,8 @@ class Switch : public sim::Component, public PacketHandler {
   void memo_apply_counter_delta(const stats::PacketCounter& d);
 
  private:
-  void forward(Packet pkt);
-
   SwitchId id_;
   bool port_sensitive_ecmp_ = true;
-  sim::SimTime processing_delay_;
   std::vector<Link*> ports_;
   std::vector<std::vector<std::uint32_t>> routes_;  // dst host -> ports
   stats::PacketCounter counter_;

@@ -1,6 +1,7 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <limits>
@@ -92,76 +93,37 @@ class RoundBarrier {
 }  // namespace
 
 Partition::Partition(std::uint32_t index, std::uint64_t seed,
-                     std::uint32_t num_sources, std::size_t ring_capacity)
-    : index_{index},
-      sim_{seed},
-      ring_capacity_{ring_capacity},
-      rings_(num_sources),
-      drain_runs_(num_sources) {
-  drain_sources_.reserve(num_sources);
+                     std::uint32_t num_sources)
+    : index_{index}, sim_{seed}, mailboxes_(num_sources) {
+  drain_runs_.reserve(num_sources);
   drain_pos_.reserve(num_sources);
-  for (auto& r : rings_) r.store(nullptr, std::memory_order_relaxed);
 }
 
-SpscQueue<CrossMessage>* Partition::ring_for(std::uint32_t source) {
-  SpscQueue<CrossMessage>* ring =
-      rings_[source].load(std::memory_order_acquire);
-  if (ring != nullptr) return ring;
-  // First message on this (source, dest) pair: create the ring. Only
-  // `source`'s worker thread ever posts on this slot, but creation still
-  // serializes on a mutex so ring_storage_ stays consistent.
-  std::lock_guard lock{rings_mu_};
-  ring = rings_[source].load(std::memory_order_relaxed);
-  if (ring == nullptr) {
-    ring_storage_.push_back(
-        std::make_unique<SpscQueue<CrossMessage>>(ring_capacity_));
-    ring = ring_storage_.back().get();
-    rings_[source].store(ring, std::memory_order_release);
-  }
-  return ring;
+void Partition::post(std::uint32_t source, SimTime deliver_at,
+                     std::uint64_t key, EventFn&& fn) {
+  std::vector<CrossMessage>& box = mailboxes_[source].messages;
+  box.push_back(CrossMessage{deliver_at, key, box.size(), std::move(fn)});
 }
 
-void Partition::post(CrossMessage m) {
-  SpscQueue<CrossMessage>* ring = ring_for(m.source_partition);
-  if (ring->try_push(std::move(m))) return;
-  // Ring full: spill to the overflow list. Deterministic order is
-  // restored at drain time (messages re-join their source's run), so
-  // backpressure degrades throughput, never correctness.
-  overflow_posts_.fetch_add(1, std::memory_order_relaxed);
-  if (overflow_counter_ != nullptr) overflow_counter_->inc();
-  std::lock_guard lock{overflow_mu_};
-  overflow_.push_back(std::move(m));
+void Partition::set_telemetry(telemetry::Registry* registry,
+                              telemetry::Gauge* inbox_high_water,
+                              telemetry::Counter* drained) {
+  registry_ = registry;
+  inbox_high_water_gauge_ = inbox_high_water;
+  drained_ = drained;
+  pair_messages_.assign(registry != nullptr ? mailboxes_.size() : 0, nullptr);
 }
 
 std::size_t Partition::drain_inbox() {
-  const std::uint32_t S = static_cast<std::uint32_t>(rings_.size());
-
-  // Collect each source's backlog. Rings are quiescent here (drains only
-  // happen at barriers), so try_pop empties them exactly.
-  for (std::uint32_t s = 0; s < S; ++s) {
-    SpscQueue<CrossMessage>* ring = rings_[s].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    auto& run = drain_runs_[s];
-    CrossMessage m;
-    while (ring->try_pop(m)) run.push_back(std::move(m));
-  }
-  if (overflow_posts_.load(std::memory_order_relaxed) != 0) {
-    std::lock_guard lock{overflow_mu_};
-    for (auto& m : overflow_) {
-      drain_runs_[m.source_partition].push_back(std::move(m));
-    }
-    overflow_.clear();
-  }
-
   // Each source posts in its own execution order (source_seq ascending),
   // but deliver times are not monotone per source (links have different
-  // delays), so sort each small run by (deliver_at, seq). The runs are
-  // mostly sorted already, which keeps this cheap.
+  // delays), so sort each small mailbox by (deliver_at, seq). Mailboxes
+  // are mostly sorted already, which keeps this cheap.
   std::size_t total = 0;
-  std::vector<std::uint32_t>& sources = drain_sources_;
-  sources.clear();
-  for (std::uint32_t s = 0; s < S; ++s) {
-    auto& run = drain_runs_[s];
+  std::vector<std::vector<CrossMessage>*>& runs = drain_runs_;
+  runs.clear();
+  for (std::uint32_t s = 0; s < mailboxes_.size(); ++s) {
+    std::vector<CrossMessage>& run = mailboxes_[s].messages;
     if (run.empty()) continue;
     std::sort(run.begin(), run.end(),
               [](const CrossMessage& a, const CrossMessage& b) {
@@ -170,41 +132,47 @@ std::size_t Partition::drain_inbox() {
                 return a.source_seq < b.source_seq;
               });
     total += run.size();
-    if (static_cast<std::int64_t>(run.size()) > ring_high_water_) {
-      ring_high_water_ = static_cast<std::int64_t>(run.size());
-      if (ring_high_water_gauge_ != nullptr) {
-        ring_high_water_gauge_->set(ring_high_water_);
+    if (static_cast<std::int64_t>(run.size()) > inbox_high_water_) {
+      inbox_high_water_ = static_cast<std::int64_t>(run.size());
+      if (inbox_high_water_gauge_ != nullptr) {
+        inbox_high_water_gauge_->set(inbox_high_water_);
       }
     }
-    sources.push_back(s);
+    if (registry_ != nullptr) {
+      telemetry::Counter*& pair = pair_messages_[s];
+      if (pair == nullptr) {
+        pair = registry_->counter("pdes.pair.p" + std::to_string(s) + "_p" +
+                                  std::to_string(index_) + ".messages");
+      }
+      pair->inc(run.size());
+    }
+    runs.push_back(&run);
   }
   if (total == 0) return 0;
   if (drained_ != nullptr) drained_->inc(total);
 
   // Merge the ordered per-source streams into the FES by
-  // (deliver_at, source, seq) — the same total order the old full-inbox
-  // sort produced, so cross-engine determinism is unchanged.
+  // (deliver_at, source, seq) — the order one sort of every message by
+  // that key would give, so cross-engine determinism holds.
   std::vector<std::size_t>& pos = drain_pos_;
-  pos.assign(sources.size(), 0);
+  pos.assign(runs.size(), 0);
   for (std::size_t n = 0; n < total; ++n) {
-    std::size_t best = sources.size();
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      if (pos[i] >= drain_runs_[sources[i]].size()) continue;
-      if (best == sources.size() ||
-          drain_runs_[sources[i]][pos[i]].deliver_at <
-              drain_runs_[sources[best]][pos[best]].deliver_at) {
+    std::size_t best = runs.size();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (pos[i] == runs[i]->size()) continue;
+      if (best == runs.size() ||
+          (*runs[i])[pos[i]].deliver_at < (*runs[best])[pos[best]].deliver_at) {
         best = i;  // tie on deliver_at keeps the lower source (scan order)
       }
     }
-    CrossMessage& m = drain_runs_[sources[best]][pos[best]++];
+    CrossMessage& m = (*runs[best])[pos[best]++];
     sim_.schedule_at_keyed(m.deliver_at, m.key, std::move(m.fn));
   }
-  for (std::uint32_t s : sources) drain_runs_[s].clear();
+  for (std::vector<CrossMessage>* run : runs) run->clear();
   return total;
 }
 
-ParallelEngine::ParallelEngine(Config config)
-    : config_{config}, send_seq_(config.num_partitions) {
+ParallelEngine::ParallelEngine(Config config) : config_{config} {
   if (config_.num_partitions == 0) {
     throw std::invalid_argument("ParallelEngine: need at least 1 partition");
   }
@@ -214,9 +182,7 @@ ParallelEngine::ParallelEngine(Config config)
   const std::uint32_t P = config_.num_partitions;
   partitions_.reserve(P);
   for (std::uint32_t i = 0; i < P; ++i) {
-    partitions_.push_back(std::make_unique<Partition>(
-        i, config_.seed + i, P, config_.ring_capacity));
-    send_seq_[i].store(0, std::memory_order_relaxed);
+    partitions_.push_back(std::make_unique<Partition>(i, config_.seed + i, P));
   }
   pair_lookahead_ns_.assign(static_cast<std::size_t>(P) * P,
                             config_.lookahead.ns());
@@ -278,7 +244,6 @@ void ParallelEngine::set_telemetry(telemetry::Registry* registry) {
   telemetry_ = registry;
   sync_wait_ns_.clear();
   window_advance_ = nullptr;
-  pair_messages_.clear();
   if (registry == nullptr) {
     for (auto& p : partitions_) p->set_telemetry(nullptr, nullptr, nullptr);
     return;
@@ -287,52 +252,25 @@ void ParallelEngine::set_telemetry(telemetry::Registry* registry) {
   auto* crossings = registry->counter("pdes.cross_messages");
   auto* executed = registry->counter("pdes.events_executed");
   auto* overhead = registry->counter("pdes.modeled_overhead_us");
-  auto* overflow_total = registry->counter("pdes.overflow_posts");
-  registry->add_flusher(
-      [this, rounds, crossings, executed, overhead, overflow_total] {
-        rounds->set(stats_.sync_rounds);
-        crossings->set(stats_.cross_messages);
-        std::uint64_t events = 0;
-        std::uint64_t overflows = 0;
-        for (auto& p : partitions_) {
-          events += p->sim().events_executed();
-          overflows += p->overflow_posts();
-        }
-        executed->set(events);
-        overflow_total->set(overflows);
-        overhead->set(
-            static_cast<std::uint64_t>(stats_.modeled_overhead_seconds * 1e6));
-      });
+  registry->add_flusher([this, rounds, crossings, executed, overhead] {
+    rounds->set(stats_.sync_rounds);
+    crossings->set(stats_.cross_messages);
+    std::uint64_t events = 0;
+    for (auto& p : partitions_) events += p->sim().events_executed();
+    executed->set(events);
+    overhead->set(
+        static_cast<std::uint64_t>(stats_.modeled_overhead_seconds * 1e6));
+  });
   window_advance_ = registry->histogram("pdes.window_advance_ns");
-  const std::size_t pairs =
-      static_cast<std::size_t>(num_partitions()) * num_partitions();
-  pair_messages_ = std::vector<std::atomic<telemetry::Counter*>>(pairs);
-  for (auto& c : pair_messages_) c.store(nullptr, std::memory_order_relaxed);
   sync_wait_ns_.reserve(partitions_.size());
   for (std::uint32_t i = 0; i < num_partitions(); ++i) {
     const std::string prefix = "pdes.p" + std::to_string(i);
     partitions_[i]->sim().set_telemetry(registry, prefix);
     partitions_[i]->set_telemetry(
-        registry->gauge(prefix + ".ring_high_water"),
-        registry->counter(prefix + ".inbox_drained"),
-        registry->counter(prefix + ".overflow_posts"));
+        registry, registry->gauge(prefix + ".inbox_high_water"),
+        registry->counter(prefix + ".inbox_drained"));
     sync_wait_ns_.push_back(registry->counter(prefix + ".sync_wait_ns"));
   }
-}
-
-telemetry::Counter* ParallelEngine::pair_counter(std::uint32_t from,
-                                                 std::uint32_t to) {
-  const std::size_t idx =
-      static_cast<std::size_t>(from) * num_partitions() + to;
-  telemetry::Counter* c = pair_messages_[idx].load(std::memory_order_acquire);
-  if (c == nullptr) {
-    // Interning makes concurrent first-use idempotent: both threads get
-    // the same instrument pointer back.
-    c = telemetry_->counter("pdes.pair.p" + std::to_string(from) + "_p" +
-                            std::to_string(to) + ".messages");
-    pair_messages_[idx].store(c, std::memory_order_release);
-  }
-  return c;
 }
 
 void ParallelEngine::send_cross(std::uint32_t from, std::uint32_t to,
@@ -352,14 +290,7 @@ void ParallelEngine::send_cross(std::uint32_t from, std::uint32_t to,
                              : SimTime::from_ns(pair_ns).to_string()) +
         ")");
   }
-  const std::uint64_t seq =
-      send_seq_[from].fetch_add(1, std::memory_order_relaxed);
-  partitions_.at(to)->post(
-      CrossMessage{deliver_at, key, from, seq, std::move(fn)});
-  round_messages_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_ != nullptr && !pair_messages_.empty()) {
-    pair_counter(from, to)->inc();
-  }
+  partitions_.at(to)->post(from, deliver_at, key, std::move(fn));
 }
 
 void ParallelEngine::spin_overhead(double microseconds) {
@@ -386,13 +317,15 @@ void ParallelEngine::run_until(SimTime end) {
   // Published by each partition before the window barrier, read by every
   // partition after it (the barrier orders the accesses).
   std::vector<std::int64_t> next_ns(P, kNeverNs);
+  std::vector<std::uint64_t> drained(P, 0);
   SimTime global_window_end;
   bool done = false;
 
   auto on_window_computed = [&]() noexcept {
     // Runs on the last partition to arrive while the others wait: decides
     // run termination (and, in global mode, the shared window) and models
-    // the MPI synchronization cost.
+    // the MPI synchronization cost. Every message is drained at the top of
+    // the round after its send, so the drains count the last window's.
     const std::int64_t next = *std::min_element(next_ns.begin(), next_ns.end());
     if (next == kNeverNs || SimTime::from_ns(next) >= end) {
       done = true;
@@ -400,8 +333,8 @@ void ParallelEngine::run_until(SimTime end) {
       global_window_end = SimTime::from_ns(next) + config_.lookahead;
       if (global_window_end > end) global_window_end = end;
     }
-    const std::uint64_t msgs =
-        round_messages_.exchange(0, std::memory_order_relaxed);
+    std::uint64_t msgs = 0;
+    for (const std::uint64_t n : drained) msgs += n;
     stats_.cross_messages += msgs;
     telemetry::trace_instant("pdes.sync_round",
                              static_cast<std::int64_t>(msgs));
@@ -417,11 +350,14 @@ void ParallelEngine::run_until(SimTime end) {
   };
 
   // One barrier, crossed twice per round: before the window (with the
-  // window step) and after it, so no partition drains its inbox while
-  // another still posts into it.
+  // window step) and after it. It is the engine's only synchronization:
+  // no partition drains a mailbox while its source still posts into it,
+  // and no source posts while the destination drains.
   RoundBarrier barrier{P};
 
+  // Each worker's error and wall time at the barriers; read after join.
   std::vector<std::exception_ptr> errors(P);
+  std::vector<std::uint64_t> waited_ns(P, 0);
 
   telemetry::Counter* const* wait_counters =
       sync_wait_ns_.size() == P ? sync_wait_ns_.data() : nullptr;
@@ -445,9 +381,10 @@ void ParallelEngine::run_until(SimTime end) {
     bool failed = false;
     for (;;) {
       std::int64_t local_next = kNeverNs;
+      std::uint64_t local_drained = 0;
       if (!failed) {
         try {
-          part.drain_inbox();
+          local_drained = part.drain_inbox();
           if (part.sim().events_pending() > 0) {
             local_next = part.sim().next_event_time().ns();
           }
@@ -459,6 +396,7 @@ void ParallelEngine::run_until(SimTime end) {
       // A failed partition reports "never" so the run winds down without
       // deadlocking the barrier.
       next_ns[idx] = local_next;
+      drained[idx] = local_drained;
       sync(on_window_computed);
       if (done) break;
       if (!failed) {
@@ -495,7 +433,7 @@ void ParallelEngine::run_until(SimTime end) {
       }
       sync([] {});
     }
-    sync_wait_ns_total_.fetch_add(waited_total, std::memory_order_relaxed);
+    waited_ns[idx] = waited_total;
     if (!failed) {
       // Advance the clock to the requested end for a consistent epilogue.
       part.sim().run_until(end);
@@ -511,9 +449,8 @@ void ParallelEngine::run_until(SimTime end) {
   for (auto& p : partitions_) {
     stats_.events_executed += p->sim().events_executed();
   }
-  stats_.sync_wait_seconds =
-      static_cast<double>(sync_wait_ns_total_.load(std::memory_order_relaxed)) /
-      1e9;
+  for (const std::uint64_t ns : waited_ns) sync_wait_ns_total_ += ns;
+  stats_.sync_wait_seconds = static_cast<double>(sync_wait_ns_total_) / 1e9;
 
   for (auto& e : errors) {
     if (e) std::rethrow_exception(e);

@@ -29,10 +29,12 @@
 //     advance past tightly coupled ones' horizon instead of marching in
 //     lockstep (DESIGN.md §10 gives the full argument).
 //
-// Cross-partition messages travel through bounded lock-free SPSC rings,
-// one per (source, dest) pair (sim/spsc_queue.h), allocated lazily on
-// first use: post() is wait-free on the steady state and drain_inbox()
-// merges the per-source streams instead of re-sorting one shared inbox.
+// Cross-partition messages go into plain vectors, one mailbox per
+// (source, dest) pair. Only the source's worker appends to a mailbox, and
+// only during a window; only the destination reads it, between windows.
+// The round barrier orders the two, so a post is a push_back and
+// drain_inbox() sorts each mailbox in place and merges the per-source
+// streams (DESIGN.md §10).
 //
 // The paper ran OMNeT++'s MPI-based PDES across 1–4 physical machines. We
 // have threads, not a cluster, so inter-machine messaging cost is *modeled*:
@@ -45,14 +47,11 @@
 // this substitution.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/simulator.h"
-#include "sim/spsc_queue.h"
 #include "sim/time.h"
 
 namespace esim::telemetry {
@@ -70,20 +69,18 @@ struct CrossMessage {
   /// FES same-time priority key, preserved into the target partition's
   /// event queue (packet id for link deliveries; see event_queue.h).
   std::uint64_t key = 0;
-  std::uint32_t source_partition = 0;
-  std::uint64_t source_seq = 0;  // per-source counter; makes drains sortable
+  /// Position in its mailbox: the source's post order on this pair.
+  std::uint64_t source_seq = 0;
   EventFn fn;
 };
 
-/// One partition of a parallel run: a full sequential Simulator plus
-/// per-source-partition SPSC inbound rings for messages arriving from
-/// other partitions.
+/// One partition of a parallel run: a full sequential Simulator plus one
+/// mailbox per source partition for messages arriving from the others.
 class Partition {
  public:
   /// Creates partition `index` with RNG seed `seed`, receiving from up to
-  /// `num_sources` source partitions through rings of `ring_capacity`.
-  Partition(std::uint32_t index, std::uint64_t seed,
-            std::uint32_t num_sources, std::size_t ring_capacity);
+  /// `num_sources` source partitions.
+  Partition(std::uint32_t index, std::uint64_t seed, std::uint32_t num_sources);
 
   /// This partition's index within the engine.
   std::uint32_t index() const { return index_; }
@@ -91,68 +88,49 @@ class Partition {
   /// The sequential engine that owns this partition's components.
   Simulator& sim() { return sim_; }
 
-  /// Enqueues a message from another partition (called by
-  /// ParallelEngine::send_cross on the source partition's worker thread).
-  /// Wait-free on the steady state: one SPSC push into the
-  /// (source, this) ring. A full ring spills to a mutexed overflow list —
-  /// counted, never dropped, and drained into the same deterministic
-  /// order.
-  void post(CrossMessage m);
+  /// Appends a message to the (source, this) mailbox. Only `source`'s
+  /// worker posts there, during a window (ParallelEngine::send_cross), or
+  /// the driving thread outside run_until; the round barrier keeps every
+  /// post apart from every drain, so the mailbox needs no lock or atomic.
+  void post(std::uint32_t source, SimTime deliver_at, std::uint64_t key,
+            EventFn&& fn);
 
-  /// Drains all inbound rings (plus any overflow) into the local event
-  /// queue in deterministic order — by (deliver time, source partition,
-  /// per-source sequence) — by sorting each source's small batch and
-  /// merging the per-source streams. Returns the number of messages
-  /// drained. Must be called only at a barrier (no concurrent post).
+  /// Drains every mailbox into the local event queue in deterministic
+  /// order — by (deliver time, source partition, post order) — by sorting
+  /// each source's mailbox in place and merging the per-source streams.
+  /// Returns the number of messages drained. Must be called only between
+  /// windows (no concurrent post).
   std::size_t drain_inbox();
 
-  /// Messages that bypassed the rings because one was full (cumulative).
-  std::uint64_t overflow_posts() const {
-    return overflow_posts_.load(std::memory_order_relaxed);
-  }
-
-  /// Installs telemetry instruments (all null when telemetry is off):
-  /// `ring_high_water` — max per-source backlog observed at any drain,
-  /// `drained` — total messages drained, `overflow` — ring-full spills.
-  void set_telemetry(telemetry::Gauge* ring_high_water,
-                     telemetry::Counter* drained,
-                     telemetry::Counter* overflow) {
-    ring_high_water_gauge_ = ring_high_water;
-    drained_ = drained;
-    overflow_counter_ = overflow;
-  }
+  /// Installs telemetry (all null when telemetry is off):
+  /// `inbox_high_water` — the largest mailbox seen at any drain,
+  /// `drained` — total messages drained, and per-source
+  /// `pdes.pair.p<source>_p<this>.messages` counters that `registry`
+  /// creates on a pair's first traffic.
+  void set_telemetry(telemetry::Registry* registry,
+                     telemetry::Gauge* inbox_high_water,
+                     telemetry::Counter* drained);
 
  private:
-  SpscQueue<CrossMessage>* ring_for(std::uint32_t source);
+  // Several sources append at once, each to its own mailbox: one cache
+  // line apiece keeps them from sharing one.
+  struct alignas(64) Mailbox {
+    std::vector<CrossMessage> messages;
+  };
 
   std::uint32_t index_;
   Simulator sim_;
-  std::size_t ring_capacity_;
-
-  // rings_[s] is written once by source partition s's thread (lazy
-  // creation under rings_mu_, published with a release store) and read by
-  // this partition's thread at drains.
-  std::vector<std::atomic<SpscQueue<CrossMessage>*>> rings_;
-  std::vector<std::unique_ptr<SpscQueue<CrossMessage>>> ring_storage_;
-  std::mutex rings_mu_;
-
-  // Rare path: messages posted while the pair's ring was full.
-  std::mutex overflow_mu_;
-  std::vector<CrossMessage> overflow_;
-  std::atomic<std::uint64_t> overflow_posts_{0};
-
+  std::vector<Mailbox> mailboxes_;  // by source partition
   // Drain scratch, reused across rounds (no steady-state allocation):
-  // each source's backlog, the sources with one, and the merge cursors.
-  std::vector<std::vector<CrossMessage>> drain_runs_;
-  std::vector<std::uint32_t> drain_sources_;
+  // the non-empty mailboxes in source order and their merge cursors.
+  std::vector<std::vector<CrossMessage>*> drain_runs_;
   std::vector<std::size_t> drain_pos_;
-  std::int64_t ring_high_water_ = 0;
+  std::int64_t inbox_high_water_ = 0;
 
-  telemetry::Gauge* ring_high_water_gauge_ = nullptr;
+  telemetry::Registry* registry_ = nullptr;
+  telemetry::Gauge* inbox_high_water_gauge_ = nullptr;
   telemetry::Counter* drained_ = nullptr;
-  telemetry::Counter* overflow_counter_ = nullptr;
-
-  friend class ParallelEngine;
+  std::vector<telemetry::Counter*> pair_messages_;  // by source, lazily
 };
 
 /// Window-barrier conservative PDES engine.
@@ -175,9 +153,6 @@ class ParallelEngine {
     /// Window policy. `global` reproduces the paper's YAWNS barrier;
     /// `per_pair` lets loosely coupled partitions run ahead.
     WindowMode window_mode = WindowMode::global;
-    /// Capacity of each (source, dest) SPSC ring; a full ring spills to a
-    /// mutexed overflow list (correct but slower).
-    std::size_t ring_capacity = 1024;
     /// Modeled inter-machine synchronization cost added once per sync
     /// round. Zero for shared-memory runs.
     double round_overhead_us = 0.0;
@@ -197,6 +172,7 @@ class ParallelEngine {
   /// Aggregate statistics of a run, for benchmarking.
   struct Stats {
     std::uint64_t sync_rounds = 0;
+    /// Messages drained, each at the top of the round after its send.
     std::uint64_t cross_messages = 0;
     std::uint64_t events_executed = 0;
     double modeled_overhead_seconds = 0.0;  // wall time spent in the model
@@ -264,12 +240,12 @@ class ParallelEngine {
 
   /// Installs a metrics registry (or nullptr to disable). Publishes the
   /// engine aggregates (`pdes.sync_rounds`, `.cross_messages`,
-  /// `.events_executed`, `.modeled_overhead_us`, `.overflow_posts`) via a
-  /// snapshot flusher, a log2 histogram of per-partition virtual-time
-  /// advance per window (`pdes.window_advance_ns`), per-pair cross-message
-  /// counters (`pdes.pair.p<from>_p<to>.messages`, created lazily on first
-  /// traffic), and per-partition engine metrics under `pdes.p<i>.*` (event
-  /// accounting, ring high-water, messages drained, overflow spills, wall
+  /// `.events_executed`, `.modeled_overhead_us`) via a snapshot flusher, a
+  /// log2 histogram of per-partition virtual-time advance per window
+  /// (`pdes.window_advance_ns`), per-pair cross-message counters
+  /// (`pdes.pair.p<from>_p<to>.messages`, created by the destination on
+  /// first traffic), and per-partition engine metrics under `pdes.p<i>.*`
+  /// (event accounting, inbox high-water, messages drained, wall
   /// nanoseconds spent at both barriers of each round). While a
   /// telemetry TraceSession is active it also emits one `pdes.window` span
   /// per partition per sync round plus a `pdes.sync_round` instant per
@@ -282,7 +258,6 @@ class ParallelEngine {
 
  private:
   void spin_overhead(double microseconds);
-  telemetry::Counter* pair_counter(std::uint32_t from, std::uint32_t to);
   /// Rebuilds pair_reach_ns_ (the shortest-path closure of the pair
   /// lookahead graph) after set_pair_lookahead edits. Floyd–Warshall over
   /// at most 64x64 entries; runs once per run_until when dirty.
@@ -290,7 +265,6 @@ class ParallelEngine {
 
   Config config_;
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<std::atomic<std::uint64_t>> send_seq_;
   /// Row-major [from * P + to] minimum delay in ns; SimTime::max().ns()
   /// means "no such channel".
   std::vector<std::int64_t> pair_lookahead_ns_;
@@ -299,14 +273,11 @@ class ParallelEngine {
   /// windows; see the file comment.
   std::vector<std::int64_t> pair_reach_ns_;
   bool pair_reach_dirty_ = true;
-  std::atomic<std::uint64_t> round_messages_{0};
   Stats stats_;
-  std::atomic<std::uint64_t> sync_wait_ns_total_{0};
+  std::uint64_t sync_wait_ns_total_ = 0;
   telemetry::Registry* telemetry_ = nullptr;
   std::vector<telemetry::Counter*> sync_wait_ns_;  ///< per partition
   telemetry::Histogram* window_advance_ = nullptr;
-  /// Lazily created per-pair counters, row-major like pair_lookahead_ns_.
-  std::vector<std::atomic<telemetry::Counter*>> pair_messages_;
 };
 
 }  // namespace esim::sim

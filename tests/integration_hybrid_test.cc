@@ -107,6 +107,65 @@ TEST(HybridBuilder, RejectsBadConfig) {
   cfg.net.spec.cores = 0;
   const auto m = make_benign_model(8.0);
   EXPECT_THROW(build_hybrid_network(sim, cfg, m, m), std::invalid_argument);
+
+  // An ApproxCluster emulates its host and core ports at one rate, so
+  // core links must run at the fabric's; the message names both rates.
+  cfg.net.spec = spec_with_clusters(2);
+  cfg.net.core_link = cfg.net.fabric_link;
+  cfg.net.core_link->bandwidth_bps = 40e9;
+  try {
+    build_hybrid_network(sim, cfg, m, m);
+    ADD_FAILURE() << "a core_link rate unlike fabric_link's was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("40 Gb/s"), std::string::npos) << what;
+    EXPECT_NE(what.find("10 Gb/s"), std::string::npos) << what;
+  }
+}
+
+TEST(ApproxCluster, EmulatedPortsRunAtTheFabricRate) {
+  // Two packets for host 12 reach its ApproxCluster at one instant. The
+  // model's 0.5 us clamps to the 5 us floor, so both want the same
+  // delivery slot; the host's emulated port serializes the second one
+  // packet-time later, at the 40 Gb/s fabric rate, not at 10 Gb/s.
+  Simulator sim{8};
+  HybridConfig cfg;
+  cfg.net.spec = spec_with_clusters(2);
+  cfg.net.host_uplink.bandwidth_bps = 40e9;
+  cfg.net.fabric_link.bandwidth_bps = 40e9;
+  cfg.approx.min_latency_s = 5e-6;
+  cfg.approx.sample_drops = false;
+  const auto model = make_benign_model(0.5);
+  auto net = build_hybrid_network(sim, cfg, model, model);
+
+  net::Packet pkt;
+  pkt.flow = net::FlowKey{0, 12, 1000, 80};
+  pkt.payload = 1460;
+  const SimTime arrival = SimTime::from_us(10);
+  sim.schedule_at(arrival, [&] {
+    for (std::uint64_t id : {1u, 2u}) {
+      pkt.id = id;
+      net.clusters[1]->handle_packet(pkt);
+    }
+  });
+  const auto second_after = [&](double bps) {
+    DeliverySerializer port{bps};
+    const SimTime first = port.reserve(arrival, pkt.size_bytes());
+    return port.reserve(arrival, pkt.size_bytes()) - first;
+  };
+  const SimTime gap = second_after(40e9);
+  ASSERT_LT(gap, second_after(10e9));
+
+  // The host has no connection for them, so each arrival counts a drop.
+  const auto arrived = [&] { return net.hosts[12]->counter().dropped; };
+  const SimTime first = arrival + SimTime::from_us(5);
+  sim.run_until(first + SimTime::from_ns(1));
+  EXPECT_EQ(arrived(), 1u);
+  sim.run_until(first + gap);
+  EXPECT_EQ(arrived(), 1u);
+  sim.run_until(first + gap + SimTime::from_ns(1));
+  EXPECT_EQ(arrived(), 2u);
+  EXPECT_EQ(net.clusters[1]->stats().conflicts_resolved, 1u);
 }
 
 TEST(HybridNetwork, FlowFullToApproxCompletes) {

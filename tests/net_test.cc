@@ -453,22 +453,6 @@ TEST(SwitchTest, EcmpSplitsFlowsNotPackets) {
   }
 }
 
-TEST(SwitchTest, ProcessingDelayDefersForwarding) {
-  Simulator sim;
-  Sink sink{sim};
-  auto* sw = sim.add_component<Switch>("sw", 0, SimTime::from_us(2));
-  Link::Config cfg;
-  cfg.bandwidth_bps = 1e12;  // negligible tx time
-  cfg.propagation = SimTime::from_ns(0);
-  auto* l = sim.add_component<Link>("l", cfg, &sink);
-  sw->set_route(1, {sw->add_port(l)});
-  sim.schedule_at(SimTime::from_us(1),
-                  [&] { sw->handle_packet(make_packet(1, 0, 0, 1)); });
-  sim.run();
-  ASSERT_EQ(sink.arrivals.size(), 1u);
-  EXPECT_GE(sink.arrivals[0].first, SimTime::from_us(3));
-}
-
 TEST(SwitchTest, RouteValidation) {
   Simulator sim;
   auto* sw = sim.add_component<Switch>("sw", 0);

@@ -11,6 +11,7 @@
 
 #include "sim/component.h"
 #include "sim/logger.h"
+#include "telemetry/metrics.h"
 
 namespace esim::sim {
 namespace {
@@ -298,6 +299,74 @@ TEST(ParallelEngine, PerPairManyToOneMatchesGlobalOrder) {
   }
   eng.run_until(SimTime::from_ms(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(ParallelEngine, MailboxBurstDrainsInOrder) {
+  // Three sources each post 3,000 messages to partition 0 in one window;
+  // mailboxes have no capacity bound. Deliver times run out of post order
+  // and tie across sources (and within one), so the drain must restore
+  // the (deliver_at, source, post order) sort on its own.
+  constexpr std::uint32_t kSources = 3;
+  constexpr int kBurst = 3000;
+  const auto offset = [](int i) {
+    return SimTime::from_ns((static_cast<std::int64_t>(i) * 37) % 101);
+  };
+  struct Delivery {
+    SimTime at;
+    std::uint32_t source;
+    int post;
+    bool operator==(const Delivery&) const = default;
+  };
+  std::vector<Delivery> expected;
+  for (std::uint32_t p = 1; p <= kSources; ++p) {
+    for (int i = 0; i < kBurst; ++i) {
+      expected.push_back({SimTime::from_us(2) + offset(i), p, i});
+    }
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Delivery& a, const Delivery& b) {
+              if (a.at != b.at) return a.at < b.at;
+              if (a.source != b.source) return a.source < b.source;
+              return a.post < b.post;
+            });
+
+  for (const auto mode : {ParallelEngine::WindowMode::global,
+                          ParallelEngine::WindowMode::per_pair}) {
+    SCOPED_TRACE(mode == ParallelEngine::WindowMode::global ? "global"
+                                                            : "per_pair");
+    auto cfg = basic_config(kSources + 1);
+    cfg.window_mode = mode;
+    ParallelEngine eng{cfg};
+    telemetry::Registry registry;
+    eng.set_telemetry(&registry);
+    std::vector<Delivery> order;  // written only by partition 0
+    for (std::uint32_t p = 1; p <= kSources; ++p) {
+      auto& sim = eng.partition(p).sim();
+      sim.schedule_at(SimTime::from_us(1), [&, p] {
+        for (int i = 0; i < kBurst; ++i) {
+          eng.send_cross(p, 0, SimTime::from_us(2) + offset(i), [&, p, i] {
+            order.push_back({eng.partition(0).sim().now(), p, i});
+          });
+        }
+      });
+    }
+    eng.run_until(SimTime::from_ms(1));
+    ASSERT_EQ(order.size(), expected.size());
+    const auto first_wrong =
+        std::mismatch(order.begin(), order.end(), expected.begin()).first;
+    EXPECT_TRUE(first_wrong == order.end())
+        << "first delivery out of order: #" << (first_wrong - order.begin());
+    EXPECT_EQ(eng.stats().cross_messages, kSources * kBurst);
+    const telemetry::Snapshot snap = registry.snapshot();
+    ASSERT_NE(snap.find("pdes.p0.inbox_drained"), nullptr);
+    EXPECT_EQ(snap.find("pdes.p0.inbox_drained")->counter, kSources * kBurst);
+    for (std::uint32_t p = 1; p <= kSources; ++p) {
+      const std::string pair =
+          "pdes.pair.p" + std::to_string(p) + "_p0.messages";
+      ASSERT_NE(snap.find(pair), nullptr) << pair;
+      EXPECT_EQ(snap.find(pair)->counter, static_cast<std::uint64_t>(kBurst));
+    }
+  }
 }
 
 TEST(ParallelEngine, SendAcrossInfinitePairThrows) {
