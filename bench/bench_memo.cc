@@ -42,7 +42,6 @@
 
 #include "bench_common.h"
 #include "check/scenario.h"
-#include "core/run_report.h"
 #include "memo/memo_diff.h"
 #include "memo/memo_runner.h"
 #include "telemetry/report.h"
@@ -118,28 +117,6 @@ TimedRun timed_run(const memo::PeriodicScenario& ps,
   return r;
 }
 
-core::MemoSectionData memo_section(const memo::MemoRunOutcome& out,
-                                   bool enabled) {
-  core::MemoSectionData d;
-  d.enabled = enabled;
-  d.lookups = out.stats.lookups;
-  d.hits = out.stats.hits;
-  d.misses = out.stats.misses;
-  d.near_misses = out.stats.near_misses;
-  d.near_miss_pattern = out.stats.near_miss_pattern;
-  d.near_miss_route = out.stats.near_miss_route;
-  d.near_miss_stale_connection = out.stats.near_miss_stale_connection;
-  d.port_wrap_skips = out.stats.port_wrap_skips;
-  d.stores = out.stats.stores;
-  d.store_aborts = out.stats.store_aborts;
-  d.evictions = out.stats.evictions;
-  d.entries = out.cache_entries;
-  d.bytes = out.cache_bytes;
-  d.fast_forwarded_phases = out.stats.fast_forwarded_phases;
-  d.fast_forwarded_ns = out.stats.fast_forwarded_ns;
-  return d;
-}
-
 }  // namespace
 
 int main() {
@@ -201,8 +178,7 @@ int main() {
       report.set(key + ".wall_seconds_max", r->walls.back());
       report.set(key + ".final_state_fp", r->out.final_state_fp);
       report.set(key + ".flows_completed", r->out.flows_completed);
-      core::add_memo_section(report, memo_section(r->out, enabled),
-                             key + ".memo");
+      memo::add_memo_section(report, r->out, enabled, key + ".memo");
     }
     std::printf("%s: %.1fx speedup, final state %s\n", label.c_str(), speedup,
                 fp_equal ? "identical" : "DIVERGED");

@@ -3,8 +3,10 @@
 //   1. simulate two clusters at full packet fidelity and record every
 //      packet crossing cluster 1's fabric boundary;
 //   2. train the ingress/egress LSTM micro models on that trace;
-//   3. save the models to disk and load them back (they are reusable
-//      artifacts — "once trained they are cheap to run, reusable");
+//   3. save the models to disk, load them back (they are reusable
+//      artifacts — "once trained they are cheap to run, reusable") and
+//      check that the reloaded models predict what the trained ones do,
+//      to the bit (exit status 1 otherwise);
 //   4. assemble a 4-cluster simulation where 3 clusters are replaced by
 //      the models and compare speed and RTT distributions with the full
 //      4-cluster simulation.
@@ -12,10 +14,12 @@
 //   ./build/examples/train_and_approximate
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "core/experiment.h"
 #include "core/run_report.h"
 #include "ml/serialize.h"
+#include "sim/random.h"
 #include "stats/distance.h"
 #include "telemetry/trace.h"
 
@@ -84,12 +88,33 @@ int main() {
   core::TrainedModels reloaded;
   reloaded.ingress = std::make_unique<approx::MicroModel>(cfg.model);
   reloaded.egress = std::make_unique<approx::MicroModel>(cfg.model);
-  ml::load_parameters(dir + "/esim_ingress.bin",
-                      reloaded.ingress->parameters());
-  ml::load_parameters(dir + "/esim_egress.bin",
-                      reloaded.egress->parameters());
+  ml::load_parameters(dir + "/esim_ingress.bin", *reloaded.ingress);
+  ml::load_parameters(dir + "/esim_egress.bin", *reloaded.egress);
   std::printf("saved and reloaded %s/esim_{ingress,egress}.bin\n",
               dir.c_str());
+  // A load leaves the compiled session stale: rebuild it, then stream the
+  // same feature rows through the trained and the reloaded model.
+  constexpr int kCheckRows = 100;
+  sim::Rng rng{17};
+  for (const auto& [trained, loaded] :
+       {std::pair{models.ingress.get(), reloaded.ingress.get()},
+        std::pair{models.egress.get(), reloaded.egress.get()}}) {
+    loaded->recompile();
+    trained->reset_state();
+    for (int i = 0; i < kCheckRows; ++i) {
+      approx::PacketFeatures f;
+      for (double& x : f.v) x = rng.uniform(-1.0, 1.0);
+      const auto a = trained->predict(f);
+      const auto b = loaded->predict(f);
+      if (a.drop_probability != b.drop_probability ||
+          a.latency_seconds != b.latency_seconds) {
+        std::fprintf(stderr, "reload check: row %d differs\n", i);
+        return 1;
+      }
+    }
+  }
+  std::printf("reloaded models match the trained ones on %d rows each\n",
+              kCheckRows);
 
   std::printf("\n== step 4: full vs approximate at 4 clusters ==\n");
   net::ClosSpec run_spec = cfg.net.spec;

@@ -134,6 +134,17 @@ echo "=== asan-ubsan — bench_memo smoke ==="
 echo "=== asan-ubsan — bench_granularity smoke ==="
 (cd build-asan && ESIM_BENCH_QUICK=1 ./bench/bench_granularity)
 
+# The model file's one caller: trains the boundary models, saves and
+# reloads them (ml::save_parameters / load_parameters), exits 1 unless
+# the reloaded models predict bit-identically to the trained ones, then
+# runs the hybrid on them. It writes its report, trace and fidelity JSONL
+# into the cwd, so it runs in a temporary directory.
+echo "=== asan-ubsan — train_and_approximate ==="
+example="${PWD}/build-asan/examples/train_and_approximate"
+example_dir="$(mktemp -d)"
+(cd "${example_dir}" && "${example}")
+rm -rf "${example_dir}"
+
 echo "=== preset: tsan — configure ==="
 cmake --preset tsan
 echo "=== preset: tsan — build ==="

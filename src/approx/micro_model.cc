@@ -30,90 +30,51 @@ MicroModel::MicroModel(const Config& config)
       trunk_{make_trunk(config)},
       drop_head_{make_head(config.seed + 101, config.hidden)},
       latency_head_{make_head(config.seed + 202, config.hidden)} {
-  compile();
+  recompile();
 }
 
 MicroModel::MicroModel(const MicroModel& other)
     : config_{other.config_},
-      trunk_{other.trunk_ ? other.trunk_->clone() : nullptr},
+      trunk_{other.trunk_->clone()},
       drop_head_{other.drop_head_},
       latency_head_{other.latency_head_},
       norm_{other.norm_},
       norm_grad_{other.norm_grad_} {
-  if (trainable()) {
-    // Snapshot the copied weights (which also gives the copy a fresh,
-    // reset recurrent state — streamed history never transfers).
-    compile();
-  } else {
-    // Inference-only: the session is self-contained; only the streamed
-    // state must not come along.
-    session_ = std::make_unique<ml::InferenceSession>(*other.session_);
-    session_->reset_state();
-  }
+  // Snapshot the copied weights (which also gives the copy a fresh,
+  // reset recurrent state — streamed history never transfers).
+  recompile();
 }
 
 MicroModel& MicroModel::operator=(const MicroModel& other) {
   if (this == &other) return *this;
   config_ = other.config_;
-  trunk_ = other.trunk_ ? other.trunk_->clone() : nullptr;
+  trunk_ = other.trunk_->clone();
   drop_head_ = other.drop_head_;
   latency_head_ = other.latency_head_;
   norm_ = other.norm_;
   norm_grad_ = other.norm_grad_;
   ref_state_.reset();
-  if (trainable()) {
-    compile();
-  } else {
-    session_ = std::make_unique<ml::InferenceSession>(*other.session_);
-    session_->reset_state();
-  }
+  recompile();
   return *this;
 }
 
-void MicroModel::compile() {
+void MicroModel::recompile() {
   const std::vector<ml::InferenceSession::HeadWeights> heads{
-      {&drop_head_->weight(), &drop_head_->bias()},
-      {&latency_head_->weight(), &latency_head_->bias()}};
+      {&drop_head_.weight(), &drop_head_.bias()},
+      {&latency_head_.weight(), &latency_head_.bias()}};
   session_ = trunk_->make_inference_session(heads);
   // make_inference_session watches the trunk; optimizers over the whole
-  // MicroModel (the trainer's setup) or a single head bump those
-  // versions instead, so watch them too — any write path to the
-  // snapshotted weights must trip the staleness check.
+  // MicroModel (the trainer's setup, ml::load_parameters) or a single
+  // head bump those versions instead, so watch them too — any write path
+  // to the snapshotted weights must trip the staleness check.
   session_->watch_weight_source(*this);
-  session_->watch_weight_source(*drop_head_);
-  session_->watch_weight_source(*latency_head_);
-}
-
-void MicroModel::recompile() {
-  require_trainable("recompile");
-  compile();
-}
-
-void MicroModel::require_trainable(const char* what) const {
-  if (!trainable()) {
-    throw std::logic_error(std::string{"MicroModel::"} + what +
-                           ": inference-only model (load_inference)");
-  }
+  session_->watch_weight_source(drop_head_);
+  session_->watch_weight_source(latency_head_);
 }
 
 void MicroModel::reset_state() {
   session_->reset_state();
   ref_state_.reset();
-}
-
-ml::SequenceModel& MicroModel::trunk() {
-  require_trainable("trunk");
-  return *trunk_;
-}
-
-ml::Linear& MicroModel::drop_head() {
-  require_trainable("drop_head");
-  return *drop_head_;
-}
-
-ml::Linear& MicroModel::latency_head() {
-  require_trainable("latency_head");
-  return *latency_head_;
 }
 
 void MicroModel::set_latency_normalization(double mean_log_us,
@@ -166,72 +127,28 @@ std::size_t MicroModel::predict_batch(std::span<const double> features,
 
 MicroModel::Prediction MicroModel::predict_reference(
     std::span<const double> features) {
-  require_trainable("predict_reference");
   if (!ref_state_) ref_state_ = trunk_->make_state(1);
   ml::Tensor x{1, PacketFeatures::kDim,
                std::vector<double>(features.begin(), features.end())};
   const ml::Tensor h = trunk_->step(x, *ref_state_);
-  const ml::Tensor drop_logit = drop_head_->forward(h);
-  const ml::Tensor lat = latency_head_->forward(h);
+  const ml::Tensor drop_logit = drop_head_.forward(h);
+  const ml::Tensor lat = latency_head_.forward(h);
   Prediction p;
   p.drop_probability = ml::sigmoid(drop_logit.at(0, 0));
   p.latency_seconds = denormalize_latency(lat.at(0, 0));
   return p;
 }
 
-void MicroModel::save(const std::string& path) {
-  require_trainable("save");
-  ml::ModelHeader header;
-  header.trunk = config_.trunk;
-  header.input = static_cast<std::uint32_t>(PacketFeatures::kDim);
-  header.hidden = static_cast<std::uint32_t>(config_.hidden);
-  header.layers = static_cast<std::uint32_t>(config_.layers);
-  header.heads = 2;
-  ml::save_model(path, header, parameters());
-}
-
-MicroModel MicroModel::load_inference(const std::string& path) {
-  const ml::ModelHeader header = ml::load_model_header(path);
-  if (header.input != PacketFeatures::kDim) {
-    throw std::runtime_error("MicroModel::load_inference: feature width " +
-                             std::to_string(header.input) + " != " +
-                             std::to_string(PacketFeatures::kDim));
-  }
-  if (header.heads != 2) {
-    throw std::runtime_error(
-        "MicroModel::load_inference: expected 2 heads, file has " +
-        std::to_string(header.heads));
-  }
-  MicroModel m;
-  m.config_.trunk = header.trunk;
-  m.config_.hidden = header.hidden;
-  m.config_.layers = header.layers;
-  ml::InferenceSession::Arch arch;
-  arch.kind = header.trunk;
-  arch.input = header.input;
-  arch.hidden = header.hidden;
-  arch.layers = header.layers;
-  arch.head_outputs = {1, 1};
-  m.session_ = std::make_unique<ml::InferenceSession>(arch);
-  auto views = m.session_->weight_views(
-      "trunk.", {kHeadNames[0], kHeadNames[1]});
-  views.push_back({"norm", 1, 2, m.norm_.data()});
-  ml::load_model(path, views);
-  m.session_->repack();  // refresh the kernel copy of the loaded weights
-  return m;
-}
-
 std::vector<ml::Parameter> MicroModel::parameters() {
-  require_trainable("parameters");
   std::vector<ml::Parameter> out;
   for (auto& p : trunk_->parameters()) {
     out.push_back({"trunk." + p.name, p.value, p.grad});
   }
-  for (auto& p : drop_head_->parameters()) {
+  for (auto& p : drop_head_.parameters()) {
     out.push_back({std::string{kHeadNames[0]} + "." + p.name, p.value,
                    p.grad});
   }
-  for (auto& p : latency_head_->parameters()) {
+  for (auto& p : latency_head_.parameters()) {
     out.push_back({std::string{kHeadNames[1]} + "." + p.name, p.value,
                    p.grad});
   }

@@ -17,25 +17,22 @@
 // taken at construction/copy/recompile() time — so predict() allocates
 // nothing. After optimizer steps mutate the training tensors, call
 // recompile() to re-snapshot (train_micro_model does this at train
-// completion). predict_reference() keeps the naive Tensor step() path as
-// the bit-identical reference. A model loaded via load_inference() is
-// *inference-only*: it owns just the session weights and never
-// materializes the training-side gradient tensors (trainable() == false;
-// training accessors throw).
+// completion; after ml::load_parameters, predict() throws until the
+// caller does). predict_reference() keeps the naive Tensor step() path as
+// the bit-identical reference. A saved model is its parameters()
+// (ml::save_parameters), normalization constants included; it reloads
+// into a MicroModel built with the same Config.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 
 #include "approx/features.h"
 #include "ml/linear.h"
 #include "ml/module.h"
 #include "ml/sequence_model.h"
-#include "ml/serialize.h"
 
 namespace esim::approx {
 
@@ -89,7 +86,7 @@ class MicroModel : public ml::Module {
   /// The naive Tensor step() path, kept as the reference implementation
   /// for the bit-identity contract (and the baseline of
   /// bench/bench_inference). Streams its own hidden state, separate from
-  /// the session's. Trainable models only.
+  /// the session's.
   Prediction predict_reference(std::span<const double> features);
   Prediction predict_reference(const PacketFeatures& features) {
     return predict_reference(std::span<const double>{features.v});
@@ -109,20 +106,14 @@ class MicroModel : public ml::Module {
   /// Converts a latency in seconds to the normalized training target.
   double normalize_latency(double latency_seconds) const;
 
-  /// False for models built by load_inference(): they carry only the
-  /// compiled session, no training machinery.
-  bool trainable() const { return trunk_ != nullptr; }
-
-  /// Trainer access to the pieces. Throw std::logic_error when
-  /// !trainable().
-  ml::SequenceModel& trunk();
-  ml::Linear& drop_head();
-  ml::Linear& latency_head();
+  /// Trainer access to the pieces.
+  ml::SequenceModel& trunk() { return *trunk_; }
+  ml::Linear& drop_head() { return drop_head_; }
+  ml::Linear& latency_head() { return latency_head_; }
 
   /// Re-snapshots the session from the current weight values. Call after
-  /// mutating weights in place (optimizer steps, load_parameters);
-  /// sessions are immutable and do not track later tensor writes. Throws
-  /// std::logic_error when !trainable().
+  /// mutating weights in place (optimizer steps, ml::load_parameters);
+  /// sessions are immutable and do not track later tensor writes.
   void recompile();
 
   /// The compiled hot-path plan.
@@ -130,29 +121,15 @@ class MicroModel : public ml::Module {
 
   const Config& config() const { return config_; }
 
-  /// Saves the v2 model container (architecture header + weights);
-  /// load_inference() reads it back without the training structures.
-  void save(const std::string& path);
-
-  /// Loads a v2 model file into an inference-only model: one owning
-  /// InferenceSession, no Tensors, no gradients. Throws
-  /// std::runtime_error on format/shape errors.
-  static MicroModel load_inference(const std::string& path);
-
   /// Includes the trunk, both heads, and the normalization constants (so
-  /// serialized models carry them). Throws std::logic_error when
-  /// !trainable().
+  /// serialized models carry them).
   std::vector<ml::Parameter> parameters() override;
 
  private:
-  MicroModel() = default;  // inference-only shell for load_inference
-  void compile();          // snapshots the live weights into session_
-  void require_trainable(const char* what) const;
-
   Config config_;
-  std::unique_ptr<ml::SequenceModel> trunk_;  // null when inference-only
-  std::optional<ml::Linear> drop_head_;
-  std::optional<ml::Linear> latency_head_;
+  std::unique_ptr<ml::SequenceModel> trunk_;
+  ml::Linear drop_head_;
+  ml::Linear latency_head_;
   ml::Tensor norm_{1, 2, {std::log(10.0), 1.0}};  // default: ~10us fabric
 
   ml::Tensor norm_grad_{1, 2};  // unused, present for the Parameter interface

@@ -307,17 +307,12 @@ void ApproxCluster::shadow_evaluate(const Admission& p,
   // run. Drop decisions reuse the packet's pre-drawn uniform (common
   // random numbers): disagreement measures the models, not the coin.
   approx::MicroModel& model = p.egress ? egress_model_ : ingress_model_;
-  bool have_ref = false;
-  bool ref_drop = model_drop;
-  double ref_latency = model_latency;
-  if (config_.reference_inference || model.trainable()) {
-    const approx::MicroModel::Prediction ref =
-        config_.reference_inference ? model.predict(features)
-                                    : model.predict_reference(features);
-    have_ref = true;
-    ref_latency = std::max(ref.latency_seconds, config_.min_latency_s);
-    ref_drop = decide_drop(ref.drop_probability, p.drop_draw);
-  }
+  const approx::MicroModel::Prediction ref =
+      config_.reference_inference ? model.predict(features)
+                                  : model.predict_reference(features);
+  const double ref_latency =
+      std::max(ref.latency_seconds, config_.min_latency_s);
+  const bool ref_drop = decide_drop(ref.drop_probability, p.drop_draw);
   // Queue-model ground truth: the fabric traversal a backlog-aware
   // queue would impose right now — current wait on the destination port
   // plus serialization, floored at the unloaded minimum. next_free() is
@@ -344,8 +339,8 @@ void ApproxCluster::shadow_evaluate(const Admission& p,
     queue_latency = std::max(config_.min_latency_s,
                              static_cast<double>(wait_ns) * 1e-9 + tx_s);
   }
-  probe_->record_shadow(model_drop, model_latency, ref_drop, have_ref,
-                        ref_latency, queue_drop, queue_latency);
+  probe_->record_shadow(model_drop, model_latency, ref_drop, ref_latency,
+                        queue_drop, queue_latency);
 }
 
 void ApproxCluster::finalize_fidelity() {

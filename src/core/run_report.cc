@@ -120,26 +120,4 @@ void add_experiment_config(telemetry::RunReport& report,
                  : "mini");
 }
 
-void add_memo_section(telemetry::RunReport& report,
-                      const MemoSectionData& data, std::string_view section) {
-  const std::string s{section};
-  report.set(s + ".enabled", data.enabled);
-  report.set(s + ".lookups", data.lookups);
-  report.set(s + ".hits", data.hits);
-  report.set(s + ".misses", data.misses);
-  report.set(s + ".near_misses", data.near_misses);
-  report.set(s + ".near_miss_reasons.pattern", data.near_miss_pattern);
-  report.set(s + ".near_miss_reasons.route", data.near_miss_route);
-  report.set(s + ".near_miss_reasons.stale_connection",
-             data.near_miss_stale_connection);
-  report.set(s + ".port_wrap_skips", data.port_wrap_skips);
-  report.set(s + ".stores", data.stores);
-  report.set(s + ".store_aborts", data.store_aborts);
-  report.set(s + ".evictions", data.evictions);
-  report.set(s + ".entries", data.entries);
-  report.set(s + ".bytes", data.bytes);
-  report.set(s + ".fast_forwarded_phases", data.fast_forwarded_phases);
-  report.set(s + ".fast_forwarded_ns", data.fast_forwarded_ns);
-}
-
 }  // namespace esim::core

@@ -35,34 +35,4 @@ void add_experiment_config(telemetry::RunReport& report,
                            const net::ClosSpec& spec,
                            std::string_view section = "config");
 
-/// Phase-memoization accounting for one run, as written by
-/// add_memo_section. A plain mirror of memo::MemoStats so core need not
-/// depend on src/memo; bench/bench_memo.cc copies the fields over.
-struct MemoSectionData {
-  bool enabled = false;
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t near_misses = 0;  ///< signature hit, verification refused
-  /// near_misses split by the refusal: pattern/shape mismatch, route
-  /// divergence, stale connection under a predicted 4-tuple.
-  std::uint64_t near_miss_pattern = 0;
-  std::uint64_t near_miss_route = 0;
-  std::uint64_t near_miss_stale_connection = 0;
-  std::uint64_t port_wrap_skips = 0;  ///< ran live: ports would wrap
-  std::uint64_t stores = 0;
-  std::uint64_t store_aborts = 0;  ///< phase ran live but was not cacheable
-  std::uint64_t evictions = 0;
-  std::uint64_t entries = 0;       ///< resident entries at end of run
-  std::uint64_t bytes = 0;         ///< resident cache bytes at end of run
-  std::uint64_t fast_forwarded_phases = 0;
-  std::int64_t fast_forwarded_ns = 0;  ///< virtual time skipped
-};
-
-/// Writes memoization hit/miss/bytes accounting under `section` (default
-/// "memo"): the EXPERIMENTS.md `BENCH_memo.json` schema's per-run block.
-void add_memo_section(telemetry::RunReport& report,
-                      const MemoSectionData& data,
-                      std::string_view section = "memo");
-
 }  // namespace esim::core

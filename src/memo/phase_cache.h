@@ -124,7 +124,7 @@ struct PhaseEntry {
   std::size_t bytes() const;
 };
 
-/// Cache accounting, surfaced into run reports (core::MemoSectionData).
+/// Cache accounting, surfaced into run reports (memo::add_memo_section).
 struct MemoStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;

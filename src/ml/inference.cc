@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "ml/kernels.h"
 
@@ -50,20 +51,23 @@ InferenceSession::InferenceSession(TrunkKind kind,
   const std::size_t hidden = layers.front().w_hh != nullptr
                                  ? layers.front().w_hh->cols()
                                  : 0;
-  const std::size_t input =
-      layers.front().w_ih != nullptr ? layers.front().w_ih->cols() : 0;
-  if (hidden == 0 || input == 0) {
+  input_ = layers.front().w_ih != nullptr ? layers.front().w_ih->cols() : 0;
+  if (hidden == 0 || input_ == 0) {
     throw std::invalid_argument("InferenceSession: zero dimension");
   }
-  Arch arch;
-  arch.kind = kind;
-  arch.input = input;
-  arch.hidden = hidden;
-  arch.layers = layers.size();
+  // Snapshot the current weight values into the owned natural buffer,
+  // recording each tensor's offset.
+  const auto take = [this](const Tensor* t) {
+    const std::size_t off = weights_.size();
+    weights_.insert(weights_.end(), t->data(), t->data() + t->size());
+    return off;
+  };
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const LayerWeights& lw = layers[l];
-    const std::size_t in = l == 0 ? input : hidden;
-    require_shape(lw.w_ih, G * hidden, in, "w_ih");
+    Layer layer;
+    layer.input = l == 0 ? input_ : hidden;
+    layer.hidden = hidden;
+    require_shape(lw.w_ih, G * hidden, layer.input, "w_ih");
     require_shape(lw.w_hh, G * hidden, hidden, "w_hh");
     require_shape(lw.b_ih, 1, G * hidden, "b_ih");
     if (kind == TrunkKind::Gru) {
@@ -71,6 +75,11 @@ InferenceSession::InferenceSession(TrunkKind kind,
     } else if (lw.b_hh != nullptr) {
       throw std::invalid_argument("InferenceSession: LSTM layer with b_hh");
     }
+    layer.w_ih = take(lw.w_ih);
+    layer.w_hh = take(lw.w_hh);
+    layer.b_ih = take(lw.b_ih);
+    if (kind == TrunkKind::Gru) layer.b_hh = take(lw.b_hh);
+    layers_.push_back(layer);
   }
   for (const HeadWeights& hw : heads) {
     if (hw.weight == nullptr || hw.bias == nullptr) {
@@ -78,78 +87,14 @@ InferenceSession::InferenceSession(TrunkKind kind,
     }
     require_shape(hw.weight, hw.weight->rows(), hidden, "head weight");
     require_shape(hw.bias, 1, hw.weight->rows(), "head bias");
-    arch.head_outputs.push_back(hw.weight->rows());
-  }
-  assign_offsets(arch);
-  // Snapshot the current weight values into the owned natural buffer.
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const LayerWeights& lw = layers[l];
-    const Layer& layer = layers_[l];
-    std::copy_n(lw.w_ih->data(), lw.w_ih->size(),
-                weights_.data() + layer.w_ih);
-    std::copy_n(lw.w_hh->data(), lw.w_hh->size(),
-                weights_.data() + layer.w_hh);
-    std::copy_n(lw.b_ih->data(), lw.b_ih->size(),
-                weights_.data() + layer.b_ih);
-    if (kind == TrunkKind::Gru) {
-      std::copy_n(lw.b_hh->data(), lw.b_hh->size(),
-                  weights_.data() + layer.b_hh);
-    }
-  }
-  for (std::size_t i = 0; i < heads.size(); ++i) {
-    std::copy_n(heads[i].weight->data(), heads[i].weight->size(),
-                weights_.data() + heads_[i].w);
-    std::copy_n(heads[i].bias->data(), heads[i].bias->size(),
-                weights_.data() + heads_[i].b);
-  }
-  finalize_plan();
-}
-
-InferenceSession::InferenceSession(const Arch& arch) : kind_{arch.kind} {
-  if (arch.input == 0 || arch.hidden == 0 || arch.layers == 0) {
-    throw std::invalid_argument("InferenceSession: zero dimension");
-  }
-  for (const std::size_t out : arch.head_outputs) {
-    if (out == 0) {
-      throw std::invalid_argument("InferenceSession: zero-width head");
-    }
-  }
-  assign_offsets(arch);
-  finalize_plan();
-}
-
-void InferenceSession::assign_offsets(const Arch& arch) {
-  const std::size_t G = gate_factor(arch.kind);
-  input_ = arch.input;
-  std::size_t off = 0;
-  layers_.reserve(arch.layers);
-  for (std::size_t l = 0; l < arch.layers; ++l) {
-    Layer layer;
-    layer.input = l == 0 ? arch.input : arch.hidden;
-    layer.hidden = arch.hidden;
-    layer.w_ih = off;
-    off += G * arch.hidden * layer.input;
-    layer.w_hh = off;
-    off += G * arch.hidden * arch.hidden;
-    layer.b_ih = off;
-    off += G * arch.hidden;
-    if (arch.kind == TrunkKind::Gru) {
-      layer.b_hh = off;
-      off += G * arch.hidden;
-    }
-    layers_.push_back(layer);
-  }
-  heads_.reserve(arch.head_outputs.size());
-  for (const std::size_t out : arch.head_outputs) {
     Head head;
-    head.out = out;
-    head.w = off;
-    off += out * arch.hidden;
-    head.b = off;
-    off += out;
+    head.out = hw.weight->rows();
+    head.w = take(hw.weight);
+    head.b = take(hw.bias);
     heads_.push_back(head);
   }
-  weights_.assign(off, 0.0);
+  weights_.shrink_to_fit();  // one session per cluster model: no slack
+  finalize_plan();
 }
 
 void InferenceSession::finalize_plan() {
@@ -183,11 +128,6 @@ void InferenceSession::finalize_plan() {
     poff += kernels::packed_size(G, layer.hidden);
   }
   packed_.assign(poff, 0.0);
-  repack();
-}
-
-void InferenceSession::repack() {
-  const std::size_t G = gate_factor(kind_) * layers_.front().hidden;
   for (const Layer& layer : layers_) {
     kernels::pack_rows8(weights_.data() + layer.w_ih, G, layer.input,
                         packed_.data() + layer.pw_ih);
@@ -340,42 +280,6 @@ std::span<const double> InferenceSession::predict_batch(
     write_heads(batch_x_.data() + t * hidden, batch_out_.data() + t * width);
   }
   return {batch_out_.data(), n * width};
-}
-
-std::vector<WeightView> InferenceSession::weight_views(
-    const std::string& trunk_prefix,
-    const std::vector<std::string>& head_names) {
-  if (head_names.size() != heads_.size()) {
-    throw std::invalid_argument("InferenceSession: head name count mismatch");
-  }
-  const std::size_t G = gate_factor(kind_);
-  std::vector<WeightView> views;
-  views.reserve(layers_.size() * 4 + heads_.size() * 2);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    const std::string prefix = trunk_prefix + "l" + std::to_string(l) + ".";
-    double* base = weights_.data();
-    views.push_back(
-        {prefix + "w_ih", G * layer.hidden, layer.input, base + layer.w_ih});
-    views.push_back(
-        {prefix + "w_hh", G * layer.hidden, layer.hidden, base + layer.w_hh});
-    if (kind_ == TrunkKind::Lstm) {
-      views.push_back({prefix + "b", 1, G * layer.hidden, base + layer.b_ih});
-    } else {
-      views.push_back(
-          {prefix + "b_ih", 1, G * layer.hidden, base + layer.b_ih});
-      views.push_back(
-          {prefix + "b_hh", 1, G * layer.hidden, base + layer.b_hh});
-    }
-  }
-  for (std::size_t i = 0; i < heads_.size(); ++i) {
-    const Head& head = heads_[i];
-    double* base = weights_.data();
-    views.push_back({head_names[i] + ".w", head.out, layers_.back().hidden,
-                     base + head.w});
-    views.push_back({head_names[i] + ".b", 1, head.out, base + head.b});
-  }
-  return views;
 }
 
 }  // namespace esim::ml

@@ -16,27 +16,24 @@
 // Tensor and LstmLayer/GruLayer — so every output scalar is produced by
 // the same sequence of floating-point operations in the same order; only
 // where intermediates live changes. tests/inference_session_test.cc
-// holds this contract for both trunks, multi-layer stacks, and
-// serialized-then-reloaded models, and pins the prediction stream to
-// golden hashes that do not depend on either path.
+// holds this contract for both trunks and multi-layer stacks, and pins
+// the prediction stream to golden hashes that do not depend on either
+// path.
 //
 // Sessions are immutable snapshots. Construction copies the weights into
-// a session-owned buffer (natural row-major for serialization, plus the
-// row-interleaved packed copy the kernels read); later in-place updates
-// to the source tensors are NOT seen — rebuild the session after
-// training steps (MicroModel::recompile(), or make_inference_session()
-// again). Only the streaming hidden state mutates after build. The one
-// mutation hook is the load path: weight_views() exposes named views
-// over the natural buffer for ml::load_model, after which repack()
-// refreshes the kernel copy.
+// a session-owned buffer (natural row-major, plus the row-interleaved
+// packed copy the kernels read); later in-place updates to the source
+// tensors are NOT seen — rebuild the session after training steps or a
+// parameter load (MicroModel::recompile(), or make_inference_session()
+// again). Only the streaming hidden state mutates after build.
 //
 // Stale-session safety net: a snapshot cannot see later writes, so a
 // missed recompile used to silently predict with old weights. Builders
 // now register the source Module(s) via watch_weight_source(); every
 // predict entry point compares the recorded weight versions against the
 // live modules and throws std::logic_error when a watched module was
-// written since the snapshot (optimizer steps bump the version, see
-// ml/module.h).
+// written since the snapshot (optimizer steps and ml::load_parameters
+// bump the version, see ml/module.h).
 //
 // Batched prediction (DESIGN.md §8a): predict_batch() consumes N
 // arrival-ordered timesteps of one stream, bit-identical per output to
@@ -52,7 +49,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "ml/module.h"
@@ -85,26 +81,12 @@ class InferenceSession {
     const Tensor* bias = nullptr;    ///< [1 x out]
   };
 
-  /// Shape-only description for an empty session, e.g. when loading a
-  /// model file without its training-side module tree.
-  struct Arch {
-    TrunkKind kind = TrunkKind::Lstm;
-    std::size_t input = 0;
-    std::size_t hidden = 0;
-    std::size_t layers = 0;
-    std::vector<std::size_t> head_outputs;  ///< output width per head
-  };
-
   /// Snapshot build: copies the current weight values out of live
   /// training tensors (see file comment — later tensor updates are not
   /// seen). Throws std::invalid_argument on missing tensors or shape
   /// mismatch.
   InferenceSession(TrunkKind kind, const std::vector<LayerWeights>& layers,
                    const std::vector<HeadWeights>& heads);
-
-  /// Shape-only build: allocates zeroed weight storage for `arch`; fill
-  /// it through weight_views() + ml::load_model, then call repack().
-  explicit InferenceSession(const Arch& arch);
 
   /// Advances the streaming hidden state by one input row and returns the
   /// concatenated head outputs (or the top hidden output when the session
@@ -148,21 +130,6 @@ class InferenceSession {
   std::size_t num_heads() const { return heads_.size(); }
   std::size_t output_size() const { return output_size_; }
 
-  /// Named views over the natural (row-major) weight buffer, in the same
-  /// order and with the same names as the training-side parameters() they
-  /// mirror: `<trunk_prefix>l<i>.w_ih` etc. per layer, then
-  /// `<head_name>.w` / `<head_name>.b` per head. Feed these to
-  /// ml::load_model and call repack() afterwards. Throws
-  /// std::invalid_argument when head_names does not match the head count.
-  std::vector<WeightView> weight_views(
-      const std::string& trunk_prefix,
-      const std::vector<std::string>& head_names);
-
-  /// Rebuilds the kernel-side packed weight copy from the natural buffer
-  /// after writes through weight_views(). Part of the load sequence, not
-  /// a per-step operation.
-  void repack();
-
  private:
   struct Layer {
     std::size_t input = 0;
@@ -178,7 +145,6 @@ class InferenceSession {
     std::size_t w = 0, b = 0;  // into weights_
   };
 
-  void assign_offsets(const Arch& arch);  // lays out weights_, fills layers_
   void finalize_plan();  // sizes state_/workspace_/packed_, packs weights
   void step(const Layer& layer, const double* x, double* gi);
   void check_fresh() const;  // throws on a stale watched weight source

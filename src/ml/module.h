@@ -1,7 +1,6 @@
 // Parameter registry shared by trainable layers.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,17 +17,6 @@ struct Parameter {
   Tensor* grad = nullptr;
 };
 
-/// The gradient-free analogue of Parameter: a named raw view into weight
-/// storage (rows*cols doubles, row-major). Model files load straight into
-/// these, so an inference-only consumer never materializes the
-/// training-side Tensor/gradient pairs.
-struct WeightView {
-  std::string name;
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-  double* data = nullptr;
-};
-
 /// Anything with trainable parameters.
 class Module {
  public:
@@ -43,8 +31,8 @@ class Module {
   }
 
   /// Monotonic counter over in-place weight mutations. Writers that
-  /// update this module's tensors (optimizer steps, bulk parameter
-  /// loads) call bump_weight_version(); compiled snapshots
+  /// update this module's tensors (optimizer steps, ml::load_parameters)
+  /// call bump_weight_version(); compiled snapshots
   /// (ml::InferenceSession) record the value they were built from and
   /// refuse to predict once it moves — a missed recompile becomes a
   /// loud error instead of silently serving stale weights.

@@ -1,5 +1,6 @@
 #include "ml/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
@@ -8,98 +9,14 @@
 namespace esim::ml {
 namespace {
 
-constexpr std::uint32_t kMagicParams = 0x45534D4C;  // "ESML" (v1)
-constexpr std::uint32_t kMagicModel = 0x45534D32;   // "ESM2" (v2)
+constexpr std::uint32_t kMagic = 0x45534D4C;  // "ESML"
 
 void write_u32(std::ofstream& os, std::uint32_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-std::uint32_t read_u32(std::ifstream& is) {
-  std::uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  return v;
-}
-
-std::vector<WeightView> views_of(const std::vector<Parameter>& params) {
-  std::vector<WeightView> views;
-  views.reserve(params.size());
-  for (const auto& p : params) {
-    views.push_back(
-        {p.name, p.value->rows(), p.value->cols(), p.value->data()});
-  }
-  return views;
-}
-
-/// The shared named-weight payload: count, then per entry
-/// name-len/name/rows/cols and rows*cols raw doubles.
-void write_payload(std::ofstream& os, const std::vector<WeightView>& views) {
-  write_u32(os, static_cast<std::uint32_t>(views.size()));
-  for (const auto& v : views) {
-    write_u32(os, static_cast<std::uint32_t>(v.name.size()));
-    os.write(v.name.data(), static_cast<std::streamsize>(v.name.size()));
-    write_u32(os, static_cast<std::uint32_t>(v.rows));
-    write_u32(os, static_cast<std::uint32_t>(v.cols));
-    os.write(reinterpret_cast<const char*>(v.data),
-             static_cast<std::streamsize>(v.rows * v.cols * sizeof(double)));
-  }
-}
-
-void read_payload(std::ifstream& is, const std::vector<WeightView>& views,
-                  const std::string& what) {
-  const std::uint32_t count = read_u32(is);
-  if (!is) throw std::runtime_error(what + ": truncated file");
-  if (count != views.size()) {
-    throw std::runtime_error(what + ": parameter count mismatch");
-  }
-  std::unordered_map<std::string, const WeightView*> by_name;
-  for (const auto& v : views) by_name[v.name] = &v;
-
-  for (std::uint32_t k = 0; k < count; ++k) {
-    const std::uint32_t name_len = read_u32(is);
-    if (!is) throw std::runtime_error(what + ": truncated file");
-    std::string name(name_len, '\0');
-    is.read(name.data(), name_len);
-    const std::uint32_t rows = read_u32(is);
-    const std::uint32_t cols = read_u32(is);
-    if (!is) throw std::runtime_error(what + ": truncated file");
-    const auto it = by_name.find(name);
-    if (it == by_name.end()) {
-      throw std::runtime_error(what + ": unknown parameter " + name);
-    }
-    const WeightView& v = *it->second;
-    if (v.rows != rows || v.cols != cols) {
-      throw std::runtime_error(what + ": shape mismatch for " + name);
-    }
-    is.read(reinterpret_cast<char*>(v.data),
-            static_cast<std::streamsize>(v.rows * v.cols * sizeof(double)));
-    if (!is) throw std::runtime_error(what + ": truncated file");
-  }
-}
-
-ModelHeader read_model_header(std::ifstream& is, const std::string& path) {
-  if (read_u32(is) != kMagicModel) {
-    throw std::runtime_error("load_model: bad magic in " + path);
-  }
-  const std::uint32_t kind = read_u32(is);
-  ModelHeader h;
-  h.input = read_u32(is);
-  h.hidden = read_u32(is);
-  h.layers = read_u32(is);
-  h.heads = read_u32(is);
-  if (!is) throw std::runtime_error("load_model: truncated file");
-  switch (kind) {
-    case static_cast<std::uint32_t>(TrunkKind::Lstm):
-      h.trunk = TrunkKind::Lstm;
-      break;
-    case static_cast<std::uint32_t>(TrunkKind::Gru):
-      h.trunk = TrunkKind::Gru;
-      break;
-    default:
-      throw std::runtime_error("load_model: unknown trunk kind " +
-                               std::to_string(kind));
-  }
-  return h;
+[[noreturn]] void fail(const std::string& what) {
+  throw std::runtime_error("load_parameters: " + what);
 }
 
 }  // namespace
@@ -108,48 +25,80 @@ void save_parameters(const std::string& path,
                      const std::vector<Parameter>& params) {
   std::ofstream os{path, std::ios::binary | std::ios::trunc};
   if (!os) throw std::runtime_error("save_parameters: cannot open " + path);
-  write_u32(os, kMagicParams);
-  write_payload(os, views_of(params));
+  write_u32(os, kMagic);
+  write_u32(os, static_cast<std::uint32_t>(params.size()));
+  for (const auto& p : params) {
+    write_u32(os, static_cast<std::uint32_t>(p.name.size()));
+    os.write(p.name.data(), static_cast<std::streamsize>(p.name.size()));
+    write_u32(os, static_cast<std::uint32_t>(p.value->rows()));
+    write_u32(os, static_cast<std::uint32_t>(p.value->cols()));
+    os.write(reinterpret_cast<const char*>(p.value->data()),
+             static_cast<std::streamsize>(p.value->size() * sizeof(double)));
+  }
   if (!os) throw std::runtime_error("save_parameters: write failed");
 }
 
-void load_parameters(const std::string& path,
-                     const std::vector<Parameter>& params) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) throw std::runtime_error("load_parameters: cannot open " + path);
-  if (read_u32(is) != kMagicParams) {
-    throw std::runtime_error("load_parameters: bad magic in " + path);
+void load_parameters(const std::string& path, Module& module) {
+  std::ifstream is{path, std::ios::binary | std::ios::ate};
+  if (!is) fail("cannot open " + path);
+  auto left = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
+  // Refuses, before reading, a field longer than what is left.
+  const auto read = [&](void* out, std::uint64_t bytes) {
+    if (bytes > left) fail("truncated file");
+    is.read(static_cast<char*>(out), static_cast<std::streamsize>(bytes));
+    if (!is) fail("read failed");
+    left -= bytes;
+  };
+  const auto read_u32 = [&] {
+    std::uint32_t v = 0;
+    read(&v, sizeof v);
+    return v;
+  };
+  if (read_u32() != kMagic) fail("bad magic in " + path);
+  const std::vector<Parameter> params = module.parameters();
+  const std::uint32_t count = read_u32();
+  if (count != params.size()) {
+    fail("parameter count mismatch: file has " + std::to_string(count) +
+         ", module has " + std::to_string(params.size()));
   }
-  read_payload(is, views_of(params), "load_parameters");
-}
-
-void save_model(const std::string& path, const ModelHeader& header,
-                const std::vector<Parameter>& params) {
-  std::ofstream os{path, std::ios::binary | std::ios::trunc};
-  if (!os) throw std::runtime_error("save_model: cannot open " + path);
-  write_u32(os, kMagicModel);
-  write_u32(os, static_cast<std::uint32_t>(header.trunk));
-  write_u32(os, header.input);
-  write_u32(os, header.hidden);
-  write_u32(os, header.layers);
-  write_u32(os, header.heads);
-  write_payload(os, views_of(params));
-  if (!os) throw std::runtime_error("save_model: write failed");
-}
-
-ModelHeader load_model_header(const std::string& path) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) throw std::runtime_error("load_model: cannot open " + path);
-  return read_model_header(is, path);
-}
-
-ModelHeader load_model(const std::string& path,
-                       const std::vector<WeightView>& views) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) throw std::runtime_error("load_model: cannot open " + path);
-  const ModelHeader h = read_model_header(is, path);
-  read_payload(is, views, "load_model");
-  return h;
+  std::unordered_map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    index.emplace(params[i].name, i);
+  }
+  // Staged so that a failing file leaves the module as it was. With the
+  // count equal and no name repeated, every parameter is read once.
+  std::vector<std::vector<double>> staged(params.size());
+  std::vector<bool> seen(params.size(), false);
+  for (std::uint32_t k = 0; k < count; ++k) {
+    const std::uint32_t name_len = read_u32();
+    if (name_len > left) {
+      fail("name length " + std::to_string(name_len) +
+           " runs past the end of the file (" + std::to_string(left) +
+           " bytes left)");
+    }
+    std::string name(name_len, '\0');
+    read(name.data(), name_len);
+    const std::uint32_t rows = read_u32();
+    const std::uint32_t cols = read_u32();
+    const auto it = index.find(name);
+    if (it == index.end()) fail("unknown parameter " + name);
+    if (seen[it->second]) fail("parameter " + name + " appears twice");
+    seen[it->second] = true;
+    const Tensor& t = *params[it->second].value;
+    if (t.rows() != rows || t.cols() != cols) {
+      fail("shape mismatch for " + name + ": file " + std::to_string(rows) +
+           "x" + std::to_string(cols) + ", module " +
+           std::to_string(t.rows()) + "x" + std::to_string(t.cols()));
+    }
+    std::vector<double>& values = staged[it->second];
+    values.resize(t.size());
+    read(values.data(), values.size() * sizeof(double));
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(), params[i].value->data());
+  }
+  module.bump_weight_version();
 }
 
 }  // namespace esim::ml

@@ -2,21 +2,14 @@
 // and reused across simulations — the paper's "once trained they are
 // cheap to run, reusable" property.
 //
-// Two container formats share one named-weight payload:
-//   v1 "ESML" (save_parameters/load_parameters) — the bare payload,
-//     loaded by name into a live module tree;
-//   v2 "ESM2" (save_model/load_model) — an architecture header (trunk
-//     kind + dimensions) followed by the same payload. The header lets a
-//     consumer build an owning ml::InferenceSession and stream the
-//     weights straight into it, so a loaded model never materializes the
-//     training-side gradient tensors.
+// One container, "ESML": the magic, the parameter count, then per
+// parameter its name length, name, rows, cols and rows*cols raw doubles.
+// A file loads by name into a live module of the same architecture.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "ml/inference.h"
 #include "ml/module.h"
 
 namespace esim::ml {
@@ -25,35 +18,13 @@ namespace esim::ml {
 void save_parameters(const std::string& path,
                      const std::vector<Parameter>& params);
 
-/// Loads parameters by name into an already constructed module whose
-/// parameter names and shapes must match the file exactly. Throws on any
-/// mismatch or I/O failure.
-void load_parameters(const std::string& path,
-                     const std::vector<Parameter>& params);
-
-/// Architecture header of a v2 model file: enough to size an
-/// InferenceSession without reading the weights.
-struct ModelHeader {
-  TrunkKind trunk = TrunkKind::Lstm;
-  std::uint32_t input = 0;
-  std::uint32_t hidden = 0;
-  std::uint32_t layers = 0;
-  std::uint32_t heads = 0;
-};
-
-/// Writes header + named-parameter payload as one model file.
-void save_model(const std::string& path, const ModelHeader& header,
-                const std::vector<Parameter>& params);
-
-/// Reads and validates just the header. Throws std::runtime_error on bad
-/// magic, an unknown trunk kind, or a truncated file.
-ModelHeader load_model_header(const std::string& path);
-
-/// Loads a model file's payload into raw weight views (no Tensors, no
-/// gradients). View names and shapes must match the file exactly; throws
-/// std::runtime_error on any mismatch, unknown trunk kind, or truncation.
-/// Returns the validated header.
-ModelHeader load_model(const std::string& path,
-                       const std::vector<WeightView>& views);
+/// Loads a save_parameters file into `module`. The file must name each of
+/// the module's parameters exactly once, with the module's shape; every
+/// length field must fit in what is left of the file. Throws
+/// std::runtime_error naming the parameter or field on any violation or
+/// I/O failure, and then leaves the module untouched. On success bumps
+/// the module's weight version, so a session compiled from it throws
+/// until recompiled (MicroModel::recompile).
+void load_parameters(const std::string& path, Module& module);
 
 }  // namespace esim::ml

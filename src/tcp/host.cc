@@ -93,17 +93,29 @@ void Host::deliver(TcpConnection& conn, const net::Packet& pkt) {
   delivering_ = nullptr;
 }
 
+void Host::tcp_finished(const TcpConnection& conn) {
+  reclaimable_.push_back(conn.key());
+}
+
 void Host::reclaim_finished() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    const TcpConnection& c = *it->second;
-    if (c.state() == TcpState::Done && &c != delivering_) {
-      finished_.insert_or_assign(
-          it->first, Tombstone{c.flow_id(), c.rcv_nxt(), c.is_sender()});
-      it = connections_.erase(it);
-    } else {
-      ++it;
+  std::size_t kept = 0;
+  for (const net::FlowKey& key : reclaimable_) {
+    const auto it = connections_.find(key);
+    // Done is final, so a tuple that no longer holds a finished connection
+    // was reopened or replaced after it finished.
+    if (it == connections_.end() || it->second->state() != TcpState::Done) {
+      continue;
     }
+    const TcpConnection& c = *it->second;
+    if (&c == delivering_) {
+      reclaimable_[kept++] = key;
+      continue;
+    }
+    finished_.insert_or_assign(
+        key, Tombstone{c.flow_id(), c.rcv_nxt(), c.is_sender()});
+    connections_.erase(it);
   }
+  reclaimable_.resize(kept);
 }
 
 void Host::tcp_transmit(net::Packet pkt) {

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "net/link.h"
 #include "net/packet.h"
@@ -127,6 +128,7 @@ class Host : public sim::Component,
   void tcp_transmit(net::Packet pkt) override;
   sim::Simulator& tcp_sim() override { return sim(); }
   void tcp_rtt_sample(sim::SimTime rtt) override;
+  void tcp_finished(const TcpConnection& conn) override;
 
  private:
   void advance_port() {
@@ -147,7 +149,7 @@ class Host : public sim::Component,
   void deliver(TcpConnection& conn, const net::Packet& pkt);
 
   /// Turns every finished connection except `delivering_` into a
-  /// tombstone.
+  /// tombstone. Walks only the tuples tcp_finished recorded.
   void reclaim_finished();
 
   net::HostId id_;
@@ -157,6 +159,9 @@ class Host : public sim::Component,
                      net::FlowKeyHash>
       connections_;
   std::unordered_map<net::FlowKey, Tombstone, net::FlowKeyHash> finished_;
+  // Tuples whose connection reached Done since the last reclaim (or was
+  // being delivered then).
+  std::vector<net::FlowKey> reclaimable_;
   // The connection whose on_packet is running; a reclaim started from
   // one of its callbacks must not free it.
   const TcpConnection* delivering_ = nullptr;

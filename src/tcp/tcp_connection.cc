@@ -234,6 +234,7 @@ void TcpConnection::on_new_ack(const Packet& pkt) {
   if (fin_sent_ && pkt.ack_seq >= data_end_ + 1) {
     state_ = TcpState::Done;
     disarm_rto();
+    endpoint_.tcp_finished(*this);
     return;
   }
 
@@ -415,6 +416,7 @@ void TcpConnection::handle_receiver_packet(const Packet& pkt) {
     if (pkt.seq == rcv_nxt_) {
       rcv_nxt_ += 1;  // FIN consumes one sequence number
       state_ = TcpState::Done;
+      endpoint_.tcp_finished(*this);
       if (delack_timer_.valid()) {
         endpoint_.tcp_sim().cancel(delack_timer_);
         delack_timer_ = {};

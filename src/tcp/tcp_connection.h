@@ -33,6 +33,8 @@ class Histogram;
 
 namespace esim::tcp {
 
+class TcpConnection;
+
 /// Services a TcpConnection needs from its owning host. Implemented by
 /// tcp::Host; kept abstract so the state machine is unit-testable against a
 /// scripted harness.
@@ -50,6 +52,10 @@ class TcpEndpoint {
   /// Measurement hook: one RTT sample observed by this endpoint. The
   /// evaluation's Figure 4 CDF is built from these.
   virtual void tcp_rtt_sample(sim::SimTime rtt) = 0;
+
+  /// Called once per connection, from inside its on_packet, when it
+  /// reaches TcpState::Done (before on_closed runs).
+  virtual void tcp_finished(const TcpConnection& /*conn*/) {}
 };
 
 /// Connection lifecycle states (simplified close: no TIME_WAIT, no

@@ -294,25 +294,20 @@ void ClusterFidelityProbe::observe_backlog(std::int64_t wait_ns,
 
 void ClusterFidelityProbe::record_shadow(bool model_drop,
                                          double model_latency_s, bool ref_drop,
-                                         bool have_ref, double ref_latency_s,
-                                         bool queue_drop,
+                                         double ref_latency_s, bool queue_drop,
                                          double queue_latency_s) {
   ++w_shadow_;
   ++shadow_total_;
   if (c_shadow_ != nullptr) c_shadow_->inc();
-  if (have_ref) {
-    const double err = std::log(model_latency_s / ref_latency_s);
-    w_err_log_sum_ += err;
-    w_err_log_abs_ += std::abs(err);
-    ++w_ref_samples_;
-    if (model_drop != ref_drop) {
-      ++w_drop_mismatch_;
-      if (c_drop_mismatch_ != nullptr) c_drop_mismatch_->inc();
-    }
-    if (h_latency_err_ != nullptr) {
-      h_latency_err_->record(
-          static_cast<std::uint64_t>(std::abs(err) * 1000.0));
-    }
+  const double err = std::log(model_latency_s / ref_latency_s);
+  w_err_log_sum_ += err;
+  w_err_log_abs_ += std::abs(err);
+  if (model_drop != ref_drop) {
+    ++w_drop_mismatch_;
+    if (c_drop_mismatch_ != nullptr) c_drop_mismatch_->inc();
+  }
+  if (h_latency_err_ != nullptr) {
+    h_latency_err_->record(static_cast<std::uint64_t>(std::abs(err) * 1000.0));
   }
   w_queue_err_abs_ += std::abs(std::log(model_latency_s / queue_latency_s));
   if (model_drop != queue_drop) ++w_queue_drop_mismatch_;
@@ -382,22 +377,16 @@ void ClusterFidelityProbe::close_window(std::int64_t now_ns,
   row.shadow_samples = w_shadow_;
   row.drop_mismatches = w_drop_mismatch_;
   row.queue_drop_mismatches = w_queue_drop_mismatch_;
-  if (w_ref_samples_ > 0) {
-    row.latency_err_mean_log =
-        w_err_log_sum_ / static_cast<double>(w_ref_samples_);
-    row.latency_err_mae_log =
-        w_err_log_abs_ / static_cast<double>(w_ref_samples_);
-  }
+  double mismatch_rate = 0.0;
   if (w_shadow_ > 0) {
-    row.queue_err_mae_log =
-        w_queue_err_abs_ / static_cast<double>(w_shadow_);
+    const double n = static_cast<double>(w_shadow_);
+    row.latency_err_mean_log = w_err_log_sum_ / n;
+    row.latency_err_mae_log = w_err_log_abs_ / n;
+    row.queue_err_mae_log = w_queue_err_abs_ / n;
+    mismatch_rate = static_cast<double>(w_drop_mismatch_) / n;
   }
-  const double mismatch_rate =
-      w_ref_samples_ > 0 ? static_cast<double>(w_drop_mismatch_) /
-                               static_cast<double>(w_ref_samples_)
-                         : 0.0;
   row.band_violation =
-      w_ref_samples_ > 0 &&
+      w_shadow_ > 0 &&
       (std::abs(row.latency_err_mean_log) > cfg.latency_band_log ||
        mismatch_rate > cfg.drop_band);
   if (row.band_violation) {
@@ -424,7 +413,6 @@ void ClusterFidelityProbe::close_window(std::int64_t now_ns,
   w_queue_drop_mismatch_ = 0;
   w_err_log_sum_ = 0.0;
   w_err_log_abs_ = 0.0;
-  w_ref_samples_ = 0;
   w_queue_err_abs_ = 0.0;
   window_start_ns_ = now_ns;
 }

@@ -236,7 +236,7 @@ class ClusterFidelityProbe {
   /// the decisions under the SAME pre-drawn uniform (common random
   /// numbers, so disagreement measures the models, not the coin).
   void record_shadow(bool model_drop, double model_latency_s, bool ref_drop,
-                     bool have_ref, double ref_latency_s, bool queue_drop,
+                     double ref_latency_s, bool queue_drop,
                      double queue_latency_s);
 
   /// Window boundary, piggybacked on the cluster's macro timer: every
@@ -280,9 +280,8 @@ class ClusterFidelityProbe {
   std::uint64_t w_shadow_ = 0;
   std::uint64_t w_drop_mismatch_ = 0;
   std::uint64_t w_queue_drop_mismatch_ = 0;
-  double w_err_log_sum_ = 0.0;   // signed ln(model/ref), ref samples only
+  double w_err_log_sum_ = 0.0;  // signed ln(model/ref)
   double w_err_log_abs_ = 0.0;
-  std::uint64_t w_ref_samples_ = 0;
   double w_queue_err_abs_ = 0.0;
   std::int64_t window_start_ns_ = 0;
   std::uint32_t macro_ticks_ = 0;

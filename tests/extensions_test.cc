@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/approx_cluster.h"
@@ -70,35 +72,49 @@ TEST(EcnMarking, DisabledByDefault) {
 }
 
 TEST(MicroModelSerialize, ReloadedModelPredictsIdentically) {
-  approx::MicroModel::Config cfg;
-  cfg.hidden = 12;
-  cfg.layers = 2;
-  cfg.seed = 77;
-  approx::MicroModel original{cfg};
-  original.set_latency_normalization(2.5, 0.8);
+  for (const ml::TrunkKind kind : {ml::TrunkKind::Lstm, ml::TrunkKind::Gru}) {
+    SCOPED_TRACE(ml::trunk_kind_name(kind));
+    approx::MicroModel::Config cfg;
+    cfg.hidden = 12;
+    cfg.layers = 2;
+    cfg.trunk = kind;
+    cfg.seed = 77;
+    approx::MicroModel original{cfg};
+    original.set_latency_normalization(2.5, 0.8);
 
-  const std::string path =
-      ::testing::TempDir() + "/esim_micro_roundtrip.bin";
-  ml::save_parameters(path, original.parameters());
+    const std::string path = ::testing::TempDir() + "/esim_micro_" +
+                             ml::trunk_kind_name(kind) + ".bin";
+    ml::save_parameters(path, original.parameters());
 
-  approx::MicroModel::Config other = cfg;
-  other.seed = 999;  // different init; must be fully overwritten by load
-  approx::MicroModel reloaded{other};
-  ml::load_parameters(path, reloaded.parameters());
-  reloaded.recompile();  // sessions snapshot weights; re-snapshot the load
+    approx::MicroModel::Config other = cfg;
+    other.seed = 999;  // different init; must be fully overwritten by load
+    approx::MicroModel reloaded{other};
+    ml::load_parameters(path, reloaded);
+    std::remove(path.c_str());
 
-  // Identical streaming predictions over a feature sequence.
-  approx::PacketFeatures f;
-  for (int i = 0; i < 32; ++i) {
-    f.v[0] = 0.01 * i;
-    f.v[5] = 0.3;
-    f.v[9] = 1.0;
-    const auto a = original.predict(f);
-    const auto b = reloaded.predict(f);
-    EXPECT_DOUBLE_EQ(a.drop_probability, b.drop_probability) << i;
-    EXPECT_DOUBLE_EQ(a.latency_seconds, b.latency_seconds) << i;
+    // The load bumped the weight version, so the session compiled from
+    // the old weights refuses to predict until it is rebuilt.
+    approx::PacketFeatures f;
+    EXPECT_THROW((void)reloaded.predict(f), std::logic_error);
+    reloaded.recompile();
+
+    // The normalization constants travel with the weights.
+    EXPECT_EQ(reloaded.denormalize_latency(0.3),
+              original.denormalize_latency(0.3));
+    EXPECT_EQ(reloaded.normalize_latency(20e-6),
+              original.normalize_latency(20e-6));
+
+    // Identical streaming predictions over a feature sequence.
+    for (int i = 0; i < 32; ++i) {
+      f.v[0] = 0.01 * i;
+      f.v[5] = 0.3;
+      f.v[9] = 1.0;
+      const auto a = original.predict(f);
+      const auto b = reloaded.predict(f);
+      EXPECT_EQ(a.drop_probability, b.drop_probability) << i;
+      EXPECT_EQ(a.latency_seconds, b.latency_seconds) << i;
+    }
   }
-  std::remove(path.c_str());
 }
 
 TEST(DeliverySerializerBacklog, RefusesBeyondCap) {

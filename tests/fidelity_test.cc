@@ -182,14 +182,14 @@ TEST(FidelityProbe, BandViolationOnLatencyDriftAndDropMismatch) {
   constexpr std::int64_t kWin = 1'000'000;
 
   // In band: model within exp(0.5)x of reference, decisions agree.
-  probe.record_shadow(false, 10e-6, false, true, 11e-6, false, 10e-6);
+  probe.record_shadow(false, 10e-6, false, 11e-6, false, 10e-6);
   probe.on_macro_window(kWin, kWin);
   // Latency drift: model 3x the reference (ln 3 ~ 1.1 > 0.5).
-  probe.record_shadow(false, 30e-6, false, true, 10e-6, false, 10e-6);
+  probe.record_shadow(false, 30e-6, false, 10e-6, false, 10e-6);
   probe.on_macro_window(2 * kWin, kWin);
   // Drop disagreement on half the samples (0.5 > 0.25).
-  probe.record_shadow(true, 10e-6, false, true, 10e-6, false, 10e-6);
-  probe.record_shadow(false, 10e-6, false, true, 10e-6, false, 10e-6);
+  probe.record_shadow(true, 10e-6, false, 10e-6, false, 10e-6);
+  probe.record_shadow(false, 10e-6, false, 10e-6, false, 10e-6);
   probe.on_macro_window(3 * kWin, kWin);
 
   const auto rows = sink.rows();
@@ -214,7 +214,7 @@ TEST(FidelityProbe, PublishesRegistryInstruments) {
   telemetry::Registry registry;
   ClusterFidelityProbe probe{sink, 3, 1e9, &registry};
   probe.observe_packet(1000, false);
-  probe.record_shadow(false, 10e-6, true, true, 10e-6, false, 10e-6);
+  probe.record_shadow(false, 10e-6, true, 10e-6, false, 10e-6);
   probe.on_macro_window(1'000'000, 1'000'000);
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.find("fidelity.c3.shadow_samples")->counter, 1u);
@@ -237,7 +237,7 @@ TEST(FidelitySink, JsonlRowsRoundTrip) {
     std::int64_t now = 0;
     for (int w = 0; w < 3; ++w) {
       for (int i = 0; i <= w; ++i) probe.observe_packet(1200, i == 0 && w == 2);
-      probe.record_shadow(false, 12e-6, false, true, 10e-6, false, 11e-6);
+      probe.record_shadow(false, 12e-6, false, 10e-6, false, 11e-6);
       probe.observe_backlog(500 * w, false);
       probe.on_macro_window(now += 1'000'000, 1'000'000);
     }

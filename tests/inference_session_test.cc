@@ -1,7 +1,7 @@
 // Holds the train/infer split contract (DESIGN.md §8):
 //   * InferenceSession predictions are bit-identical to the naive Tensor
 //     step() reference — LSTM and GRU trunks, single- and multi-layer
-//     stacks, serialized-then-reloaded models, and the full hybrid run;
+//     stacks, and the full hybrid run;
 //   * predict() performs zero heap allocations (counted by replacing the
 //     global operator new in this translation unit);
 //   * sessions are immutable snapshots — in-place weight updates are
@@ -12,7 +12,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <span>
@@ -243,67 +242,6 @@ TEST(InferenceSession, PredictIsAllocationFree) {
   }
 }
 
-TEST(InferenceSession, ReloadedModelBitIdenticalAndInferenceOnly) {
-  for (const ml::TrunkKind kind : {ml::TrunkKind::Lstm, ml::TrunkKind::Gru}) {
-    MicroModel::Config cfg;
-    cfg.hidden = 12;
-    cfg.layers = 2;
-    cfg.trunk = kind;
-    cfg.seed = 51;
-    MicroModel original{cfg};
-    original.set_latency_normalization(2.5, 0.7);
-    const std::string path = ::testing::TempDir() + "/esim_infer_" +
-                             ml::trunk_kind_name(kind) + ".bin";
-    original.save(path);
-
-    MicroModel loaded = MicroModel::load_inference(path);
-    EXPECT_FALSE(loaded.trainable());
-    EXPECT_EQ(loaded.config().hidden, cfg.hidden);
-    EXPECT_EQ(loaded.config().layers, cfg.layers);
-    EXPECT_EQ(loaded.config().trunk, kind);
-    EXPECT_THROW(loaded.parameters(), std::logic_error);
-    EXPECT_THROW(loaded.trunk(), std::logic_error);
-    EXPECT_THROW(loaded.drop_head(), std::logic_error);
-    PacketFeatures probe;
-    EXPECT_THROW(loaded.predict_reference(probe), std::logic_error);
-    loaded.reset_state();
-
-    // Streaming predictions match the original's session to the bit —
-    // including the normalization constants carried through the file.
-    original.reset_state();
-    sim::Rng rng{52};
-    for (int i = 0; i < 40; ++i) {
-      const PacketFeatures f = random_features(rng);
-      const auto a = original.predict(f);
-      const auto b = loaded.predict(f);
-      ASSERT_EQ(a.drop_probability, b.drop_probability) << i;
-      ASSERT_EQ(a.latency_seconds, b.latency_seconds) << i;
-    }
-
-    // Copies of an inference-only model keep working (weight offsets
-    // rebase onto the copied buffer) and start from fresh state.
-    MicroModel copy{loaded};
-    loaded.reset_state();
-    sim::Rng rng2{53};
-    for (int i = 0; i < 10; ++i) {
-      const PacketFeatures f = random_features(rng2);
-      const auto a = loaded.predict(f);
-      const auto b = copy.predict(f);
-      ASSERT_EQ(a.drop_probability, b.drop_probability) << i;
-      ASSERT_EQ(a.latency_seconds, b.latency_seconds) << i;
-    }
-
-    // The reloaded hot path is allocation-free too.
-    sim::Rng rng3{54};
-    const PacketFeatures f = random_features(rng3);
-    (void)loaded.predict(f);
-    AllocationCounter counter;
-    for (int i = 0; i < 50; ++i) (void)loaded.predict(f);
-    EXPECT_EQ(counter.count(), 0u);
-    std::remove(path.c_str());
-  }
-}
-
 TEST(InferenceSession, ErrorPaths) {
   MicroModel::Config cfg;
   cfg.hidden = 8;
@@ -313,16 +251,6 @@ TEST(InferenceSession, ErrorPaths) {
   EXPECT_THROW(
       (void)m.predict(std::span<const double>{narrow.data(), narrow.size()}),
       std::invalid_argument);
-  // Zero-dimension arch.
-  EXPECT_THROW(ml::InferenceSession{ml::InferenceSession::Arch{}},
-               std::invalid_argument);
-  // weight_views head-name count must match the compiled heads.
-  sim::Rng rng{61};
-  const auto trunk = ml::make_sequence_model(ml::TrunkKind::Lstm, 4, 4, 1,
-                                             rng);
-  auto session = trunk->make_inference_session();
-  EXPECT_THROW((void)session->weight_views("", {"spurious"}),
-               std::invalid_argument);
 }
 
 // predict_batch (sequence mode) must replay one stream bit-identically:

@@ -10,9 +10,9 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ml/activations.h"
-#include "ml/inference.h"
 #include "ml/linear.h"
 #include "ml/loss.h"
 #include "ml/lstm.h"
@@ -550,7 +550,9 @@ TEST(Serialize, RoundTrip) {
   Lstm b{3, 4, 2, rng};  // different weights
   const std::string path = ::testing::TempDir() + "/esim_ml_roundtrip.bin";
   save_parameters(path, a.parameters());
-  load_parameters(path, b.parameters());
+  const std::uint64_t version = b.weight_version();
+  load_parameters(path, b);
+  EXPECT_EQ(b.weight_version(), version + 1);  // compiled sessions go stale
   auto pa = a.parameters();
   auto pb = b.parameters();
   ASSERT_EQ(pa.size(), pb.size());
@@ -566,8 +568,8 @@ TEST(Serialize, ShapeMismatchThrows) {
   Lstm b{3, 5, 1, rng};
   const std::string path = ::testing::TempDir() + "/esim_ml_mismatch.bin";
   save_parameters(path, a.parameters());
-  EXPECT_THROW(load_parameters(path, b.parameters()), std::runtime_error);
-  EXPECT_THROW(load_parameters("/nonexistent/x.bin", a.parameters()),
+  EXPECT_THROW(load_parameters(path, b), std::runtime_error);
+  EXPECT_THROW(load_parameters("/nonexistent/x.bin", a),
                std::runtime_error);
   std::remove(path.c_str());
 }
@@ -587,100 +589,65 @@ TEST(Serialize, TruncatedFileThrows) {
     ASSERT_GT(size, keep);
     std::fclose(f);
     ASSERT_EQ(truncate(path.c_str(), keep), 0);
-    EXPECT_THROW(load_parameters(path, b.parameters()), std::runtime_error)
+    EXPECT_THROW(load_parameters(path, b), std::runtime_error)
         << "kept " << keep << " bytes";
     save_parameters(path, a.parameters());  // restore for the next cut
   }
   std::remove(path.c_str());
 }
 
-// The v2 model container: header round-trip plus every load error path.
-TEST(Serialize, ModelHeaderRoundTrip) {
+// Loads `path` into `m` and expects a std::runtime_error whose message
+// contains `needle`; the module must come out untouched.
+void expect_load_error(const std::string& path, Module& m,
+                       const std::string& needle) {
+  std::vector<Tensor> before;
+  for (const auto& p : m.parameters()) before.push_back(*p.value);
+  const std::uint64_t version = m.weight_version();
+  try {
+    load_parameters(path, m);
+    ADD_FAILURE() << "loaded " << path;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(needle), std::string::npos)
+        << e.what();
+  }
+  const auto after = m.parameters();
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_TRUE(*after[i].value == before[i]) << after[i].name;
+  }
+  EXPECT_EQ(m.weight_version(), version);
+}
+
+// A file that names one parameter twice has the module's parameter
+// count, so only the names can tell that another parameter is missing.
+TEST(Serialize, DuplicateNameThrows) {
   Rng rng{13};
-  Lstm a{3, 4, 2, rng};
-  ModelHeader header;
-  header.trunk = TrunkKind::Lstm;
-  header.input = 3;
-  header.hidden = 4;
-  header.layers = 2;
-  header.heads = 0;
-  const std::string path = ::testing::TempDir() + "/esim_ml_model.bin";
-  save_model(path, header, a.parameters());
-
-  const ModelHeader h = load_model_header(path);
-  EXPECT_EQ(h.trunk, TrunkKind::Lstm);
-  EXPECT_EQ(h.input, 3u);
-  EXPECT_EQ(h.hidden, 4u);
-  EXPECT_EQ(h.layers, 2u);
-  EXPECT_EQ(h.heads, 0u);
-
-  // Payload loads into raw buffers, no Tensors involved.
-  InferenceSession session{InferenceSession::Arch{
-      TrunkKind::Lstm, 3, 4, 2, {}}};
-  load_model(path, session.weight_views("", {}));
-  session.repack();
-  Tensor x{1, 3, {0.2, -0.4, 0.9}};
-  auto state = a.initial_state(1);
-  const Tensor ref = a.step(x, state);
-  const auto out = session.predict(std::span<const double>{x.data(), 3});
-  ASSERT_EQ(out.size(), 4u);
-  for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(out[j], ref.at(0, j));
+  Lstm a{3, 4, 1, rng};
+  Lstm b{3, 4, 1, rng};
+  auto params = a.parameters();
+  ASSERT_GE(params.size(), 2u);
+  params[1] = params[0];
+  const std::string path = ::testing::TempDir() + "/esim_ml_duplicate.bin";
+  save_parameters(path, params);
+  expect_load_error(path, b, params[0].name + " appears twice");
   std::remove(path.c_str());
 }
 
-TEST(Serialize, ModelUnknownTrunkKindThrows) {
+// A name length past the end of the file is refused before the name is
+// allocated: 17 bytes must not cost gigabytes.
+TEST(Serialize, NameLengthPastEndOfFileThrows) {
   Rng rng{14};
-  Lstm a{3, 4, 1, rng};
-  ModelHeader header;
-  header.trunk = TrunkKind::Lstm;
-  header.input = 3;
-  header.hidden = 4;
-  header.layers = 1;
-  const std::string path = ::testing::TempDir() + "/esim_ml_badkind.bin";
-  save_model(path, header, a.parameters());
-  // Corrupt the trunk-kind field (bytes 4..8, after the magic).
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  Lstm b{3, 4, 1, rng};
+  const std::string path = ::testing::TempDir() + "/esim_ml_namelen.bin";
+  // Magic, the module's parameter count, a name length, 5 bytes of name.
+  const std::uint32_t words[] = {
+      0x45534D4C, static_cast<std::uint32_t>(b.parameters().size()),
+      0xFFFFFFF0};
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  const std::uint32_t bogus = 7;
-  ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
-  ASSERT_EQ(std::fwrite(&bogus, sizeof bogus, 1, f), 1u);
+  ASSERT_EQ(std::fwrite(words, sizeof words, 1, f), 1u);
+  ASSERT_EQ(std::fwrite("l0.w_", 5, 1, f), 1u);
   std::fclose(f);
-  EXPECT_THROW(load_model_header(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, ModelErrorPaths) {
-  Rng rng{15};
-  Lstm a{3, 4, 1, rng};
-  ModelHeader header;
-  header.trunk = TrunkKind::Lstm;
-  header.input = 3;
-  header.hidden = 4;
-  header.layers = 1;
-  const std::string path = ::testing::TempDir() + "/esim_ml_modelerr.bin";
-  save_model(path, header, a.parameters());
-
-  // Missing file, v1 file where a v2 container is expected (bad magic).
-  EXPECT_THROW(load_model_header("/nonexistent/x.bin"), std::runtime_error);
-  const std::string v1 = ::testing::TempDir() + "/esim_ml_v1.bin";
-  save_parameters(v1, a.parameters());
-  EXPECT_THROW(load_model_header(v1), std::runtime_error);
-  std::remove(v1.c_str());
-
-  // Dimension mismatch: views shaped for a hidden-5 trunk.
-  InferenceSession wrong{InferenceSession::Arch{TrunkKind::Lstm, 3, 5, 1, {}}};
-  EXPECT_THROW(load_model(path, wrong.weight_views("", {})),
-               std::runtime_error);
-
-  // Count mismatch: too few views for the payload.
-  InferenceSession right{InferenceSession::Arch{TrunkKind::Lstm, 3, 4, 1, {}}};
-  auto views = right.weight_views("", {});
-  views.pop_back();
-  EXPECT_THROW(load_model(path, views), std::runtime_error);
-
-  // Truncation inside the v2 header.
-  ASSERT_EQ(truncate(path.c_str(), 12), 0);
-  EXPECT_THROW(load_model_header(path), std::runtime_error);
+  expect_load_error(path, b, "name length 4294967280");
   std::remove(path.c_str());
 }
 

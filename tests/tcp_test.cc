@@ -646,5 +646,30 @@ TEST(Host, BackToBackFlowsKeepTheLiveSetSmall) {
   EXPECT_EQ(p.sim.events_scheduled(), 70'001u);
 }
 
+// A receiver's on_closed may open the response on its own host, as
+// RequestResponseApp does. That open reclaims while the finished receiver
+// is still inside its on_packet, so the receiver must survive it and
+// become a tombstone at its host's next open instead.
+TEST(Host, ClosingReceiverIsReclaimedAtTheNextOpen) {
+  Pair p;
+  net::FlowKey request;  // b's side of a's request
+  int responses = 0;
+  p.b->on_accept = [&](TcpConnection& c) {
+    request = c.key();
+    c.on_closed = [&] { p.b->open_flow(0, 1'000, 100 + ++responses); };
+  };
+  p.sim.schedule_at(SimTime::from_us(1),
+                    [&] { p.a->open_flow(1, 3'000, 1); });
+  p.sim.run();
+  ASSERT_EQ(responses, 1);
+  EXPECT_EQ(p.b->connections().count(request), 1u);
+
+  p.sim.schedule_at(p.sim.now() + SimTime::from_us(1),
+                    [&] { p.b->open_flow(0, 1'000, 200); });
+  p.sim.run();
+  EXPECT_EQ(p.b->connections().count(request), 0u);
+  EXPECT_TRUE(p.b->has_connection(request));
+}
+
 }  // namespace
 }  // namespace esim::tcp
