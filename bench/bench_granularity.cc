@@ -10,7 +10,10 @@
 //      pinned to Ml (the paper's configuration), and Adaptive — and
 //      report events/s, the Kolmogorov distance between each variant's
 //      FCT CDF and the reference's, the per-tier packet mix, and the
-//      fidelity observatory's drift-band verdict.
+//      fidelity observatory's shadow samples and drift-band verdict.
+//      The observatory shadows only Ml-tier decisions, so the pinned-
+//      Packet variant must report neither a shadow sample nor a
+//      violating cluster; the bench exits 1 if it does.
 //
 //   B. Speed on a quiescent-heavy corpus (check harness): hand-pinned
 //      scenarios with steady cross traffic whose boundary utilization
@@ -135,6 +138,16 @@ std::uint64_t band_violations(const telemetry::Json& fidelity) {
   return v != nullptr ? static_cast<std::uint64_t>(v->size()) : 0;
 }
 
+std::uint64_t shadow_samples(const telemetry::Json& fidelity) {
+  std::uint64_t n = 0;
+  if (const telemetry::Json* clusters = fidelity.find("clusters")) {
+    for (std::size_t i = 0; i < clusters->size(); ++i) {
+      n += clusters->at(i).find("shadow_samples")->as_uint();
+    }
+  }
+  return n;
+}
+
 double events_per_sec(const core::RunResult& r) {
   return r.wall_seconds > 0
              ? static_cast<double>(r.events_executed) / r.wall_seconds
@@ -209,9 +222,10 @@ int main() {
        core::ClusterTier::Ml},
   };
 
-  std::printf("\n%-14s %12s %14s %8s %26s %6s %6s\n", "variant", "events",
-              "events/s", "ks_fct", "tier mix (pkt/ml/fluid)", "trans",
-              "bands");
+  std::printf("\n%-14s %12s %14s %8s %26s %6s %7s %6s\n", "variant",
+              "events", "events/s", "ks_fct", "tier mix (pkt/ml/fluid)",
+              "trans", "shadow", "bands");
+  bool packet_tier_shadowed = false;
   for (const auto& v : variants) {
     cfg.approx.tier.mode = v.mode;
     cfg.approx.tier.fixed_tier = v.tier;
@@ -221,15 +235,21 @@ int main() {
                           : 1.0;
     const auto& tp = run.approx_stats.tier_packets;
     const std::uint64_t violations = band_violations(run.fidelity);
-    std::printf("%-14s %12llu %14.0f %8.4f %8llu/%8llu/%8llu %6llu %6llu\n",
-                v.name, static_cast<unsigned long long>(run.events_executed),
-                events_per_sec(run), ks,
-                static_cast<unsigned long long>(tp[0]),
-                static_cast<unsigned long long>(tp[1]),
-                static_cast<unsigned long long>(tp[2]),
-                static_cast<unsigned long long>(
-                    run.approx_stats.tier_transitions),
-                static_cast<unsigned long long>(violations));
+    const std::uint64_t shadow = shadow_samples(run.fidelity);
+    if (v.tier == core::ClusterTier::Packet &&
+        v.mode == core::ClusterTierPolicy::Mode::Fixed &&
+        (shadow > 0 || violations > 0)) {
+      packet_tier_shadowed = true;
+    }
+    std::printf(
+        "%-14s %12llu %14.0f %8.4f %8llu/%8llu/%8llu %6llu %7llu %6llu\n",
+        v.name, static_cast<unsigned long long>(run.events_executed),
+        events_per_sec(run), ks, static_cast<unsigned long long>(tp[0]),
+        static_cast<unsigned long long>(tp[1]),
+        static_cast<unsigned long long>(tp[2]),
+        static_cast<unsigned long long>(run.approx_stats.tier_transitions),
+        static_cast<unsigned long long>(shadow),
+        static_cast<unsigned long long>(violations));
     const std::string key = std::string{"series."} + v.name;
     report.set(key + ".events", run.events_executed);
     report.set(key + ".events_per_sec", events_per_sec(run));
@@ -239,6 +259,7 @@ int main() {
     report.set(key + ".tier_packets.ml", tp[1]);
     report.set(key + ".tier_packets.fluid", tp[2]);
     report.set(key + ".tier_transitions", run.approx_stats.tier_transitions);
+    report.set(key + ".shadow_samples", shadow);
     report.set(key + ".band_violations", violations);
   }
 
@@ -284,9 +305,16 @@ int main() {
 
   report.write("BENCH_granularity.json");
   std::printf("wrote BENCH_granularity.json\n");
+  int status = 0;
+  if (packet_tier_shadowed) {
+    std::printf(
+        "FAIL: the pinned-Packet variant reported a shadow sample or a "
+        "violating cluster; only Ml-tier decisions are shadowed\n");
+    status = 1;
+  }
   if (adaptive.transitions == 0) {
     std::printf("FAIL: the adaptive corpus runs never transitioned\n");
-    return 1;
+    status = 1;
   }
-  return 0;
+  return status;
 }

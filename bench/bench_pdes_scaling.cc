@@ -13,8 +13,8 @@
 // Every configuration below stays digest-identical to the sequential
 // engine — `esim_diffcheck fuzz` gates exactly this engine/builder path.
 //
-// All runs use deterministic overhead accounting (no wall spinning), so
-// events/s measures engine work, not a modeled MPI stall. On a single-core
+// All runs leave the modeled MPI overhead at zero, so events/s measures
+// engine work, not a modeled stall. On a single-core
 // host the speedup comes from fewer barrier rounds and cheaper drains, not
 // thread parallelism; sync-wait fraction (barrier wall time summed over
 // workers / (P * wall)) shows where the remaining time goes.
@@ -74,7 +74,6 @@ Point run_point(std::uint32_t partitions, std::uint32_t clusters,
   ecfg.num_partitions = partitions;
   ecfg.lookahead = SimTime::from_us(1);
   ecfg.seed = 17;
-  ecfg.deterministic_overhead = true;
   ecfg.window_mode = scale_out ? ParallelEngine::WindowMode::per_pair
                                : ParallelEngine::WindowMode::global;
   ParallelEngine engine{ecfg};

@@ -5,7 +5,7 @@
 # (ParallelEngine, PDES networks, telemetry) under ThreadSanitizer. ASan
 # catches lifetime bugs in the FES inline storage, UBSan misaligned
 # placement-new and signed overflow, TSan races between PDES partitions —
-# including concurrent logging and shared telemetry instruments.
+# including shared telemetry instruments.
 #
 # Opt-in extras:
 #   ESIM_CHECK_FUZZ=1      also run the differential fuzz tier
@@ -130,7 +130,9 @@ echo "=== asan-ubsan — bench_memo smoke ==="
 
 # Granularity bench smoke: trains tiny boundary models, runs the
 # all-packet reference plus fixed/adaptive tier variants and the
-# quiescent corpus — the fluid backend's full lifecycle under ASan.
+# quiescent corpus — the fluid backend's full lifecycle under ASan. It
+# exits 1 when the pinned-Packet variant reports a shadow sample or a
+# violating cluster: the observatory shadows only Ml-tier decisions.
 echo "=== asan-ubsan — bench_granularity smoke ==="
 (cd build-asan && ESIM_BENCH_QUICK=1 ./bench/bench_granularity)
 

@@ -34,7 +34,7 @@ Dataset build_dataset(const net::ClosSpec& spec, std::uint32_t cluster,
 
   FeatureExtractor extractor{spec, cluster, direction};
   MacroClassifier macro{macro_config};
-  sim::SimTime window_end = macro.window();
+  sim::SimTime window_end = MacroClassifier::kWindow;
 
   double sum = 0.0, sumsq = 0.0;
   std::size_t delivered = 0;
@@ -43,7 +43,7 @@ Dataset build_dataset(const net::ClosSpec& spec, std::uint32_t cluster,
     // Advance macro windows up to this packet's entry time.
     while (rec->entry >= window_end) {
       macro.advance_window();
-      window_end += macro.window();
+      window_end += MacroClassifier::kWindow;
     }
     const PacketFeatures f =
         extractor.extract(rec->packet, rec->entry, macro.state());

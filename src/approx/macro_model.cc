@@ -4,8 +4,8 @@ namespace esim::approx {
 
 MacroClassifier::MacroClassifier(const Config& config)
     : config_{config},
-      latency_ewma_{config.smoothing_alpha},
-      drop_ewma_{config.smoothing_alpha} {}
+      latency_ewma_{kSmoothingAlpha},
+      drop_ewma_{kSmoothingAlpha} {}
 
 void MacroClassifier::reset() {
   state_ = MacroState::MinimalCongestion;
@@ -45,11 +45,11 @@ void MacroClassifier::advance_window() {
   const double lat = latency_ewma_.value();
   const double drop = drop_ewma_.value();
   // Combined congestion signal used for the rising/falling decision.
-  const double signal = lat / config_.baseline_latency_s + 50.0 * drop;
+  const double signal = lat / kBaselineLatencyS + 50.0 * drop;
   const bool rising = signal > prev_signal_;
   prev_signal_ = signal;
 
-  if (lat < config_.low_latency_factor * config_.baseline_latency_s &&
+  if (lat < config_.low_latency_factor * kBaselineLatencyS &&
       drop < config_.high_drop_rate) {
     state_ = MacroState::MinimalCongestion;
   } else if (drop >= config_.high_drop_rate) {

@@ -10,10 +10,12 @@
 // Implemented faithfully: packet outcomes (latency, drop) are folded into
 // per-window aggregates; at each window boundary the state machine above
 // runs on EWMA-smoothed latency and drop rate. "Relatively low/high" are
-// thresholds relative to a configured no-load baseline latency and an
+// thresholds relative to the fabric's no-load baseline latency and an
 // absolute per-window drop-rate bound. Rising/falling is the comparison of
 // the current window's smoothed latency+drop signal against the previous
-// window's.
+// window's. The two thresholds are the classifier's only settings
+// (bench/ablate_macro sweeps them); the window, the baseline and the EWMA
+// smoothing are constants.
 #pragma once
 
 #include <cstdint>
@@ -27,18 +29,21 @@ namespace esim::approx {
 /// Windowed auto-regressive classifier over observed latency/drop rates.
 class MacroClassifier {
  public:
+  /// Aggregation window (the paper observes second- and microsecond-scale
+  /// structure; the window sits between the two). Callers schedule
+  /// advance_window() with it.
+  static constexpr sim::SimTime kWindow = sim::SimTime::from_us(100);
+  /// No-load fabric latency the thresholds are relative to.
+  static constexpr double kBaselineLatencyS = 6e-6;
+  /// EWMA smoothing across windows.
+  static constexpr double kSmoothingAlpha = 0.3;
+
   struct Config {
-    /// Aggregation window (the paper observes second- and
-    /// microsecond-scale structure; the window sits between the two).
-    sim::SimTime window = sim::SimTime::from_us(100);
-    /// Latency at/below which (x factor) the fabric counts as uncongested:
-    /// "relatively low" = ewma_latency < low_latency_factor * baseline.
-    double baseline_latency_s = 6e-6;
+    /// "Relatively low" latency: ewma_latency < low_latency_factor *
+    /// kBaselineLatencyS (and drops below high_drop_rate).
     double low_latency_factor = 2.0;
     /// "Relatively high" drop rate per window.
     double high_drop_rate = 0.05;
-    /// EWMA smoothing across windows.
-    double smoothing_alpha = 0.3;
   };
 
   MacroClassifier() : MacroClassifier(Config{}) {}
@@ -57,12 +62,6 @@ class MacroClassifier {
 
   /// Smoothed per-window mean latency (seconds).
   double latency_ewma() const { return latency_ewma_.value(); }
-
-  /// Smoothed per-window drop rate.
-  double drop_ewma() const { return drop_ewma_.value(); }
-
-  /// Configured window length (callers schedule advance_window with it).
-  sim::SimTime window() const { return config_.window; }
 
   /// Restores the initial state.
   void reset();

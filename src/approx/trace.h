@@ -67,9 +67,6 @@ class TraceRecorder {
   /// Records of one direction, entry-ordered, completed ones only.
   std::vector<BoundaryRecord> completed(Direction direction) const;
 
-  /// Counts, for sanity checks.
-  std::size_t open_count() const { return open_.size(); }
-
  private:
   void on_entry(const net::Packet& pkt, sim::SimTime arrive_at,
                 Direction direction);

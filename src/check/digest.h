@@ -211,9 +211,6 @@ class StateDigest {
   // (partition), probe i the i-th link claimed by observe_links — both
   // deterministic given a deterministic build order.
 
-  /// Number of attached event lanes (partitions).
-  std::size_t num_event_lanes() const { return lanes_.size(); }
-
   /// Number of claimed link probes.
   std::size_t num_probes() const { return probes_.size(); }
 

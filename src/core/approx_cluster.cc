@@ -58,9 +58,7 @@ ApproxCluster::ApproxCluster(sim::Simulator& sim, std::string name,
     FluidClusterBackend::Config fcfg;
     fcfg.spec = config_.spec;
     fcfg.bandwidth_bps = config_.port_bandwidth_bps;
-    fcfg.flow_bytes = config_.tier.fluid_flow_bytes;
-    fcfg.idle_windows = config_.tier.fluid_idle_windows;
-    fcfg.window_ns = config_.macro.window.ns();
+    fcfg.window_ns = approx::MacroClassifier::kWindow.ns();
     fluid_backend_ = std::make_unique<FluidClusterBackend>(fcfg);
   }
   if (config_.tier.adaptive()) {
@@ -130,7 +128,7 @@ void ApproxCluster::attach_host(net::HostId id, tcp::Host* host) {
 }
 
 void ApproxCluster::start() {
-  schedule_in(macro_.window(), [this] {
+  schedule_in(approx::MacroClassifier::kWindow, [this] {
     const approx::MacroState before = macro_.state();
     macro_.advance_window();
     if (macro_.state() != before) {
@@ -140,7 +138,10 @@ void ApproxCluster::start() {
     }
     // Fidelity windows piggyback on this timer (they never schedule
     // events of their own — the digest-invariance contract, §11).
-    if (probe_) probe_->on_macro_window(now().ns(), macro_.window().ns());
+    if (probe_) {
+      probe_->on_macro_window(now().ns(),
+                              approx::MacroClassifier::kWindow.ns());
+    }
     // Tier housekeeping on the active backend (e.g. the fluid model
     // expires idle flows), then the controller's transition decision.
     // Every tier decides a packet at its admission, so a switch at this
@@ -253,9 +254,11 @@ void ApproxCluster::apply_decision(Admission&& p, ClusterTier tier,
   macro_.observe(latency, drop);
   if (probe_) {
     probe_->observe_packet(p.pkt.size_bytes(), drop);
-    // Shadow comparison runs BEFORE the production delivery reserves the
-    // port, so the queue-truth peek sees the pre-reservation backlog.
-    if (probe_->shadow_admit(p.pkt.id)) {
+    // The shadow measures the model's drift, so only a packet the Ml tier
+    // decided is compared. It runs BEFORE the production delivery
+    // reserves the port, so the queue-truth peek sees the
+    // pre-reservation backlog.
+    if (tier == ClusterTier::Ml && probe_->shadow_admit(p.pkt.id)) {
       shadow_evaluate(p, features, latency, drop);
     }
   }

@@ -125,9 +125,6 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   /// Packets arrive here from host uplinks and from core switch links.
   void handle_packet(net::Packet pkt) override;
 
-  /// Current macro state.
-  approx::MacroState macro_state() const { return macro_.state(); }
-
   /// Does nothing: every packet is decided at admission, so there is no
   /// queue to flush. Kept only because benchmark/workloads.cc calls it.
   void flush_batch() {}
@@ -136,11 +133,6 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   /// time (end-of-run flush; no-op when fidelity is off or the window is
   /// empty).
   void finalize_fidelity();
-
-  /// The attached fidelity probe; null when the observatory is off.
-  telemetry::ClusterFidelityProbe* fidelity_probe() const {
-    return probe_.get();
-  }
 
   /// The fidelity tier currently deciding boundary packets.
   ClusterTier tier() const { return tier_; }
@@ -183,11 +175,12 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   ClusterBackend& backend_for(ClusterTier tier);
   ClusterBackend& active_backend() { return backend_for(tier_); }
   bool decide_drop(double probability, double draw) const;
-  /// Shadow comparison for one sampled packet: reference inference on
-  /// the path production does NOT use, plus the queue-model ground
-  /// truth peeked (read-only) from the destination port. Runs before
-  /// the production delivery reserves the port and mutates nothing the
-  /// simulation reads.
+  /// Shadow comparison for one sampled Ml-tier packet: reference
+  /// inference on the path production does NOT use, plus the
+  /// queue-model ground truth peeked (read-only) from the destination
+  /// port. Runs before the production delivery reserves the port and
+  /// mutates nothing the simulation reads. Packet- and Fluid-tier
+  /// decisions are not the model's, so they are never shadowed.
   void shadow_evaluate(const Admission& p, std::span<const double> features,
                        double model_latency, bool model_drop);
 

@@ -48,7 +48,8 @@ inline constexpr std::size_t kClusterTierCount = 3;
 
 const char* to_string(ClusterTier t);
 
-/// Per-cluster tier selection policy (ApproxCluster::Config::tier).
+/// Per-cluster tier selection policy (ApproxCluster::Config::tier). The
+/// fluid tier runs on FluidClusterBackend::Config's defaults.
 struct ClusterTierPolicy {
   enum class Mode : std::uint8_t {
     Fixed,     ///< stay on fixed_tier forever (default: Ml = legacy)
@@ -60,12 +61,6 @@ struct ClusterTierPolicy {
   /// Hysteresis: a transition fires only after the cluster has dwelt at
   /// least this many macro windows on its current tier.
   std::uint32_t min_dwell_windows = 4;
-  /// Fluid tier: byte budget granted to a tracked flow (re-armed when it
-  /// drains); large enough that a live flow holds its link share.
-  std::uint64_t fluid_flow_bytes = 64ull << 20;
-  /// Fluid tier: a tracked flow is withdrawn from the rate model after
-  /// this many macro windows without a packet.
-  std::uint32_t fluid_idle_windows = 2;
 
   bool adaptive() const { return mode == Mode::Adaptive; }
 };
@@ -165,10 +160,16 @@ class MlTierBackend final : public ClusterBackend {
 /// identical model state.
 class FluidClusterBackend final : public ClusterBackend {
  public:
+  /// ApproxCluster fills spec, bandwidth and window and keeps the
+  /// defaults of flow_bytes and idle_windows; tests vary those.
   struct Config {
     net::ClosSpec spec;            ///< full topology (routes replay ECMP)
     double bandwidth_bps = 10e9;   ///< uniform link rate
+    /// Byte budget granted to a tracked flow (re-armed when it drains);
+    /// large enough that a live flow holds its link share.
     std::uint64_t flow_bytes = 64ull << 20;
+    /// A tracked flow is withdrawn from the rate model after this many
+    /// macro windows without a packet.
     std::uint32_t idle_windows = 2;
     /// Macro window length; idle expiry sweeps run at multiples of this
     /// (applied lazily by whichever event first crosses the boundary).

@@ -38,26 +38,12 @@ RegionCounters collect_regions(const BuiltNetwork& network) {
   return r;
 }
 
-std::unique_ptr<workload::FlowSizeDistribution> make_sizes(
-    WorkloadScale scale) {
-  if (scale == WorkloadScale::FullWebSearch) {
-    return workload::web_search_distribution();
-  }
-  return workload::mini_web_distribution();
-}
-
-net::ClosSpec resolve_train_spec(const ExperimentConfig& config) {
-  net::ClosSpec spec = config.train_spec;
-  if (spec.clusters == 0) {
-    spec = config.net.spec;
-    spec.clusters = 2;
-    if (spec.cores == 0) spec.cores = 2;
-  }
+/// The training topology: the run topology cut to two clusters.
+net::ClosSpec train_spec(const ExperimentConfig& config) {
+  net::ClosSpec spec = config.net.spec;
+  spec.clusters = 2;
+  if (spec.cores == 0) spec.cores = 2;
   spec.validate();
-  if (spec.clusters < 2) {
-    throw std::invalid_argument(
-        "train_cluster_models: training topology needs >= 2 clusters");
-  }
   return spec;
 }
 
@@ -94,7 +80,7 @@ approx::BoundaryTaps make_boundary_taps(const BuiltNetwork& network,
 
 BoundaryTrace record_boundary_trace(const ExperimentConfig& config) {
   telemetry::Span phase{"experiment.record_trace"};
-  const net::ClosSpec spec = resolve_train_spec(config);
+  const net::ClosSpec spec = train_spec(config);
 
   sim::Simulator sim{config.seed};
   NetworkConfig net_cfg = config.net;
@@ -105,7 +91,7 @@ BoundaryTrace record_boundary_trace(const ExperimentConfig& config) {
   const auto taps = make_boundary_taps(network, kModeledCluster);
   approx::TraceRecorder recorder{spec, kModeledCluster, taps};
 
-  auto sizes = make_sizes(config.workload);
+  auto sizes = workload::mini_web_distribution();
   workload::ClusterMixTraffic matrix{spec, config.intra_fraction};
   workload::TrafficGenerator::Config gcfg;
   gcfg.load = config.load;
@@ -251,7 +237,7 @@ RunResult run_simulation(const ExperimentConfig& config,
     }
   }
 
-  auto sizes = make_sizes(config.workload);
+  auto sizes = workload::mini_web_distribution();
   workload::ClusterMixTraffic matrix{spec, config.intra_fraction};
   workload::TrafficGenerator::Config gcfg;
   gcfg.load = config.load;

@@ -23,18 +23,14 @@
 
 namespace esim::core {
 
-/// Flow-size scale for the workload (full DCTCP web-search distribution,
-/// or the 1/100-scale variant that finishes statistically many flows in
-/// short runs).
-enum class WorkloadScale { Mini, FullWebSearch };
-
-/// Everything one accuracy/speed experiment needs.
+/// Everything one accuracy/speed experiment needs. Flow sizes always come
+/// from workload::mini_web_distribution(), the 1/100-scale web-search
+/// CDF that finishes statistically many flows in short runs.
 struct ExperimentConfig {
   /// Link/TCP parameters and the *run* topology (fig5 sweeps clusters).
+  /// Training runs this topology cut to two clusters (the paper's
+  /// Figure 3), with two cores when it names none.
   NetworkConfig net;
-  /// Topology used for training (paper: two clusters). Defaults to the
-  /// run topology with `clusters` forced to 2 when left zero-initialised.
-  net::ClosSpec train_spec;
   /// Offered load (fraction of aggregate host bandwidth).
   double load = 0.3;
   /// Fraction of flows staying inside their source cluster.
@@ -46,7 +42,6 @@ struct ExperimentConfig {
   /// Root seed (training uses seed, runs use seed+1 so the hybrid and
   /// full runs see the same workload stream).
   std::uint64_t seed = 1;
-  WorkloadScale workload = WorkloadScale::Mini;
   /// Micro-model architecture and training hyper-parameters.
   approx::MicroModel::Config model;
   approx::TrainConfig train;
@@ -95,8 +90,8 @@ struct BoundaryTrace {
   std::vector<approx::BoundaryRecord> records;
 };
 
-/// Step 1: run the training topology at full fidelity and record the
-/// boundary of cluster 1.
+/// Step 1: run the training topology (the run topology cut to two
+/// clusters) at full fidelity and record the boundary of cluster 1.
 BoundaryTrace record_boundary_trace(const ExperimentConfig& config);
 
 /// Step 2: build datasets from a trace and train both direction models.

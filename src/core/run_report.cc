@@ -114,10 +114,7 @@ void add_experiment_config(telemetry::RunReport& report,
   report.set(s + ".intra_fraction", config.intra_fraction);
   report.set(s + ".duration_seconds", config.duration.to_seconds());
   report.set(s + ".seed", config.seed);
-  report.set(s + ".workload",
-             config.workload == WorkloadScale::FullWebSearch
-                 ? "web_search"
-                 : "mini");
+  report.set(s + ".workload", "mini");
 }
 
 }  // namespace esim::core

@@ -96,9 +96,6 @@ class FlowLevelSimulator {
   /// instants, completion instants, and effective removals.
   std::uint64_t rate_recomputations() const { return recomputations_; }
 
-  /// Number of directed links in the modeled topology.
-  std::size_t link_count() const { return link_count_; }
-
  private:
   struct PendingFlow {
     std::uint64_t id;

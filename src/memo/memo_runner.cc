@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -122,8 +123,8 @@ struct PhaseDriver {
   /// Host-pair ECMP ignores ports, so every phase's route fingerprint is
   /// this one, hashed once per run; unused under port-sensitive ECMP.
   std::uint64_t fixed_route_fp = 0;
-  /// The trailing window_phases per-phase summaries, oldest first.
-  std::vector<std::uint64_t> summaries{};
+  /// The last phase's rolling summary; empty before the first phase.
+  std::optional<std::uint64_t> last_summary{};
 
   /// Injection bookkeeping. Pattern flow i is injected on partition
   /// part_of_flow[i]; flows_on[p] lists partition p's pattern indices in
@@ -261,20 +262,11 @@ struct PhaseDriver {
     }
   }
 
-  /// Appends one phase's summary to the rolling window.
-  void push_summary(std::uint64_t summary) {
-    summaries.push_back(summary);
-    if (summaries.size() > memo.window_phases) {
-      summaries.erase(summaries.begin(),
-                      summaries.end() -
-                          static_cast<std::ptrdiff_t>(memo.window_phases));
-    }
-  }
-
   /// Materializes phase `phase`, simulates it to `tn_ns` and returns its
   /// rolling summary: the hash of every component's counter delta across
-  /// the phase, zeros included, which it also pushes. The counters at the
-  /// phase's start and end are left in start_counters and end_counters.
+  /// the phase, zeros included, which it also keeps as last_summary. The
+  /// counters at the phase's start and end are left in start_counters and
+  /// end_counters.
   std::uint64_t run_live(std::uint32_t phase, std::int64_t tn_ns) {
     materialize(phase);
     if (end_is_current) {
@@ -291,7 +283,7 @@ struct PhaseDriver {
       h.absorb(end_counters[i].delivered - start_counters[i].delivered);
       h.absorb(end_counters[i].dropped - start_counters[i].dropped);
     }
-    push_summary(h.value());
+    last_summary = h.value();
     return h.value();
   }
 
@@ -357,8 +349,9 @@ struct PhaseDriver {
     if (memo.debug_collide_signatures) return kSigTag;
     Hash64 h = sig_prefix;
     h.absorb(route_fp);
-    h.absorb(summaries.size());
-    for (std::uint64_t v : summaries) h.absorb(v);
+    // A length-prefixed window of at most one summary.
+    h.absorb(last_summary ? 1u : 0u);
+    if (last_summary) h.absorb(*last_summary);
     return h.value();
   }
 
@@ -469,7 +462,7 @@ struct PhaseDriver {
     }
     // The phase changed the counters by exactly the entry's deltas, so
     // its summary is the recorded one; the next live phase snapshots anew.
-    push_summary(entry.summary);
+    last_summary = entry.summary;
     end_is_current = false;
 
     ++stats.hits;
@@ -686,7 +679,7 @@ struct PhaseDriver {
 
   void run_all() {
     init();
-    // Every phase leaves its rolling summary in the window, live or
+    // Every phase leaves its rolling summary in last_summary, live or
     // replayed (replay applies exactly the recorded deltas), so the
     // summaries — and therefore later signatures — agree with a memo-off
     // run bit for bit.

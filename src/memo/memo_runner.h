@@ -10,7 +10,7 @@
 // phase's injections enter the FES under those sequences only when the
 // phase runs live, so pops order exactly as if all were scheduled up
 // front. Every phase leaves a rolling counter summary: a live phase
-// hashes its component counter deltas, a replayed one pushes the summary
+// hashes its component counter deltas, a replayed one leaves the summary
 // its entry recorded. When memoization is enabled and the boundary is
 // quiescent (every partition's FES empty), the runner computes the phase
 // signature and either applies a verified cached delta (hit: jump virtual
@@ -51,13 +51,11 @@ class RunReport;
 
 namespace esim::memo {
 
-/// Memoization knobs for one MemoRunner.
+/// Memoization knobs for one MemoRunner. A phase signature carries the
+/// previous phase's rolling counter summary (one phase of history).
 struct MemoConfig {
   bool enabled = true;
   PhaseCache::Limits limits{};
-  /// Rolling-summary window (trailing per-phase counter summaries in the
-  /// signature).
-  std::uint32_t window_phases = 1;
   /// TEST-ONLY: collapse every phase signature to a constant, so *only*
   /// hit-time verification separates phases. Property tests use this to
   /// prove a signature collision can never cause a false hit.

@@ -127,7 +127,6 @@ class InferenceSession {
   std::size_t input_size() const { return input_; }
   std::size_t hidden_size() const { return layers_.back().hidden; }
   std::size_t num_layers() const { return layers_.size(); }
-  std::size_t num_heads() const { return heads_.size(); }
   std::size_t output_size() const { return output_size_; }
 
  private:

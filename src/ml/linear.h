@@ -27,9 +27,6 @@ class Linear : public Module {
   /// returns dL/dx.
   Tensor backward(const Tensor& x, const Tensor& dy);
 
-  std::size_t in_features() const { return w_.cols(); }
-  std::size_t out_features() const { return w_.rows(); }
-
   /// Direct access for tests/serialization.
   Tensor& weight() { return w_; }
   Tensor& bias() { return b_; }

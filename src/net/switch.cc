@@ -67,8 +67,6 @@ void Switch::handle_packet(Packet pkt) {
       routes_[pkt.flow.dst_host].empty()) {
     ++counter_.dropped;
     if (m_dropped_ != nullptr) m_dropped_->inc();
-    ESIM_LOG(*this, sim::LogLevel::Warn,
-             "no route, dropping " + pkt.to_string());
     return;
   }
   const std::uint32_t port = route_port(pkt.flow);

@@ -1,8 +1,7 @@
 // Base class for simulation components (hosts, switches, links, models).
 //
 // A component is a named object owned by a Simulator. It provides sugar for
-// scheduling relative to the owning engine and for leveled logging tagged
-// with the component's name.
+// scheduling relative to the owning engine and a private RNG stream.
 #pragma once
 
 #include <string>
@@ -15,8 +14,8 @@ namespace esim::sim {
 /// Named simulation object owned by a Simulator.
 class Component {
  public:
-  /// Creates a component registered under `name` (names should be unique;
-  /// duplicates are allowed but only the first is findable by name).
+  /// Creates a component named `name` (a label for reports, digests and
+  /// error messages; names need not be unique).
   Component(Simulator& sim, std::string name)
       : sim_{sim}, name_{std::move(name)}, rng_{sim.rng().fork()} {}
 
@@ -25,7 +24,7 @@ class Component {
   Component(const Component&) = delete;
   Component& operator=(const Component&) = delete;
 
-  /// The registered name, e.g. "cluster0.tor1".
+  /// The component's name, e.g. "cluster0.tor1".
   const std::string& name() const { return name_; }
 
   /// Owning engine.
@@ -38,18 +37,6 @@ class Component {
   /// Component-private RNG stream, forked from the simulator's root stream
   /// at construction so component draws are order-independent.
   Rng& rng() { return rng_; }
-
-  /// True if a message at `level` would be emitted (the ESIM_LOG guard).
-  bool log_enabled(LogLevel level) const {
-    return sim_.logger().enabled(level);
-  }
-
-  /// Emits a log message tagged with this component's name. Prefer
-  /// ESIM_LOG(*this, level, expr) so the message is only built when
-  /// enabled.
-  void log(LogLevel level, const std::string& message) {
-    sim_.logger().log(level, now(), name_, message);
-  }
 
  protected:
   /// Schedules a member action after `delay`.

@@ -295,12 +295,6 @@ void ParallelEngine::send_cross(std::uint32_t from, std::uint32_t to,
 
 void ParallelEngine::spin_overhead(double microseconds) {
   if (microseconds <= 0.0) return;
-  if (config_.deterministic_overhead) {
-    // Virtual accounting only: the modeled cost is reported, not paid in
-    // wall time, so host scheduling jitter cannot leak into the figures.
-    stats_.modeled_overhead_seconds += microseconds / 1e6;
-    return;
-  }
   const auto start = std::chrono::steady_clock::now();
   const auto budget = std::chrono::duration<double, std::micro>(microseconds);
   while (std::chrono::steady_clock::now() - start < budget) {

@@ -39,12 +39,10 @@
 // The paper ran OMNeT++'s MPI-based PDES across 1–4 physical machines. We
 // have threads, not a cluster, so inter-machine messaging cost is *modeled*:
 // each sync round pays a configurable overhead (base cost per round plus a
-// per-cross-message cost), either spun on the coordinator thread's wall
-// clock (legacy, Figure 1) or accounted deterministically without spinning
-// (Config::deterministic_overhead — scaling benches use this so host
-// scheduling jitter cannot distort the curves). With the overhead set to
-// zero the engine is a plain shared-memory PDES. DESIGN.md §1 documents
-// this substitution.
+// per-cross-message cost), spun on the wall clock of the thread that runs
+// the window step (Figure 1). With the overhead at zero, the default, the
+// engine is a plain shared-memory PDES. DESIGN.md §1 documents this
+// substitution.
 #pragma once
 
 #include <cstdint>
@@ -151,7 +149,9 @@ class ParallelEngine {
     /// pair's lookahead in the future; send_cross enforces it.
     SimTime lookahead = SimTime::from_us(1);
     /// Window policy. `global` reproduces the paper's YAWNS barrier;
-    /// `per_pair` lets loosely coupled partitions run ahead.
+    /// `per_pair` lets loosely coupled partitions run ahead. Each is
+    /// faster on one workload (DESIGN.md §10): per_pair on the scaling
+    /// bench's fat-tree, global on the two-partition adaptive Clos.
     WindowMode window_mode = WindowMode::global;
     /// Modeled inter-machine synchronization cost added once per sync
     /// round. Zero for shared-memory runs.
@@ -159,12 +159,6 @@ class ParallelEngine {
     /// Modeled cost per cross-partition message (serialization + wire),
     /// added per round multiplied by the number of messages that round.
     double per_message_overhead_us = 0.0;
-    /// When false (legacy), the modeled overhead is spun on the wall
-    /// clock, so it shows up in wall-clock figures (Figure 1's model).
-    /// When true, it is accounted into stats().modeled_overhead_seconds
-    /// deterministically without spinning — scaling benches use this so
-    /// host scheduling jitter cannot distort events/s.
-    bool deterministic_overhead = false;
     /// RNG seed; partition i uses seed + i.
     std::uint64_t seed = 1;
   };

@@ -108,14 +108,4 @@ void Simulator::set_telemetry(telemetry::Registry* registry,
   });
 }
 
-Component* Simulator::find_component(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
-void Simulator::register_component(std::unique_ptr<Component> c) {
-  by_name_.try_emplace(c->name(), c.get());
-  components_.push_back(std::move(c));
-}
-
 }  // namespace esim::sim

@@ -1,7 +1,7 @@
 // The sequential discrete-event simulation engine.
 //
 // A `Simulator` owns the future-event set, the virtual clock, the root RNG,
-// and a registry of named components. It is the single-threaded engine used
+// and the components built on it. It is the single-threaded engine used
 // by full-fidelity simulations and by each partition of the parallel engine
 // (see parallel.h).
 #pragma once
@@ -9,11 +9,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/logger.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -104,9 +102,6 @@ class Simulator {
   /// construction so later additions don't shift earlier streams.
   Rng& rng() { return rng_; }
 
-  /// Diagnostics logger shared by all components.
-  Logger& logger() { return logger_; }
-
   /// Installs a metrics registry (telemetry on) or nullptr (off, the
   /// default). Registers a pull-flusher publishing this engine's event
   /// accounting under `<prefix>.events_executed`, `.events_scheduled`,
@@ -162,39 +157,33 @@ class Simulator {
     queue_.debug_set_invert_tiebreak(on);
   }
 
-  /// Constructs a component in place, registers it under its name, and
-  /// returns a non-owning pointer. The simulator owns the component.
+  /// Constructs a component in place and returns a non-owning pointer.
+  /// The simulator owns the component.
   template <typename T, typename... Args>
   T* add_component(Args&&... args) {
     auto owned = std::make_unique<T>(*this, std::forward<Args>(args)...);
     T* raw = owned.get();
-    register_component(std::move(owned));
+    components_.push_back(std::move(owned));
     return raw;
   }
 
-  /// Looks up a component by registered name; nullptr if absent.
-  Component* find_component(const std::string& name) const;
-
-  /// All registered components, in registration order.
+  /// All components, in the order they were added.
   const std::vector<std::unique_ptr<Component>>& components() const {
     return components_;
   }
 
  private:
-  void register_component(std::unique_ptr<Component> c);
   /// Advances the clock to `ev` and runs it (the body of step()).
   void execute(Event& ev);
 
   SimTime now_;
   EventQueue queue_;
   Rng rng_;
-  Logger logger_;
   telemetry::Registry* telemetry_ = nullptr;
   PopObserver* pop_observer_ = nullptr;
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
   std::vector<std::unique_ptr<Component>> components_;
-  std::unordered_map<std::string, Component*> by_name_;
 };
 
 }  // namespace esim::sim

@@ -70,8 +70,6 @@ void Host::handle_packet(net::Packet pkt) {
     finished_.erase(t);
   } else if (!syn) {
     ++counter_.dropped;
-    ESIM_LOG(*this, sim::LogLevel::Debug,
-             "no connection for " + pkt.to_string() + ", dropping");
     return;
   }
 

@@ -7,9 +7,19 @@
 
 namespace esim::tcp {
 
+using net::kMss;
 using net::Packet;
 using net::TcpFlag;
 using sim::SimTime;
+
+namespace {
+
+/// Initial congestion window in segments (RFC 6928).
+constexpr std::uint32_t kInitialCwndSegments = 10;
+/// DCTCP gain g of the marked-fraction EWMA (the DCTCP paper's 1/16).
+constexpr double kDctcpGain = 0.0625;
+
+}  // namespace
 
 const char* tcp_state_name(TcpState s) {
   switch (s) {
@@ -52,8 +62,7 @@ TcpConnection::TcpConnection(TcpEndpoint& endpoint, net::FlowKey key,
       flow_id_{flow_id},
       config_{config},
       sender_{sender},
-      payload_bytes_{payload_bytes},
-      rto_{config.rto} {
+      payload_bytes_{payload_bytes} {
   if (payload_bytes >= (1ULL << 31)) {
     throw std::invalid_argument(
         "TcpConnection: payload too large for 32-bit sequence space");
@@ -125,13 +134,12 @@ void TcpConnection::dctcp_on_ack(const Packet& pkt, std::uint32_t acked) {
   if (dctcp_bytes_acked_ > 0) {
     const double fraction = static_cast<double>(dctcp_bytes_marked_) /
                             static_cast<double>(dctcp_bytes_acked_);
-    dctcp_alpha_ = (1.0 - config_.dctcp_gain) * dctcp_alpha_ +
-                   config_.dctcp_gain * fraction;
+    dctcp_alpha_ = (1.0 - kDctcpGain) * dctcp_alpha_ + kDctcpGain * fraction;
     if (dctcp_bytes_marked_ > 0 && !in_recovery_) {
       cwnd_ = std::max(cwnd_ * (1.0 - dctcp_alpha_ / 2.0),
-                       static_cast<double>(config_.mss));
+                       static_cast<double>(kMss));
       ssthresh_ = std::max(static_cast<std::uint32_t>(cwnd_),
-                           2 * config_.mss);
+                           2 * kMss);
     }
   }
   dctcp_bytes_acked_ = 0;
@@ -152,8 +160,7 @@ void TcpConnection::handle_sender_packet(const Packet& pkt) {
       snd_una_ = 1;
       snd_nxt_ = 1;
       rcv_nxt_ = 1;  // peer's SYN consumed one number
-      cwnd_ = static_cast<double>(config_.initial_cwnd_segments) *
-              config_.mss;
+      cwnd_ = static_cast<double>(kInitialCwndSegments) * kMss;
       ssthresh_ = config_.initial_ssthresh;
       state_ = TcpState::Established;
       disarm_rto();
@@ -212,8 +219,8 @@ void TcpConnection::on_new_ack(const Packet& pkt) {
       // acked, inflate by one MSS; stay in recovery.
       snd_una_ = pkt.ack_seq;
       if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
-      cwnd_ = std::max(static_cast<double>(config_.mss),
-                       cwnd_ - acked + config_.mss);
+      cwnd_ = std::max(static_cast<double>(kMss),
+                       cwnd_ - acked + kMss);
       if (snd_una_ < data_end_) {
         send_segment(snd_una_, /*is_retransmission=*/true);
       }
@@ -223,10 +230,10 @@ void TcpConnection::on_new_ack(const Packet& pkt) {
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
     dupacks_ = 0;
     if (cwnd_ < static_cast<double>(ssthresh_)) {
-      cwnd_ += config_.mss;  // slow start
+      cwnd_ += kMss;  // slow start
     } else {
-      cwnd_ += static_cast<double>(config_.mss) *
-               static_cast<double>(config_.mss) / cwnd_;  // AIMD increase
+      cwnd_ += static_cast<double>(kMss) *
+               static_cast<double>(kMss) / cwnd_;  // AIMD increase
     }
   }
 
@@ -259,7 +266,7 @@ void TcpConnection::on_new_ack(const Packet& pkt) {
 
 void TcpConnection::on_dup_ack() {
   if (in_recovery_) {
-    cwnd_ += config_.mss;  // window inflation per extra dup ACK
+    cwnd_ += kMss;  // window inflation per extra dup ACK
     try_send();
     return;
   }
@@ -273,8 +280,8 @@ void TcpConnection::enter_fast_recovery() {
   in_recovery_ = true;
   recover_ = snd_nxt_;
   const std::uint32_t flight = flight_size();
-  ssthresh_ = std::max(flight / 2, 2 * config_.mss);
-  cwnd_ = static_cast<double>(ssthresh_) + 3.0 * config_.mss;
+  ssthresh_ = std::max(flight / 2, 2 * kMss);
+  cwnd_ = static_cast<double>(ssthresh_) + 3.0 * kMss;
   if (snd_una_ < data_end_) {
     send_segment(snd_una_, /*is_retransmission=*/true);
   } else if (fin_sent_) {
@@ -288,7 +295,7 @@ void TcpConnection::enter_fast_recovery() {
 
 std::uint32_t TcpConnection::effective_window() const {
   const auto cw = static_cast<std::uint32_t>(
-      std::max(cwnd_, static_cast<double>(config_.mss)));
+      std::max(cwnd_, static_cast<double>(kMss)));
   return std::min(cw, config_.rwnd);
 }
 
@@ -297,7 +304,7 @@ void TcpConnection::try_send() {
   const std::uint32_t win = effective_window();
   while (snd_nxt_ < data_end_) {
     const std::uint32_t len =
-        std::min<std::uint32_t>(config_.mss, data_end_ - snd_nxt_);
+        std::min<std::uint32_t>(kMss, data_end_ - snd_nxt_);
     if (snd_nxt_ + len > snd_una_ + win) break;
     send_segment(snd_nxt_, /*is_retransmission=*/false);
     snd_nxt_ += len;
@@ -307,7 +314,7 @@ void TcpConnection::try_send() {
 
 void TcpConnection::send_segment(std::uint32_t seq, bool is_retransmission) {
   const std::uint32_t len =
-      std::min<std::uint32_t>(config_.mss, data_end_ - seq);
+      std::min<std::uint32_t>(kMss, data_end_ - seq);
   Packet pkt = make_packet(TcpFlag::Ack, seq, len);
   pkt.ack_seq = rcv_nxt_;
   endpoint_.tcp_transmit(std::move(pkt));
@@ -347,8 +354,8 @@ void TcpConnection::on_rto() {
   }
 
   const std::uint32_t flight = flight_size();
-  ssthresh_ = std::max(flight / 2, 2 * config_.mss);
-  cwnd_ = static_cast<double>(config_.mss);  // loss window (RFC 5681)
+  ssthresh_ = std::max(flight / 2, 2 * kMss);
+  cwnd_ = static_cast<double>(kMss);  // loss window (RFC 5681)
   in_recovery_ = false;
   dupacks_ = 0;
 
@@ -365,7 +372,7 @@ void TcpConnection::on_rto() {
   snd_nxt_ = snd_una_;
   if (snd_una_ < data_end_) {
     send_segment(snd_una_, /*is_retransmission=*/true);
-    snd_nxt_ = snd_una_ + std::min<std::uint32_t>(config_.mss,
+    snd_nxt_ = snd_una_ + std::min<std::uint32_t>(kMss,
                                                   data_end_ - snd_una_);
   }
   arm_rto();

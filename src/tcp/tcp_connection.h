@@ -75,18 +75,16 @@ const char* tcp_state_name(TcpState s);
 /// One TCP connection endpoint (either the data sender or the receiver).
 class TcpConnection {
  public:
+  /// Segments carry at most net::kMss payload bytes, the initial window
+  /// is 10 segments (RFC 6928), the retransmission timer runs on
+  /// RtoEstimator's defaults, and DCTCP's gain is 1/16; none of these is
+  /// a setting.
   struct Config {
-    /// Maximum segment payload.
-    std::uint32_t mss = net::kMss;
-    /// Initial congestion window in segments (RFC 6928).
-    std::uint32_t initial_cwnd_segments = 10;
     /// Initial slow-start threshold in bytes ("infinite" by default).
     std::uint32_t initial_ssthresh = 0xFFFFFFFF;
     /// Advertised receive window in bytes (receiver consumes instantly, so
     /// this is a fixed cap, not modeled buffer occupancy).
     std::uint32_t rwnd = 1 << 20;
-    /// Retransmission timer parameters.
-    RtoEstimator::Config rto;
     /// When true the receiver ACKs every second in-order segment (with an
     /// immediate ACK on gaps), roughly halving ACK traffic.
     bool delayed_ack = false;
@@ -98,8 +96,6 @@ class TcpConnection {
     /// New Reno. Demonstrates the modularity goal of paper §3: the
     /// approximation framework is protocol-agnostic.
     bool dctcp = false;
-    /// DCTCP gain g for the alpha EWMA (paper default 1/16).
-    double dctcp_gain = 0.0625;
   };
 
   /// Per-connection counters, exposed for tests and experiment reports.
@@ -182,8 +178,8 @@ class TcpConnection {
   std::function<void()> on_established;
 
   /// Fires once on the receiver when the peer's FIN is consumed (the
-  /// whole request body has arrived, in order). Lets server applications
-  /// respond (see workload::RequestResponseApp).
+  /// whole request body has arrived, in order). Lets a server application
+  /// respond, for example by opening a flow back from its own host.
   std::function<void()> on_closed;
 
  private:

@@ -20,6 +20,20 @@ const char* to_string(CongestionState s) {
   return "unknown";
 }
 
+const char* to_string(FidelityBand b) {
+  switch (b) {
+    case FidelityBand::None:
+      return "none";
+    case FidelityBand::Latency:
+      return "latency";
+    case FidelityBand::Drop:
+      return "drop";
+    case FidelityBand::RunDrift:
+      return "run_drift";
+  }
+  return "unknown";
+}
+
 namespace {
 
 CongestionState state_from_string(const std::string& s) {
@@ -91,9 +105,6 @@ FidelityRow FidelityRow::from_json(const Json& j) {
 }
 
 FidelitySink::FidelitySink(const FidelityConfig& config) : config_{config} {
-  if (config_.window_multiplier == 0) {
-    throw std::invalid_argument("FidelitySink: window_multiplier must be >= 1");
-  }
   if (!config_.jsonl_path.empty()) {
     out_.open(config_.jsonl_path, std::ios::out | std::ios::trunc);
     if (!out_.is_open()) {
@@ -141,9 +152,14 @@ std::uint64_t FidelitySink::rows_appended() const {
 std::vector<FidelityClusterSummary> FidelitySink::summaries() const {
   const std::vector<FidelityRow> sorted = rows();
   std::vector<FidelityClusterSummary> out;
-  // Weighted drift accumulators, parallel to `out`.
-  std::vector<double> mae_sum, mean_sum, queue_sum;
-  std::vector<std::uint64_t> ref_weight, queue_weight;
+  // Sample-weighted drift sums, parallel to `out`; every drift figure is
+  // weighted by the window's shadow samples.
+  struct Drift {
+    double mae = 0.0, mean = 0.0, queue = 0.0;
+    std::uint64_t weight = 0;
+    std::int64_t last_t_ns = 0;
+  };
+  std::vector<Drift> drift;
   for (const FidelityRow& r : sorted) {
     std::size_t i = 0;
     for (; i < out.size(); ++i) {
@@ -152,11 +168,7 @@ std::vector<FidelityClusterSummary> FidelitySink::summaries() const {
     if (i == out.size()) {
       out.push_back(FidelityClusterSummary{});
       out.back().cluster = r.cluster;
-      mae_sum.push_back(0);
-      mean_sum.push_back(0);
-      queue_sum.push_back(0);
-      ref_weight.push_back(0);
-      queue_weight.push_back(0);
+      drift.push_back(Drift{});
     }
     FidelityClusterSummary& s = out[i];
     ++s.windows;
@@ -174,26 +186,39 @@ std::vector<FidelityClusterSummary> FidelitySink::summaries() const {
     s.packets += r.packets;
     s.shadow_samples += r.shadow_samples;
     s.drop_mismatches += r.drop_mismatches;
-    if (r.band_violation) ++s.band_violations;
+    if (r.band_violation) {
+      if (s.band_violations == 0) {
+        s.violation = std::abs(r.latency_err_mean_log) >
+                              config_.latency_band_log
+                          ? FidelityBand::Latency
+                          : FidelityBand::Drop;
+        s.violation_t_ns = r.t_ns;
+      }
+      ++s.band_violations;
+    }
     // Window drift means are weighted back by their sample counts so the
     // run-level figure is the plain per-sample mean.
-    mae_sum[i] += r.latency_err_mae_log * static_cast<double>(r.shadow_samples);
-    mean_sum[i] +=
-        r.latency_err_mean_log * static_cast<double>(r.shadow_samples);
-    queue_sum[i] += r.queue_err_mae_log * static_cast<double>(r.shadow_samples);
-    ref_weight[i] += r.shadow_samples;
-    queue_weight[i] += r.shadow_samples;
+    const double n = static_cast<double>(r.shadow_samples);
+    drift[i].mae += r.latency_err_mae_log * n;
+    drift[i].mean += r.latency_err_mean_log * n;
+    drift[i].queue += r.queue_err_mae_log * n;
+    drift[i].weight += r.shadow_samples;
+    drift[i].last_t_ns = r.t_ns;
   }
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (ref_weight[i] > 0) {
-      out[i].latency_err_mae_log =
-          mae_sum[i] / static_cast<double>(ref_weight[i]);
-      out[i].latency_err_mean_log =
-          mean_sum[i] / static_cast<double>(ref_weight[i]);
-    }
-    if (queue_weight[i] > 0) {
-      out[i].queue_err_mae_log =
-          queue_sum[i] / static_cast<double>(queue_weight[i]);
+    FidelityClusterSummary& s = out[i];
+    if (drift[i].weight == 0) continue;
+    const double w = static_cast<double>(drift[i].weight);
+    s.latency_err_mae_log = drift[i].mae / w;
+    s.latency_err_mean_log = drift[i].mean / w;
+    s.queue_err_mae_log = drift[i].queue / w;
+    const double mismatch_rate = static_cast<double>(s.drop_mismatches) /
+                                 static_cast<double>(s.shadow_samples);
+    if (s.violation == FidelityBand::None &&
+        (std::abs(s.latency_err_mean_log) > config_.latency_band_log ||
+         mismatch_rate > config_.drop_band)) {
+      s.violation = FidelityBand::RunDrift;
+      s.violation_t_ns = drift[i].last_t_ns;
     }
   }
   std::sort(out.begin(), out.end(),
@@ -206,8 +231,6 @@ Json FidelitySink::report_section() const {
   Json j = Json::object();
   j["enabled"] = config_.enabled;
   j["sample_period"] = static_cast<std::uint64_t>(config_.sample_period);
-  j["window_multiplier"] =
-      static_cast<std::uint64_t>(config_.window_multiplier);
   j["rows"] = rows_appended();
   if (!config_.jsonl_path.empty()) j["jsonl_path"] = config_.jsonl_path;
   Json band = Json::object();
@@ -231,20 +254,15 @@ Json FidelitySink::report_section() const {
     c["latency_err_mae_log"] = s.latency_err_mae_log;
     c["latency_err_mean_log"] = s.latency_err_mean_log;
     c["queue_err_mae_log"] = s.queue_err_mae_log;
-    const double mismatch_rate =
-        s.shadow_samples > 0 ? static_cast<double>(s.drop_mismatches) /
-                                   static_cast<double>(s.shadow_samples)
-                             : 0.0;
-    const bool violating_run =
-        s.band_violations > 0 ||
-        (s.shadow_samples > 0 &&
-         (std::abs(s.latency_err_mean_log) > config_.latency_band_log ||
-          mismatch_rate > config_.drop_band));
-    c["in_band"] = !violating_run;
-    clusters.push_back(std::move(c));
-    if (violating_run) {
+    c["in_band"] = s.in_band();
+    if (!s.in_band()) {
+      Json v = Json::object();
+      v["band"] = to_string(s.violation);
+      v["t_ns"] = s.violation_t_ns;
+      c["violation"] = std::move(v);
       violating.push_back(static_cast<std::uint64_t>(s.cluster));
     }
+    clusters.push_back(std::move(c));
   }
   j["clusters"] = std::move(clusters);
   j["violating_clusters"] = std::move(violating);
@@ -315,18 +333,14 @@ void ClusterFidelityProbe::record_shadow(bool model_drop,
 
 void ClusterFidelityProbe::on_macro_window(std::int64_t now_ns,
                                            std::int64_t macro_window_ns) {
-  ++macro_ticks_;
-  if (macro_ticks_ < sink_.config().window_multiplier) return;
-  close_window(now_ns, macro_window_ns * macro_ticks_);
-  macro_ticks_ = 0;
+  close_window(now_ns, macro_window_ns);
 }
 
 void ClusterFidelityProbe::finalize(std::int64_t now_ns) {
-  if (w_packets_ == 0 && w_shadow_ == 0 && macro_ticks_ == 0) return;
+  if (w_packets_ == 0 && w_shadow_ == 0) return;
   const std::int64_t span = now_ns - window_start_ns_;
   if (span <= 0) return;
   close_window(now_ns, span);
-  macro_ticks_ = 0;
 }
 
 void ClusterFidelityProbe::close_window(std::int64_t now_ns,

@@ -7,8 +7,8 @@
 // Three cooperating pieces, all off by default:
 //
 //   * shadow sampling — a deterministic fraction of the boundary packets
-//     admitted to an ApproxCluster is additionally evaluated against the
-//     reference paths (the naive-inference second opinion and the
+//     an ApproxCluster's Ml tier decides is additionally evaluated against
+//     the reference paths (the naive-inference second opinion and the
 //     queue-model ground truth derived from the emulated port backlog),
 //     comparing the drop decision and the latency prediction. Admission is
 //     a pure hash of (packet id, seed) — no RNG stream is consumed — and
@@ -25,7 +25,8 @@
 //     (virtual-time bucketed: congestion state, drift metrics, shadow
 //     sample counts), appended to a shared FidelitySink which also builds
 //     the `fidelity` section of the run report, flagging clusters whose
-//     observed drift left the configured error band.
+//     observed drift left the configured error band and naming the band
+//     and the window that broke it.
 //
 // Cost contract (DESIGN.md §11): a cluster without a probe pays one null
 // check per packet. With fidelity on, unsampled packets pay a handful of
@@ -72,7 +73,9 @@ constexpr std::uint64_t fidelity_mix64(std::uint64_t z) {
 }
 
 /// Knobs for the observatory. A default-constructed config is disabled;
-/// runs are bit-identical either way.
+/// runs are bit-identical either way. A fidelity window is one macro-
+/// classifier window: the probe closes it when the cluster's existing
+/// macro timer fires, so it never schedules events of its own.
 struct FidelityConfig {
   bool enabled = false;
 
@@ -83,11 +86,6 @@ struct FidelityConfig {
   /// Seed of the admission hash (a forked, self-contained stream: it
   /// shares nothing with any component RNG).
   std::uint64_t seed = 0xF1DE117Eull;
-
-  /// A fidelity window spans this many macro-classifier windows (the
-  /// probe advances when the cluster's existing macro timer fires, so it
-  /// never schedules events; >= 1).
-  std::uint32_t window_multiplier = 1;
 
   // --- error budget (the drift band a cluster must stay inside) ---
   /// Violation when |mean ln(model latency / reference latency)| over a
@@ -141,6 +139,16 @@ struct FidelityRow {
   static FidelityRow from_json(const Json& j);
 };
 
+/// Why a cluster left its error band (FidelityClusterSummary::violation).
+enum class FidelityBand : std::uint8_t {
+  None = 0,      ///< in band
+  Latency = 1,   ///< a window's |mean ln(model/ref)| > latency_band_log
+  Drop = 2,      ///< a window's drop disagreement rate > drop_band
+  RunDrift = 3,  ///< no window broke a band, the run-level drift did
+};
+
+const char* to_string(FidelityBand b);
+
 /// Aggregated per-cluster totals over a whole run (the report section).
 struct FidelityClusterSummary {
   std::uint32_t cluster = 0;
@@ -155,6 +163,16 @@ struct FidelityClusterSummary {
   double latency_err_mae_log = 0.0;  ///< sample-weighted over windows
   double latency_err_mean_log = 0.0;
   double queue_err_mae_log = 0.0;
+  /// The band the cluster broke first: the first violating window's
+  /// (Latency when that window broke both), else RunDrift when the
+  /// run-level drift is out of band, else None.
+  FidelityBand violation = FidelityBand::None;
+  /// t_ns of the window that broke `violation` (for RunDrift, the
+  /// cluster's last window, where the run-level figure stands); 0 when
+  /// in band.
+  std::int64_t violation_t_ns = 0;
+
+  bool in_band() const { return violation == FidelityBand::None; }
 };
 
 /// Thread-safe collector shared by every probe of one run (PDES window
@@ -188,15 +206,18 @@ class FidelitySink {
   std::uint64_t rows_appended() const;
 
   /// The `fidelity` run-report section:
-  ///   {"enabled":true, "sample_period":N, "window_ns":..., "rows":R,
+  ///   {"enabled":true, "sample_period":N, "rows":R,
   ///    "band":{"latency_log":..,"drop":..},
   ///    "clusters":[{...per-cluster summary...}],
   ///    "violating_clusters":[k,...]}
   /// Clusters whose run-level drift exceeds the band, or that logged any
-  /// window-level band violation, land in violating_clusters.
+  /// window-level band violation, land in violating_clusters; each one's
+  /// summary carries "violation":{"band":"latency"|"drop"|"run_drift",
+  /// "t_ns":...}.
   Json report_section() const;
 
-  /// Per-cluster aggregation of the retained rows, sorted by cluster id.
+  /// Per-cluster aggregation of the retained rows, sorted by cluster id,
+  /// each with its band verdict.
   std::vector<FidelityClusterSummary> summaries() const;
 
  private:
@@ -239,9 +260,9 @@ class ClusterFidelityProbe {
                      double ref_latency_s, bool queue_drop,
                      double queue_latency_s);
 
-  /// Window boundary, piggybacked on the cluster's macro timer: every
-  /// `window_multiplier` calls, closes the fidelity window — classifies,
-  /// publishes instruments, and appends a row at virtual time `now_ns`.
+  /// Window boundary, piggybacked on the cluster's macro timer: closes
+  /// the fidelity window — classifies, publishes instruments, and appends
+  /// a row at virtual time `now_ns`.
   void on_macro_window(std::int64_t now_ns, std::int64_t macro_window_ns);
 
   /// End-of-run flush of the current partial window (no-op when empty).
@@ -250,7 +271,6 @@ class ClusterFidelityProbe {
   /// Congestion regime as of the last closed window.
   CongestionState state() const { return state_; }
   double utilization_ewma() const { return util_ewma_; }
-  double drop_rate_ewma() const { return drop_ewma_; }
 
   /// Totals across the run (monotonic; exposed for tests/benches).
   std::uint64_t shadow_samples_total() const { return shadow_total_; }
@@ -284,7 +304,6 @@ class ClusterFidelityProbe {
   double w_err_log_abs_ = 0.0;
   double w_queue_err_abs_ = 0.0;
   std::int64_t window_start_ns_ = 0;
-  std::uint32_t macro_ticks_ = 0;
 
   // Run totals.
   std::uint64_t shadow_total_ = 0;

@@ -43,11 +43,6 @@ class Json {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::Null; }
-  bool is_bool() const { return kind_ == Kind::Bool; }
-  bool is_number() const {
-    return kind_ == Kind::Int || kind_ == Kind::Uint || kind_ == Kind::Double;
-  }
-  bool is_string() const { return kind_ == Kind::String; }
   bool is_array() const { return kind_ == Kind::Array; }
   bool is_object() const { return kind_ == Kind::Object; }
 

@@ -85,15 +85,6 @@ void TraceSession::instant(const char* name, std::int64_t arg) {
   this_thread_buffer()->push(name, now_ns(), -1, arg);
 }
 
-const char* TraceSession::intern(const std::string& name) {
-  std::lock_guard lock{mu_};
-  for (const auto& s : interned_) {
-    if (s == name) return s.c_str();
-  }
-  interned_.push_back(name);
-  return interned_.back().c_str();
-}
-
 void TraceSession::set_thread_name(const std::string& name) {
   const std::uint32_t tid = this_thread_buffer()->tid();
   std::lock_guard lock{mu_};

@@ -37,7 +37,7 @@ namespace esim::telemetry {
 
 /// One recorded trace event (span or instant).
 struct TraceEvent {
-  const char* name = nullptr;  ///< interned or static string
+  const char* name = nullptr;  ///< static string
   std::int64_t start_ns = 0;   ///< since session start
   std::int64_t dur_ns = -1;    ///< -1 = instant, >= 0 = complete span
   std::int64_t arg = kNoArg;   ///< optional numeric payload
@@ -121,10 +121,6 @@ class TraceSession {
   /// Nanoseconds since the session was constructed (steady clock).
   std::int64_t now_ns() const;
 
-  /// Interns a dynamic name; the pointer stays valid for the session's
-  /// lifetime. Prefer string literals at call sites.
-  const char* intern(const std::string& name);
-
   /// Labels the calling thread ("partition 0", ...) in the trace.
   void set_thread_name(const std::string& name);
 
@@ -150,11 +146,10 @@ class TraceSession {
   mutable std::mutex mu_;
   std::deque<TraceBuffer> buffers_;  // deque: stable pointers
   std::vector<std::pair<std::uint32_t, std::string>> thread_names_;
-  std::deque<std::string> interned_;
 };
 
 /// RAII span: records [construction, destruction) on the active session.
-/// `name` must outlive the session (string literal or interned).
+/// `name` must outlive the session (a string literal).
 class Span {
  public:
   explicit Span(const char* name, std::int64_t arg = TraceEvent::kNoArg)
@@ -170,9 +165,6 @@ class Span {
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-
-  /// Attaches/overwrites the numeric payload before the span closes.
-  void set_arg(std::int64_t arg) { arg_ = arg; }
 
  private:
   TraceSession* session_;

@@ -87,7 +87,10 @@ class EmpiricalFlowSize final : public FlowSizeDistribution {
   double mean_;
 };
 
-/// The DCTCP web-search flow-size distribution (see file comment).
+/// The DCTCP web-search flow-size distribution (see file comment). Every
+/// run draws from mini_web_distribution() instead; this full-scale CDF is
+/// the shape that one scales down, and the EmpiricalFlowSize tests'
+/// fixture.
 std::unique_ptr<EmpiricalFlowSize> web_search_distribution();
 
 /// A lighter "web mice" mix used for fast unit/integration runs: same

@@ -13,8 +13,7 @@ TrafficGenerator::TrafficGenerator(sim::Simulator& sim, std::string name,
       hosts_{std::move(hosts)},
       sizes_{sizes},
       matrix_{matrix},
-      config_{config},
-      next_flow_id_{config.first_flow_id} {
+      config_{config} {
   if (hosts_.empty() || sizes_ == nullptr || matrix_ == nullptr) {
     throw std::invalid_argument("TrafficGenerator: missing pieces");
   }
@@ -35,7 +34,6 @@ TrafficGenerator::TrafficGenerator(sim::Simulator& sim, std::string name,
 void TrafficGenerator::start() { schedule_next(); }
 
 void TrafficGenerator::schedule_next() {
-  if (config_.max_flows != 0 && launched_ >= config_.max_flows) return;
   const double gap_s = rng().exponential(mean_gap_.to_seconds());
   const auto gap = sim::SimTime::from_seconds_f(gap_s);
   const sim::SimTime at = now() + gap;
@@ -54,7 +52,6 @@ void TrafficGenerator::arrive() {
     conn->on_complete = [this, flow_id] {
       collector_.on_complete(flow_id, now());
     };
-    if (on_flow_started) on_flow_started(*conn);
     ++launched_;
   } else {
     ++suppressed_;

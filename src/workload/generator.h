@@ -22,6 +22,7 @@
 namespace esim::workload {
 
 /// Schedules flow arrivals and launches TCP flows on the topology's hosts.
+/// Launched flows are numbered 1, 2, ... in launch order.
 class TrafficGenerator : public sim::Component {
  public:
   struct Config {
@@ -32,10 +33,6 @@ class TrafficGenerator : public sim::Component {
     double host_bandwidth_bps = 10e9;
     /// Stop creating new flows after this time (0 = never).
     sim::SimTime stop_at;
-    /// Hard cap on flows created (0 = unlimited).
-    std::uint64_t max_flows = 0;
-    /// First flow id to assign (flows are numbered sequentially).
-    std::uint64_t first_flow_id = 1;
   };
 
   /// `hosts[i]` must be the host with id i (dense). The generator keeps
@@ -64,10 +61,6 @@ class TrafficGenerator : public sim::Component {
   /// *process* is unchanged, the flow is simply not instantiated.
   std::function<bool(net::HostId src, net::HostId dst)> admission_filter;
 
-  /// Optional hook invoked for each launched flow after the connection is
-  /// created (e.g. to attach extra callbacks).
-  std::function<void(tcp::TcpConnection&)> on_flow_started;
-
   /// Mean inter-arrival gap implied by the configuration.
   sim::SimTime mean_interarrival() const { return mean_gap_; }
 
@@ -83,7 +76,7 @@ class TrafficGenerator : public sim::Component {
   sim::SimTime mean_gap_;
   std::uint64_t launched_ = 0;
   std::uint64_t suppressed_ = 0;
-  std::uint64_t next_flow_id_;
+  std::uint64_t next_flow_id_ = 1;
 };
 
 }  // namespace esim::workload

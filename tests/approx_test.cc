@@ -110,9 +110,7 @@ TEST(MacroClassifier, StartsMinimal) {
 }
 
 TEST(MacroClassifier, LowLatencyStaysMinimal) {
-  MacroClassifier::Config cfg;
-  cfg.baseline_latency_s = 6e-6;
-  MacroClassifier mc{cfg};
+  MacroClassifier mc;
   for (int w = 0; w < 5; ++w) {
     for (int i = 0; i < 50; ++i) mc.observe(5e-6, false);
     mc.advance_window();
@@ -134,9 +132,7 @@ TEST(MacroClassifier, HighDropsClassifyAsState4) {
 }
 
 TEST(MacroClassifier, RisingLatencyIsIncreasingCongestion) {
-  MacroClassifier::Config cfg;
-  cfg.baseline_latency_s = 6e-6;
-  MacroClassifier mc{cfg};
+  MacroClassifier mc;
   double latency = 10e-6;
   for (int w = 0; w < 6; ++w) {
     for (int i = 0; i < 50; ++i) mc.observe(latency, false);
@@ -147,9 +143,7 @@ TEST(MacroClassifier, RisingLatencyIsIncreasingCongestion) {
 }
 
 TEST(MacroClassifier, FallingHighLatencyIsHighCongestion) {
-  MacroClassifier::Config cfg;
-  cfg.baseline_latency_s = 6e-6;
-  MacroClassifier mc{cfg};
+  MacroClassifier mc;
   // Drive up...
   double latency = 200e-6;
   for (int w = 0; w < 3; ++w) {

@@ -25,6 +25,7 @@ using check::Digest;
 using check::Scenario;
 using telemetry::ClusterFidelityProbe;
 using telemetry::CongestionState;
+using telemetry::FidelityBand;
 using telemetry::FidelityConfig;
 using telemetry::FidelityRow;
 using telemetry::FidelitySink;
@@ -153,24 +154,6 @@ TEST(FidelityProbe, EwmaSmoothsAcrossWindows) {
   EXPECT_EQ(probe.state(), CongestionState::Congested);
 }
 
-TEST(FidelityProbe, WindowMultiplierCoalescesMacroTicks) {
-  FidelityConfig cfg = enabled_config();
-  cfg.window_multiplier = 3;
-  FidelitySink sink{cfg};
-  ClusterFidelityProbe probe{sink, 0, 1e9, nullptr};
-  constexpr std::int64_t kWin = 500'000;
-  std::int64_t now = 0;
-  for (int tick = 1; tick <= 6; ++tick) {
-    probe.observe_packet(1000, false);
-    probe.on_macro_window(now += kWin, kWin);
-  }
-  const auto rows = sink.rows();
-  ASSERT_EQ(rows.size(), 2u);  // one row per 3 macro ticks
-  EXPECT_EQ(rows[0].window_ns, 3 * kWin);
-  EXPECT_EQ(rows[0].packets, 3u);
-  EXPECT_EQ(rows[1].t_ns, 6 * kWin);
-}
-
 // --- drift bands ---
 
 TEST(FidelityProbe, BandViolationOnLatencyDriftAndDropMismatch) {
@@ -206,6 +189,82 @@ TEST(FidelityProbe, BandViolationOnLatencyDriftAndDropMismatch) {
   const Json section = sink.report_section();
   ASSERT_EQ(section.find("violating_clusters")->size(), 1u);
   EXPECT_EQ(section.find("violating_clusters")->at(0).as_uint(), 0u);
+}
+
+// Each violating cluster's summary names the band it broke first and the
+// window that broke it: the first violating window's band (latency when
+// that window broke both), or run-level drift with the last window's time
+// when no single window broke a band.
+TEST(FidelitySink, ViolatingClustersNameTheBandAndTheFirstWindow) {
+  FidelityConfig cfg = enabled_config();
+  cfg.latency_band_log = 0.5;
+  cfg.drop_band = 0.25;
+  FidelitySink sink{cfg};
+  constexpr std::int64_t kWin = 1'000'000;
+  ClusterFidelityProbe c0{sink, 0, 1e9, nullptr};
+  ClusterFidelityProbe c1{sink, 1, 1e9, nullptr};
+  ClusterFidelityProbe c2{sink, 2, 1e9, nullptr};
+  // Cluster 0: in band, then latency drift and a drop disagreement in the
+  // same window (latency is named), then a drop-only violation.
+  c0.record_shadow(false, 10e-6, false, 10e-6, false, 10e-6);
+  c0.on_macro_window(kWin, kWin);
+  c0.record_shadow(true, 30e-6, false, 10e-6, false, 10e-6);
+  c0.on_macro_window(2 * kWin, kWin);
+  c0.record_shadow(true, 10e-6, false, 10e-6, false, 10e-6);
+  c0.on_macro_window(3 * kWin, kWin);
+  // Cluster 1: a drop-only violation in its first window.
+  c1.record_shadow(true, 10e-6, false, 10e-6, false, 10e-6);
+  c1.on_macro_window(kWin, kWin);
+  c1.record_shadow(false, 30e-6, false, 10e-6, false, 10e-6);
+  c1.on_macro_window(2 * kWin, kWin);
+  // Cluster 2: in band throughout.
+  for (int w = 1; w <= 3; ++w) {
+    c2.record_shadow(false, 11e-6, false, 10e-6, false, 10e-6);
+    c2.on_macro_window(w * kWin, kWin);
+  }
+  // Cluster 3: rows whose windows claim no violation, but whose run-level
+  // latency drift is out of band.
+  FidelityRow r;
+  r.cluster = 3;
+  r.shadow_samples = 4;
+  r.latency_err_mean_log = 0.9;
+  r.t_ns = kWin;
+  sink.append(r);
+  r.t_ns = 2 * kWin;
+  sink.append(r);
+
+  const auto sums = sink.summaries();
+  ASSERT_EQ(sums.size(), 4u);
+  EXPECT_EQ(sums[0].violation, FidelityBand::Latency);
+  EXPECT_EQ(sums[0].violation_t_ns, 2 * kWin);
+  EXPECT_EQ(sums[0].band_violations, 2u);
+  EXPECT_EQ(sums[1].violation, FidelityBand::Drop);
+  EXPECT_EQ(sums[1].violation_t_ns, kWin);
+  EXPECT_TRUE(sums[2].in_band());
+  EXPECT_EQ(sums[2].violation_t_ns, 0);
+  EXPECT_EQ(sums[3].violation, FidelityBand::RunDrift);
+  EXPECT_EQ(sums[3].violation_t_ns, 2 * kWin);
+
+  const Json section = sink.report_section();
+  const Json& violating = *section.find("violating_clusters");
+  ASSERT_EQ(violating.size(), 3u);
+  EXPECT_EQ(violating.at(0).as_uint(), 0u);
+  EXPECT_EQ(violating.at(1).as_uint(), 1u);
+  EXPECT_EQ(violating.at(2).as_uint(), 3u);
+  const Json& clusters = *section.find("clusters");
+  const char* bands[] = {"latency", "drop", nullptr, "run_drift"};
+  const std::int64_t times[] = {2 * kWin, kWin, 0, 2 * kWin};
+  for (std::size_t k = 0; k < 4; ++k) {
+    const Json* v = clusters.at(k).find("violation");
+    EXPECT_EQ(clusters.at(k).find("in_band")->as_bool(), bands[k] == nullptr);
+    if (bands[k] == nullptr) {
+      EXPECT_EQ(v, nullptr) << k;
+      continue;
+    }
+    ASSERT_NE(v, nullptr) << k;
+    EXPECT_EQ(v->find("band")->as_string(), bands[k]) << k;
+    EXPECT_EQ(v->find("t_ns")->as_int(), times[k]) << k;
+  }
 }
 
 TEST(FidelityProbe, PublishesRegistryInstruments) {
@@ -316,6 +375,30 @@ TEST(FidelityDigest, HybridRunIsBitIdenticalWithFidelityOnSequential) {
   EXPECT_TRUE(diag.empty()) << diag;
   EXPECT_GT(rows, 0u);
   EXPECT_GT(shadow, 0u);
+}
+
+// The shadow measures the model's drift, so only packets the Ml tier
+// decides are compared. A hybrid pinned to the Packet tier makes no
+// prediction: with the observatory on it must record no shadow sample
+// and flag no cluster, while the same run pinned to Ml does shadow.
+TEST(FidelityTiers, PinnedPacketHybridRecordsNoShadowSamples) {
+  Scenario sc = check::random_hybrid_scenario(3);
+  sc.approx->adaptive_tiers = false;
+  for (const core::ClusterTier tier :
+       {core::ClusterTier::Packet, core::ClusterTier::Ml}) {
+    sc.approx->fixed_tier = tier;
+    FidelitySink sink{enabled_config()};
+    run_with_sink(sc, &sink);
+    ASSERT_GT(sink.rows_appended(), 0u);
+    std::uint64_t shadow = 0;
+    for (const auto& s : sink.summaries()) shadow += s.shadow_samples;
+    if (tier == core::ClusterTier::Ml) {
+      EXPECT_GT(shadow, 0u);
+      continue;
+    }
+    EXPECT_EQ(shadow, 0u);
+    EXPECT_EQ(sink.report_section().find("violating_clusters")->size(), 0u);
+  }
 }
 
 TEST(FidelityDigest, HybridRunIsBitIdenticalWithFidelityOnPdes) {

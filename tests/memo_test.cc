@@ -324,7 +324,7 @@ TEST(MemoRunnerTest, CachePersistsAcrossRunsOfOneRunner) {
   EXPECT_EQ(second.digest, base.digest);
 }
 
-// A replayed phase pushes the summary its entry recorded instead of
+// A replayed phase takes the summary its entry recorded instead of
 // re-hashing the counters, and a run hashes its signature prefix and its
 // host-pair route fingerprint once. Signatures, and so every lookup's
 // outcome, must be those of the parent revision, which re-hashed all of
@@ -333,7 +333,6 @@ TEST(MemoRunnerTest, CachePersistsAcrossRunsOfOneRunner) {
 TEST(MemoRunnerTest, ReplayedSummariesMatchParentGolden) {
   const PeriodicScenario ps = small_periodic(8);
   struct Golden {
-    std::uint32_t window;
     std::uint32_t partitions;
     bool with_digest;
     std::uint64_t lookups, hits, misses, stores;
@@ -341,36 +340,23 @@ TEST(MemoRunnerTest, ReplayedSummariesMatchParentGolden) {
     std::uint64_t final_state_fp;
   };
   const Golden golden[] = {
-      {1, 0, false, 8, 6, 2, 2, {}, 8657903858599634640ULL},
-      {1, 0, true, 8, 6, 2, 2,
+      {0, false, 8, 6, 2, 2, {}, 8657903858599634640ULL},
+      {0, true, 8, 6, 2, 2,
        {0xb98f2ad089e87422ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
         0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
        8657903858599634640ULL},
-      {1, 2, false, 8, 6, 2, 2, {}, 8657903858599634640ULL},
-      {1, 2, true, 8, 6, 2, 2,
-       {0x0bf814057cdf9f72ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
-        0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
-       8657903858599634640ULL},
-      {3, 0, false, 8, 4, 4, 4, {}, 8657903858599634640ULL},
-      {3, 0, true, 8, 4, 4, 4,
-       {0xb98f2ad089e87422ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
-        0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
-       8657903858599634640ULL},
-      {3, 2, false, 8, 4, 4, 4, {}, 8657903858599634640ULL},
-      {3, 2, true, 8, 4, 4, 4,
+      {2, false, 8, 6, 2, 2, {}, 8657903858599634640ULL},
+      {2, true, 8, 6, 2, 2,
        {0x0bf814057cdf9f72ULL, 0x324f74cae30dca76ULL, 0x741b36c40c9b2109ULL,
         0x78270db01750a6d0ULL, 0, 3448, 3424, 0, 24, 0},
        8657903858599634640ULL},
   };
   for (const Golden& g : golden) {
-    MemoConfig cfg;
-    cfg.window_phases = g.window;
-    MemoRunner runner{cfg};
+    MemoRunner runner{MemoConfig{}};
     const MemoRunOutcome out =
         runner.run(ps.scenario, ps.pattern, EngineSpec{g.partitions},
                    g.with_digest);
-    const std::string label = "window " + std::to_string(g.window) +
-                              " partitions " + std::to_string(g.partitions) +
+    const std::string label = "partitions " + std::to_string(g.partitions) +
                               (g.with_digest ? " digest" : " aggregate");
     EXPECT_EQ(out.stats.lookups, g.lookups) << label;
     EXPECT_EQ(out.stats.hits, g.hits) << label;
@@ -395,27 +381,22 @@ TEST(MemoRunnerTest, PortWrapRunMatchesMemoOff) {
         off_runner.run(ps.scenario, ps.pattern, spec, true);
     EXPECT_EQ(base.flows_completed, ps.scenario.flows.size()) << spec.label();
     EXPECT_EQ(base.final_state_fp, 8985220248136519995ULL) << spec.label();
-    for (const std::uint32_t window : {1u, 3u}) {
-      for (const bool with_digest : {false, true}) {
-        MemoConfig cfg;
-        cfg.window_phases = window;
-        MemoRunner runner{cfg};
-        const MemoRunOutcome out =
-            runner.run(ps.scenario, ps.pattern, spec, with_digest);
-        const std::string label = spec.label() + " window " +
-                                  std::to_string(window) +
-                                  (with_digest ? " digest" : " aggregate");
-        EXPECT_EQ(out.final_state_fp, base.final_state_fp) << label;
-        EXPECT_EQ(out.flows_completed, base.flows_completed) << label;
-        if (with_digest) {
-          EXPECT_EQ(out.digest, base.digest) << label;
-        }
-        EXPECT_EQ(out.stats.port_wrap_skips, 1u) << label;
-        EXPECT_EQ(out.stats.lookups, kPhases - 1) << label;
-        // No phase before the wrap can account for this many hits.
-        EXPECT_GT(out.stats.hits, kWrapPhase) << label;
-        EXPECT_EQ(out.stats.hits, window == 1 ? 157u : 155u) << label;
+    for (const bool with_digest : {false, true}) {
+      MemoRunner runner{MemoConfig{}};
+      const MemoRunOutcome out =
+          runner.run(ps.scenario, ps.pattern, spec, with_digest);
+      const std::string label =
+          spec.label() + (with_digest ? " digest" : " aggregate");
+      EXPECT_EQ(out.final_state_fp, base.final_state_fp) << label;
+      EXPECT_EQ(out.flows_completed, base.flows_completed) << label;
+      if (with_digest) {
+        EXPECT_EQ(out.digest, base.digest) << label;
       }
+      EXPECT_EQ(out.stats.port_wrap_skips, 1u) << label;
+      EXPECT_EQ(out.stats.lookups, kPhases - 1) << label;
+      // No phase before the wrap can account for this many hits.
+      EXPECT_GT(out.stats.hits, kWrapPhase) << label;
+      EXPECT_EQ(out.stats.hits, 157u) << label;
     }
   }
 }
@@ -434,18 +415,12 @@ TEST(MemoRunnerTest, TupleReuseAfterPortWrapMatchesMemoOff) {
         off_runner.run(ps.scenario, ps.pattern, spec, false);
     EXPECT_EQ(base.flows_completed, ps.scenario.flows.size()) << spec.label();
     EXPECT_EQ(base.final_state_fp, 9678658312390758094ULL) << spec.label();
-    for (const std::uint32_t window : {1u, 3u}) {
-      MemoConfig cfg;
-      cfg.window_phases = window;
-      MemoRunner runner{cfg};
-      const MemoRunOutcome out =
-          runner.run(ps.scenario, ps.pattern, spec, false);
-      const std::string label =
-          spec.label() + " window " + std::to_string(window);
-      EXPECT_EQ(out.final_state_fp, base.final_state_fp) << label;
-      EXPECT_EQ(out.flows_completed, base.flows_completed) << label;
-      EXPECT_GT(out.stats.hits, 0u) << label;
-    }
+    MemoRunner runner{MemoConfig{}};
+    const MemoRunOutcome out =
+        runner.run(ps.scenario, ps.pattern, spec, false);
+    EXPECT_EQ(out.final_state_fp, base.final_state_fp) << spec.label();
+    EXPECT_EQ(out.flows_completed, base.flows_completed) << spec.label();
+    EXPECT_GT(out.stats.hits, 0u) << spec.label();
   }
 }
 

@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/component.h"
-#include "sim/logger.h"
 #include "telemetry/metrics.h"
 
 namespace esim::sim {
@@ -194,42 +192,6 @@ TEST(ParallelEngine, SyncRoundCountIsExact) {
   // A second run with nothing left must not charge any further rounds.
   eng.run_until(SimTime::from_ms(2));
   EXPECT_EQ(eng.stats().sync_rounds, 10u);
-}
-
-TEST(ParallelEngine, ConcurrentLoggingFromAllPartitionsIsSerialized) {
-  // Every partition logs from its worker thread into one shared sink.
-  // Logger serializes emission under a process-wide mutex, so the shared
-  // vector needs no locking of its own — this is the case TSan checks.
-  constexpr std::uint32_t kParts = 4;
-  constexpr int kPerPartition = 25;
-  ParallelEngine eng{basic_config(kParts)};
-  std::vector<std::string> lines;
-  for (std::uint32_t p = 0; p < kParts; ++p) {
-    auto& logger = eng.partition(p).sim().logger();
-    logger.set_level(LogLevel::Info);
-    logger.set_sink([&lines](const std::string& line) {
-      lines.push_back(line);
-    });
-  }
-  for (std::uint32_t p = 0; p < kParts; ++p) {
-    auto& sim = eng.partition(p).sim();
-    auto* c = sim.add_component<Component>("part" + std::to_string(p));
-    for (int i = 1; i <= kPerPartition; ++i) {
-      sim.schedule_at(SimTime::from_us(i), [c, i] {
-        ESIM_LOG(*c, LogLevel::Info, "event " + std::to_string(i));
-      });
-    }
-  }
-  eng.run_until(SimTime::from_ms(1));
-  ASSERT_EQ(lines.size(), kParts * kPerPartition);
-  for (std::uint32_t p = 0; p < kParts; ++p) {
-    const std::string tag = "part" + std::to_string(p);
-    const auto n = std::count_if(
-        lines.begin(), lines.end(), [&tag](const std::string& line) {
-          return line.find(tag) != std::string::npos;
-        });
-    EXPECT_EQ(n, kPerPartition) << tag;
-  }
 }
 
 TEST(ParallelEngine, PairLookaheadDefaultsToGlobal) {

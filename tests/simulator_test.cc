@@ -157,8 +157,6 @@ class Pinger : public Component {
 TEST(Simulator, ComponentRegistryAndLookup) {
   Simulator sim;
   auto* p = sim.add_component<Pinger>("ping0");
-  EXPECT_EQ(sim.find_component("ping0"), p);
-  EXPECT_EQ(sim.find_component("nope"), nullptr);
   EXPECT_EQ(sim.components().size(), 1u);
   EXPECT_EQ(p->name(), "ping0");
 }
@@ -200,20 +198,6 @@ TEST(Simulator, SameSeedSameTrajectory) {
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));
-}
-
-TEST(Logger, RespectsLevelAndSink) {
-  Simulator sim;
-  std::vector<std::string> lines;
-  sim.logger().set_sink([&](const std::string& l) { lines.push_back(l); });
-  sim.logger().set_level(LogLevel::Info);
-  sim.logger().log(LogLevel::Debug, sim.now(), "src", "hidden");
-  sim.logger().log(LogLevel::Info, sim.now(), "src", "shown");
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("shown"), std::string::npos);
-  EXPECT_NE(lines[0].find("INFO"), std::string::npos);
-  EXPECT_TRUE(sim.logger().enabled(LogLevel::Warn));
-  EXPECT_FALSE(sim.logger().enabled(LogLevel::Trace));
 }
 
 }  // namespace

@@ -52,9 +52,6 @@ TEST_P(TcpLossProperty, DeliversExactlyTheFlowBytes) {
   Simulator sim{static_cast<std::uint64_t>(param.loss_rate * 1000) + 7};
   TcpConnection::Config tcp_cfg;
   tcp_cfg.delayed_ack = param.delayed_ack;
-  // Loss-friendly timers so lossy cases converge quickly.
-  tcp_cfg.rto.min = SimTime::from_ms(2);
-  tcp_cfg.rto.initial = SimTime::from_ms(10);
   auto* a = sim.add_component<Host>("a", 0, tcp_cfg);
   auto* b = sim.add_component<Host>("b", 1, tcp_cfg);
   BernoulliLoss to_b{b, param.loss_rate, 11};

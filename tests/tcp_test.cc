@@ -646,8 +646,8 @@ TEST(Host, BackToBackFlowsKeepTheLiveSetSmall) {
   EXPECT_EQ(p.sim.events_scheduled(), 70'001u);
 }
 
-// A receiver's on_closed may open the response on its own host, as
-// RequestResponseApp does. That open reclaims while the finished receiver
+// A receiver's on_closed may open the response on its own host, as a
+// request/response server would. That open reclaims while the finished receiver
 // is still inside its on_packet, so the receiver must survive it and
 // become a tombstone at its host's next open instead.
 TEST(Host, ClosingReceiverIsReclaimedAtTheNextOpen) {
