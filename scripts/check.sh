@@ -107,9 +107,9 @@ echo "=== asan-ubsan — esim_diffcheck hybrid smoke ==="
 (cd build-asan && ./tools/esim_diffcheck hybrid --n 10 --seed 7 --partitions 2,3)
 
 # Adaptive tier switching under the sanitizers: the controller's
-# drain-before-switch, the fluid backend's pending-mutation buffering,
-# and the tier-trace digest lane must agree across engines with no
-# lifetime/overflow bugs in the backend swap.
+# drain-before-switch, the fluid model's pending-mutation buffering and
+# its reset on every switch into the fluid tier, and the tier-trace
+# digest lane must agree across engines with no lifetime/overflow bugs.
 echo "=== asan-ubsan — esim_diffcheck granularity smoke ==="
 (cd build-asan && ./tools/esim_diffcheck granularity --n 10 --seed 1 --partitions 2,4)
 
@@ -171,6 +171,12 @@ ctest --preset tsan "${jobs}" -R \
 # and their flows complete on partition threads.
 echo "=== tsan — esim_diffcheck memo smoke ==="
 (cd build-tsan && ./tools/esim_diffcheck memo --n 10 --seed 7 --partitions 2,4)
+
+# Adaptive hybrids under PDES: each partition thread switches its own
+# clusters' tiers at macro-window boundaries while cores in the other
+# partition receive their deliveries through the round's mailboxes.
+echo "=== tsan — esim_diffcheck granularity smoke ==="
+(cd build-tsan && ./tools/esim_diffcheck granularity --n 10 --seed 1 --partitions 2,4)
 
 if [[ "${ESIM_CHECK_COVERAGE:-0}" == "1" ]]; then
   echo "=== preset: coverage — configure ==="

@@ -5,7 +5,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "core/granularity.h"
 #include "telemetry/fidelity.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -25,7 +24,8 @@ ApproxCluster::ApproxCluster(sim::Simulator& sim, std::string name,
       egress_model_{egress_model},
       ingress_features_{config.spec, config.cluster, Direction::Ingress},
       egress_features_{config.spec, config.cluster, Direction::Egress},
-      macro_{config.macro} {
+      macro_{config.macro},
+      controller_{config.tier} {
   config_.spec.validate();
   ingress_model_.reset_state();
   egress_model_.reset_state();
@@ -45,34 +45,32 @@ ApproxCluster::ApproxCluster(sim::Simulator& sim, std::string name,
     probe_ = std::make_unique<telemetry::ClusterFidelityProbe>(
         *config_.fidelity, config_.cluster, capacity_bps, sim.telemetry());
   }
-  // Fidelity tiers (DESIGN.md §12): the Ml and Packet backends are
-  // always available; the fluid rate model is built only when the
-  // policy can reach it. In adaptive mode the controller reads the
-  // probe's congestion classification, so the observatory is mandatory.
-  tier_ = config_.tier.fixed_tier;
-  ml_backend_ = std::make_unique<MlTierBackend>(
-      &ingress_model_, &egress_model_, config_.sample_drops,
-      config_.reference_inference);
-  packet_backend_ = std::make_unique<PacketTierBackend>();
-  if (config_.tier.adaptive() || tier_ == ClusterTier::Fluid) {
+  // Fidelity tiers (DESIGN.md §12): the fluid rate model is built only
+  // when the policy can reach it. In adaptive mode the controller steps
+  // on the probe's congestion classification, so the observatory is
+  // mandatory.
+  if (config_.tier.adaptive() || tier() == ClusterTier::Fluid) {
     FluidClusterBackend::Config fcfg;
     fcfg.spec = config_.spec;
     fcfg.bandwidth_bps = config_.port_bandwidth_bps;
     fcfg.window_ns = approx::MacroClassifier::kWindow.ns();
-    fluid_backend_ = std::make_unique<FluidClusterBackend>(fcfg);
+    fluid_.emplace(fcfg);
   }
-  if (config_.tier.adaptive()) {
-    if (!probe_) {
-      throw std::invalid_argument(
-          this->name() +
-          ": adaptive tier policy requires the fidelity observatory "
-          "(set Config::fidelity to an enabled sink)");
+  if (config_.tier.adaptive() && !probe_) {
+    throw std::invalid_argument(
+        this->name() +
+        ": adaptive tier policy requires the fidelity observatory "
+        "(set Config::fidelity to an enabled sink)");
+  }
+  if (auto* r = sim.telemetry()) {
+    const std::string prefix =
+        "granularity.c" + std::to_string(config_.cluster);
+    g_tier_ = r->gauge(prefix + ".tier");
+    g_tier_->set(static_cast<std::int64_t>(tier()));
+    if (config_.tier.adaptive()) {
+      m_tier_transitions_ = r->counter(prefix + ".transitions");
+      m_tier_transitions_total_ = r->counter("granularity.transitions");
     }
-    controller_ = std::make_unique<GranularityController>(
-        config_.tier, config_.cluster, probe_.get(), sim.telemetry());
-  } else if (auto* r = sim.telemetry()) {
-    r->gauge("granularity.c" + std::to_string(config_.cluster) + ".tier")
-        ->set(static_cast<std::int64_t>(tier_));
   }
   if (auto* r = sim.telemetry()) {
     m_inferences_ = r->counter("approx.inferences");
@@ -104,8 +102,6 @@ ApproxCluster::ApproxCluster(sim::Simulator& sim, std::string name,
     });
   }
 }
-
-ApproxCluster::~ApproxCluster() = default;
 
 void ApproxCluster::attach_core(std::uint32_t index,
                                 net::Switch* core_switch) {
@@ -142,47 +138,32 @@ void ApproxCluster::start() {
       probe_->on_macro_window(now().ns(),
                               approx::MacroClassifier::kWindow.ns());
     }
-    // Tier housekeeping on the active backend (e.g. the fluid model
-    // expires idle flows), then the controller's transition decision.
-    // Every tier decides a packet at its admission, so a switch at this
-    // boundary starts the new tier with no in-flight work. The
-    // controller's inputs (probe EWMAs) and this timer's firing times are
-    // engine-invariant, so sequential and PDES runs transition at
-    // identical virtual times (DESIGN.md §12).
-    active_backend().on_macro_window(now());
-    if (controller_) {
-      if (const auto next = controller_->on_macro_window(now().ns())) {
-        // Packets arriving at exactly this nanosecond are decided by the
-        // outgoing tier whichever side of this timer they pop on
-        // (tier_for).
-        pre_transition_tier_ = tier_;
-        transition_at_ns_ = now().ns();
-        tier_ = *next;
+    // Tier housekeeping (the fluid model expires idle flows), then the
+    // controller's transition decision. Every tier decides a packet at
+    // its admission, so a switch at this boundary starts the new tier
+    // with no in-flight work. The controller's input (the probe's
+    // classification) and this timer's firing times are engine-invariant,
+    // so sequential and PDES runs transition at identical virtual times
+    // (DESIGN.md §12).
+    if (tier() == ClusterTier::Fluid) fluid_->on_macro_window(now());
+    if (config_.tier.adaptive()) {
+      // Packets arriving at exactly this nanosecond are decided by the
+      // outgoing tier whichever side of this timer they pop on
+      // (tier_for).
+      if (const auto next = controller_.step(probe_->state(), now().ns())) {
         ++stats_.tier_transitions;
+        if (g_tier_ != nullptr) {
+          g_tier_->set(static_cast<std::int64_t>(*next));
+          m_tier_transitions_->inc();
+          m_tier_transitions_total_->inc();
+        }
         telemetry::trace_instant("granularity.transition",
-                                 static_cast<std::int64_t>(tier_));
-        active_backend().on_activated(now());
+                                 static_cast<std::int64_t>(*next));
+        if (*next == ClusterTier::Fluid) fluid_->on_activated(now());
       }
     }
     start();
   });
-}
-
-ClusterBackend& ApproxCluster::backend_for(ClusterTier tier) {
-  switch (tier) {
-    case ClusterTier::Packet:
-      return *packet_backend_;
-    case ClusterTier::Fluid:
-      return *fluid_backend_;
-    case ClusterTier::Ml:
-      break;
-  }
-  return *ml_backend_;
-}
-
-const std::vector<TierTransition>& ApproxCluster::tier_trace() const {
-  static const std::vector<TierTransition> kEmpty;
-  return controller_ ? controller_->transitions() : kEmpty;
 }
 
 // RNG draw-order contract: with sample_drops, every admitted packet
@@ -196,12 +177,8 @@ bool ApproxCluster::decide_drop(double probability, double draw) const {
 }
 
 void ApproxCluster::handle_packet(Packet pkt) {
-  const std::uint32_t src_cluster =
-      config_.spec.cluster_of_host(pkt.flow.src_host);
-  const std::uint32_t dst_cluster =
-      config_.spec.cluster_of_host(pkt.flow.dst_host);
-
-  const bool egress = src_cluster == config_.cluster;
+  const bool egress =
+      config_.spec.cluster_of_host(pkt.flow.src_host) == config_.cluster;
   approx::FeatureExtractor& extractor =
       egress ? egress_features_ : ingress_features_;
 
@@ -215,41 +192,31 @@ void ApproxCluster::handle_packet(Packet pkt) {
   Admission p;
   p.arrival = now();
   p.egress = egress;
-  p.dst_cluster = dst_cluster;
+  p.to_core = egress && config_.spec.cluster_of_host(pkt.flow.dst_host) !=
+                            config_.cluster;
   if (config_.sample_drops) p.drop_draw = rng().uniform();
 
-  const AdmitContext ctx{pkt, p.arrival, egress,
-                         std::span<const double>{features.v}, p.drop_draw};
+  // The boundary contract: {drop, latency} from the tier in force at the
+  // packet's arrival.
   const ClusterTier tier = tier_for(p.arrival);
-  TierDecision decision;
-  if (tier == ClusterTier::Ml) {
-    if (m_inferences_ != nullptr) {
-      telemetry::Span span{"approx.inference"};
-      const auto t0 = std::chrono::steady_clock::now();
-      decision = ml_backend_->admit(ctx);
-      m_inferences_->inc();
-      // Wall-clock inference cost; virtual time is unaffected.
-      m_inference_ns_->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    } else {
-      telemetry::Span span{"approx.inference"};
-      decision = ml_backend_->admit(ctx);
+  bool drop = false;
+  double latency = 0.0;  // Packet: the emulated ports do the queueing
+  switch (tier) {
+    case ClusterTier::Packet:
+      break;
+    case ClusterTier::Ml: {
+      const approx::MicroModel::Prediction prediction =
+          infer(egress, features.v);
+      drop = decide_drop(prediction.drop_probability, p.drop_draw);
+      latency = prediction.latency_seconds;
+      break;
     }
-  } else {
-    decision = backend_for(tier).admit(ctx);
+    case ClusterTier::Fluid:
+      latency = fluid_->admit(pkt, p.arrival);  // never drops
+      break;
   }
   p.pkt = std::move(pkt);
-  apply_decision(std::move(p), tier, decision,
-                 std::span<const double>{features.v});
-}
-
-void ApproxCluster::apply_decision(Admission&& p, ClusterTier tier,
-                                   TierDecision decision,
-                                   std::span<const double> features) {
-  const double latency = std::max(decision.latency_s, config_.min_latency_s);
-  const bool drop = decision.drop;
+  latency = std::max(latency, config_.min_latency_s);
   ++stats_.tier_packets[static_cast<std::size_t>(tier)];
   macro_.observe(latency, drop);
   if (probe_) {
@@ -259,7 +226,7 @@ void ApproxCluster::apply_decision(Admission&& p, ClusterTier tier,
     // reserves the port, so the queue-truth peek sees the
     // pre-reservation backlog.
     if (tier == ClusterTier::Ml && probe_->shadow_admit(p.pkt.id)) {
-      shadow_evaluate(p, features, latency, drop);
+      shadow_evaluate(p, features.v, latency, drop);
     }
   }
   if (drop) {
@@ -281,21 +248,37 @@ void ApproxCluster::apply_decision(Admission&& p, ClusterTier tier,
   if (tier != ClusterTier::Ml) {
     desired += sim::SimTime::from_ns(config_.cluster);
   }
-  if (p.egress && p.dst_cluster == config_.cluster) {
-    // Intra-cluster traffic of an approximated cluster. Normally elided
-    // by the workload filter (paper §6.2); when present, the fabric model
-    // delivers it directly to the destination host.
-    ++stats_.intra_packets;
-    deliver_ingress(std::move(p.pkt), desired);
-    return;
-  }
-  if (p.egress) {
+  if (p.to_core) {
     ++stats_.egress_packets;
     deliver_egress(std::move(p.pkt), desired);
-  } else {
-    ++stats_.ingress_packets;
-    deliver_ingress(std::move(p.pkt), desired);
+    return;
   }
+  // Intra-cluster traffic of an approximated cluster is normally elided
+  // by the workload filter (paper §6.2); when present, the fabric model
+  // delivers it directly to the destination host.
+  ++(p.egress ? stats_.intra_packets : stats_.ingress_packets);
+  deliver_ingress(std::move(p.pkt), desired);
+}
+
+approx::MicroModel::Prediction ApproxCluster::infer(
+    bool egress, std::span<const double> features) {
+  telemetry::Span span{"approx.inference"};
+  approx::MicroModel& model = egress ? egress_model_ : ingress_model_;
+  const bool timed = m_inferences_ != nullptr;
+  const auto t0 = timed ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point{};
+  const approx::MicroModel::Prediction prediction =
+      config_.reference_inference ? model.predict_reference(features)
+                                  : model.predict(features);
+  if (timed) {
+    m_inferences_->inc();
+    // Wall-clock inference cost; virtual time is unaffected.
+    m_inference_ns_->record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+  }
+  return prediction;
 }
 
 void ApproxCluster::shadow_evaluate(const Admission& p,
@@ -317,31 +300,19 @@ void ApproxCluster::shadow_evaluate(const Admission& p,
       std::max(ref.latency_seconds, config_.min_latency_s);
   const bool ref_drop = decide_drop(ref.drop_probability, p.drop_draw);
   // Queue-model ground truth: the fabric traversal a backlog-aware
-  // queue would impose right now — current wait on the destination port
-  // plus serialization, floored at the unloaded minimum. next_free() is
-  // a read-only peek; nothing is reserved.
-  const DeliverySerializer* port = nullptr;
-  if (p.egress && p.dst_cluster != config_.cluster) {
-    const auto path = net::compute_path(config_.spec, p.pkt.flow);
-    if (path.len == 5) {
-      port = &core_ports_[path.hops[2] - config_.spec.core_id(0)];
-    }
-  } else {
-    port = &host_ports_[p.pkt.flow.dst_host %
-                        config_.spec.hosts_per_cluster()];
-  }
-  bool queue_drop = false;
-  double queue_latency = config_.min_latency_s;
-  if (port != nullptr) {
-    const sim::SimTime nf = port->next_free();
-    const std::int64_t wait_ns =
-        nf > p.arrival ? (nf - p.arrival).ns() : 0;
-    queue_drop = wait_ns > config_.max_port_backlog.ns();
-    const double tx_s = static_cast<double>(p.pkt.size_bytes()) * 8.0 /
-                        config_.port_bandwidth_bps;
-    queue_latency = std::max(config_.min_latency_s,
-                             static_cast<double>(wait_ns) * 1e-9 + tx_s);
-  }
+  // queue would impose right now — current wait on the port the
+  // delivery will reserve plus serialization, floored at the unloaded
+  // minimum. next_free() is a read-only peek; nothing is reserved.
+  const DeliverySerializer& port =
+      p.to_core ? core_ports_[core_index(p.pkt.flow)]
+                : host_ports_[host_offset(p.pkt.flow)];
+  const sim::SimTime nf = port.next_free();
+  const std::int64_t wait_ns = nf > p.arrival ? (nf - p.arrival).ns() : 0;
+  const bool queue_drop = wait_ns > config_.max_port_backlog.ns();
+  const double tx_s = static_cast<double>(p.pkt.size_bytes()) * 8.0 /
+                      config_.port_bandwidth_bps;
+  const double queue_latency = std::max(
+      config_.min_latency_s, static_cast<double>(wait_ns) * 1e-9 + tx_s);
   probe_->record_shadow(model_drop, model_latency, ref_drop, ref_latency,
                         queue_drop, queue_latency);
 }
@@ -350,60 +321,60 @@ void ApproxCluster::finalize_fidelity() {
   if (probe_) probe_->finalize(now().ns());
 }
 
-void ApproxCluster::deliver_egress(Packet pkt, sim::SimTime desired) {
-  const auto path = net::compute_path(config_.spec, pkt.flow);
+std::uint32_t ApproxCluster::core_index(const net::FlowKey& flow) const {
+  const auto path = net::compute_path(config_.spec, flow);
   if (path.len != 5) {
     throw std::logic_error(name() + ": egress packet without a core hop");
   }
-  const std::uint32_t core_index =
-      path.hops[2] - config_.spec.core_id(0);
-  net::Switch* core = cores_.at(core_index);
-  if (core == nullptr) {
-    throw std::logic_error(name() + ": core " + std::to_string(core_index) +
-                           " not attached");
-  }
-  const auto granted = core_ports_[core_index].try_reserve(
-      desired, pkt.size_bytes(), config_.max_port_backlog);
+  return path.hops[2] - config_.spec.core_id(0);
+}
+
+std::optional<sim::SimTime> ApproxCluster::reserve(DeliverySerializer& port,
+                                                   sim::SimTime desired,
+                                                   std::uint32_t bytes) {
+  const auto granted =
+      port.try_reserve(desired, bytes, config_.max_port_backlog);
   if (!granted) {
     ++stats_.backlog_drops;
     if (probe_) probe_->observe_backlog(0, /*backlog_drop=*/true);
-    return;
+    return std::nullopt;
   }
   if (*granted != desired) ++stats_.conflicts_resolved;
   if (probe_) {
     probe_->observe_backlog((*granted - desired).ns(),
                             /*backlog_drop=*/false);
   }
+  return granted;
+}
+
+void ApproxCluster::deliver_egress(Packet pkt, sim::SimTime desired) {
+  const std::uint32_t index = core_index(pkt.flow);
+  net::Switch* core = cores_.at(index);
+  if (core == nullptr) {
+    throw std::logic_error(name() + ": core " + std::to_string(index) +
+                           " not attached");
+  }
+  const auto granted = reserve(core_ports_[index], desired, pkt.size_bytes());
+  if (!granted) return;
   auto deliver = [core, pkt = std::move(pkt)]() mutable {
     core->handle_packet(std::move(pkt));
   };
-  if (core_index < core_remotes_.size() && core_remotes_[core_index]) {
-    core_remotes_[core_index](*granted, /*key=*/0, std::move(deliver));
+  if (index < core_remotes_.size() && core_remotes_[index]) {
+    core_remotes_[index](*granted, /*key=*/0, std::move(deliver));
   } else {
     schedule_at(*granted, std::move(deliver));
   }
 }
 
 void ApproxCluster::deliver_ingress(Packet pkt, sim::SimTime desired) {
-  const std::uint32_t offset =
-      pkt.flow.dst_host % config_.spec.hosts_per_cluster();
+  const std::uint32_t offset = host_offset(pkt.flow);
   tcp::Host* host = hosts_.at(offset);
   if (host == nullptr) {
     throw std::logic_error(name() + ": host offset " +
                            std::to_string(offset) + " not attached");
   }
-  const auto granted = host_ports_[offset].try_reserve(
-      desired, pkt.size_bytes(), config_.max_port_backlog);
-  if (!granted) {
-    ++stats_.backlog_drops;
-    if (probe_) probe_->observe_backlog(0, /*backlog_drop=*/true);
-    return;
-  }
-  if (*granted != desired) ++stats_.conflicts_resolved;
-  if (probe_) {
-    probe_->observe_backlog((*granted - desired).ns(),
-                            /*backlog_drop=*/false);
-  }
+  const auto granted = reserve(host_ports_[offset], desired, pkt.size_bytes());
+  if (!granted) return;
   schedule_at(*granted, [host, pkt = std::move(pkt)]() mutable {
     host->handle_packet(std::move(pkt));
   });

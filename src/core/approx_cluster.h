@@ -6,11 +6,13 @@
 //     uplink Links (they run unmodified TCP stacks — paper §5);
 //   * core switches transmit into it through normal Links where the real
 //     ToR/Agg layers used to be;
-//   * for every packet it consults the macro state classifier and the
-//     direction's micro model, then either drops the packet or delivers
-//     it to the far side (the path-replayed core switch, or the
-//     destination host) after the predicted latency, serialized per
-//     output port to resolve impossible schedules (paper §4.2).
+//   * for every packet it decides {drop, latency} with one switch on its
+//     fidelity tier (DESIGN.md §12) — on the Ml tier, the direction's
+//     micro model fed the macro state classifier's state — then either
+//     drops the packet or delivers it to the far side (the path-replayed
+//     core switch, or the destination host) after that latency,
+//     serialized per output port to resolve impossible schedules
+//     (paper §4.2).
 //
 // Everything between those edges — ToR/Agg queues, links, forwarding —
 // schedules no events at all, which is where the speedup of Figure 5
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "approx/micro_model.h"
 #include "core/cluster_backend.h"
 #include "core/conflict.h"
+#include "core/granularity.h"
 #include "net/clos.h"
 #include "net/link.h"
 #include "net/switch.h"
@@ -34,16 +38,12 @@
 #include "tcp/host.h"
 
 namespace esim::telemetry {
-class ClusterFidelityProbe;
 class Counter;
-class FidelitySink;
+class Gauge;
 class Histogram;
 }
 
 namespace esim::core {
-
-class GranularityController;
-struct TierTransition;
 
 /// One approximated cluster fabric.
 class ApproxCluster : public sim::Component, public net::PacketHandler {
@@ -72,10 +72,10 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     approx::MacroClassifier::Config macro;
     /// Fidelity-tier policy (DESIGN.md §12). Fixed/Ml (the default) is
     /// the legacy behaviour; Fixed/{Packet,Fluid} pins the cluster to
-    /// another tier; Adaptive lets a GranularityController demote and
-    /// promote the tier at macro-window boundaries from the fidelity
-    /// observatory's congestion classification — adaptive mode therefore
-    /// requires `fidelity` to be set and enabled.
+    /// another tier; Adaptive steps a GranularityController at
+    /// macro-window boundaries with the fidelity observatory's congestion
+    /// classification — adaptive mode therefore requires `fidelity` to
+    /// be set and enabled.
     ClusterTierPolicy tier;
     /// Fidelity observatory sink (DESIGN.md §11), shared by every cluster
     /// of a run; not owned. Non-null with an enabled config attaches a
@@ -104,7 +104,6 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   ApproxCluster(sim::Simulator& sim, std::string name, const Config& config,
                 const approx::MicroModel& ingress_model,
                 const approx::MicroModel& egress_model);
-  ~ApproxCluster() override;  // out of line: probe_ is incomplete here
 
   /// Wires the core switch that egress packets choosing core `index`
   /// should be injected into. All cores must be attached before running.
@@ -135,14 +134,16 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   void finalize_fidelity();
 
   /// The fidelity tier currently deciding boundary packets.
-  ClusterTier tier() const { return tier_; }
+  ClusterTier tier() const { return controller_.tier(); }
 
   /// The cluster index this component replaces.
   std::uint32_t cluster_id() const { return config_.cluster; }
 
   /// Executed tier transitions in virtual-time order (empty in fixed
   /// mode). Fold into StateDigest::on_tier_transition after the run.
-  const std::vector<TierTransition>& tier_trace() const;
+  const std::vector<TierTransition>& tier_trace() const {
+    return controller_.transitions();
+  }
 
   const Stats& stats() const { return stats_; }
 
@@ -154,26 +155,27 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     sim::SimTime arrival;
     double drop_draw = 0.0;  ///< rng().uniform(), sample_drops only
     bool egress = false;
-    std::uint32_t dst_cluster = 0;
+    /// Leaves through a core port (egress to another cluster), not a host
+    /// port (ingress, or intra-cluster).
+    bool to_core = false;
   };
 
-  void deliver_egress(net::Packet pkt, sim::SimTime desired);
-  void deliver_ingress(net::Packet pkt, sim::SimTime desired);
-  /// Common tail of every tier: clamp the latency floor, feed the macro
-  /// model and the probe, count under `tier`, and deliver (or drop).
-  void apply_decision(Admission&& p, ClusterTier tier, TierDecision decision,
-                      std::span<const double> features);
-  /// The tier deciding a packet admitted at `arrival`. Normally tier_;
-  /// a packet arriving at EXACTLY the instant of the latest transition
-  /// is decided by the pre-transition tier regardless of whether it
-  /// popped before or after the macro timer — under PDES a remote-
-  /// injected arrival can tie with the local timer event with engine-
-  /// dependent order, and this rule makes the outcome order-blind.
+  /// The tier deciding a packet admitted at `arrival`: the current one,
+  /// except that a packet arriving at EXACTLY the instant of the latest
+  /// transition is decided by the pre-transition tier regardless of
+  /// whether it popped before or after the macro timer — under PDES a
+  /// remote-injected arrival can tie with the local timer event with
+  /// engine-dependent order, and this rule makes the outcome order-blind.
   ClusterTier tier_for(sim::SimTime arrival) const {
-    return arrival.ns() == transition_at_ns_ ? pre_transition_tier_ : tier_;
+    const std::vector<TierTransition>& trace = controller_.transitions();
+    return !trace.empty() && arrival.ns() == trace.back().t_ns
+               ? trace.back().from
+               : controller_.tier();
   }
-  ClusterBackend& backend_for(ClusterTier tier);
-  ClusterBackend& active_backend() { return backend_for(tier_); }
+  /// The Ml arm's prediction: the session, or the reference path under
+  /// Config::reference_inference; timed when telemetry is on.
+  approx::MicroModel::Prediction infer(bool egress,
+                                       std::span<const double> features);
   bool decide_drop(double probability, double draw) const;
   /// Shadow comparison for one sampled Ml-tier packet: reference
   /// inference on the path production does NOT use, plus the
@@ -183,6 +185,22 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   /// decisions are not the model's, so they are never shadowed.
   void shadow_evaluate(const Admission& p, std::span<const double> features,
                        double model_latency, bool model_drop);
+  /// The core whose emulated port an egress packet's replayed path
+  /// crosses.
+  std::uint32_t core_index(const net::FlowKey& flow) const;
+  /// The destination host's offset within this cluster (its emulated
+  /// port).
+  std::uint32_t host_offset(const net::FlowKey& flow) const {
+    return flow.dst_host % config_.spec.hosts_per_cluster();
+  }
+  void deliver_egress(net::Packet pkt, sim::SimTime desired);
+  void deliver_ingress(net::Packet pkt, sim::SimTime desired);
+  /// The reservation tail of both deliveries: the grant on `port`, or
+  /// nullopt after counting a backlog drop. Counts a conflict when the
+  /// grant is later than `desired` and feeds the probe either way.
+  std::optional<sim::SimTime> reserve(DeliverySerializer& port,
+                                      sim::SimTime desired,
+                                      std::uint32_t bytes);
 
   Config config_;
   approx::MicroModel ingress_model_;
@@ -196,24 +214,23 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   std::vector<DeliverySerializer> core_ports_;  // per core
   std::vector<DeliverySerializer> host_ports_;  // per cluster host offset
   Stats stats_;
-  // Fidelity tiers (DESIGN.md §12). tier_ is the runtime state; the
-  // Ml/Packet backends always exist, the fluid backend only when the
-  // policy can reach it, the controller only in adaptive mode.
-  ClusterTier tier_ = ClusterTier::Ml;
-  ClusterTier pre_transition_tier_ = ClusterTier::Ml;
-  std::int64_t transition_at_ns_ = -1;  // latest executed transition
-  std::unique_ptr<MlTierBackend> ml_backend_;
-  std::unique_ptr<PacketTierBackend> packet_backend_;
-  std::unique_ptr<FluidClusterBackend> fluid_backend_;
-  std::unique_ptr<GranularityController> controller_;
+  // Fidelity tiers (DESIGN.md §12). The controller holds the current
+  // tier in every mode and is stepped only in adaptive mode; the fluid
+  // rate model exists only when the policy can reach it.
+  GranularityController controller_;
+  std::optional<FluidClusterBackend> fluid_;
   // Fidelity observatory probe; null unless Config::fidelity is enabled.
   std::unique_ptr<telemetry::ClusterFidelityProbe> probe_;
   // Aggregate approx.* series; outcome totals are published by a
   // registry flusher (pull), only the per-inference series are pushed.
-  // Null when telemetry is off.
+  // Null when telemetry is off; the transition counters are null too in
+  // fixed mode.
   telemetry::Counter* m_inferences_ = nullptr;
   telemetry::Counter* m_macro_transitions_ = nullptr;
   telemetry::Histogram* m_inference_ns_ = nullptr;
+  telemetry::Gauge* g_tier_ = nullptr;
+  telemetry::Counter* m_tier_transitions_ = nullptr;        // this cluster
+  telemetry::Counter* m_tier_transitions_total_ = nullptr;  // all clusters
 };
 
 }  // namespace esim::core

@@ -17,20 +17,6 @@ const char* to_string(ClusterTier t) {
   return "?";
 }
 
-TierDecision MlTierBackend::admit(const AdmitContext& ctx) {
-  approx::MicroModel& model = ctx.egress ? *egress_ : *ingress_;
-  const approx::MicroModel::Prediction prediction =
-      reference_ ? model.predict_reference(ctx.features)
-                 : model.predict(ctx.features);
-  TierDecision d;
-  // Same rule as ApproxCluster::decide_drop: the pre-drawn uniform is
-  // replayed (RNG draw-order contract); threshold mode draws nothing.
-  d.drop = sample_drops_ ? ctx.drop_draw < prediction.drop_probability
-                         : prediction.drop_probability > 0.5;
-  d.latency_s = prediction.latency_seconds;
-  return d;
-}
-
 FluidClusterBackend::FluidClusterBackend(const Config& config)
     : config_{config},
       model_{std::make_unique<flowsim::FlowLevelSimulator>(
@@ -104,21 +90,20 @@ void FluidClusterBackend::sync(std::int64_t t_ns) {
   cur_instant_ns_ = t_ns;
 }
 
-TierDecision FluidClusterBackend::admit(const AdmitContext& ctx) {
-  sync(ctx.arrival.ns());
+double FluidClusterBackend::admit(const net::Packet& pkt,
+                                  sim::SimTime arrival) {
+  sync(arrival.ns());
   // Read-only against the flushed state: a flow first seen this instant
   // (or whose budget drained) serializes at line rate and joins the
   // max-min allocation from the next instant on.
   double rate = 0.0;
-  const Key key = key_of(ctx.pkt.flow);
+  const Key key = key_of(pkt.flow);
   if (const auto it = flows_.find(key); it != flows_.end()) {
     rate = model_->rate_of(it->second.fluid_id);
   }
-  pending_.emplace_back(key, ctx.pkt.flow);
-  TierDecision d;
-  const double bits = static_cast<double>(ctx.pkt.size_bytes()) * 8.0;
-  d.latency_s = bits / (rate > 0.0 ? rate : config_.bandwidth_bps);
-  return d;  // the fluid tier never drops
+  pending_.emplace_back(key, pkt.flow);
+  const double bits = static_cast<double>(pkt.size_bytes()) * 8.0;
+  return bits / (rate > 0.0 ? rate : config_.bandwidth_bps);
 }
 
 void FluidClusterBackend::on_macro_window(sim::SimTime now) {

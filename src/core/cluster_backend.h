@@ -1,39 +1,37 @@
-// ClusterBackend: a cluster's fidelity tier as runtime state.
+// The fidelity tiers of an approximated cluster, and the fluid tier's
+// rate model.
 //
 // The paper fixes one trade at build time: a cluster is either simulated
-// at packet fidelity or replaced by the ML fabric model. This interface
-// makes the trade per-cluster *runtime* state (DESIGN.md §12): the
-// ApproxCluster boundary component keeps its external contract (packets
-// in at host uplinks / core links, packets out after {drop, latency})
-// and delegates the per-packet decision to whichever tier backend is
-// currently active:
+// at packet fidelity or replaced by the ML fabric model. ApproxCluster
+// makes the trade per-cluster *runtime* state (DESIGN.md §12): it keeps
+// its external contract (packets in at host uplinks / core links,
+// packets out after {drop, latency}) and decides each boundary packet
+// with one switch on the tier in force at the packet's arrival:
 //
-//   * Packet — passthrough at the unloaded fabric minimum; the emulated
-//     DeliverySerializer ports downstream of the decision supply the
-//     real queueing delay and drop-tail behaviour, so this is the
+//   * Packet — no drop, 0 s before the unloaded-minimum clamp; the
+//     emulated DeliverySerializer ports downstream of the decision supply
+//     the real queueing delay and drop-tail behaviour, so this is the
 //     highest-fidelity queue-model tier (used when a cluster is
 //     congested and ML drift would be most expensive).
 //   * Ml — the trained micro-model path (the paper's black box): one
 //     prediction per boundary packet, at its admission.
-//   * Fluid — an online max-min fair rate model (flowsim stepped by
-//     packet arrivals): latency = packet bits / current fair share of
-//     the flow. No queues, no TCP dynamics, never drops — the honest
-//     cheap tier for quiescent clusters.
+//   * Fluid — FluidClusterBackend below: an online max-min fair rate
+//     model (flowsim stepped by packet arrivals). No queues, no TCP
+//     dynamics, never drops — the honest cheap tier for quiescent
+//     clusters.
 //
-// Determinism contract: admit() must be a pure function of (packet,
-// arrival time, prior admissions into this backend) — no RNG beyond the
-// pre-drawn `drop_draw` and no wall-clock — so sequential and PDES runs
+// Determinism contract: every arm is a pure function of (packet, arrival
+// time, prior admissions into this cluster) — no RNG beyond the
+// pre-drawn drop uniform and no wall-clock — so sequential and PDES runs
 // that admit the same boundary stream make identical decisions.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "approx/micro_model.h"
 #include "flowsim/flow_level.h"
 #include "net/clos.h"
 #include "net/packet.h"
@@ -65,80 +63,6 @@ struct ClusterTierPolicy {
   bool adaptive() const { return mode == Mode::Adaptive; }
 };
 
-/// One boundary packet's traversal decision. The cluster clamps
-/// latency_s to Config::min_latency_s before scheduling delivery.
-struct TierDecision {
-  bool drop = false;
-  double latency_s = 0.0;
-};
-
-/// Everything a backend may consult for one admission. `features` is the
-/// direction extractor's row (extracted by the cluster in every tier so
-/// the EWMA state stays warm across transitions); `drop_draw` is the
-/// pre-drawn uniform of the RNG draw-order contract — a backend that
-/// drops must replay it, never draw fresh randomness.
-struct AdmitContext {
-  const net::Packet& pkt;
-  sim::SimTime arrival;
-  bool egress = false;
-  std::span<const double> features;
-  double drop_draw = 0.0;
-};
-
-/// One fidelity tier implementation behind the ApproxCluster boundary.
-class ClusterBackend {
- public:
-  virtual ~ClusterBackend() = default;
-
-  virtual ClusterTier tier() const = 0;
-
-  /// Decides {drop, latency} for one admitted boundary packet.
-  virtual TierDecision admit(const AdmitContext& ctx) = 0;
-
-  /// Housekeeping at every macro-window boundary while this backend is
-  /// active (called before any tier transition at that boundary).
-  virtual void on_macro_window(sim::SimTime now) { (void)now; }
-
-  /// Called when the controller switches INTO this tier, after the
-  /// previous tier drained (flush-before-switch). Backends reset any
-  /// cross-period state here so a tier period is a pure function of the
-  /// packets admitted during it.
-  virtual void on_activated(sim::SimTime now) { (void)now; }
-};
-
-/// Packet tier: passthrough at the unloaded minimum. The emulated ports
-/// downstream provide serialization, conflict resolution, and drop-tail
-/// backlog drops, so the fabric model itself neither delays nor drops.
-class PacketTierBackend final : public ClusterBackend {
- public:
-  ClusterTier tier() const override { return ClusterTier::Packet; }
-  TierDecision admit(const AdmitContext&) override {
-    return TierDecision{/*drop=*/false, /*latency_s=*/0.0};
-  }
-};
-
-/// Ml tier: the per-packet micro-model decision. Holds non-owning
-/// pointers to the cluster's models, so the recurrent state lives with
-/// the cluster and survives tier switches.
-class MlTierBackend final : public ClusterBackend {
- public:
-  MlTierBackend(approx::MicroModel* ingress, approx::MicroModel* egress,
-                bool sample_drops, bool reference_inference)
-      : ingress_{ingress},
-        egress_{egress},
-        sample_drops_{sample_drops},
-        reference_{reference_inference} {}
-
-  ClusterTier tier() const override { return ClusterTier::Ml; }
-  TierDecision admit(const AdmitContext& ctx) override;
-
- private:
-  approx::MicroModel* ingress_;
-  approx::MicroModel* egress_;
-  bool sample_drops_;
-  bool reference_;
-};
-
 /// Fluid tier: an online max-min rate model over the cluster's own Clos
 /// fabric, stepped to each packet arrival. Flows are tracked by exact
 /// 4-tuple; a first packet registers the flow with a byte budget, and a
@@ -148,7 +72,7 @@ class MlTierBackend final : public ClusterBackend {
 /// boundary. Never drops — no queues, no TCP dynamics (DESIGN.md §12
 /// states this limitation honestly).
 ///
-/// Same-instant commutativity: unlike the Ml tier, this backend shares
+/// Same-instant commutativity: unlike the Ml tier, the fluid tier shares
 /// ONE rate model between ingress and egress, and under PDES a
 /// remote-injected ingress event can tie with a local event at the same
 /// nanosecond with engine-dependent pop order. admit() therefore never
@@ -158,7 +82,7 @@ class MlTierBackend final : public ClusterBackend {
 /// canonical key order when virtual time moves past the instant. Any
 /// pop order of same-time admissions yields identical decisions and
 /// identical model state.
-class FluidClusterBackend final : public ClusterBackend {
+class FluidClusterBackend {
  public:
   /// ApproxCluster fills spec, bandwidth and window and keeps the
   /// defaults of flow_bytes and idle_windows; tests vary those.
@@ -178,10 +102,18 @@ class FluidClusterBackend final : public ClusterBackend {
 
   explicit FluidClusterBackend(const Config& config);
 
-  ClusterTier tier() const override { return ClusterTier::Fluid; }
-  TierDecision admit(const AdmitContext& ctx) override;
-  void on_macro_window(sim::SimTime now) override;
-  void on_activated(sim::SimTime now) override;
+  /// The latency, in seconds, of `pkt` admitted at `arrival`: its
+  /// serialization time at its flow's current fair share.
+  double admit(const net::Packet& pkt, sim::SimTime arrival);
+
+  /// Housekeeping at every macro-window boundary while the cluster is on
+  /// the fluid tier, before any tier transition at that boundary.
+  void on_macro_window(sim::SimTime now);
+
+  /// Called when the cluster switches INTO the fluid tier. Resets the
+  /// rate model, so a tier period is a pure function of the packets
+  /// admitted during it.
+  void on_activated(sim::SimTime now);
 
   /// Flows currently tracked in the rate model, including touches of the
   /// current instant not yet flushed (tests/telemetry).

@@ -1,7 +1,7 @@
-// GranularityController: the actuator of the adaptive multi-granularity
-// direction (DESIGN.md §12). Rides the ApproxCluster macro-classifier
-// timer, reads the fidelity observatory's congestion classification
-// (DESIGN.md §11 — the runtime signal PR landed one layer below), and
+// GranularityController: the transition rule of the adaptive
+// multi-granularity direction (DESIGN.md §12). A value type: the
+// ApproxCluster steps it at every macro-classifier tick with the fidelity
+// observatory's congestion classification (DESIGN.md §11), and it
 // executes demote/promote transitions with hysteresis:
 //
 //   Quiescent  -> Fluid   (demote: max-min rate model, cheapest)
@@ -10,12 +10,12 @@
 //                          would be most expensive)
 //
 // Determinism: the controller's only inputs are the probe's windowed
-// EWMAs — functions of the packets admitted to this cluster, which the
-// determinism contract already makes engine-invariant — and the macro
-// timer fires at identical virtual times in sequential and PDES runs
-// (a cluster lives inside exactly one partition). Transitions therefore
-// happen at identical virtual times on every engine, which is what the
-// digest transition lane asserts.
+// classification — a function of the packets admitted to this cluster,
+// which the determinism contract already makes engine-invariant — and the
+// macro timer fires at identical virtual times in sequential and PDES
+// runs (a cluster lives inside exactly one partition). Transitions
+// therefore happen at identical virtual times on every engine, which is
+// what the digest transition lane asserts.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +24,6 @@
 
 #include "core/cluster_backend.h"
 #include "telemetry/fidelity.h"
-
-namespace esim::telemetry {
-class Counter;
-class Gauge;
-class Registry;
-}
 
 namespace esim::core {
 
@@ -43,17 +37,12 @@ struct TierTransition {
   bool operator==(const TierTransition&) const = default;
 };
 
-/// Per-cluster transition state machine. Owned by ApproxCluster in
-/// adaptive mode; the cluster calls on_macro_window() once per macro
-/// tick, after advancing the macro model and the probe.
+/// Per-cluster transition state machine: the policy, the current tier,
+/// the dwell clock and the executed transitions.
 class GranularityController {
  public:
-  /// `probe` supplies the congestion classification and must outlive the
-  /// controller. `registry` may be null (telemetry off).
-  GranularityController(const ClusterTierPolicy& policy,
-                        std::uint32_t cluster,
-                        const telemetry::ClusterFidelityProbe* probe,
-                        telemetry::Registry* registry);
+  explicit GranularityController(const ClusterTierPolicy& policy)
+      : policy_{policy}, tier_{policy.fixed_tier} {}
 
   /// The deterministic transition rule.
   static ClusterTier target_for(telemetry::CongestionState s) {
@@ -70,23 +59,31 @@ class GranularityController {
 
   ClusterTier tier() const { return tier_; }
 
-  /// Advances the dwell clock and, when the classification demands a
+  /// One macro-window boundary at `now_ns`, with the cluster classified
+  /// `state`: advances the dwell clock and, when `state` demands a
   /// different tier and the min-dwell hysteresis allows it, executes the
   /// transition. Returns the new tier when one fired at this boundary.
-  std::optional<ClusterTier> on_macro_window(std::int64_t now_ns);
+  std::optional<ClusterTier> step(telemetry::CongestionState state,
+                                  std::int64_t now_ns) {
+    ++dwell_windows_;
+    const ClusterTier target = target_for(state);
+    if (target == tier_ || dwell_windows_ < policy_.min_dwell_windows) {
+      return std::nullopt;
+    }
+    trace_.push_back(TierTransition{now_ns, tier_, target});
+    tier_ = target;
+    dwell_windows_ = 0;
+    return tier_;
+  }
 
   /// Every executed transition, in virtual-time order.
   const std::vector<TierTransition>& transitions() const { return trace_; }
 
  private:
   ClusterTierPolicy policy_;
-  const telemetry::ClusterFidelityProbe* probe_;
   ClusterTier tier_;
   std::uint32_t dwell_windows_ = 0;
   std::vector<TierTransition> trace_;
-  telemetry::Gauge* g_tier_ = nullptr;
-  telemetry::Counter* m_transitions_ = nullptr;        // per cluster
-  telemetry::Counter* m_transitions_total_ = nullptr;  // all clusters
 };
 
 }  // namespace esim::core

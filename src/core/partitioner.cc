@@ -1,7 +1,6 @@
 #include "core/partitioner.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -223,30 +222,6 @@ void refine(const ClosSpec& spec, const LinkGraph& g, std::uint32_t P,
 
 }  // namespace
 
-const char* placement_policy_name(PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::round_robin:
-      return "round_robin";
-    case PlacementPolicy::graph_cut:
-      return "graph_cut";
-  }
-  return "?";
-}
-
-std::string PartitionPlan::summary() const {
-  char buf[128];
-  const double pct =
-      total_links == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(cut_links) /
-                static_cast<double>(total_links);
-  std::snprintf(buf, sizeof(buf), "%s: %llu/%llu links cross (%.1f%%)",
-                placement_policy_name(policy),
-                static_cast<unsigned long long>(cut_links),
-                static_cast<unsigned long long>(total_links), pct);
-  return buf;
-}
-
 PartitionPlan make_partition_plan(const net::ClosSpec& spec,
                                   std::uint32_t partitions,
                                   PlacementPolicy policy) {
@@ -258,7 +233,6 @@ PartitionPlan make_partition_plan(const net::ClosSpec& spec,
 
   PartitionPlan plan;
   plan.partitions = partitions;
-  plan.policy = policy;
   plan.total_links = g.total_directed_links;
   if (partitions == 1) {
     plan.partition_of_switch.assign(spec.total_switches(), 0);

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "net/clos.h"
@@ -47,7 +46,6 @@ enum class PlacementPolicy : std::uint8_t {
 /// A deterministic switch -> partition assignment plus its cut accounting.
 struct PartitionPlan {
   std::uint32_t partitions = 0;
-  PlacementPolicy policy = PlacementPolicy::graph_cut;
   /// Partition owning each switch, dense by SwitchId.
   std::vector<std::uint32_t> partition_of_switch;
   /// Directed fabric links whose endpoints land in different partitions.
@@ -61,12 +59,7 @@ struct PartitionPlan {
                                   net::HostId h) const {
     return partition_of_switch[spec.tor_of_host(h)];
   }
-
-  /// "graph_cut: 24/160 links cross (15.0%)" — for bench/report output.
-  std::string summary() const;
 };
-
-const char* placement_policy_name(PlacementPolicy policy);
 
 /// Computes a partition plan for `spec` over `partitions` partitions.
 /// Deterministic and engine-invariant: equal inputs give equal plans.

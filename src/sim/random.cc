@@ -84,14 +84,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Rng::pareto(double xm, double alpha) {
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 Rng Rng::fork() { return Rng{next_u64()}; }

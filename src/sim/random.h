@@ -43,10 +43,6 @@ class Rng {
   /// Normal with explicit mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Pareto-distributed value with shape `alpha` and scale `xm` (heavy tail
-  /// for flow sizes).
-  double pareto(double xm, double alpha);
-
   /// Bernoulli draw with success probability p.
   bool bernoulli(double p);
 

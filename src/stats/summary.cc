@@ -22,23 +22,6 @@ double Summary::variance() const {
 
 double Summary::stddev() const { return std::sqrt(variance()); }
 
-void Summary::merge(const Summary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
 void Summary::reset() { *this = Summary{}; }
 
 Ewma::Ewma(double alpha) : alpha_{alpha} {

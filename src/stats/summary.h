@@ -30,9 +30,6 @@ class Summary {
   /// Sum of observations.
   double sum() const { return mean_ * static_cast<double>(count_); }
 
-  /// Merges another summary into this one (parallel collection).
-  void merge(const Summary& other);
-
   /// Resets to the empty state.
   void reset();
 

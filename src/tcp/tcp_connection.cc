@@ -21,24 +21,6 @@ constexpr double kDctcpGain = 0.0625;
 
 }  // namespace
 
-const char* tcp_state_name(TcpState s) {
-  switch (s) {
-    case TcpState::Closed:
-      return "Closed";
-    case TcpState::SynSent:
-      return "SynSent";
-    case TcpState::SynRcvd:
-      return "SynRcvd";
-    case TcpState::Established:
-      return "Established";
-    case TcpState::FinSent:
-      return "FinSent";
-    case TcpState::Done:
-      return "Done";
-  }
-  return "?";
-}
-
 std::unique_ptr<TcpConnection> TcpConnection::make_active(
     TcpEndpoint& endpoint, net::FlowKey key, std::uint64_t flow_id,
     std::uint64_t payload_bytes, const Config& config) {

@@ -69,9 +69,6 @@ enum class TcpState {
   Done,
 };
 
-/// Returns a display name, e.g. "Established".
-const char* tcp_state_name(TcpState s);
-
 /// One TCP connection endpoint (either the data sender or the receiver).
 class TcpConnection {
  public:

@@ -399,10 +399,17 @@ void ClusterFidelityProbe::close_window(std::int64_t now_ns,
     row.queue_err_mae_log = w_queue_err_abs_ / n;
     mismatch_rate = static_cast<double>(w_drop_mismatch_) / n;
   }
+  // A window's drop band is judged only once it holds enough samples
+  // that one disagreement alone cannot exceed it: ceil(1 / drop_band) of
+  // them (20 at the default 0.05). Smaller windows still count toward
+  // the run-level drift (FidelitySink::summaries).
+  const bool drop_judged =
+      cfg.drop_band <= 0 ||
+      static_cast<double>(w_shadow_) >= std::ceil(1.0 / cfg.drop_band);
   row.band_violation =
       w_shadow_ > 0 &&
       (std::abs(row.latency_err_mean_log) > cfg.latency_band_log ||
-       mismatch_rate > cfg.drop_band);
+       (drop_judged && mismatch_rate > cfg.drop_band));
   if (row.band_violation) {
     ++violations_total_;
     if (c_violations_ != nullptr) c_violations_->inc();

@@ -18,9 +18,10 @@
 //   * per-cluster congestion tracking — every admitted packet feeds
 //     windowed offered-load / drop / backlog accumulators; at each window
 //     boundary the EWMAs update and the cluster is classified quiescent /
-//     nominal / congested. These are exactly the inputs a future
-//     packet <-> ML <-> fluid tier-switch controller consumes (ROADMAP #1),
-//     exposed through the metrics registry as fidelity.c<k>.* series.
+//     nominal / congested. The classification is what an adaptive
+//     ApproxCluster steps its GranularityController with (DESIGN.md §12);
+//     it is exposed through the metrics registry as fidelity.c<k>.*
+//     series.
 //   * streaming time-series export — one JSONL row per cluster per window
 //     (virtual-time bucketed: congestion state, drift metrics, shadow
 //     sample counts), appended to a shared FidelitySink which also builds
@@ -92,7 +93,9 @@ struct FidelityConfig {
   /// window's shadow samples exceeds this.
   double latency_band_log = 0.75;
   /// Violation when the shadow drop-decision disagreement rate over a
-  /// window exceeds this.
+  /// window exceeds this. A window is judged on it only when it holds at
+  /// least ceil(1 / drop_band) shadow samples, so one disagreement alone
+  /// never flags it; every window counts toward the run-level rate.
   double drop_band = 0.05;
 
   // --- congestion classification (EWMA across windows) ---
@@ -143,7 +146,7 @@ struct FidelityRow {
 enum class FidelityBand : std::uint8_t {
   None = 0,      ///< in band
   Latency = 1,   ///< a window's |mean ln(model/ref)| > latency_band_log
-  Drop = 2,      ///< a window's drop disagreement rate > drop_band
+  Drop = 2,      ///< a judged window's disagreement rate > drop_band
   RunDrift = 3,  ///< no window broke a band, the run-level drift did
 };
 

@@ -14,50 +14,6 @@ std::uint64_t FixedFlowSize::sample(sim::Rng&) const { return bytes_; }
 
 double FixedFlowSize::mean() const { return static_cast<double>(bytes_); }
 
-UniformFlowSize::UniformFlowSize(std::uint64_t lo, std::uint64_t hi)
-    : lo_{lo}, hi_{hi} {
-  if (lo == 0 || hi < lo) {
-    throw std::invalid_argument("UniformFlowSize: need 1 <= lo <= hi");
-  }
-}
-
-std::uint64_t UniformFlowSize::sample(sim::Rng& rng) const {
-  return lo_ + rng.uniform_int(hi_ - lo_ + 1);
-}
-
-double UniformFlowSize::mean() const {
-  return (static_cast<double>(lo_) + static_cast<double>(hi_)) / 2.0;
-}
-
-ParetoFlowSize::ParetoFlowSize(std::uint64_t lo, std::uint64_t hi,
-                               double alpha)
-    : lo_{lo}, hi_{hi}, alpha_{alpha} {
-  if (lo == 0 || hi < lo || alpha <= 0) {
-    throw std::invalid_argument("ParetoFlowSize: bad parameters");
-  }
-}
-
-std::uint64_t ParetoFlowSize::sample(sim::Rng& rng) const {
-  const double x = rng.pareto(static_cast<double>(lo_), alpha_);
-  return static_cast<std::uint64_t>(
-      std::min(x, static_cast<double>(hi_)));
-}
-
-double ParetoFlowSize::mean() const {
-  // Mean of the bounded Pareto on [lo, hi].
-  const double l = static_cast<double>(lo_);
-  const double h = static_cast<double>(hi_);
-  if (alpha_ == 1.0) {
-    return l * std::log(h / l) / (1.0 - l / h);
-  }
-  const double la = std::pow(l, alpha_);
-  const double num = la * alpha_ *
-                     (std::pow(l, 1.0 - alpha_) - std::pow(h, 1.0 - alpha_));
-  const double den =
-      (alpha_ - 1.0) * (1.0 - std::pow(l / h, alpha_));
-  return num / den;
-}
-
 EmpiricalFlowSize::EmpiricalFlowSize(
     std::vector<std::pair<std::uint64_t, double>> knots)
     : knots_{std::move(knots)} {

@@ -42,29 +42,6 @@ class FixedFlowSize final : public FlowSizeDistribution {
   std::uint64_t bytes_;
 };
 
-/// Uniform over [lo, hi].
-class UniformFlowSize final : public FlowSizeDistribution {
- public:
-  UniformFlowSize(std::uint64_t lo, std::uint64_t hi);
-  std::uint64_t sample(sim::Rng& rng) const override;
-  double mean() const override;
-
- private:
-  std::uint64_t lo_, hi_;
-};
-
-/// Bounded Pareto: heavy tail with shape alpha, clipped to [lo, hi].
-class ParetoFlowSize final : public FlowSizeDistribution {
- public:
-  ParetoFlowSize(std::uint64_t lo, std::uint64_t hi, double alpha);
-  std::uint64_t sample(sim::Rng& rng) const override;
-  double mean() const override;
-
- private:
-  std::uint64_t lo_, hi_;
-  double alpha_;
-};
-
 /// Piecewise log-linear interpolation of an empirical CDF given as
 /// (size_bytes, cumulative_probability) knots.
 class EmpiricalFlowSize final : public FlowSizeDistribution {

@@ -5,12 +5,6 @@
 
 namespace esim::workload {
 
-std::uint32_t PhasePattern::phase_of(std::int64_t t_ns) const {
-  if (t_ns <= 0) return 0;
-  const auto k = static_cast<std::uint64_t>(t_ns / period_ns);
-  return k >= phases ? phases - 1 : static_cast<std::uint32_t>(k);
-}
-
 std::vector<PhasePattern::Injection> PhasePattern::expand(
     std::uint64_t first_flow_id) const {
   validate();

@@ -46,9 +46,6 @@ struct PhasePattern {
     return period_ns * static_cast<std::int64_t>(k);
   }
 
-  /// Phase containing virtual time `t_ns` (clamped to the last phase).
-  std::uint32_t phase_of(std::int64_t t_ns) const;
-
   /// One absolute flow injection produced by expand(). Flow ids are
   /// assigned phase-major — first_flow_id + phase * pattern.size() +
   /// index — so a flow's id minus its phase's base recovers its index in

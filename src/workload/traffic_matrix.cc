@@ -1,6 +1,5 @@
 #include "workload/traffic_matrix.h"
 
-#include <numeric>
 #include <stdexcept>
 
 namespace esim::workload {
@@ -57,51 +56,6 @@ std::pair<net::HostId, net::HostId> ClusterMixTraffic::sample(
   if (cluster >= src_cluster) ++cluster;
   const auto offset = static_cast<std::uint32_t>(rng.uniform_int(hpc));
   return {src, cluster * hpc + offset};
-}
-
-IncastTraffic::IncastTraffic(std::uint32_t num_hosts, net::HostId sink)
-    : num_hosts_{num_hosts}, sink_{sink} {
-  if (num_hosts < 2) {
-    throw std::invalid_argument("IncastTraffic: need >= 2 hosts");
-  }
-  if (sink >= num_hosts) {
-    throw std::invalid_argument("IncastTraffic: sink out of range");
-  }
-}
-
-std::pair<net::HostId, net::HostId> IncastTraffic::sample(
-    sim::Rng& rng) const {
-  auto src = static_cast<net::HostId>(rng.uniform_int(num_hosts_ - 1));
-  if (src >= sink_) ++src;
-  return {src, sink_};
-}
-
-PermutationTraffic::PermutationTraffic(std::uint32_t num_hosts,
-                                       std::uint64_t seed) {
-  if (num_hosts < 2) {
-    throw std::invalid_argument("PermutationTraffic: need >= 2 hosts");
-  }
-  perm_.resize(num_hosts);
-  std::iota(perm_.begin(), perm_.end(), 0u);
-  sim::Rng rng{seed};
-  // Fisher-Yates, then fix any fixed points by swapping with a neighbour.
-  for (std::uint32_t i = num_hosts - 1; i > 0; --i) {
-    const auto j = static_cast<std::uint32_t>(rng.uniform_int(i + 1));
-    std::swap(perm_[i], perm_[j]);
-  }
-  for (std::uint32_t i = 0; i < num_hosts; ++i) {
-    if (perm_[i] == i) {
-      const std::uint32_t j = (i + 1) % num_hosts;
-      std::swap(perm_[i], perm_[j]);
-    }
-  }
-}
-
-std::pair<net::HostId, net::HostId> PermutationTraffic::sample(
-    sim::Rng& rng) const {
-  const auto src =
-      static_cast<net::HostId>(rng.uniform_int(perm_.size()));
-  return {src, perm_[src]};
 }
 
 }  // namespace esim::workload

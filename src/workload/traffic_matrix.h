@@ -2,8 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <utility>
 
 #include "net/clos.h"
 #include "net/packet.h"
@@ -41,35 +40,6 @@ class ClusterMixTraffic final : public TrafficMatrix {
  private:
   net::ClosSpec spec_;
   double intra_fraction_;
-};
-
-/// Incast: every sampled flow goes from a random sender to one sink.
-/// Reproduces the many-to-one pattern behind the TCP minimum-window
-/// pathology the paper's §2.1 motivates.
-class IncastTraffic final : public TrafficMatrix {
- public:
-  IncastTraffic(std::uint32_t num_hosts, net::HostId sink);
-  std::pair<net::HostId, net::HostId> sample(sim::Rng& rng) const override;
-
- private:
-  std::uint32_t num_hosts_;
-  net::HostId sink_;
-};
-
-/// Fixed random permutation: host i always sends to perm[i]. Stresses
-/// ECMP with long-lived pair affinity.
-class PermutationTraffic final : public TrafficMatrix {
- public:
-  /// The permutation is derived deterministically from `seed` and has no
-  /// fixed points.
-  PermutationTraffic(std::uint32_t num_hosts, std::uint64_t seed);
-  std::pair<net::HostId, net::HostId> sample(sim::Rng& rng) const override;
-
-  /// The destination assigned to `src`.
-  net::HostId dst_of(net::HostId src) const { return perm_.at(src); }
-
- private:
-  std::vector<net::HostId> perm_;
 };
 
 }  // namespace esim::workload

@@ -13,6 +13,7 @@
 #include "ml/serialize.h"
 #include "net/link.h"
 #include "sim/simulator.h"
+#include "telemetry/fidelity.h"
 
 namespace esim {
 namespace {
@@ -154,6 +155,40 @@ TEST(ApproxCluster, RejectsForeignHostAttach) {
   Simulator host_sim;  // host object only; never run
   auto* foreign = sim.add_component<tcp::Host>("h0", 0);  // cluster 0 host
   EXPECT_THROW(cluster->attach_host(0, foreign), std::invalid_argument);
+}
+
+TEST(ApproxCluster, AdaptiveTierRequiresObservatory) {
+  Simulator sim;
+  core::ApproxCluster::Config cfg;
+  cfg.spec.clusters = 2;
+  cfg.spec.cores = 2;
+  cfg.cluster = 1;
+  cfg.tier.mode = core::ClusterTierPolicy::Mode::Adaptive;
+  approx::MicroModel::Config mcfg;
+  mcfg.hidden = 4;
+  mcfg.layers = 1;
+  const approx::MicroModel model{mcfg};
+  // The controller steps on the observatory's congestion classification,
+  // so an adaptive cluster without an enabled sink is refused.
+  telemetry::FidelitySink disabled{telemetry::FidelityConfig{}};
+  telemetry::FidelitySink* const sinks[] = {nullptr, &disabled};
+  for (telemetry::FidelitySink* sink : sinks) {
+    cfg.fidelity = sink;
+    try {
+      sim.add_component<core::ApproxCluster>("ac", cfg, model, model);
+      ADD_FAILURE() << "adaptive cluster built without an observatory";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("fidelity observatory"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  telemetry::FidelityConfig on;
+  on.enabled = true;
+  telemetry::FidelitySink sink{on};
+  cfg.fidelity = &sink;
+  EXPECT_NO_THROW(
+      sim.add_component<core::ApproxCluster>("ac", cfg, model, model));
 }
 
 TEST(ApproxCluster, BacklogDropsCountedUnderOverload) {

@@ -170,9 +170,11 @@ TEST(FidelityProbe, BandViolationOnLatencyDriftAndDropMismatch) {
   // Latency drift: model 3x the reference (ln 3 ~ 1.1 > 0.5).
   probe.record_shadow(false, 30e-6, false, 10e-6, false, 10e-6);
   probe.on_macro_window(2 * kWin, kWin);
-  // Drop disagreement on half the samples (0.5 > 0.25).
-  probe.record_shadow(true, 10e-6, false, 10e-6, false, 10e-6);
-  probe.record_shadow(false, 10e-6, false, 10e-6, false, 10e-6);
+  // Drop disagreement on half the samples (0.5 > 0.25), in a window of
+  // the ceil(1 / 0.25) = 4 samples the drop band needs to be judged.
+  for (int i = 0; i < 4; ++i) {
+    probe.record_shadow(i % 2 == 0, 10e-6, false, 10e-6, false, 10e-6);
+  }
   probe.on_macro_window(3 * kWin, kWin);
 
   const auto rows = sink.rows();
@@ -181,14 +183,53 @@ TEST(FidelityProbe, BandViolationOnLatencyDriftAndDropMismatch) {
   EXPECT_TRUE(rows[1].band_violation);
   EXPECT_NEAR(rows[1].latency_err_mean_log, std::log(3.0), 1e-9);
   EXPECT_TRUE(rows[2].band_violation);
-  EXPECT_EQ(rows[2].drop_mismatches, 1u);
+  EXPECT_EQ(rows[2].drop_mismatches, 2u);
   EXPECT_EQ(probe.band_violations_total(), 2u);
-  EXPECT_EQ(probe.shadow_samples_total(), 4u);
+  EXPECT_EQ(probe.shadow_samples_total(), 6u);
 
   // The report section flags the violating cluster.
   const Json section = sink.report_section();
   ASSERT_EQ(section.find("violating_clusters")->size(), 1u);
   EXPECT_EQ(section.find("violating_clusters")->at(0).as_uint(), 0u);
+}
+
+// A window's drop band is judged only from ceil(1 / drop_band) shadow
+// samples on (20 at the default 0.05), so one disagreement alone never
+// flags a window; smaller windows still count toward the run-level drift.
+TEST(FidelityProbe, DropBandIsJudgedOnlyOnWindowsWithEnoughSamples) {
+  const FidelityConfig cfg = enabled_config();
+  ASSERT_EQ(cfg.drop_band, 0.05);
+  FidelitySink sink{cfg};
+  constexpr std::int64_t kWin = 1'000'000;
+  const auto window = [](ClusterFidelityProbe& probe, int samples,
+                         int mismatches, std::int64_t t_ns) {
+    for (int i = 0; i < samples; ++i) {
+      probe.record_shadow(i < mismatches, 10e-6, false, 10e-6, false, 10e-6);
+    }
+    probe.on_macro_window(t_ns, kWin);
+  };
+  ClusterFidelityProbe probe{sink, 0, 1e9, nullptr};
+  window(probe, 12, 1, kWin);      // 1 of 12 (8.3%): too few to judge
+  window(probe, 40, 3, 2 * kWin);  // 3 of 40 (7.5% > 5%): flagged
+  const auto rows = sink.rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].drop_mismatches, 1u);
+  EXPECT_FALSE(rows[0].band_violation);
+  EXPECT_EQ(rows[1].drop_mismatches, 3u);
+  EXPECT_TRUE(rows[1].band_violation);
+  EXPECT_EQ(probe.band_violations_total(), 1u);
+
+  // No window of this cluster is judged, but its run-level rate, 2 of 24,
+  // is out of band.
+  ClusterFidelityProbe small{sink, 1, 1e9, nullptr};
+  window(small, 12, 1, kWin);
+  window(small, 12, 1, 2 * kWin);
+  EXPECT_EQ(small.band_violations_total(), 0u);
+  const auto sums = sink.summaries();
+  ASSERT_EQ(sums.size(), 2u);
+  EXPECT_EQ(sums[0].violation, FidelityBand::Drop);
+  EXPECT_EQ(sums[0].violation_t_ns, 2 * kWin);
+  EXPECT_EQ(sums[1].violation, FidelityBand::RunDrift);
 }
 
 // Each violating cluster's summary names the band it broke first and the
@@ -204,16 +245,24 @@ TEST(FidelitySink, ViolatingClustersNameTheBandAndTheFirstWindow) {
   ClusterFidelityProbe c0{sink, 0, 1e9, nullptr};
   ClusterFidelityProbe c1{sink, 1, 1e9, nullptr};
   ClusterFidelityProbe c2{sink, 2, 1e9, nullptr};
+  // A window's drop band is judged from ceil(1 / 0.25) = 4 samples on, so
+  // each drop violation below disagrees on 2 of 4.
   // Cluster 0: in band, then latency drift and a drop disagreement in the
   // same window (latency is named), then a drop-only violation.
   c0.record_shadow(false, 10e-6, false, 10e-6, false, 10e-6);
   c0.on_macro_window(kWin, kWin);
-  c0.record_shadow(true, 30e-6, false, 10e-6, false, 10e-6);
+  for (int i = 0; i < 4; ++i) {
+    c0.record_shadow(i % 2 == 0, 30e-6, false, 10e-6, false, 10e-6);
+  }
   c0.on_macro_window(2 * kWin, kWin);
-  c0.record_shadow(true, 10e-6, false, 10e-6, false, 10e-6);
+  for (int i = 0; i < 4; ++i) {
+    c0.record_shadow(i % 2 == 0, 10e-6, false, 10e-6, false, 10e-6);
+  }
   c0.on_macro_window(3 * kWin, kWin);
   // Cluster 1: a drop-only violation in its first window.
-  c1.record_shadow(true, 10e-6, false, 10e-6, false, 10e-6);
+  for (int i = 0; i < 4; ++i) {
+    c1.record_shadow(i % 2 == 0, 10e-6, false, 10e-6, false, 10e-6);
+  }
   c1.on_macro_window(kWin, kWin);
   c1.record_shadow(false, 30e-6, false, 10e-6, false, 10e-6);
   c1.on_macro_window(2 * kWin, kWin);

@@ -1,15 +1,16 @@
 // Tests for the adaptive multi-granularity direction (DESIGN.md §12):
 // the FluidClusterBackend's rate model and same-instant commutativity,
-// the GranularityController's hysteresis state machine, and the
-// end-to-end engine-invariance of adaptive runs.
+// the GranularityController's hysteresis state machine, every arm of the
+// ApproxCluster's tier switch against parent goldens, and the end-to-end
+// engine-invariance of adaptive runs.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <stdexcept>
 
 #include "check/diff_runner.h"
 #include "check/fuzzer.h"
+#include "core/approx_cluster.h"
 #include "core/cluster_backend.h"
 #include "core/granularity.h"
 #include "net/packet.h"
@@ -18,17 +19,12 @@
 namespace esim {
 namespace {
 
-using core::AdmitContext;
 using core::ClusterTier;
 using core::ClusterTierPolicy;
 using core::FluidClusterBackend;
 using core::GranularityController;
-using core::TierDecision;
 using sim::SimTime;
-using telemetry::ClusterFidelityProbe;
 using telemetry::CongestionState;
-using telemetry::FidelityConfig;
-using telemetry::FidelitySink;
 
 // --- FluidClusterBackend -------------------------------------------------
 
@@ -60,11 +56,9 @@ net::Packet make_packet(net::HostId src, net::HostId dst,
   return p;
 }
 
-TierDecision admit_at(FluidClusterBackend& b, const net::Packet& pkt,
-                      std::int64_t t_ns) {
-  AdmitContext ctx{pkt, SimTime::from_ns(t_ns), /*egress=*/false,
-                   /*features=*/{}, /*drop_draw=*/0.0};
-  return b.admit(ctx);
+double admit_at(FluidClusterBackend& b, const net::Packet& pkt,
+                std::int64_t t_ns) {
+  return b.admit(pkt, SimTime::from_ns(t_ns));
 }
 
 double line_rate_latency(const net::Packet& pkt, double bps) {
@@ -75,11 +69,9 @@ TEST(FluidCluster, FirstTouchFallsBackToLineRate) {
   FluidClusterBackend b{fluid_config()};
   b.on_activated(SimTime{});
   const auto pkt = make_packet(0, 1);
-  const TierDecision d = admit_at(b, pkt, 1'000);
-  EXPECT_FALSE(d.drop);
   // The flow is not in the rate model until the instant advances, so the
   // first packet serializes at line rate.
-  EXPECT_DOUBLE_EQ(d.latency_s, line_rate_latency(pkt, 10e9));
+  EXPECT_DOUBLE_EQ(admit_at(b, pkt, 1'000), line_rate_latency(pkt, 10e9));
   EXPECT_EQ(b.tracked_flows(), 1u);
 }
 
@@ -92,11 +84,8 @@ TEST(FluidCluster, LatencyTracksFairShare) {
   const auto pb = make_packet(2, 1, 200);
   admit_at(b, pa, 1'000);
   admit_at(b, pb, 1'000);
-  const TierDecision da = admit_at(b, pa, 2'000);
-  const TierDecision db = admit_at(b, pb, 2'000);
-  EXPECT_FALSE(da.drop);
-  EXPECT_NEAR(da.latency_s, line_rate_latency(pa, 5e9), 1e-12);
-  EXPECT_NEAR(db.latency_s, line_rate_latency(pb, 5e9), 1e-12);
+  EXPECT_NEAR(admit_at(b, pa, 2'000), line_rate_latency(pa, 5e9), 1e-12);
+  EXPECT_NEAR(admit_at(b, pb, 2'000), line_rate_latency(pb, 5e9), 1e-12);
   EXPECT_EQ(b.tracked_flows(), 2u);
 }
 
@@ -118,17 +107,15 @@ TEST(FluidCluster, SameInstantAdmissionsCommute) {
   admit_at(y, pa, 1'000);
   admit_at(y, pb, 1'000);
   // Tied instant, opposite pop orders.
-  const TierDecision xa = admit_at(x, pa, 2'000);
-  const TierDecision xb = admit_at(x, pb, 2'000);
-  const TierDecision yb = admit_at(y, pb, 2'000);
-  const TierDecision ya = admit_at(y, pa, 2'000);
-  EXPECT_DOUBLE_EQ(xa.latency_s, ya.latency_s);
-  EXPECT_DOUBLE_EQ(xb.latency_s, yb.latency_s);
+  const double xa = admit_at(x, pa, 2'000);
+  const double xb = admit_at(x, pb, 2'000);
+  const double yb = admit_at(y, pb, 2'000);
+  const double ya = admit_at(y, pa, 2'000);
+  EXPECT_DOUBLE_EQ(xa, ya);
+  EXPECT_DOUBLE_EQ(xb, yb);
   // The buffered mutations flush in canonical key order, so the models
   // converge: a later probe reads identical state from both.
-  const TierDecision px = admit_at(x, pa, 3'000);
-  const TierDecision py = admit_at(y, pa, 3'000);
-  EXPECT_DOUBLE_EQ(px.latency_s, py.latency_s);
+  EXPECT_DOUBLE_EQ(admit_at(x, pa, 3'000), admit_at(y, pa, 3'000));
   EXPECT_EQ(x.tracked_flows(), y.tracked_flows());
 }
 
@@ -144,9 +131,9 @@ TEST(FluidCluster, IdleFlowsAreSweptAtWindowBoundaries) {
   // Crossing the 300us boundary sweeps flows idle since before 100us:
   // B (last touch 1us) goes, A (last touch 250us) stays — and with the
   // bottleneck to itself, A is back at full line rate.
-  const TierDecision da = admit_at(b, pa, 350'000);
+  const double da = admit_at(b, pa, 350'000);
   EXPECT_EQ(b.tracked_flows(), 1u);
-  EXPECT_NEAR(da.latency_s, line_rate_latency(pa, 10e9), 1e-12);
+  EXPECT_NEAR(da, line_rate_latency(pa, 10e9), 1e-12);
 }
 
 TEST(FluidCluster, NeverDropsAndReactivationResets) {
@@ -155,7 +142,7 @@ TEST(FluidCluster, NeverDropsAndReactivationResets) {
   for (int i = 0; i < 50; ++i) {
     const auto p = make_packet(i % 4, 8 + i % 4,
                                static_cast<std::uint16_t>(100 + i));
-    EXPECT_FALSE(admit_at(b, p, 1'000 + i * 500).drop);
+    EXPECT_GT(admit_at(b, p, 1'000 + i * 500), 0.0);
   }
   EXPECT_GT(b.tracked_flows(), 0u);
   // Switching back INTO the tier later must not leak prior-period flows:
@@ -163,8 +150,7 @@ TEST(FluidCluster, NeverDropsAndReactivationResets) {
   b.on_activated(SimTime::from_us(500));
   EXPECT_EQ(b.tracked_flows(), 0u);
   const auto pkt = make_packet(0, 1);
-  const TierDecision d = admit_at(b, pkt, 501'000);
-  EXPECT_DOUBLE_EQ(d.latency_s, line_rate_latency(pkt, 10e9));
+  EXPECT_DOUBLE_EQ(admit_at(b, pkt, 501'000), line_rate_latency(pkt, 10e9));
 }
 
 // Recorded from the backend before its pending touches became a flat,
@@ -199,7 +185,7 @@ TEST(FluidCluster, AdmissionStreamMatchesParentGolden) {
     auto pkt = make_packet(src, dst, static_cast<std::uint16_t>(1000 + f));
     pkt.payload = 64 + static_cast<std::uint32_t>(rng.uniform_int(1400));
     if (i % 500 == 499) b.on_macro_window(SimTime::from_ns(t));
-    h = fold(h, std::bit_cast<std::uint64_t>(admit_at(b, pkt, t).latency_s));
+    h = fold(h, std::bit_cast<std::uint64_t>(admit_at(b, pkt, t)));
   }
   h = fold(h, b.tracked_flows());
   EXPECT_EQ(h, 0xada6165628f74938ULL) << std::hex << h;
@@ -216,64 +202,134 @@ TEST(Granularity, TargetTierFollowsCongestionState) {
             ClusterTier::Packet);
 }
 
-TEST(Granularity, ControllerRequiresProbe) {
-  ClusterTierPolicy policy;
-  policy.mode = ClusterTierPolicy::Mode::Adaptive;
-  EXPECT_THROW(GranularityController(policy, 0, nullptr, nullptr),
-               std::invalid_argument);
-}
-
 TEST(Granularity, ControllerHonorsMinDwellHysteresis) {
-  FidelityConfig cfg;
-  cfg.enabled = true;
-  cfg.sample_period = 0;  // congestion tracking only
-  cfg.ewma_alpha = 1.0;   // classification reacts within one window
-  cfg.quiescent_util = 0.02;
-  cfg.congested_util = 0.5;
-  cfg.congested_drop_rate = 0.5;
-  FidelitySink sink{cfg};
-  // capacity 1 Gbps, 1 ms windows: one window carries 125000 bytes.
-  ClusterFidelityProbe probe{sink, 0, 1e9, nullptr};
-
   ClusterTierPolicy policy;
   policy.mode = ClusterTierPolicy::Mode::Adaptive;
   policy.fixed_tier = ClusterTier::Ml;
   policy.min_dwell_windows = 3;
-  GranularityController ctl{policy, 0, &probe, nullptr};
+  GranularityController ctl{policy};
   EXPECT_EQ(ctl.tier(), ClusterTier::Ml);
 
   constexpr std::int64_t kWindowNs = 1'000'000;
   std::int64_t now = 0;
-  auto window = [&](std::uint64_t bytes) {
+  auto window = [&](CongestionState state) {
     now += kWindowNs;
-    for (std::uint64_t fed = 0; fed < bytes; fed += 1000) {
-      probe.observe_packet(1000, /*dropped=*/false);
-    }
-    probe.on_macro_window(now, kWindowNs);
-    return ctl.on_macro_window(now);
+    return ctl.step(state, now);
   };
 
-  // Quiescent (zero traffic) demands Fluid, but min-dwell holds the
-  // transition until the third window on the current tier.
-  EXPECT_EQ(window(0), std::nullopt);
-  EXPECT_EQ(window(0), std::nullopt);
-  EXPECT_EQ(window(0), ClusterTier::Fluid);
+  // Quiescent demands Fluid, but min-dwell holds the transition until the
+  // third window on the current tier.
+  EXPECT_EQ(window(CongestionState::Quiescent), std::nullopt);
+  EXPECT_EQ(window(CongestionState::Quiescent), std::nullopt);
+  EXPECT_EQ(window(CongestionState::Quiescent), ClusterTier::Fluid);
   ASSERT_EQ(ctl.transitions().size(), 1u);
   EXPECT_EQ(ctl.transitions()[0],
             (core::TierTransition{now, ClusterTier::Ml, ClusterTier::Fluid}));
 
-  // Congested (util 0.8) demands Packet; the dwell clock restarted at
-  // the transition, so again two windows of hysteresis first.
-  EXPECT_EQ(window(100'000), std::nullopt);
-  EXPECT_EQ(window(100'000), std::nullopt);
-  EXPECT_EQ(window(100'000), ClusterTier::Packet);
+  // Congested demands Packet; the dwell clock restarted at the
+  // transition, so again two windows of hysteresis first.
+  EXPECT_EQ(window(CongestionState::Congested), std::nullopt);
+  EXPECT_EQ(window(CongestionState::Congested), std::nullopt);
+  EXPECT_EQ(window(CongestionState::Congested), ClusterTier::Packet);
   EXPECT_EQ(ctl.tier(), ClusterTier::Packet);
 
   // A satisfied target never re-fires, however long the dwell.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(window(100'000), std::nullopt);
+    EXPECT_EQ(window(CongestionState::Congested), std::nullopt);
   }
   EXPECT_EQ(ctl.transitions().size(), 2u);
+}
+
+// --- one tier switch, every arm ------------------------------------------
+
+// Runs `sc` sequentially and folds what every arm of the clusters' tier
+// switch decided: the digest's lanes and counts, each cluster's Stats
+// (per-tier packet counts and transitions included), and its tier trace.
+std::uint64_t arm_fingerprint(const check::Scenario& sc) {
+  const auto fold = [](std::uint64_t h, std::uint64_t v) {
+    h = (h ^ v) * 0x100000001b3ULL;
+    return h ^ (h >> 32);
+  };
+  const SimTime end = SimTime::from_ns(sc.duration_ns);
+  std::uint64_t h = 0;
+  check::RunHooks hooks;
+  hooks.drive = [&](check::Rig& rig) {
+    check::StateDigest* digest = rig.digest;
+    for (const check::FlowSpec& f : sc.flows) {
+      tcp::Host* host = rig.net->hosts[f.src];
+      rig.parts.at(0)->schedule_at(
+          SimTime::from_ns(f.start_ns), [host, f, digest] {
+            auto* conn = host->open_flow(f.dst, f.bytes, f.flow_id);
+            const SimTime start = host->sim().now();
+            conn->on_complete = [host, f, start, digest] {
+              digest->on_flow_complete(f.flow_id, f.src, f.dst, f.bytes,
+                                       start, host->sim().now());
+            };
+          });
+    }
+    rig.run_until(end);
+    for (const core::ApproxCluster* c : rig.net->clusters) {
+      if (c == nullptr) continue;
+      const core::ApproxCluster::Stats& s = c->stats();
+      for (const std::uint64_t v :
+           {s.egress_packets, s.ingress_packets, s.intra_packets,
+            s.predicted_drops, s.conflicts_resolved, s.backlog_drops,
+            s.tier_transitions}) {
+        h = fold(h, v);
+      }
+      for (const std::uint64_t v : s.tier_packets) h = fold(h, v);
+    }
+  };
+  const check::RunOutcome r = check::run_scenario(sc, {}, end, hooks);
+  const check::Digest& d = r.digest;
+  for (const std::uint64_t v :
+       {d.order_lane, d.packet_lane, d.flow_lane, d.final_lane, d.tier_lane,
+        d.events, d.packets, d.drops, d.flows, d.transitions}) {
+    h = fold(h, v);
+  }
+  for (const auto& [cluster, trace] : r.traces) {
+    h = fold(h, cluster);
+    for (const core::TierTransition& t : trace) {
+      h = fold(h, static_cast<std::uint64_t>(t.t_ns));
+      h = fold(h, static_cast<std::uint64_t>(t.from));
+      h = fold(h, static_cast<std::uint64_t>(t.to));
+    }
+  }
+  return h;
+}
+
+// A small hybrid (intra-cluster traffic, port conflicts) pinned to
+// `tier`, with sampled drops so every admission consumes its drop draw.
+check::Scenario pinned_scenario(ClusterTier tier) {
+  check::Scenario sc = check::random_hybrid_scenario(8);
+  sc.approx->fixed_tier = tier;
+  sc.approx->sample_drops = true;
+  return sc;
+}
+
+// Goldens recorded before the tiers became arms of one switch in
+// ApproxCluster::handle_packet: each arm decides, delivers and counts
+// every packet bit-identically.
+TEST(TierSwitch, PacketArmMatchesParentGolden) {
+  const std::uint64_t h = arm_fingerprint(pinned_scenario(ClusterTier::Packet));
+  EXPECT_EQ(h, 0x9f9c73c42af7eebeULL) << std::hex << h;
+}
+
+TEST(TierSwitch, MlArmMatchesParentGolden) {
+  const std::uint64_t h = arm_fingerprint(pinned_scenario(ClusterTier::Ml));
+  EXPECT_EQ(h, 0xaf3ccf3925a6bedcULL) << std::hex << h;
+}
+
+TEST(TierSwitch, FluidArmMatchesParentGolden) {
+  const std::uint64_t h = arm_fingerprint(pinned_scenario(ClusterTier::Fluid));
+  EXPECT_EQ(h, 0x8deb0976b9838868ULL) << std::hex << h;
+}
+
+// Adaptive: all three arms, backlog drops, and 18 transitions.
+TEST(TierSwitch, AdaptiveRunMatchesParentGolden) {
+  const std::uint64_t h =
+      arm_fingerprint(check::random_granularity_scenario(4));
+  EXPECT_EQ(h, 0xecd0ad246eb14924ULL) << std::hex << h;
 }
 
 // --- end-to-end adaptive runs --------------------------------------------

@@ -182,14 +182,6 @@ TEST(Partitioner, RoundRobinMatchesLegacyRackModulo) {
   }
 }
 
-TEST(Partitioner, SummaryMentionsPolicyAndCut) {
-  const auto plan =
-      make_partition_plan(fat_tree_spec(), 4, PlacementPolicy::graph_cut);
-  const auto text = plan.summary();
-  EXPECT_NE(text.find("graph_cut"), std::string::npos);
-  EXPECT_NE(text.find("links cross"), std::string::npos);
-}
-
 TEST(AssignBalanced, BalancesWeightsDeterministically) {
   const std::vector<std::uint64_t> weights{8, 1, 1, 1, 1, 4};
   const auto a = assign_balanced(weights, 2);

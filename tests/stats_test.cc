@@ -46,32 +46,6 @@ TEST(Summary, SingleValue) {
   EXPECT_EQ(s.max(), 3.5);
 }
 
-TEST(Summary, MergeMatchesSequential) {
-  Rng rng{4};
-  Summary all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  Summary a, b;
-  a.add(1.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(Summary, ResetClears) {
   Summary s;
   s.add(5.0);
@@ -280,7 +254,10 @@ TEST(Distance, SelfDistanceIsExactlyZero) {
   // what makes "distance == 0" a usable equivalence check elsewhere.
   Rng rng{55};
   EmpiricalCdf a;
-  for (int i = 0; i < 1000; ++i) a.add(rng.pareto(1.0, 1.3));
+  // Heavy-tailed samples: Pareto(scale 1, shape 1.3) by inversion.
+  for (int i = 0; i < 1000; ++i) {
+    a.add(1.0 / std::pow(rng.uniform(), 1.0 / 1.3));
+  }
   EXPECT_EQ(ks_distance(a, a), 0.0);
   EXPECT_EQ(wasserstein_distance(a, a), 0.0);
 }

@@ -20,39 +20,6 @@ TEST(FixedFlowSize, AlwaysSame) {
   EXPECT_THROW(FixedFlowSize{0}, std::invalid_argument);
 }
 
-TEST(UniformFlowSize, BoundsAndMean) {
-  Rng rng{2};
-  UniformFlowSize d{100, 200};
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const auto s = d.sample(rng);
-    EXPECT_GE(s, 100u);
-    EXPECT_LE(s, 200u);
-    sum += static_cast<double>(s);
-  }
-  EXPECT_NEAR(sum / n, 150.0, 2.0);
-  EXPECT_DOUBLE_EQ(d.mean(), 150.0);
-  EXPECT_THROW(UniformFlowSize(200, 100), std::invalid_argument);
-}
-
-TEST(ParetoFlowSize, BoundedAndHeavyTailed) {
-  Rng rng{3};
-  ParetoFlowSize d{1000, 1'000'000, 1.2};
-  double sum = 0;
-  std::uint64_t maxv = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const auto s = d.sample(rng);
-    EXPECT_GE(s, 1000u);
-    EXPECT_LE(s, 1'000'000u);
-    sum += static_cast<double>(s);
-    maxv = std::max(maxv, s);
-  }
-  EXPECT_GT(maxv, 100'000u);            // tail reached
-  EXPECT_NEAR(sum / n, d.mean(), d.mean() * 0.1);
-}
-
 TEST(EmpiricalFlowSize, ValidatesKnots) {
   using Knots = std::vector<std::pair<std::uint64_t, double>>;
   EXPECT_THROW((EmpiricalFlowSize{Knots{{100, 1.0}}}), std::invalid_argument);
@@ -148,44 +115,6 @@ TEST(ClusterMixTraffic, Validation) {
   EXPECT_THROW((ClusterMixTraffic{one, 0.5}), std::invalid_argument);
   EXPECT_THROW((ClusterMixTraffic{small_spec(), 1.5}),
                std::invalid_argument);
-}
-
-TEST(IncastTraffic, AllFlowsTargetSink) {
-  Rng rng{8};
-  IncastTraffic m{16, 5};
-  for (int i = 0; i < 1000; ++i) {
-    const auto [s, d] = m.sample(rng);
-    EXPECT_EQ(d, 5u);
-    EXPECT_NE(s, 5u);
-    EXPECT_LT(s, 16u);
-  }
-  EXPECT_THROW((IncastTraffic{16, 16}), std::invalid_argument);
-}
-
-TEST(PermutationTraffic, IsFixedPointFreePermutation) {
-  PermutationTraffic m{32, 99};
-  std::set<net::HostId> dsts;
-  for (net::HostId s = 0; s < 32; ++s) {
-    const auto d = m.dst_of(s);
-    EXPECT_NE(d, s);
-    dsts.insert(d);
-  }
-  EXPECT_EQ(dsts.size(), 32u);  // bijection
-  Rng rng{1};
-  for (int i = 0; i < 100; ++i) {
-    const auto [s, d] = m.sample(rng);
-    EXPECT_EQ(d, m.dst_of(s));
-  }
-}
-
-TEST(PermutationTraffic, DeterministicBySeed) {
-  PermutationTraffic a{16, 5}, b{16, 5}, c{16, 6};
-  int diff = 0;
-  for (net::HostId s = 0; s < 16; ++s) {
-    EXPECT_EQ(a.dst_of(s), b.dst_of(s));
-    if (a.dst_of(s) != c.dst_of(s)) ++diff;
-  }
-  EXPECT_GT(diff, 4);
 }
 
 }  // namespace
