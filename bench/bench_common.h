@@ -7,9 +7,11 @@
 // the shapes are the reproduction target (see EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace esim::bench {
 
@@ -30,6 +32,22 @@ inline void print_header(const std::string& figure,
 
 inline void print_note(const std::string& note) {
   std::printf("NOTE: %s\n", note.c_str());
+}
+
+struct Quartiles {
+  double q1 = 0, median = 0, q3 = 0;
+};
+
+/// Linearly interpolated quartiles of `v` (non-empty).
+inline Quartiles quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
 }  // namespace esim::bench

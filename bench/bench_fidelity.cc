@@ -20,7 +20,6 @@
 // overhead is taken per repetition against the same repetition's off
 // run; its median and quartiles decide the bar, which is `unresolved`
 // while the quartiles straddle it.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -111,22 +110,6 @@ Run run_once(const check::Scenario& sc, std::uint32_t partitions,
   return run;
 }
 
-struct Quartiles {
-  double q1 = 0, median = 0, q3 = 0;
-};
-
-/// Linearly interpolated quartiles of `v` (non-empty).
-Quartiles quartiles(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const auto at = [&v](double q) {
-    const double pos = q * static_cast<double>(v.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
-  };
-  return {at(0.25), at(0.5), at(0.75)};
-}
-
 }  // namespace
 
 int main() {
@@ -173,8 +156,8 @@ int main() {
         const double off = runs[0][r].events_per_sec;
         overhead.push_back((off - runs[i][r].events_per_sec) / off);
       }
-      const Quartiles e = quartiles(eps);
-      const Quartiles o = quartiles(overhead);
+      const bench::Quartiles e = bench::quartiles(eps);
+      const bench::Quartiles o = bench::quartiles(overhead);
       const std::string sampling =
           periods[i] == 0 ? "off" : "1/" + std::to_string(periods[i]);
       const char* verdict = periods[i] == 0       ? ""

@@ -1,9 +1,16 @@
 // PDES scale-out: events/s and sync-wait fraction vs partition count on a
-// synthetic multi-cluster fat-tree, comparing the pre-existing engine
-// configuration (global YAWNS window + rack-round-robin placement) against
-// the scale-out path (per-pair lookahead windows + graph-cut placement).
-// Both paths send cross-partition messages through the same plain
-// per-pair mailboxes, which the round barrier alone keeps safe.
+// synthetic multi-cluster fat-tree, in three engine configurations:
+//   baseline         — global YAWNS window + rack-round-robin placement
+//                      (the pre-existing path);
+//   global_graph_cut — global window on graph-cut placement;
+//   scale_out        — per-pair lookahead windows + graph-cut placement.
+// scale_out/baseline is the whole scale-out change; scale_out over
+// global_graph_cut compares the window modes on one placement. Each
+// partition's generator draws the flows of its own hosts, so the two
+// placements run different flow populations and only the two graph-cut
+// configurations run identical events. Every configuration sends
+// cross-partition messages through the same plain per-pair mailboxes,
+// which the round barrier alone keeps safe.
 //
 // The topology gives the partitioner something to exploit: intra-cluster
 // links are short (1us) while agg<->core runs are long (8us). Round-robin
@@ -14,11 +21,15 @@
 // engine — `esim_diffcheck fuzz` gates exactly this engine/builder path.
 //
 // All runs leave the modeled MPI overhead at zero, so events/s measures
-// engine work, not a modeled stall. On a single-core
-// host the speedup comes from fewer barrier rounds and cheaper drains, not
-// thread parallelism; sync-wait fraction (barrier wall time summed over
-// workers / (P * wall)) shows where the remaining time goes.
+// engine work, not a modeled stall; sync-wait fraction (barrier wall time
+// summed over workers / (P * wall)) shows where the remaining time goes.
+// Each point runs every configuration once per repetition, starting the
+// rotation one configuration later each repetition so host noise hits
+// all three alike, and reports the median and quartiles of events/s and
+// of the per-repetition ratios. ESIM_BENCH_QUICK=1 runs one repetition
+// of a shorter horizon (the sanitizer smoke).
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -59,6 +70,22 @@ NetworkConfig fat_tree(std::uint32_t clusters) {
   return cfg;
 }
 
+struct Setup {
+  const char* name;
+  ParallelEngine::WindowMode window;
+  PlacementPolicy placement;
+};
+
+constexpr std::array<Setup, 3> kSetups = {{
+    {"baseline", ParallelEngine::WindowMode::global,
+     PlacementPolicy::round_robin},
+    {"global_graph_cut", ParallelEngine::WindowMode::global,
+     PlacementPolicy::graph_cut},
+    {"scale_out", ParallelEngine::WindowMode::per_pair,
+     PlacementPolicy::graph_cut},
+}};
+constexpr std::size_t kBaseline = 0, kGlobalGraphCut = 1, kScaleOut = 2;
+
 struct Point {
   double events_per_sec = 0;
   double sync_wait_fraction = 0;
@@ -69,18 +96,16 @@ struct Point {
 };
 
 Point run_point(std::uint32_t partitions, std::uint32_t clusters,
-                bool scale_out, double load, SimTime duration) {
+                const Setup& setup, double load, SimTime duration) {
   ParallelEngine::Config ecfg;
   ecfg.num_partitions = partitions;
   ecfg.lookahead = SimTime::from_us(1);
   ecfg.seed = 17;
-  ecfg.window_mode = scale_out ? ParallelEngine::WindowMode::per_pair
-                               : ParallelEngine::WindowMode::global;
+  ecfg.window_mode = setup.window;
   ParallelEngine engine{ecfg};
 
-  auto built = core::build_clos_partitioned(
-      engine, fat_tree(clusters),
-      scale_out ? PlacementPolicy::graph_cut : PlacementPolicy::round_robin);
+  auto built = core::build_clos_partitioned(engine, fat_tree(clusters),
+                                            setup.placement);
 
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{built.net.spec.total_hosts()};
@@ -115,17 +140,36 @@ Point run_point(std::uint32_t partitions, std::uint32_t clusters,
   return pt;
 }
 
+/// Per-repetition ratios of two configurations' events/s.
+std::vector<double> ratios(const std::vector<Point>& num,
+                           const std::vector<Point>& den) {
+  std::vector<double> out;
+  for (std::size_t r = 0; r < num.size(); ++r) {
+    out.push_back(den[r].events_per_sec > 0
+                      ? num[r].events_per_sec / den[r].events_per_sec
+                      : 0);
+  }
+  return out;
+}
+
+void report_quartiles(telemetry::RunReport& report, const std::string& key,
+                      const bench::Quartiles& q) {
+  report.set(key, q.median);
+  report.set(key + "_q1", q.q1);
+  report.set(key + "_q3", q.q3);
+}
+
 }  // namespace
 
 int main() {
   bench::print_header(
       "PDES scale-out",
-      "events/s vs partitions: global+round-robin baseline vs "
-      "per-pair+graph-cut");
+      "events/s vs partitions: global+round-robin baseline, global on "
+      "graph-cut, per-pair+graph-cut");
 
   const double load = 0.025;
   const double duration_ms = bench::quick_mode() ? 0.25 : 1.0;
-  const int reps = bench::quick_mode() ? 1 : 2;
+  const int reps = bench::quick_mode() ? 1 : 10;
   const auto duration = SimTime::from_seconds_f(duration_ms / 1e3);
   std::vector<std::uint32_t> partition_counts{1, 2, 4, 8, 16, 32, 64};
   if (bench::quick_mode()) partition_counts = {1, 2, 4, 8};
@@ -134,53 +178,59 @@ int main() {
   report.set("bench", "pdes_scaling");
   report.set("load", load);
   report.set("duration_ms", duration_ms);
+  report.set("repetitions", static_cast<std::uint64_t>(reps));
   report.set("topology",
              "clos cmax(8,P) t8 a4 h2 cores4, core links 8us (weak scaling)");
 
-  std::printf("%-6s %-28s %-28s %-8s\n", "P",
-              "baseline ev/s (sync%, rounds)",
-              "scale-out ev/s (sync%, rounds)", "speedup");
-  // Best-of-N per configuration: on a shared host a single rep can eat an
-  // unlucky scheduling quantum; the fastest rep is the least-disturbed
-  // measurement of the engine itself.
-  auto best_point = [&](std::uint32_t P, std::uint32_t clusters,
-                        bool scale_out) {
-    Point best = run_point(P, clusters, scale_out, load, duration);
-    for (int r = 1; r < reps; ++r) {
-      const Point pt = run_point(P, clusters, scale_out, load, duration);
-      if (pt.events_per_sec > best.events_per_sec) best = pt;
-    }
-    return best;
-  };
-
+  std::printf("%-4s %-17s %28s %7s %8s\n", "P", "configuration",
+              "M events/s: q1 median q3", "sync%", "rounds");
   for (const auto P : partition_counts) {
     const std::uint32_t clusters = std::max<std::uint32_t>(8, P);
-    const auto base = best_point(P, clusters, /*scale_out=*/false);
-    const auto fast = best_point(P, clusters, /*scale_out=*/true);
-    const double speedup = base.events_per_sec > 0
-                               ? fast.events_per_sec / base.events_per_sec
-                               : 0;
-    std::printf("%-6u %-10.4g (%4.1f%%, %7llu) %-10.4g (%4.1f%%, %7llu) %-8.3g\n",
-                P, base.events_per_sec, 100 * base.sync_wait_fraction,
-                static_cast<unsigned long long>(base.rounds),
-                fast.events_per_sec, 100 * fast.sync_wait_fraction,
-                static_cast<unsigned long long>(fast.rounds), speedup);
-    std::fflush(stdout);
+    // runs[c][r]: configuration c, repetition r.
+    std::array<std::vector<Point>, kSetups.size()> runs;
+    for (int r = 0; r < reps; ++r) {
+      for (std::size_t k = 0; k < kSetups.size(); ++k) {
+        const std::size_t c =
+            (k + static_cast<std::size_t>(r)) % kSetups.size();
+        runs[c].push_back(run_point(P, clusters, kSetups[c], load, duration));
+      }
+    }
 
     const std::string row = "p" + std::to_string(P);
-    report.set(row + ".baseline.events_per_sec", base.events_per_sec);
-    report.set(row + ".baseline.sync_wait_fraction", base.sync_wait_fraction);
-    report.set(row + ".baseline.sync_rounds", base.rounds);
-    report.set(row + ".baseline.cross_messages", base.cross_messages);
-    report.set(row + ".baseline.cut_links", base.cut_links);
-    report.set(row + ".baseline.events", base.events);
-    report.set(row + ".scale_out.events_per_sec", fast.events_per_sec);
-    report.set(row + ".scale_out.sync_wait_fraction", fast.sync_wait_fraction);
-    report.set(row + ".scale_out.sync_rounds", fast.rounds);
-    report.set(row + ".scale_out.cross_messages", fast.cross_messages);
-    report.set(row + ".scale_out.cut_links", fast.cut_links);
-    report.set(row + ".scale_out.events", fast.events);
-    report.set(row + ".speedup", speedup);
+    for (std::size_t c = 0; c < kSetups.size(); ++c) {
+      std::vector<double> eps, sync;
+      for (const Point& pt : runs[c]) {
+        eps.push_back(pt.events_per_sec);
+        sync.push_back(pt.sync_wait_fraction);
+      }
+      const bench::Quartiles e = bench::quartiles(eps);
+      const double sync_median = bench::quartiles(sync).median;
+      // Events, rounds, messages and cuts are the same in every
+      // repetition of a configuration; the last one reports them.
+      const Point& last = runs[c].back();
+      std::printf("%-4u %-17s %8.3f %8.3f %8.3f %6.1f%% %8llu\n", P,
+                  kSetups[c].name, e.q1 / 1e6, e.median / 1e6, e.q3 / 1e6,
+                  100 * sync_median,
+                  static_cast<unsigned long long>(last.rounds));
+      const std::string key = row + "." + kSetups[c].name;
+      report_quartiles(report, key + ".events_per_sec", e);
+      report.set(key + ".sync_wait_fraction", sync_median);
+      report.set(key + ".sync_rounds", last.rounds);
+      report.set(key + ".cross_messages", last.cross_messages);
+      report.set(key + ".cut_links", last.cut_links);
+      report.set(key + ".events", last.events);
+    }
+    const bench::Quartiles speedup =
+        bench::quartiles(ratios(runs[kScaleOut], runs[kBaseline]));
+    const bench::Quartiles window =
+        bench::quartiles(ratios(runs[kScaleOut], runs[kGlobalGraphCut]));
+    std::printf("%-4s scale_out/baseline %.3g [%.3g-%.3g]; per_pair/global "
+                "on graph-cut %.3g [%.3g-%.3g]\n",
+                "", speedup.median, speedup.q1, speedup.q3, window.median,
+                window.q1, window.q3);
+    std::fflush(stdout);
+    report_quartiles(report, row + ".speedup", speedup);
+    report_quartiles(report, row + ".per_pair_vs_global", window);
   }
 
   const std::string report_path = "BENCH_pdes_scaling.json";
@@ -190,14 +240,14 @@ int main() {
 
   bench::print_note(
       "baseline = the pre-existing engine path (global YAWNS window, "
-      "rack-round-robin placement); scale-out = per-pair lookahead windows "
-      "+ graph-cut placement. Both send cross-partition messages through "
-      "per-pair mailboxes and are digest-identical to the sequential "
-      "engine (esim_diffcheck).");
+      "rack-round-robin placement); scale_out = per-pair lookahead windows "
+      "+ graph-cut placement; global_graph_cut isolates the window mode. "
+      "All send cross-partition messages through per-pair mailboxes and "
+      "are digest-identical to the sequential engine (esim_diffcheck).");
   bench::print_note(
-      "expected shape: baseline rounds grow with P while windows stay "
-      "pinned at the 1us global lookahead; scale-out windows follow the "
-      "8us inter-cluster links, so rounds (and events/s) hold up as P "
-      "grows. sync% is barrier wall time / (P * wall).");
+      "ratios are per repetition (median [q1-q3]); speedup = scale_out / "
+      "baseline, per_pair/global = scale_out / global_graph_cut. sync% is "
+      "the median of barrier wall time / (P * wall). At P above the host's "
+      "core count the partitions' threads share cores.");
   return 0;
 }

@@ -1,7 +1,12 @@
 // Microbenchmarks of the kernels underneath every experiment: event queue
-// operations, RNG, ECMP hashing, link+switch forwarding, LSTM inference,
-// and feature extraction. google-benchmark based.
+// operations (bulk schedule/pop and timer churn), RNG, ECMP hashing,
+// link+switch forwarding, LSTM inference, and feature extraction.
+// google-benchmark based: --benchmark_repetitions=N reports each kernel's
+// median, mean, stddev and cv over N runs.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "approx/features.h"
 #include "approx/micro_model.h"
@@ -31,6 +36,34 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(65536);
+
+// TCP retransmission-timer churn: every segment arms a timer that its ACK
+// cancels before it fires. Each iteration arms 1024 timers 10-15 us
+// ahead, cancels 7 of every 8 and pops the rest.
+void BM_EventQueueCancelHeavy(benchmark::State& state) {
+  constexpr std::size_t kTimers = 1024;
+  sim::EventQueue q;
+  sim::Rng rng{1};
+  std::vector<sim::EventHandle> timers;
+  timers.reserve(kTimers);
+  std::int64_t now = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      timers.push_back(q.schedule(
+          sim::SimTime::from_ns(
+              now + 10'000 + static_cast<std::int64_t>(rng.uniform_int(5'000))),
+          [] {}));
+    }
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      if (i % 8 != 7) q.cancel(timers[i]);
+    }
+    timers.clear();
+    while (auto e = q.pop()) now = e->time.ns();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTimers));
+}
+BENCHMARK(BM_EventQueueCancelHeavy);
 
 void BM_SimulatorEventDispatch(benchmark::State& state) {
   for (auto _ : state) {
@@ -112,7 +145,7 @@ void BM_LstmInferenceStep(benchmark::State& state) {
 BENCHMARK(BM_LstmInferenceStep)->Arg(16)->Arg(32)->Arg(128);
 
 // The naive Tensor step() path, kept as the baseline the session is
-// measured against (see bench_inference for the packets/s comparison).
+// measured against (EXPERIMENTS.md quotes both at hidden 16, 32 and 128).
 void BM_LstmInferenceReference(benchmark::State& state) {
   approx::MicroModel::Config cfg;
   cfg.hidden = static_cast<std::size_t>(state.range(0));

@@ -79,13 +79,6 @@ done
 echo "=== default — esim_diffcheck corpus fingerprints ==="
 scripts/fingerprints.sh build
 
-# The inference bench doubles as a sanitizer workout for the packed
-# SIMD kernels and the workspace plan. `--batch` runs only the
-# sequence-mode predict_batch sweep at N in {1,4,16,64} (bit-identity
-# checked against per-packet predict(), exit 1 on mismatch).
-echo "=== asan-ubsan — bench_inference --batch smoke ==="
-(cd build-asan && ./bench/bench_inference --batch)
-
 # Quick sweep of the PDES scaling bench under ASan/UBSan: drives the
 # partitioner, per-pair windows, and mailboxes at 1..8 partitions with
 # real TCP traffic.
@@ -121,12 +114,26 @@ echo "=== asan-ubsan — esim_diffcheck granularity smoke ==="
 echo "=== asan-ubsan — esim_diffcheck memo smoke ==="
 (cd build-asan && ./tools/esim_diffcheck memo --n 10 --seed 7 --partitions 2,4)
 
-# Memo bench smoke: the aggregate fast-forward speedup path plus the
-# digest-attached replay path end to end under ASan, and the scaling
-# gate (exit 1 when 10x the phases costs over 2x per phase — a
-# per-boundary cost that grows with the run).
-echo "=== asan-ubsan — bench_memo smoke ==="
-(cd build-asan && ESIM_BENCH_QUICK=1 ./bench/bench_memo)
+# The benchmark's smoke under the sanitizers: every workload, shrunk,
+# through the benchmark's correctness gate, as benchmark/run.sh --smoke
+# runs it — the full and hybrid Clos builds, training and the packed
+# inference kernels, the adaptive tiers under two-partition PDES, and
+# memo's record and fast-forward paths over 200 allreduce phases. A
+# UBSan report fails the run too.
+echo "=== asan-ubsan — benchmark smoke ==="
+cmake -S benchmark -B build-asan/benchmark -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer"
+cmake --build build-asan/benchmark "${jobs}"
+workloads=(clos8_full clos8_hybrid_ml clos8_adaptive_pdes2 allreduce_memo)
+for workload in "${workloads[@]}"; do
+  echo "--- ${workload} ---"
+  bench_out="$(mktemp -d)"
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    build-asan/benchmark/esim_benchmark run --workload "${workload}" \
+    --seed 5 --trace 0 --spec BENCHMARK.json --out "${bench_out}" \
+    --reps 2 --smoke
+  rm -rf "${bench_out}"
+done
 
 # Granularity bench smoke: trains tiny boundary models, runs the
 # all-packet reference plus fixed/adaptive tier variants and the

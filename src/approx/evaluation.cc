@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace esim::approx {
@@ -48,33 +49,44 @@ std::pair<Dataset, Dataset> split_dataset(const Dataset& dataset,
   return {std::move(train), std::move(test)};
 }
 
+RowScore score_row(const MicroModel& model, const Dataset& data,
+                   std::size_t row, const MicroModel::Prediction& prediction) {
+  RowScore r;
+  r.was_drop = data.drop_targets[row] > 0.5;
+  r.said_drop = prediction.drop_probability > 0.5;
+  if (!r.was_drop) {
+    const double target =
+        (data.latency_log_us[row] - data.mean_log_us) / data.std_log_us;
+    r.latency_error =
+        model.normalize_latency(prediction.latency_seconds) - target;
+  }
+  return r;
+}
+
 EvalMetrics evaluate_micro_model(MicroModel& model, const Dataset& test) {
   EvalMetrics m;
   m.rows = test.size();
   if (test.size() == 0) return m;
 
   model.reset_state();
-  std::vector<double> drop_scores(test.size());
+  // (drop probability, was dropped) per row, for the AUC.
+  std::vector<std::pair<double, bool>> scored;
+  scored.reserve(test.size());
   std::vector<double> lat_errors;
   std::size_t tp = 0, fp = 0, fn = 0, correct = 0, drops = 0;
   double bias = 0;
   for (std::size_t i = 0; i < test.size(); ++i) {
     const auto pred = model.predict(test.features[i]);
-    drop_scores[i] = pred.drop_probability;
-    const bool was_drop = test.drop_targets[i] > 0.5;
-    const bool said_drop = pred.drop_probability > 0.5;
-    drops += was_drop ? 1 : 0;
-    if (said_drop == was_drop) ++correct;
-    if (said_drop && was_drop) ++tp;
-    if (said_drop && !was_drop) ++fp;
-    if (!said_drop && was_drop) ++fn;
-    if (!was_drop) {
-      const double target =
-          (test.latency_log_us[i] - test.mean_log_us) / test.std_log_us;
-      const double err =
-          model.normalize_latency(pred.latency_seconds) - target;
-      lat_errors.push_back(std::abs(err));
-      bias += err;
+    const RowScore r = score_row(model, test, i, pred);
+    scored.emplace_back(pred.drop_probability, r.was_drop);
+    drops += r.was_drop ? 1 : 0;
+    if (r.said_drop == r.was_drop) ++correct;
+    if (r.said_drop && r.was_drop) ++tp;
+    if (r.said_drop && !r.was_drop) ++fp;
+    if (!r.said_drop && r.was_drop) ++fn;
+    if (!r.was_drop) {
+      lat_errors.push_back(std::abs(r.latency_error));
+      bias += r.latency_error;
     }
   }
   model.reset_state();
@@ -91,31 +103,25 @@ EvalMetrics evaluate_micro_model(MicroModel& model, const Dataset& test) {
                    : static_cast<double>(tp) / static_cast<double>(tp + fn);
 
   // AUC via the Mann-Whitney U statistic: probability a random dropped
-  // packet scores above a random delivered one (ties count half).
+  // packet scores above a random delivered one (ties count half). Rows
+  // tied on score share the average of the 1-based ranks they span, a
+  // multiple of 0.5, so the drops' rank sum is exact in any order.
   const std::size_t pos = drops, neg = test.size() - drops;
   if (pos > 0 && neg > 0) {
-    std::vector<std::size_t> order(test.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return drop_scores[a] < drop_scores[b];
-    });
-    // Average ranks with tie handling.
-    std::vector<double> rank(test.size());
+    std::sort(scored.begin(), scored.end());
+    double rank_sum_pos = 0;
     std::size_t i = 0;
-    while (i < order.size()) {
+    while (i < scored.size()) {
       std::size_t j = i;
-      while (j + 1 < order.size() &&
-             drop_scores[order[j + 1]] == drop_scores[order[i]]) {
+      while (j + 1 < scored.size() && scored[j + 1].first == scored[i].first) {
         ++j;
       }
       const double avg_rank = (static_cast<double>(i) +
                                static_cast<double>(j)) / 2.0 + 1.0;
-      for (std::size_t k = i; k <= j; ++k) rank[order[k]] = avg_rank;
+      for (std::size_t k = i; k <= j; ++k) {
+        if (scored[k].second) rank_sum_pos += avg_rank;
+      }
       i = j + 1;
-    }
-    double rank_sum_pos = 0;
-    for (std::size_t k = 0; k < test.size(); ++k) {
-      if (test.drop_targets[k] > 0.5) rank_sum_pos += rank[k];
     }
     const double u = rank_sum_pos -
                      static_cast<double>(pos) *

@@ -33,6 +33,20 @@ struct EvalMetrics {
   std::size_t rows = 0;
 };
 
+/// One streamed prediction scored against its dataset row: the per-row
+/// rule of both the trainer's closing sweep and evaluate_micro_model.
+struct RowScore {
+  bool was_drop = false;
+  bool said_drop = false;  ///< drop probability above 0.5
+  /// Delivered rows only: predicted minus target latency, in the
+  /// normalized log space the latency head is trained in.
+  double latency_error = 0.0;
+};
+
+/// Scores `prediction` of `model` against row `row` of `data`.
+RowScore score_row(const MicroModel& model, const Dataset& data,
+                   std::size_t row, const MicroModel::Prediction& prediction);
+
 /// Splits rows chronologically: the first `train_fraction` become the
 /// training set, the rest the test set. Normalization statistics are
 /// recomputed for each split from its own delivered rows.

@@ -84,9 +84,10 @@ class MicroModel : public ml::Module {
   void reserve_batch(std::size_t max_n);
 
   /// The naive Tensor step() path, kept as the reference implementation
-  /// for the bit-identity contract (and the baseline of
-  /// bench/bench_inference). Streams its own hidden state, separate from
-  /// the session's.
+  /// for the bit-identity contract, the fidelity observatory's second
+  /// opinion and the baseline of bench/micro_kernel's
+  /// BM_LstmInferenceReference. Streams its own hidden state, separate
+  /// from the session's.
   Prediction predict_reference(std::span<const double> features);
   Prediction predict_reference(const PacketFeatures& features) {
     return predict_reference(std::span<const double>{features.v});

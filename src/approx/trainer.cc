@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "approx/evaluation.h"
 #include "ml/loss.h"
 #include "ml/optimizer.h"
 #include "sim/random.h"
@@ -118,21 +119,17 @@ TrainReport train_micro_model(MicroModel& model, const Dataset& dataset,
   // wrote through the training tensors behind the compiled copy).
   model.recompile();
 
-  // Evaluation sweep: streaming predictions over the dataset.
+  // Evaluation sweep: streaming predictions over the dataset, scored by
+  // evaluate_micro_model's per-row rule and summed in the same order.
   model.reset_state();
   std::size_t correct = 0, delivered = 0;
   double mae = 0.0;
   for (std::size_t i = 0; i < N; ++i) {
-    const auto pred = model.predict(dataset.features[i]);
-    const bool predicted_drop = pred.drop_probability > 0.5;
-    const bool was_drop = dataset.drop_targets[i] > 0.5;
-    if (predicted_drop == was_drop) ++correct;
-    if (!was_drop) {
-      const double target_norm =
-          (dataset.latency_log_us[i] - dataset.mean_log_us) /
-          dataset.std_log_us;
-      mae += std::abs(model.normalize_latency(pred.latency_seconds) -
-                      target_norm);
+    const RowScore r =
+        score_row(model, dataset, i, model.predict(dataset.features[i]));
+    if (r.said_drop == r.was_drop) ++correct;
+    if (!r.was_drop) {
+      mae += std::abs(r.latency_error);
       ++delivered;
     }
   }

@@ -267,9 +267,7 @@ approx::MicroModel::Prediction ApproxCluster::infer(
   const bool timed = m_inferences_ != nullptr;
   const auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
-  const approx::MicroModel::Prediction prediction =
-      config_.reference_inference ? model.predict_reference(features)
-                                  : model.predict(features);
+  const approx::MicroModel::Prediction prediction = model.predict(features);
   if (timed) {
     m_inferences_->inc();
     // Wall-clock inference cost; virtual time is unaffected.
@@ -284,18 +282,16 @@ approx::MicroModel::Prediction ApproxCluster::infer(
 void ApproxCluster::shadow_evaluate(const Admission& p,
                                     std::span<const double> features,
                                     double model_latency, bool model_drop) {
-  // Reference second opinion: whichever inference path production does
-  // NOT use. Its recurrent state is disjoint from the production path's
-  // (session vs ref_state_, DESIGN.md §6), so advancing it here is
-  // invisible to the simulation. The reference hidden state only sees
+  // Reference second opinion: the naive Tensor path, which production
+  // does not use. Its recurrent state (ref_state_, DESIGN.md §6) is
+  // disjoint from the session's, so advancing it here is invisible to
+  // the simulation. The reference hidden state only sees
   // the shadow-sampled feature subsequence — this is a drift *indicator*
   // fed the same per-packet features, not a replay of a full reference
   // run. Drop decisions reuse the packet's pre-drawn uniform (common
   // random numbers): disagreement measures the models, not the coin.
   approx::MicroModel& model = p.egress ? egress_model_ : ingress_model_;
-  const approx::MicroModel::Prediction ref =
-      config_.reference_inference ? model.predict(features)
-                                  : model.predict_reference(features);
+  const approx::MicroModel::Prediction ref = model.predict_reference(features);
   const double ref_latency =
       std::max(ref.latency_seconds, config_.min_latency_s);
   const bool ref_drop = decide_drop(ref.drop_probability, p.drop_draw);

@@ -63,11 +63,6 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     /// packet is dropped instead (the virtual analogue of the real
     /// port's drop-tail queue; default = 150 KB at 10 Gbps).
     sim::SimTime max_port_backlog = sim::SimTime::from_us(120);
-    /// Route predictions through the naive Tensor reference path instead
-    /// of the fused InferenceSession. A/B hook for bench_inference and
-    /// the bit-identity contract (the two paths produce identical
-    /// predictions); production keeps the session.
-    bool reference_inference = false;
     /// Macro classifier parameters.
     approx::MacroClassifier::Config macro;
     /// Fidelity-tier policy (DESIGN.md §12). Fixed/Ml (the default) is
@@ -172,13 +167,13 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
                ? trace.back().from
                : controller_.tier();
   }
-  /// The Ml arm's prediction: the session, or the reference path under
-  /// Config::reference_inference; timed when telemetry is on.
+  /// The Ml arm's prediction through the model's InferenceSession; timed
+  /// when telemetry is on.
   approx::MicroModel::Prediction infer(bool egress,
                                        std::span<const double> features);
   bool decide_drop(double probability, double draw) const;
-  /// Shadow comparison for one sampled Ml-tier packet: reference
-  /// inference on the path production does NOT use, plus the
+  /// Shadow comparison for one sampled Ml-tier packet: the model's
+  /// naive reference path (predict_reference), plus the
   /// queue-model ground truth peeked (read-only) from the destination
   /// port. Runs before the production delivery reserves the port and
   /// mutates nothing the simulation reads. Packet- and Fluid-tier

@@ -5,10 +5,10 @@
 #include <functional>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "net/clos.h"
-#include "telemetry/report.h"
 
 namespace esim::memo {
 namespace {
@@ -823,30 +823,6 @@ MemoRunOutcome MemoRunner::run(const check::Scenario& scenario,
   out.cache_entries = cache_.entries();
   out.cache_bytes = cache_.resident_bytes();
   return out;
-}
-
-void add_memo_section(telemetry::RunReport& report,
-                      const MemoRunOutcome& out, bool enabled,
-                      std::string_view section) {
-  const std::string s{section};
-  const MemoStats& st = out.stats;
-  report.set(s + ".enabled", enabled);
-  report.set(s + ".lookups", st.lookups);
-  report.set(s + ".hits", st.hits);
-  report.set(s + ".misses", st.misses);
-  report.set(s + ".near_misses", st.near_misses);
-  report.set(s + ".near_miss_reasons.pattern", st.near_miss_pattern);
-  report.set(s + ".near_miss_reasons.route", st.near_miss_route);
-  report.set(s + ".near_miss_reasons.stale_connection",
-             st.near_miss_stale_connection);
-  report.set(s + ".port_wrap_skips", st.port_wrap_skips);
-  report.set(s + ".stores", st.stores);
-  report.set(s + ".store_aborts", st.store_aborts);
-  report.set(s + ".evictions", st.evictions);
-  report.set(s + ".entries", out.cache_entries);
-  report.set(s + ".bytes", out.cache_bytes);
-  report.set(s + ".fast_forwarded_phases", st.fast_forwarded_phases);
-  report.set(s + ".fast_forwarded_ns", st.fast_forwarded_ns);
 }
 
 }  // namespace esim::memo

@@ -35,8 +35,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "check/diff_runner.h"
@@ -44,10 +42,6 @@
 #include "check/scenario.h"
 #include "memo/phase_cache.h"
 #include "workload/phases.h"
-
-namespace esim::telemetry {
-class RunReport;
-}
 
 namespace esim::memo {
 
@@ -79,13 +73,6 @@ struct MemoRunOutcome {
   std::uint64_t cache_entries = 0;
   std::uint64_t cache_bytes = 0;
 };
-
-/// Writes `out`'s memoization accounting under `section` (default
-/// "memo"): the EXPERIMENTS.md `BENCH_memo.json` schema's per-run block.
-/// `enabled` is MemoConfig::enabled of the run.
-void add_memo_section(telemetry::RunReport& report,
-                      const MemoRunOutcome& out, bool enabled,
-                      std::string_view section = "memo");
 
 /// Throws std::invalid_argument unless `pattern` can drive `scenario`:
 /// a valid pattern (PhasePattern::validate) and scenario shape

@@ -124,7 +124,8 @@ struct PhaseEntry {
   std::size_t bytes() const;
 };
 
-/// Cache accounting, surfaced into run reports (memo::add_memo_section).
+/// Cache accounting: the benchmark's memo.* metrics and the memo corpus's
+/// summary line report it.
 struct MemoStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;

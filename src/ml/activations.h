@@ -7,7 +7,7 @@
 // a time and stay bit-identical to this scalar form. libm's exp/tanh have
 // no such vector twin — their table-driven paths cannot be reproduced
 // lane-for-lane — and the scalar activation pass is what dominated the
-// per-packet inference cost once the matmuls were fused (bench_inference).
+// per-packet inference cost once the matmuls were fused.
 //
 // Every consumer of the model numerics (the gate passes in ml/kernels.cc
 // that training and InferenceSession share, and the loss) uses these,

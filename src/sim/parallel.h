@@ -151,7 +151,8 @@ class ParallelEngine {
     /// Window policy. `global` reproduces the paper's YAWNS barrier;
     /// `per_pair` lets loosely coupled partitions run ahead. Each is
     /// faster on one workload (DESIGN.md §10): per_pair on the scaling
-    /// bench's fat-tree, global on the two-partition adaptive Clos.
+    /// bench's fat-tree from four partitions, global at two partitions
+    /// there and on the adaptive Clos.
     WindowMode window_mode = WindowMode::global;
     /// Modeled inter-machine synchronization cost added once per sync
     /// round. Zero for shared-memory runs.

@@ -1,7 +1,9 @@
 // Tests for the model evaluation utilities.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "approx/evaluation.h"
 #include "approx/trainer.h"
@@ -67,6 +69,11 @@ TEST(Evaluation, TrainedModelScoresAboveChance) {
   const auto metrics = approx::evaluate_micro_model(model, test);
   EXPECT_EQ(metrics.rows, test.size());
   EXPECT_GT(metrics.drop_auc, 0.9);  // separable problem: near-perfect rank
+  // Pinned to the bit: average ranks are multiples of 0.5, so the rank
+  // sum behind the AUC is exact whatever order it is summed in.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(metrics.drop_auc),
+            0x3fefe348627f987bULL)
+      << metrics.drop_auc;
   EXPECT_GT(metrics.drop_accuracy, 0.9);
   EXPECT_GT(metrics.drop_recall, 0.5);
   EXPECT_GT(metrics.drop_precision, 0.5);
@@ -84,6 +91,24 @@ TEST(Evaluation, UntrainedModelIsNearChance) {
   const auto metrics = approx::evaluate_micro_model(model, ds);
   EXPECT_GT(metrics.drop_auc, 0.2);
   EXPECT_LT(metrics.drop_auc, 0.8);
+}
+
+// A drop head with zero weights scores every row the same: one tie group
+// spans every rank, each drop adds the group's average rank, and the AUC
+// comes out exactly 0.5.
+TEST(Evaluation, AllTiedScoresGiveChanceAuc) {
+  sim::Rng rng{33};
+  const auto ds = synthetic_dataset(400, rng);
+  approx::MicroModel::Config mcfg;
+  mcfg.hidden = 4;
+  mcfg.layers = 1;
+  approx::MicroModel model{mcfg};
+  model.drop_head().weight().zero();
+  model.recompile();
+  const auto metrics = approx::evaluate_micro_model(model, ds);
+  ASSERT_GT(metrics.base_drop_rate, 0.0);
+  ASSERT_LT(metrics.base_drop_rate, 1.0);
+  EXPECT_EQ(metrics.drop_auc, 0.5);
 }
 
 TEST(Evaluation, EmptyTestSetIsHarmless) {

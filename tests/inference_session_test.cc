@@ -1,7 +1,7 @@
 // Holds the train/infer split contract (DESIGN.md §8):
 //   * InferenceSession predictions are bit-identical to the naive Tensor
 //     step() reference — LSTM and GRU trunks, single- and multi-layer
-//     stacks, and the full hybrid run;
+//     stacks, and a recorded boundary feature stream;
 //   * predict() performs zero heap allocations (counted by replacing the
 //     global operator new in this translation unit);
 //   * sessions are immutable snapshots — in-place weight updates are
@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "approx/dataset.h"
 #include "approx/micro_model.h"
 #include "core/experiment.h"
 #include "ml/inference.h"
@@ -255,9 +256,9 @@ TEST(InferenceSession, ErrorPaths) {
 
 // predict_batch (sequence mode) must replay one stream bit-identically:
 // chunking an arrival-ordered feature stream into batches of any size —
-// including chunks that leave tail rows in the packed kernels — produces
-// exactly the predictions and final recurrent state of per-packet
-// predict() calls.
+// including chunks that leave tail rows in the packed kernels, up to the
+// 64-row batch — produces exactly the predictions and final recurrent
+// state of per-packet predict() calls.
 TEST(InferenceSession, PredictBatchBitIdenticalToSequential) {
   for (const ml::TrunkKind kind : {ml::TrunkKind::Lstm, ml::TrunkKind::Gru}) {
     // hidden = 9 leaves 4H = 36 and 3H = 27 with scalar tail rows.
@@ -269,12 +270,12 @@ TEST(InferenceSession, PredictBatchBitIdenticalToSequential) {
       cfg.seed = 13 * hidden;
       MicroModel sequential{cfg};
       MicroModel batched{cfg};  // same seed => identical weights
-      batched.reserve_batch(17);
+      batched.reserve_batch(64);
 
       sim::Rng rng{cfg.seed + 1};
       constexpr std::size_t kDim = PacketFeatures::kDim;
       std::vector<double> stream;
-      for (int i = 0; i < 29 * static_cast<int>(kDim); ++i) {
+      for (int i = 0; i < 93 * static_cast<int>(kDim); ++i) {
         stream.push_back(rng.uniform() * 2.0 - 1.0);
       }
 
@@ -287,7 +288,7 @@ TEST(InferenceSession, PredictBatchBitIdenticalToSequential) {
       // Uneven chunk sizes walk the same stream through predict_batch.
       std::vector<MicroModel::Prediction> got(expect.size());
       std::size_t t = 0;
-      for (const std::size_t chunk : {1UL, 3UL, 8UL, 17UL}) {
+      for (const std::size_t chunk : {1UL, 3UL, 8UL, 17UL, 64UL}) {
         const std::size_t n = std::min(chunk, expect.size() - t);
         batched.predict_batch(
             std::span<const double>{stream.data() + t * kDim, n * kDim},
@@ -376,11 +377,11 @@ TEST(InferenceSession, StaleSessionThrowsAfterOptimizerStep) {
   (void)m.predict(probe);
 }
 
-// The hybrid integration must not change under the refactor: routing all
-// per-packet inference through the fused session produces exactly the
-// run the naive reference path produces (which is the pre-refactor
-// behavior), event for event.
-TEST(InferenceSession, HybridRunBitIdenticalSessionVsReference) {
+// The session-vs-reference contract on a real boundary feature stream:
+// both directions' datasets of a short recorded trace, every row streamed
+// through one model's session (predict) and its reference path
+// (predict_reference), each advancing its own recurrent state.
+TEST(InferenceSession, RecordedBoundaryStreamMatchesReference) {
   core::ExperimentConfig cfg;
   cfg.net.spec.clusters = 3;
   cfg.net.spec.tors_per_cluster = 2;
@@ -388,38 +389,27 @@ TEST(InferenceSession, HybridRunBitIdenticalSessionVsReference) {
   cfg.net.spec.hosts_per_tor = 2;
   cfg.net.spec.cores = 2;
   cfg.load = 0.3;
-  cfg.duration = sim::SimTime::from_ms(5);
+  cfg.train_duration = sim::SimTime::from_ms(5);
   cfg.model.hidden = 8;
   cfg.model.layers = 2;
 
-  core::TrainedModels models;
-  models.ingress = std::make_unique<MicroModel>(cfg.model);
-  models.egress = std::make_unique<MicroModel>(cfg.model);
-
-  const auto fused =
-      core::run_hybrid_simulation(cfg, cfg.net.spec, models);
-  cfg.approx.reference_inference = true;
-  const auto naive =
-      core::run_hybrid_simulation(cfg, cfg.net.spec, models);
-
-  // The run must exercise the models, or the equalities below are vacuous.
-  EXPECT_GT(fused.approx_stats.egress_packets +
-                fused.approx_stats.ingress_packets +
-                fused.approx_stats.predicted_drops,
-            0u);
-  EXPECT_EQ(fused.events_executed, naive.events_executed);
-  EXPECT_EQ(fused.events_scheduled, naive.events_scheduled);
-  EXPECT_EQ(fused.flows_launched, naive.flows_launched);
-  EXPECT_EQ(fused.flows_completed, naive.flows_completed);
-  EXPECT_EQ(fused.approx_stats.predicted_drops,
-            naive.approx_stats.predicted_drops);
-  EXPECT_EQ(fused.approx_stats.egress_packets,
-            naive.approx_stats.egress_packets);
-  EXPECT_EQ(fused.mean_fct_seconds, naive.mean_fct_seconds);
-  ASSERT_EQ(fused.rtt_cdf.size(), naive.rtt_cdf.size());
-  if (!fused.rtt_cdf.empty()) {
-    for (const double q : {0.1, 0.5, 0.9, 0.99}) {
-      EXPECT_EQ(fused.rtt_cdf.quantile(q), naive.rtt_cdf.quantile(q)) << q;
+  const core::BoundaryTrace trace = core::record_boundary_trace(cfg);
+  for (const approx::Direction dir :
+       {approx::Direction::Ingress, approx::Direction::Egress}) {
+    const approx::Dataset ds = approx::build_dataset(
+        trace.spec, trace.cluster, dir, trace.records, cfg.macro);
+    // The stream must be long enough to drive the recurrent state far
+    // from its reset value, or the equalities below say little.
+    ASSERT_GT(ds.size(), 1000u);
+    MicroModel model{cfg.model};
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+      const MicroModel::Prediction session = model.predict(ds.features[i]);
+      const MicroModel::Prediction reference =
+          model.predict_reference(ds.features[i]);
+      ASSERT_EQ(session.drop_probability, reference.drop_probability)
+          << "direction " << static_cast<int>(dir) << " row " << i;
+      ASSERT_EQ(session.latency_seconds, reference.latency_seconds)
+          << "direction " << static_cast<int>(dir) << " row " << i;
     }
   }
 }
