@@ -5,12 +5,10 @@
 //   global_graph_cut — global window on graph-cut placement;
 //   scale_out        — per-pair lookahead windows + graph-cut placement.
 // scale_out/baseline is the whole scale-out change; scale_out over
-// global_graph_cut compares the window modes on one placement. Each
-// partition's generator draws the flows of its own hosts, so the two
-// placements run different flow populations and only the two graph-cut
-// configurations run identical events. Every configuration sends
-// cross-partition messages through the same plain per-pair mailboxes,
-// which the round barrier alone keeps safe.
+// global_graph_cut compares the window modes on one placement. Every
+// configuration launches the sequential run's flows and executes the same
+// events, and sends cross-partition messages through the same plain
+// per-pair mailboxes, which the round barrier alone keeps safe.
 //
 // The topology gives the partitioner something to exploit: intra-cluster
 // links are short (1us) while agg<->core runs are long (8us). Round-robin
@@ -109,19 +107,11 @@ Point run_point(std::uint32_t partitions, std::uint32_t clusters,
 
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{built.net.spec.total_hosts()};
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = load;
-    gcfg.stop_at = duration;
-    auto* gen =
-        engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), built.net.hosts, sizes.get(), &matrix,
-            gcfg);
-    gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
-      return built.partition_of_host[src] == p;
-    };
-    gen->start();
-  }
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = load;
+  gcfg.stop_at = duration;
+  workload::start_traffic(core::partition_sims(engine), built.net.hosts,
+                          built.partition_of_host, sizes.get(), &matrix, gcfg);
 
   const auto start = std::chrono::steady_clock::now();
   engine.run_until(duration);

@@ -42,32 +42,45 @@ struct Measurement {
   double sim_seconds = 0;
   double wall_seconds = 0;
   std::uint64_t events = 0;
+  std::uint64_t flows = 0;
   double rate() const {
     return wall_seconds <= 0 ? 0 : sim_seconds / wall_seconds;
   }
 };
 
-double run_duration_ms() { return bench::quick_mode() ? 0.5 : 2.0; }
+SimTime run_duration() {
+  return SimTime::from_seconds_f((bench::quick_mode() ? 0.5 : 2.0) / 1e3);
+}
 
-Measurement run_single(std::uint32_t n, double load) {
-  sim::Simulator sim{17};
-  auto net = core::build_full_network(sim, leaf_spine(n));
+/// Starts the workload on `sims` and times `engine` to the horizon. Every
+/// engine draws one arrival stream, so the runs launch the same flows.
+template <typename Engine>
+Measurement measure(Engine& engine, const std::vector<sim::Simulator*>& sims,
+                    const core::BuiltNetwork& net,
+                    const std::vector<std::uint32_t>& partition_of_host,
+                    double load) {
   auto sizes = workload::mini_web_distribution();
   workload::UniformTraffic matrix{net.spec.total_hosts()};
   workload::TrafficGenerator::Config gcfg;
   gcfg.load = load;
-  const auto duration = SimTime::from_seconds_f(run_duration_ms() / 1e3);
-  gcfg.stop_at = duration;
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "gen", net.hosts, sizes.get(), &matrix, gcfg);
-  gen->start();
+  gcfg.stop_at = run_duration();
+  const auto gens = workload::start_traffic(sims, net.hosts, partition_of_host,
+                                            sizes.get(), &matrix, gcfg);
   const auto start = std::chrono::steady_clock::now();
-  sim.run_until(duration);
+  engine.run_until(gcfg.stop_at);
   Measurement m;
   m.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  m.sim_seconds = duration.to_seconds();
+  m.sim_seconds = gcfg.stop_at.to_seconds();
+  for (const auto* g : gens) m.flows += g->launched();
+  return m;
+}
+
+Measurement run_single(std::uint32_t n, double load) {
+  sim::Simulator sim{17};
+  const auto net = core::build_full_network(sim, leaf_spine(n));
+  Measurement m = measure(sim, {&sim}, net, {}, load);
   m.events = sim.events_executed();
   return m;
 }
@@ -82,33 +95,9 @@ Measurement run_pdes(std::uint32_t n, double load, std::uint32_t machines) {
   ecfg.round_overhead_us = 3.0 * machines;
   ecfg.per_message_overhead_us = machines == 1 ? 0.2 : 0.6 * machines;
   sim::ParallelEngine engine{ecfg};
-
-  auto built = core::build_clos_partitioned(engine, leaf_spine(n));
-  auto sizes = workload::mini_web_distribution();
-  workload::UniformTraffic matrix{built.net.spec.total_hosts()};
-  const auto duration = SimTime::from_seconds_f(run_duration_ms() / 1e3);
-  std::vector<workload::TrafficGenerator*> gens;
-  for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = load;
-    gcfg.stop_at = duration;
-    auto* gen =
-        engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), built.net.hosts, sizes.get(), &matrix,
-            gcfg);
-    gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
-      return built.partition_of_host[src] == p;
-    };
-    gen->start();
-    gens.push_back(gen);
-  }
-  const auto start = std::chrono::steady_clock::now();
-  engine.run_until(duration);
-  Measurement m;
-  m.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  m.sim_seconds = duration.to_seconds();
+  const auto built = core::build_clos_partitioned(engine, leaf_spine(n));
+  Measurement m = measure(engine, core::partition_sims(engine), built.net,
+                          built.partition_of_host, load);
   m.events = engine.stats().events_executed;
   return m;
 }
@@ -128,23 +117,28 @@ int main() {
   report.set("bench", "fig1_pdes_scaling");
   report.set("load", load);
 
-  std::printf("%-8s %-16s %-16s %-16s %-16s\n", "ToRs", "single-thread",
-              "pdes-1machine", "pdes-2machines", "pdes-4machines");
+  std::printf("%-8s %-16s %-16s %-16s %-16s %s\n", "ToRs", "single-thread",
+              "pdes-1machine", "pdes-2machines", "pdes-4machines",
+              "flows single/pdes");
   for (const auto n : sizes) {
     const auto single = run_single(n, load);
     const auto p1 = run_pdes(n, load, 1);
     const auto p2 = run_pdes(n, load, 2);
     const auto p4 = run_pdes(n, load, 4);
-    std::printf("%-8u %-16.4g %-16.4g %-16.4g %-16.4g\n", n, single.rate(),
-                p1.rate(), p2.rate(), p4.rate());
+    std::printf("%-8u %-16.4g %-16.4g %-16.4g %-16.4g %llu/%llu\n", n,
+                single.rate(), p1.rate(), p2.rate(), p4.rate(),
+                static_cast<unsigned long long>(single.flows),
+                static_cast<unsigned long long>(p4.flows));
     std::fflush(stdout);
     const std::string row = "tors" + std::to_string(n);
     report.set(row + ".single_thread.rate", single.rate());
     report.set(row + ".single_thread.events", single.events);
+    report.set(row + ".single_thread.flows", single.flows);
     report.set(row + ".pdes_1machine.rate", p1.rate());
     report.set(row + ".pdes_2machines.rate", p2.rate());
     report.set(row + ".pdes_4machines.rate", p4.rate());
     report.set(row + ".pdes_4machines.events", p4.events);
+    report.set(row + ".pdes_4machines.flows", p4.flows);
   }
 
   const std::string report_path = "BENCH_fig1_pdes_scaling.json";

@@ -5,7 +5,8 @@
 //
 // This bench runs the hybrid simulation sequentially and PDES-partitioned
 // (one island per approximated cluster group) and reports the
-// synchronization profile. On a multi-core host the partitioned run can
+// synchronization profile. Both runs launch the same flows
+// (workload::start_traffic). On a multi-core host the partitioned run can
 // overlap model inference across islands; on a single-core host it can
 // only demonstrate that the partitioning is sound and cheap (few cross
 // messages), which is itself the paper's structural point: approximation
@@ -77,25 +78,18 @@ Outcome run_parallel_hybrid(const core::ExperimentConfig& cfg,
 
   auto sizes = workload::mini_web_distribution();
   workload::ClusterMixTraffic matrix{cfg.net.spec, cfg.intra_fraction};
-  std::vector<workload::TrafficGenerator*> gens;
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = cfg.load;
-    gcfg.stop_at = cfg.duration;
-    auto* gen =
-        engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-            "gen" + std::to_string(p), out.net.hosts, sizes.get(), &matrix,
-            gcfg);
-    gen->admission_filter = [&out, p, &cfg](net::HostId src,
-                                            net::HostId dst) {
-      if (out.partition_of_host[src] != p) return false;
-      // Elide approx<->approx traffic, as in the sequential hybrid.
-      return cfg.net.spec.cluster_of_host(src) == 0 ||
-             cfg.net.spec.cluster_of_host(dst) == 0;
-    };
-    gen->start();
-    gens.push_back(gen);
-  }
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = cfg.load;
+  gcfg.host_bandwidth_bps = cfg.net.host_uplink.bandwidth_bps;
+  gcfg.stop_at = cfg.duration;
+  // Elide approx<->approx traffic, as in the sequential hybrid.
+  const auto& spec = cfg.net.spec;
+  const auto gens = workload::start_traffic(
+      core::partition_sims(engine), out.net.hosts, out.partition_of_host,
+      sizes.get(), &matrix, gcfg, [&spec](net::HostId src, net::HostId dst) {
+        return spec.cluster_of_host(src) == core::kFullCluster ||
+               spec.cluster_of_host(dst) == core::kFullCluster;
+      });
 
   Outcome o;
   const auto t0 = std::chrono::steady_clock::now();
@@ -133,9 +127,10 @@ int main() {
     const auto models = core::train_cluster_models(cfg);
 
     const auto seq = core::run_hybrid_simulation(cfg, cfg.net.spec, models);
-    std::printf("%-22s wall %.3fs, %llu events\n", "hybrid sequential",
-                seq.wall_seconds,
-                static_cast<unsigned long long>(seq.events_executed));
+    std::printf("%-22s wall %.3fs, %llu events, %llu flows\n",
+                "hybrid sequential", seq.wall_seconds,
+                static_cast<unsigned long long>(seq.events_executed),
+                static_cast<unsigned long long>(seq.flows_launched));
     core::add_run_result(report, section + ".sequential", seq);
 
     for (const std::uint32_t parts : {2u, 4u}) {
@@ -157,10 +152,11 @@ int main() {
         }
       }
       std::printf(
-          "%-15s (P=%u) wall %.3fs, %llu events, %llu cross msgs over "
-          "%llu rounds\n",
+          "%-15s (P=%u) wall %.3fs, %llu events, %llu flows, %llu cross "
+          "msgs over %llu rounds\n",
           "hybrid PDES", parts, par.wall_seconds,
           static_cast<unsigned long long>(par.events),
+          static_cast<unsigned long long>(par.flows),
           static_cast<unsigned long long>(par.cross_messages),
           static_cast<unsigned long long>(par.sync_rounds));
       const std::string ps = section + ".pdes_p" + std::to_string(parts);
@@ -182,8 +178,8 @@ int main() {
       "expected shape: the partitioned hybrid exchanges only "
       "boundary-crossing packets between islands (compare the cross "
       "message count with fig1's full-fabric PDES at similar scale), so "
-      "parallel overhead is small; with real cores (not this 1-CPU "
-      "container) the islands' model inference overlaps and yields the "
-      "additional speedup the paper reports.");
+      "parallel overhead is small; with a core per partition the "
+      "islands' model inference overlaps and yields the additional "
+      "speedup the paper reports.");
   return 0;
 }

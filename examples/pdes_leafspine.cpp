@@ -4,7 +4,10 @@
 // Builds one leaf-spine twice — sequentially, and partitioned over a
 // conservative window-barrier PDES engine — runs the same workload, and
 // reports where the time went (events vs synchronization rounds vs
-// cross-partition messages).
+// cross-partition messages). Both runs draw one arrival stream
+// (workload::start_traffic), so the PDES run must launch and complete the
+// sequential run's flows in the same number of events; the program exits
+// 1 when it does not.
 //
 //   ./build/examples/pdes_leafspine
 //
@@ -38,6 +41,31 @@ core::NetworkConfig leaf_spine(std::uint32_t n) {
   return cfg;
 }
 
+/// What the two runs must agree on.
+struct Work {
+  std::uint64_t launched = 0, completed = 0, events = 0;
+  bool operator==(const Work&) const = default;
+};
+
+/// Totals one run's generators and prints them under `run`.
+Work tally(const char* run,
+           const std::vector<workload::TrafficGenerator*>& gens,
+           std::uint64_t events, double wall) {
+  Work w;
+  w.events = events;
+  for (const auto* g : gens) {
+    w.launched += g->launched();
+    w.completed += g->flows().completed_count();
+  }
+  std::printf("%s: %.3fs wall, %llu events (%.0f ev/s), %llu flows "
+              "launched, %llu completed\n",
+              run, wall, static_cast<unsigned long long>(w.events),
+              static_cast<double>(w.events) / wall,
+              static_cast<unsigned long long>(w.launched),
+              static_cast<unsigned long long>(w.completed));
+  return w;
+}
+
 }  // namespace
 
 int main() {
@@ -49,8 +77,14 @@ int main() {
               telemetry_on ? " (telemetry on)" : "");
 
   telemetry::RunReport report{"pdes_leafspine"};
+  auto sizes = workload::mini_web_distribution();
+  workload::UniformTraffic matrix{tors * 4};
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = 0.25;
+  gcfg.stop_at = duration;
 
   // --- sequential reference ---
+  Work seq;
   {
     // Registry before the simulator: its flushers capture the sim, so the
     // sim must be destroyed first (and the snapshot taken before that).
@@ -58,28 +92,21 @@ int main() {
     sim::Simulator sim{99};
     if (telemetry_on) sim.set_telemetry(&registry, "seq");
     auto net = core::build_full_network(sim, leaf_spine(tors));
-    auto sizes = workload::mini_web_distribution();
-    workload::UniformTraffic matrix{net.spec.total_hosts()};
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = 0.25;
-    gcfg.stop_at = duration;
-    auto* gen = sim.add_component<workload::TrafficGenerator>(
-        "gen", net.hosts, sizes.get(), &matrix, gcfg);
-    gen->start();
+    const auto gens = workload::start_traffic({&sim}, net.hosts, {},
+                                              sizes.get(), &matrix, gcfg);
     const auto t0 = std::chrono::steady_clock::now();
     sim.run_until(duration);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    std::printf("sequential : %.3fs wall, %llu events (%.0f ev/s)\n", wall,
-                static_cast<unsigned long long>(sim.events_executed()),
-                sim.events_executed() / wall);
+    seq = tally("sequential ", gens, sim.events_executed(), wall);
     report.set("sequential.wall_seconds", wall);
-    report.set("sequential.events_executed", sim.events_executed());
+    report.set("sequential.events_executed", seq.events);
     if (telemetry_on) report.add_metrics(registry.snapshot());
   }
 
   // --- conservative PDES over 4 partitions ---
+  Work pdes;
   {
     sim::ParallelEngine::Config ecfg;
     ecfg.num_partitions = 4;
@@ -93,40 +120,23 @@ int main() {
       trace.start();
     }
     auto built = core::build_clos_partitioned(engine, leaf_spine(tors));
-    auto sizes = workload::mini_web_distribution();
-    workload::UniformTraffic matrix{built.net.spec.total_hosts()};
-    std::vector<workload::TrafficGenerator*> gens;
-    for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-      workload::TrafficGenerator::Config gcfg;
-      gcfg.load = 0.25;
-      gcfg.stop_at = duration;
-      auto* gen =
-          engine.partition(p).sim()
-              .add_component<workload::TrafficGenerator>(
-                  "gen" + std::to_string(p), built.net.hosts, sizes.get(),
-                  &matrix, gcfg);
-      gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
-        return built.partition_of_host[src] == p;
-      };
-      gen->start();
-      gens.push_back(gen);
-    }
+    const auto gens = workload::start_traffic(
+        core::partition_sims(engine), built.net.hosts,
+        built.partition_of_host, sizes.get(), &matrix, gcfg);
     const auto t0 = std::chrono::steady_clock::now();
     engine.run_until(duration);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     const auto& st = engine.stats();
-    std::printf("pdes (4 LP): %.3fs wall, %llu events (%.0f ev/s)\n", wall,
-                static_cast<unsigned long long>(st.events_executed),
-                st.events_executed / wall);
+    pdes = tally("pdes (4 LP)", gens, st.events_executed, wall);
     std::printf("             %llu sync rounds, %llu cross messages, "
                 "%llu cross links\n",
                 static_cast<unsigned long long>(st.sync_rounds),
                 static_cast<unsigned long long>(st.cross_messages),
                 static_cast<unsigned long long>(built.cross_partition_links));
     report.set("pdes.wall_seconds", wall);
-    report.set("pdes.events_executed", st.events_executed);
+    report.set("pdes.events_executed", pdes.events);
     report.set("pdes.sync_rounds", st.sync_rounds);
     report.set("pdes.cross_messages", st.cross_messages);
     report.set("pdes.cross_partition_links", built.cross_partition_links);
@@ -146,6 +156,11 @@ int main() {
         "lookahead (= 1us of virtual time). That synchronization tax is\n"
         "what Figure 1 of the paper measures — and what the ML\n"
         "approximation sidesteps by removing the fabric entirely.\n");
+  }
+  if (pdes != seq) {
+    std::fprintf(stderr, "pdes_leafspine: the PDES run's flows or events "
+                         "differ from the sequential run's\n");
+    return 1;
   }
   return 0;
 }

@@ -46,9 +46,8 @@ int main() {
   workload::TrafficGenerator::Config gcfg;
   gcfg.load = 0.3;
   gcfg.stop_at = sim::SimTime::from_ms(20);
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "gen", net.hosts, sizes.get(), &matrix, gcfg);
-  gen->start();
+  const auto* gen = workload::start_traffic({&sim}, net.hosts, {},
+                                            sizes.get(), &matrix, gcfg)[0];
 
   // Run: 20ms of arrivals plus drain time.
   sim.run_until(sim::SimTime::from_ms(100));

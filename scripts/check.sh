@@ -85,6 +85,13 @@ scripts/fingerprints.sh build
 echo "=== asan-ubsan — bench_pdes_scaling smoke ==="
 (cd build-asan && ESIM_BENCH_QUICK=1 ./bench/bench_pdes_scaling)
 
+# One leaf-spine run sequentially and over four PDES partitions from one
+# arrival stream (workload::start_traffic): exits 1 unless the PDES run
+# launches and completes the sequential run's flows in the same number of
+# events.
+echo "=== asan-ubsan — pdes_leafspine ==="
+(cd build-asan && ./examples/pdes_leafspine)
+
 # Fidelity observatory digest-invariance under the sanitizers: shadow
 # sampling + queue-truth peeks + JSONL streaming must not perturb the
 # simulation (full digest equality, sequential and PDES) and must be

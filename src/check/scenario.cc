@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -171,6 +172,7 @@ Scenario Scenario::parse(const std::string& text) {
   std::istringstream is{text};
   std::string line;
   bool saw_header = false;
+  std::set<std::string> seen_keys;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     if (line[0] == '#') {
@@ -183,6 +185,9 @@ Scenario Scenario::parse(const std::string& text) {
     }
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
+    if (key != "flow" && !seen_keys.insert(key).second) {
+      throw std::invalid_argument("scenario: repeated key '" + key + "'");
+    }
     const auto u32 = [&] {
       return static_cast<std::uint32_t>(parse_uint(value, key, kU32));
     };

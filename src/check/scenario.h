@@ -6,9 +6,11 @@
 // endpoints/sizes/start times) from their own seeded generator ahead of
 // time, so the simulation itself is a pure function of the scenario and
 // the engine under test. That is what makes sequential and PDES runs
-// comparable at digest granularity — a workload generator drawing from
-// per-partition RNG streams would differ across partition counts by
-// construction, not by bug.
+// comparable at digest granularity. Generator-driven runs get there
+// through workload::start_traffic, which hands every partition the
+// sequential run's arrival stream; only the benchmark's own
+// per-partition generators (benchmark/workloads.cc) still draw streams
+// that differ across partition counts by construction, not by bug.
 //
 // A leaf-spine is clusters = 1, cores = 0. With an approximation block,
 // cluster 0 and the cores run at packet fidelity and every other cluster
@@ -156,8 +158,9 @@ struct Scenario {
   std::string serialize() const;
 
   /// Parses serialize() output; throws std::invalid_argument naming the
-  /// key on malformed input (a value with a sign, or one that does not
-  /// fit its field). Round-trips exactly.
+  /// key on malformed input (a value with a sign, one that does not fit
+  /// its field, or a key other than `flow` given twice). Round-trips
+  /// exactly.
   static Scenario parse(const std::string& text);
 
   /// Throws std::invalid_argument when dimensions or the flow list are

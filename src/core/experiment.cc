@@ -97,9 +97,8 @@ BoundaryTrace record_boundary_trace(const ExperimentConfig& config) {
   gcfg.load = config.load;
   gcfg.host_bandwidth_bps = config.net.host_uplink.bandwidth_bps;
   gcfg.stop_at = config.train_duration;
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "train.gen", network.hosts, sizes.get(), &matrix, gcfg);
-  gen->start();
+  workload::start_traffic({&sim}, network.hosts, {}, sizes.get(), &matrix,
+                          gcfg);
 
   // Let in-flight traffic drain a little past the arrival cutoff so late
   // boundary crossings complete.
@@ -243,17 +242,17 @@ RunResult run_simulation(const ExperimentConfig& config,
   gcfg.load = config.load;
   gcfg.host_bandwidth_bps = config.net.host_uplink.bandwidth_bps;
   gcfg.stop_at = config.duration;
-  auto* gen = sim.add_component<workload::TrafficGenerator>(
-      "gen", network.hosts, sizes.get(), &matrix, gcfg);
+  std::function<bool(net::HostId, net::HostId)> filter;
   if (models != nullptr) {
     // Elide traffic entirely between approximated clusters (paper §6.2):
     // it cannot affect measurements taken in the full-fidelity cluster.
-    gen->admission_filter = [&spec](net::HostId src, net::HostId dst) {
+    filter = [&spec](net::HostId src, net::HostId dst) {
       return spec.cluster_of_host(src) == kFullCluster ||
              spec.cluster_of_host(dst) == kFullCluster;
     };
   }
-  gen->start();
+  const auto* gen = workload::start_traffic(
+      {&sim}, network.hosts, {}, sizes.get(), &matrix, gcfg, filter)[0];
 
   const auto start = std::chrono::steady_clock::now();
   sim.run_until(config.duration);

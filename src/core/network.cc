@@ -371,6 +371,8 @@ std::vector<std::uint32_t> on_partition_zero(std::size_t n) {
   return std::vector<std::uint32_t>(n, 0);
 }
 
+}  // namespace
+
 std::vector<sim::Simulator*> partition_sims(sim::ParallelEngine& engine) {
   std::vector<sim::Simulator*> sims;
   for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
@@ -378,8 +380,6 @@ std::vector<sim::Simulator*> partition_sims(sim::ParallelEngine& engine) {
   }
   return sims;
 }
-
-}  // namespace
 
 BuiltNetwork build_full_network(sim::Simulator& sim,
                                 const NetworkConfig& config) {

@@ -150,6 +150,9 @@ struct PartitionedNetwork {
   std::uint64_t cross_partition_links = 0;
 };
 
+/// The engine's partition simulators, in partition order.
+std::vector<sim::Simulator*> partition_sims(sim::ParallelEngine& engine);
+
 /// Builds every cluster at packet fidelity in `sim`. The spec must
 /// validate.
 BuiltNetwork build_full_network(sim::Simulator& sim,

@@ -1,6 +1,7 @@
 #include "ml/serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
@@ -94,6 +95,14 @@ void load_parameters(const std::string& path, Module& module) {
     std::vector<double>& values = staged[it->second];
     values.resize(t.size());
     read(values.data(), values.size() * sizeof(double));
+    // A NaN weight survives every clamp downstream (std::max keeps it)
+    // and reaches a float-to-int64 time conversion.
+    const auto bad = std::find_if_not(
+        values.begin(), values.end(), [](double v) { return std::isfinite(v); });
+    if (bad != values.end()) {
+      fail("parameter " + name + " holds " + std::to_string(*bad) +
+           " at index " + std::to_string(bad - values.begin()));
+    }
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     std::copy(staged[i].begin(), staged[i].end(), params[i].value->data());

@@ -19,12 +19,12 @@ void save_parameters(const std::string& path,
                      const std::vector<Parameter>& params);
 
 /// Loads a save_parameters file into `module`. The file must name each of
-/// the module's parameters exactly once, with the module's shape; every
-/// length field must fit in what is left of the file. Throws
-/// std::runtime_error naming the parameter or field on any violation or
-/// I/O failure, and then leaves the module untouched. On success bumps
-/// the module's weight version, so a session compiled from it throws
-/// until recompiled (MicroModel::recompile).
+/// the module's parameters exactly once, with the module's shape and only
+/// finite values; every length field must fit in what is left of the
+/// file. Throws std::runtime_error naming the parameter or field on any
+/// violation or I/O failure, and then leaves the module untouched. On
+/// success bumps the module's weight version, so a session compiled from
+/// it throws until recompiled (MicroModel::recompile).
 void load_parameters(const std::string& path, Module& module);
 
 }  // namespace esim::ml

@@ -22,7 +22,9 @@
 namespace esim::workload {
 
 /// Schedules flow arrivals and launches TCP flows on the topology's hosts.
-/// Launched flows are numbered 1, 2, ... in launch order.
+/// Each arrival is drawn whole (gap, endpoints, size) when scheduled, and
+/// admitted ones are numbered 1, 2, ... A null host-table entry is another
+/// partition's host: its arrivals cost no event, and only take a number.
 class TrafficGenerator : public sim::Component {
  public:
   struct Config {
@@ -35,8 +37,9 @@ class TrafficGenerator : public sim::Component {
     sim::SimTime stop_at;
   };
 
-  /// `hosts[i]` must be the host with id i (dense). The generator keeps
-  /// references; the caller keeps ownership of distribution and matrix.
+  /// `hosts[i]` is the host with id i, or null if another generator holds
+  /// it; holding none throws, as the draw loop could never end. The
+  /// generator keeps references; the caller owns distribution and matrix.
   TrafficGenerator(sim::Simulator& sim, std::string name,
                    std::vector<tcp::Host*> hosts,
                    const FlowSizeDistribution* sizes,
@@ -52,7 +55,7 @@ class TrafficGenerator : public sim::Component {
   /// Number of flows launched so far.
   std::uint64_t launched() const { return launched_; }
 
-  /// Number of arrivals suppressed by the admission filter.
+  /// Number of held hosts' arrivals suppressed by the admission filter.
   std::uint64_t suppressed() const { return suppressed_; }
 
   /// Optional admission filter: return false to skip a sampled (src, dst)
@@ -66,7 +69,7 @@ class TrafficGenerator : public sim::Component {
 
  private:
   void schedule_next();
-  void arrive();
+  void arrive(net::HostId src, net::HostId dst, std::uint64_t bytes);
 
   std::vector<tcp::Host*> hosts_;
   const FlowSizeDistribution* sizes_;
@@ -78,5 +81,20 @@ class TrafficGenerator : public sim::Component {
   std::uint64_t suppressed_ = 0;
   std::uint64_t next_flow_id_ = 1;
 };
+
+/// Starts one generator on each simulator of `sims` that owns a host,
+/// holding exactly its hosts (`partition_of_host` indexes `sims`; empty
+/// for one simulator), and returns them. Each draws the stream a
+/// one-simulator build gives its generator: partition 0's root RNG,
+/// forked once per component of the other simulators, then once more.
+/// Only component construction draws from a root, and partition 0 carries
+/// the engine seed, so a partitioned run launches the sequential flows.
+std::vector<TrafficGenerator*> start_traffic(
+    const std::vector<sim::Simulator*>& sims,
+    const std::vector<tcp::Host*>& hosts,
+    const std::vector<std::uint32_t>& partition_of_host,
+    const FlowSizeDistribution* sizes, const TrafficMatrix* matrix,
+    const TrafficGenerator::Config& config,
+    const std::function<bool(net::HostId, net::HostId)>& filter = {});
 
 }  // namespace esim::workload

@@ -11,6 +11,8 @@
 #include "check/digest.h"
 #include "check/fuzzer.h"
 #include "check/scenario.h"
+#include "mutate.h"
+#include "sim/random.h"
 
 namespace esim::check {
 namespace {
@@ -200,6 +202,47 @@ TEST(ScenarioTest, ParseRejectsMalformedInput) {
   }
 }
 
+
+// A repeated key is refused, not resolved to its last value; `flow` is
+// the one key a file repeats.
+TEST(ScenarioTest, ParseRejectsRepeatedKey) {
+  const std::string text = small_scenario().serialize();
+  for (const char* extra : {"tors=3\n", "seed=99\n", "tcp=dctcp\n"}) {
+    const std::string key{extra, std::string{extra}.find('=')};
+    try {
+      Scenario::parse(text + extra);
+      ADD_FAILURE() << "accepted a second " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("repeated key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(Scenario::parse(text).flows.size(), 3u);
+}
+
+// Mutated scenario files either load, and then round-trip through
+// serialize, or throw a std::exception with a message; under asan-ubsan
+// every mutation also runs sanitized.
+TEST(ScenarioTest, MutatedTextLoadsOrThrowsWithMessage) {
+  const std::string valid = small_scenario().serialize();
+  sim::Rng rng{31};
+  int loaded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::string text = test::mutate(valid, rng);
+    try {
+      const Scenario sc = Scenario::parse(text);
+      EXPECT_EQ(Scenario::parse(sc.serialize()), sc) << "mutation " << i;
+      ++loaded;
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string{e.what()}, "") << "mutation " << i;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+}
 
 TEST(ScenarioTest, ValidateRejectsInconsistentFlows) {
   Scenario sc = small_scenario();

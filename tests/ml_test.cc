@@ -19,6 +19,7 @@
 #include "ml/optimizer.h"
 #include "ml/serialize.h"
 #include "ml/tensor.h"
+#include "mutate.h"
 #include "sim/random.h"
 
 namespace esim::ml {
@@ -648,6 +649,68 @@ TEST(Serialize, NameLengthPastEndOfFileThrows) {
   ASSERT_EQ(std::fwrite("l0.w_", 5, 1, f), 1u);
   std::fclose(f);
   expect_load_error(path, b, "name length 4294967280");
+  std::remove(path.c_str());
+}
+
+// A NaN weight would survive ApproxCluster's latency floor (std::max)
+// and reach a float-to-int64 time conversion, so the loader refuses it.
+TEST(Serialize, NonFiniteValueThrows) {
+  Rng rng{15};
+  Lstm a{3, 4, 1, rng};
+  Lstm b{3, 4, 1, rng};
+  const std::string path = ::testing::TempDir() + "/esim_ml_nonfinite.bin";
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    auto params = a.parameters();
+    Tensor poisoned = *params[1].value;
+    poisoned.data()[3] = v;
+    params[1].value = &poisoned;
+    save_parameters(path, params);
+    expect_load_error(path, b, "parameter " + params[1].name + " holds ");
+    expect_load_error(path, b, " at index 3");
+  }
+  std::remove(path.c_str());
+}
+
+// Mutated model files either load or throw a std::exception with a
+// message; under asan-ubsan every mutation also runs sanitized.
+TEST(Serialize, MutatedFilesLoadOrThrowWithMessage) {
+  Rng rng{16};
+  Lstm a{3, 4, 1, rng};
+  Lstm b{3, 4, 1, rng};
+  const std::string path = ::testing::TempDir() + "/esim_ml_mutated.bin";
+  save_parameters(path, a.parameters());
+  std::string valid;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
+      valid.append(buf, n);
+    }
+    std::fclose(f);
+  }
+  ASSERT_GT(valid.size(), 100u);
+  int loaded = 0;
+  int rejected = 0;
+  Rng mutations{17};
+  for (int i = 0; i < 300; ++i) {
+    const std::string bytes = test::mutate(valid, mutations);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    try {
+      load_parameters(path, b);
+      ++loaded;
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string{e.what()}, "") << "mutation " << i;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
   std::remove(path.c_str());
 }
 

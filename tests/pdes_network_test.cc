@@ -2,9 +2,15 @@
 // partitions (the substrate of the Figure 1 experiment).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "check/scenario.h"
 #include "core/network.h"
+#include "stats/collectors.h"
 #include "workload/generator.h"
 
 namespace esim::core {
@@ -251,35 +257,200 @@ TEST(PdesNetwork, MatchesSingleThreadedFlowOutcome) {
   EXPECT_EQ(run_pdes(), run_seq());
 }
 
-TEST(PdesNetwork, PerPartitionGeneratorsDriveLoad) {
-  ParallelEngine engine{engine_config(2)};
-  const auto built = build_clos_partitioned(engine, leaf_spine(4, 4));
+// --- One arrival stream for every engine (workload::start_traffic) ---
+
+/// A generator-driven run: its flows sorted by id, and its event count.
+struct TrafficRun {
+  std::vector<stats::FlowRecord> flows;
+  std::uint64_t events = 0;
+};
+
+std::vector<stats::FlowRecord> flows_of(
+    const std::vector<workload::TrafficGenerator*>& gens) {
+  std::vector<stats::FlowRecord> all;
+  for (const auto* g : gens) {
+    const auto& r = g->flows().records();
+    all.insert(all.end(), r.begin(), r.end());
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.flow_id < b.flow_id;
+  });
+  return all;
+}
+
+using Filter = std::function<bool(net::HostId, net::HostId)>;
+
+/// Starts the workload on `sims`, runs `engine` past the last arrival and
+/// returns what it did. `events` reads the engine's executed events.
+template <typename Engine, typename Events>
+TrafficRun drive(Engine& engine, const std::vector<sim::Simulator*>& sims,
+                 const BuiltNetwork& net,
+                 const std::vector<std::uint32_t>& partition_of_host,
+                 const workload::TrafficMatrix& matrix, const Filter& filter,
+                 Events events) {
   auto sizes = workload::mini_web_distribution();
-  workload::UniformTraffic matrix{built.net.spec.total_hosts()};
-  std::vector<workload::TrafficGenerator*> gens;
-  for (std::uint32_t p = 0; p < 2; ++p) {
-    auto& psim = engine.partition(p).sim();
-    workload::TrafficGenerator::Config gcfg;
-    gcfg.load = 0.2;
-    gcfg.stop_at = SimTime::from_ms(5);
-    auto* gen = psim.add_component<workload::TrafficGenerator>(
-        "gen" + std::to_string(p), built.net.hosts, sizes.get(), &matrix,
-        gcfg);
-    gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
-      return built.partition_of_host[src] == p;
-    };
-    gen->start();
-    gens.push_back(gen);
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = 0.3;
+  gcfg.stop_at = SimTime::from_us(800);
+  const auto gens = workload::start_traffic(
+      sims, net.hosts, partition_of_host, sizes.get(), &matrix, gcfg, filter);
+  engine.run_until(SimTime::from_us(1500));
+  return {flows_of(gens), events()};
+}
+
+void expect_same_flows(const std::vector<stats::FlowRecord>& got,
+                       const std::vector<stats::FlowRecord>& want,
+                       bool with_ends) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& g = got[i];
+    const auto& w = want[i];
+    EXPECT_EQ(g.flow_id, w.flow_id);
+    EXPECT_EQ(g.src_host, w.src_host) << "flow " << w.flow_id;
+    EXPECT_EQ(g.dst_host, w.dst_host) << "flow " << w.flow_id;
+    EXPECT_EQ(g.bytes, w.bytes) << "flow " << w.flow_id;
+    EXPECT_EQ(g.start, w.start) << "flow " << w.flow_id;
+    if (!with_ends) continue;
+    EXPECT_EQ(g.completed, w.completed) << "flow " << w.flow_id;
+    EXPECT_EQ(g.end, w.end) << "flow " << w.flow_id;
   }
-  engine.run_until(SimTime::from_ms(60));
-  std::uint64_t launched = 0, completed = 0;
-  for (auto* g : gens) {
-    launched += g->launched();
-    completed += g->flows().completed_count();
-    EXPECT_GT(g->suppressed(), 0u);  // filter active
+}
+
+TEST(PdesNetwork, PartitionedTrafficMatchesSequentialLeafSpine) {
+  const NetworkConfig cfg = leaf_spine(4, 4);
+  const workload::UniformTraffic matrix{cfg.spec.total_hosts()};
+  sim::Simulator seq_sim{99};
+  const auto seq_net = build_full_network(seq_sim, cfg);
+  const TrafficRun seq =
+      drive(seq_sim, {&seq_sim}, seq_net, {}, matrix, {},
+            [&] { return seq_sim.events_executed(); });
+  ASSERT_GT(seq.flows.size(), 50u);
+
+  for (const std::uint32_t P : {2u, 4u, 8u}) {
+    for (const auto policy :
+         {PlacementPolicy::graph_cut, PlacementPolicy::round_robin}) {
+      for (const auto window :
+           {ParallelEngine::WindowMode::global,
+            ParallelEngine::WindowMode::per_pair}) {
+        SCOPED_TRACE("P=" + std::to_string(P) + " policy " +
+                     std::to_string(static_cast<int>(policy)) + " window " +
+                     std::to_string(static_cast<int>(window)));
+        auto ecfg = engine_config(P);
+        ecfg.seed = 99;
+        ecfg.window_mode = window;
+        ParallelEngine engine{ecfg};
+        const auto built = build_clos_partitioned(engine, cfg, policy);
+        const TrafficRun pdes =
+            drive(engine, partition_sims(engine), built.net,
+                  built.partition_of_host, matrix, {},
+                  [&] { return engine.stats().events_executed; });
+        expect_same_flows(pdes.flows, seq.flows, /*with_ends=*/true);
+        EXPECT_EQ(pdes.events, seq.events);
+      }
+    }
   }
-  EXPECT_GT(launched, 20u);
-  EXPECT_GT(completed, launched * 3 / 4);
+}
+
+TEST(PdesNetwork, PartitionedTrafficMatchesSequentialHybrid) {
+  HybridConfig cfg;
+  cfg.net.spec.clusters = 4;
+  cfg.net.spec.tors_per_cluster = 2;
+  cfg.net.spec.aggs_per_cluster = 2;
+  cfg.net.spec.hosts_per_tor = 4;
+  cfg.net.spec.cores = 2;
+  cfg.approx.min_latency_s = 5e-6;
+  // Seeded random boundary models whose drop heads are feature-dependent.
+  check::Scenario::Approximation recipe;
+  recipe.model_seed = 6;
+  recipe.drop_bias = -1.0;
+  const auto ingress = recipe.make_model(0);
+  const auto egress = recipe.make_model(7);
+  const net::ClosSpec& spec = cfg.net.spec;
+  const workload::ClusterMixTraffic matrix{spec, 0.3};
+  // Elision: no flow between two approximated clusters.
+  const Filter elide = [&spec](net::HostId src, net::HostId dst) {
+    return spec.cluster_of_host(src) == kFullCluster ||
+           spec.cluster_of_host(dst) == kFullCluster;
+  };
+
+  for (const bool sampled : {false, true}) {
+    cfg.approx.sample_drops = sampled;
+    sim::Simulator seq_sim{6};
+    const auto seq_net = build_hybrid_network(seq_sim, cfg, ingress, egress);
+    const TrafficRun seq =
+        drive(seq_sim, {&seq_sim}, seq_net, {}, matrix, elide,
+              [&] { return seq_sim.events_executed(); });
+    ASSERT_GT(seq.flows.size(), 50u);
+    for (const std::uint32_t P : {2u, 3u}) {
+      SCOPED_TRACE(std::string{sampled ? "sampled" : "threshold"} +
+                   " drops, P=" + std::to_string(P));
+      auto ecfg = engine_config(P);
+      ecfg.seed = 6;
+      ParallelEngine engine{ecfg};
+      const auto built =
+          build_hybrid_network_partitioned(engine, cfg, ingress, egress);
+      const TrafficRun pdes =
+          drive(engine, partition_sims(engine), built.net,
+                built.partition_of_host, matrix, elide,
+                [&] { return engine.stats().events_executed; });
+      // Sampled drops draw from each ApproxCluster's stream, which forks
+      // from its own partition's root: the flows match, their ends need
+      // not.
+      expect_same_flows(pdes.flows, seq.flows, /*with_ends=*/!sampled);
+      if (!sampled) {
+        EXPECT_EQ(pdes.events, seq.events);
+      }
+    }
+  }
+}
+
+// start_traffic on one simulator gives its generator the stream the
+// generator's own constructor forks, and a generator holding every host
+// draws, numbers and launches flows as one that drew endpoints and sizes
+// at arrival time: the hash below was recorded from such a generator.
+TEST(PdesNetwork, FullHostGeneratorKeepsItsStream) {
+  sim::Simulator sim{11};
+  const auto net = build_full_network(sim, leaf_spine(4, 4));
+  auto sizes = workload::mini_web_distribution();
+  workload::UniformTraffic matrix{net.spec.total_hosts()};
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = 0.3;  // stop_at 0: arrivals never stop
+  const auto* gen = workload::start_traffic(
+      {&sim}, net.hosts, {}, sizes.get(), &matrix, gcfg,
+      [](net::HostId src, net::HostId dst) { return (src + dst) % 5 != 0; })[0];
+  sim.run_until(SimTime::from_ms(1));
+  const auto& records = gen->flows().records();
+  ASSERT_GE(records.size(), 200u);
+  EXPECT_GT(gen->suppressed(), 0u);
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
+  const auto fold = [&hash](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xFF;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (std::size_t i = 0; i < 200; ++i) {
+    const auto& r = records[i];
+    fold(r.flow_id);
+    fold(r.src_host);
+    fold(r.dst_host);
+    fold(r.bytes);
+    fold(static_cast<std::uint64_t>(r.start.ns()));
+  }
+  EXPECT_EQ(hash, 0x16f0d02059dac698ULL);
+}
+
+TEST(PdesNetwork, GeneratorWithoutHostsThrows) {
+  sim::Simulator sim{1};
+  auto sizes = workload::mini_web_distribution();
+  workload::UniformTraffic matrix{4};
+  const workload::TrafficGenerator::Config gcfg;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{4}}) {
+    EXPECT_THROW(sim.add_component<workload::TrafficGenerator>(
+                     "gen", std::vector<tcp::Host*>(n, nullptr), sizes.get(),
+                     &matrix, gcfg),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

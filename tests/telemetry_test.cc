@@ -472,19 +472,12 @@ TEST(TelemetryIntegration, PdesRunPublishesPartitionMetricsAndTrace) {
     auto sizes = workload::mini_web_distribution();
     workload::UniformTraffic matrix{built.net.spec.total_hosts()};
     const auto duration = sim::SimTime::from_us(500);
-    for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
-      workload::TrafficGenerator::Config gcfg;
-      gcfg.load = 0.3;
-      gcfg.stop_at = duration;
-      auto* gen =
-          engine.partition(p).sim().add_component<workload::TrafficGenerator>(
-              "gen" + std::to_string(p), built.net.hosts, sizes.get(),
-              &matrix, gcfg);
-      gen->admission_filter = [&built, p](net::HostId src, net::HostId) {
-        return built.partition_of_host[src] == p;
-      };
-      gen->start();
-    }
+    workload::TrafficGenerator::Config gcfg;
+    gcfg.load = 0.3;
+    gcfg.stop_at = duration;
+    workload::start_traffic(core::partition_sims(engine), built.net.hosts,
+                            built.partition_of_host, sizes.get(), &matrix,
+                            gcfg);
     engine.run_until(duration);
     if (telemetry) {
       trace.stop();
