@@ -5,12 +5,18 @@
 //
 // This bench runs the hybrid simulation sequentially and PDES-partitioned
 // (one island per approximated cluster group) and reports the
-// synchronization profile. Both runs launch the same flows
-// (workload::start_traffic). On a multi-core host the partitioned run can
-// overlap model inference across islands; on a single-core host it can
-// only demonstrate that the partitioning is sound and cheap (few cross
-// messages), which is itself the paper's structural point: approximation
-// removes the interdependencies that made PDES of the full network slow.
+// synchronization profile. Every run draws one arrival stream
+// (workload::start_traffic) and, per cluster, one sampled-drop stream,
+// each from the seed and the component's identity alone, so the runs do
+// the same work: the bench exits 1 unless each PDES run launches and
+// completes the sequential run's flows in the same number of events.
+// `ESIM_BENCH_QUICK=1` runs 4 clusters only.
+//
+// On a multi-core host the partitioned run can overlap model inference
+// across islands; on a single-core host it can only demonstrate that the
+// partitioning is sound and cheap (few cross messages), which is itself
+// the paper's structural point: approximation removes the
+// interdependencies that made PDES of the full network slow.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -34,6 +40,7 @@ struct Outcome {
   std::uint64_t cross_messages = 0;
   std::uint64_t sync_rounds = 0;
   std::uint64_t flows = 0;
+  std::uint64_t completed = 0;
   telemetry::Snapshot metrics;
 };
 
@@ -100,7 +107,10 @@ Outcome run_parallel_hybrid(const core::ExperimentConfig& cfg,
   o.events = engine.stats().events_executed;
   o.cross_messages = engine.stats().cross_messages;
   o.sync_rounds = engine.stats().sync_rounds;
-  for (auto* g : gens) o.flows += g->launched();
+  for (auto* g : gens) {
+    o.flows += g->launched();
+    o.completed += g->flows().completed_count();
+  }
   o.metrics = registry.snapshot();
   return o;
 }
@@ -118,6 +128,7 @@ int main() {
   telemetry::RunReport report{"fig5_parallel"};
   report.set("bench", "fig5_parallel");
   bool traced = false;
+  bool same_work = true;
 
   for (const auto clusters : cluster_counts) {
     auto cfg = base_config(clusters);
@@ -166,6 +177,15 @@ int main() {
       report.set(ps + ".sync_rounds", par.sync_rounds);
       report.set(ps + ".flows_launched", par.flows);
       report.add_metrics(par.metrics, ps + ".metrics");
+      if (par.flows != seq.flows_launched ||
+          par.completed != seq.flows_completed ||
+          par.events != seq.events_executed) {
+        std::fprintf(stderr,
+                     "fig5_parallel: %u clusters, P=%u: the PDES run's "
+                     "flows or events differ from the sequential run's\n",
+                     clusters, parts);
+        same_work = false;
+      }
     }
   }
 
@@ -181,5 +201,5 @@ int main() {
       "parallel overhead is small; with a core per partition the "
       "islands' model inference overlaps and yields the additional "
       "speedup the paper reports.");
-  return 0;
+  return same_work ? 0 : 1;
 }

@@ -92,6 +92,13 @@ echo "=== asan-ubsan — bench_pdes_scaling smoke ==="
 echo "=== asan-ubsan — pdes_leafspine ==="
 (cd build-asan && ./examples/pdes_leafspine)
 
+# The same contract for a sampled-drop hybrid: a 4-cluster hybrid run
+# sequentially and over two and four partitions, every cluster drawing its
+# drops from the seed and its index. Exits 1 unless each PDES run launches
+# and completes the sequential run's flows in the same number of events.
+echo "=== asan-ubsan — fig5_parallel quick ==="
+(cd build-asan && ESIM_BENCH_QUICK=1 ./bench/fig5_parallel)
+
 # Fidelity observatory digest-invariance under the sanitizers: shadow
 # sampling + queue-truth peeks + JSONL streaming must not perturb the
 # simulation (full digest equality, sequential and PDES) and must be

@@ -152,14 +152,12 @@ Group engine_pair(const Scenario& sc, const EngineSpec& base,
 }
 
 /// check_hybrid's and check_granularity's group: the sequential baseline
-/// against every partition count, threshold drops.
+/// against every partition count, in the scenario's own drop mode.
 Group engine_group(const Scenario& sc,
                    const std::vector<std::uint32_t>& partitions) {
-  Scenario threshold = sc;
-  threshold.approx.value().sample_drops = false;
-  Group g{RunSpec{threshold, {}}, {}};
+  Group g{RunSpec{sc, {}}, {}};
   for (const std::uint32_t p : partitions) {
-    g.members.push_back({RunSpec{threshold, {p}}});
+    g.members.push_back({RunSpec{sc, {p}}});
   }
   return g;
 }
@@ -421,8 +419,8 @@ std::string check_fidelity(const Scenario& sc,
                            std::uint64_t* rows_out, std::uint64_t* shadow_out,
                            std::vector<Digest>* digests_out) {
   // Sampled drops everywhere: each group pairs two runs of ONE engine
-  // config, so the RNG forks coincide and a divergence can only come from
-  // the observatory touching simulation state.
+  // config, so a divergence can only come from the observatory touching
+  // simulation state.
   Scenario sampled = sc;
   sampled.approx.value().sample_drops = true;
   telemetry::FidelityConfig on;

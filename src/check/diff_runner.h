@@ -218,10 +218,8 @@ class DiffRunner {
 
 /// Hybrid engine equivalence (DESIGN.md §9), one group: the sequential
 /// run against PDES at every partition count, on the engine-invariant
-/// lanes. Cross-engine RNG forks differ by construction, so only
-/// threshold drops (which consume no randomness) are comparable; the
-/// group proves the cluster -> core deliveries respect the lookahead.
-/// Returns "" when all agree.
+/// lanes, in the scenario's own drop mode. The group proves the cluster
+/// -> core deliveries respect the lookahead. Returns "" when all agree.
 std::string check_hybrid(const Scenario& sc,
                          const std::vector<std::uint32_t>& partitions,
                          std::vector<Digest>* digests_out = nullptr);

@@ -42,24 +42,16 @@
 
 #include "net/link.h"
 #include "sim/parallel.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace esim::check {
-
-/// SplitMix64 finalizer: a full-avalanche 64-bit mixer.
-constexpr std::uint64_t mix64(std::uint64_t z) {
-  z ^= z >> 30;
-  z *= 0xBF58476D1CE4E5B9ULL;
-  z ^= z >> 27;
-  z *= 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 /// Order-sensitive streaming 64-bit hash (FNV-style multiply + mix).
 class Hash64 {
  public:
   void absorb(std::uint64_t v) {
-    h_ = mix64(h_ * 0x100000001B3ULL ^ v);
+    h_ = sim::mix64(h_ * 0x100000001B3ULL ^ v);
   }
   std::uint64_t value() const { return h_; }
 

@@ -23,8 +23,7 @@ bool is_valid(const Scenario& sc) {
 
 Scenario ScenarioFuzzer::next() {
   Scenario sc;
-  // Seeds feed the engine (component RNG forks); keep them odd and
-  // non-zero so no scenario lands on a degenerate zero state.
+  // The engine seed (sim::derive_stream's input), odd and non-zero.
   sc.seed = rng_.next_u64() | 1;
   sc.tors = 2 + static_cast<std::uint32_t>(rng_.uniform_int(3));       // 2..4
   sc.spines = 1 + static_cast<std::uint32_t>(rng_.uniform_int(4));     // 1..4
@@ -146,8 +145,6 @@ Scenario ScenarioFuzzer::shrink(
 }
 
 Scenario random_hybrid_scenario(std::uint64_t scenario_seed) {
-  // Seeds feed the engine (component RNG forks); keep them odd and
-  // decorrelated from the scenario-shape draws.
   sim::Rng rng{scenario_seed * 2 + 1};
   Scenario sc;
   Scenario::Approximation& a = sc.approx.emplace();

@@ -6,11 +6,8 @@
 // endpoints/sizes/start times) from their own seeded generator ahead of
 // time, so the simulation itself is a pure function of the scenario and
 // the engine under test. That is what makes sequential and PDES runs
-// comparable at digest granularity. Generator-driven runs get there
-// through workload::start_traffic, which hands every partition the
-// sequential run's arrival stream; only the benchmark's own
-// per-partition generators (benchmark/workloads.cc) still draw streams
-// that differ across partition counts by construction, not by bug.
+// comparable at digest granularity. Generator-driven runs are too: every
+// partition carries the engine seed, from which arrivals derive.
 //
 // A leaf-spine is clusters = 1, cores = 0. With an approximation block,
 // cluster 0 and the cores run at packet fidelity and every other cluster
@@ -84,8 +81,8 @@ struct Scenario {
     double latency_mean_us = 8.0;
     double latency_std = 0.3;
 
-    /// Sampled drops draw from each cluster's private RNG stream; threshold
-    /// drops (p > 0.5) consume no randomness.
+    /// Sampled drops draw from each cluster's stream of the engine seed;
+    /// threshold drops (p > 0.5) consume no randomness.
     bool sample_drops = false;
     double min_latency_us = 5.0;
     double max_port_backlog_us = 40.0;
@@ -113,7 +110,7 @@ struct Scenario {
     approx::MicroModel make_model(std::uint64_t seed_offset) const;
   };
 
-  std::uint64_t seed = 1;  ///< engine seed (components fork from it)
+  std::uint64_t seed = 1;  ///< engine seed (sampled drops derive from it)
   std::uint32_t clusters = 1;
   std::uint32_t tors = 2;    ///< ToRs per cluster
   std::uint32_t spines = 2;  ///< aggregation switches per cluster

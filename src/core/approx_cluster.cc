@@ -20,6 +20,8 @@ ApproxCluster::ApproxCluster(sim::Simulator& sim, std::string name,
                              const approx::MicroModel& egress_model)
     : Component(sim, std::move(name)),
       config_{config},
+      drop_rng_{sim::derive_stream(sim.seed(), sim::StreamTag::drops,
+                                   config.cluster)},
       ingress_model_{ingress_model},
       egress_model_{egress_model},
       ingress_features_{config.spec, config.cluster, Direction::Ingress},
@@ -194,7 +196,7 @@ void ApproxCluster::handle_packet(Packet pkt) {
   p.egress = egress;
   p.to_core = egress && config_.spec.cluster_of_host(pkt.flow.dst_host) !=
                             config_.cluster;
-  if (config_.sample_drops) p.drop_draw = rng().uniform();
+  if (config_.sample_drops) p.drop_draw = drop_rng_.uniform();
 
   // The boundary contract: {drop, latency} from the tier in force at the
   // packet's arrival.

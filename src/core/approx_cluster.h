@@ -35,6 +35,7 @@
 #include "net/link.h"
 #include "net/switch.h"
 #include "sim/component.h"
+#include "sim/random.h"
 #include "tcp/host.h"
 
 namespace esim::telemetry {
@@ -52,6 +53,7 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
     net::ClosSpec spec;
     std::uint32_t cluster = 1;
     /// Draw drops from Bernoulli(p) (true, default) or threshold p > 0.5.
+    /// Sampled drops draw from a stream of the seed and `cluster` alone.
     bool sample_drops = true;
     /// Floor on predicted latency (a fabric traversal is never faster
     /// than its unloaded store-and-forward minimum).
@@ -148,7 +150,7 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
   struct Admission {
     net::Packet pkt;
     sim::SimTime arrival;
-    double drop_draw = 0.0;  ///< rng().uniform(), sample_drops only
+    double drop_draw = 0.0;  ///< drop_rng_.uniform(), sample_drops only
     bool egress = false;
     /// Leaves through a core port (egress to another cluster), not a host
     /// port (ingress, or intra-cluster).
@@ -198,6 +200,7 @@ class ApproxCluster : public sim::Component, public net::PacketHandler {
                                       std::uint32_t bytes);
 
   Config config_;
+  sim::Rng drop_rng_;
   approx::MicroModel ingress_model_;
   approx::MicroModel egress_model_;
   approx::FeatureExtractor ingress_features_;

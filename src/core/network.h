@@ -11,10 +11,8 @@
 //   * creates components in one canonical order on each partition —
 //     hosts; each packet cluster's ToRs, then its aggs; cores;
 //     ApproxClusters; then links (host<->ToR or host->ApproxCluster,
-//     ToR<->agg, agg<->core, core->ApproxCluster core-major). Every
-//     sim::Component forks its partition's root RNG at construction and
-//     same-time FES ties fall back to insertion order, so this order fixes
-//     every random stream;
+//     ToR<->agg, agg<->core, core->ApproxCluster core-major), on which
+//     no random stream depends (sim/random.h);
 //   * orders FIB candidates canonically, so deterministic ECMP picks the
 //     paths net::compute_path replays;
 //   * under PDES, registers a remote scheduler on every link whose ends

@@ -1,7 +1,7 @@
 // Base class for simulation components (hosts, switches, links, models).
 //
 // A component is a named object owned by a Simulator. It provides sugar for
-// scheduling relative to the owning engine and a private RNG stream.
+// scheduling relative to the owning engine, and no RNG (sim/random.h).
 #pragma once
 
 #include <string>
@@ -17,7 +17,7 @@ class Component {
   /// Creates a component named `name` (a label for reports, digests and
   /// error messages; names need not be unique).
   Component(Simulator& sim, std::string name)
-      : sim_{sim}, name_{std::move(name)}, rng_{sim.rng().fork()} {}
+      : sim_{sim}, name_{std::move(name)} {}
 
   virtual ~Component() = default;
 
@@ -34,10 +34,6 @@ class Component {
   /// Current virtual time (sugar for sim().now()).
   SimTime now() const { return sim_.now(); }
 
-  /// Component-private RNG stream, forked from the simulator's root stream
-  /// at construction so component draws are order-independent.
-  Rng& rng() { return rng_; }
-
  protected:
   /// Schedules a member action after `delay`.
   EventHandle schedule_in(SimTime delay, EventFn&& fn) {
@@ -52,7 +48,6 @@ class Component {
  private:
   Simulator& sim_;
   std::string name_;
-  Rng rng_;
 };
 
 }  // namespace esim::sim

@@ -182,7 +182,7 @@ ParallelEngine::ParallelEngine(Config config) : config_{config} {
   const std::uint32_t P = config_.num_partitions;
   partitions_.reserve(P);
   for (std::uint32_t i = 0; i < P; ++i) {
-    partitions_.push_back(std::make_unique<Partition>(i, config_.seed + i, P));
+    partitions_.push_back(std::make_unique<Partition>(i, config_.seed, P));
   }
   pair_lookahead_ns_.assign(static_cast<std::size_t>(P) * P,
                             config_.lookahead.ns());

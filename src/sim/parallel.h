@@ -76,8 +76,8 @@ struct CrossMessage {
 /// mailbox per source partition for messages arriving from the others.
 class Partition {
  public:
-  /// Creates partition `index` with RNG seed `seed`, receiving from up to
-  /// `num_sources` source partitions.
+  /// Creates partition `index` of a run seeded with `seed`, receiving from
+  /// up to `num_sources` source partitions.
   Partition(std::uint32_t index, std::uint64_t seed, std::uint32_t num_sources);
 
   /// This partition's index within the engine.
@@ -160,7 +160,7 @@ class ParallelEngine {
     /// Modeled cost per cross-partition message (serialization + wire),
     /// added per round multiplied by the number of messages that round.
     double per_message_overhead_us = 0.0;
-    /// RNG seed; partition i uses seed + i.
+    /// The run's seed, carried by every partition.
     std::uint64_t seed = 1;
   };
 

@@ -6,13 +6,10 @@
 namespace esim::sim {
 namespace {
 
-// SplitMix64: used only to expand a 64-bit seed into xoshiro state.
+// SplitMix64: expands a seed into xoshiro state and mixes stream words.
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return mix64(x);
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) {
@@ -86,6 +83,11 @@ double Rng::normal(double mean, double stddev) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-Rng Rng::fork() { return Rng{next_u64()}; }
+Rng derive_stream(std::uint64_t seed, StreamTag tag, std::uint64_t index) {
+  std::uint64_t x = seed;
+  x = splitmix64(x) + static_cast<std::uint64_t>(tag);
+  x = splitmix64(x) + index;
+  return Rng{splitmix64(x)};
+}
 
 }  // namespace esim::sim

@@ -1,9 +1,11 @@
 // Deterministic pseudo-random number generation for simulation.
 //
-// All stochastic behaviour in ElephantSim (traffic arrival, flow sizes, ECMP
-// perturbation, ML weight initialisation, ...) flows through `Rng`, a
+// All stochastic behaviour in ElephantSim (traffic arrival, flow sizes,
+// sampled drops, ML weight initialisation, ...) flows through `Rng`, a
 // xoshiro256++ generator seeded via SplitMix64. Identical seeds produce
 // identical simulations on every platform, which the test suite relies on.
+// Inside a run only traffic generators and approximated clusters draw, each
+// from a stream of the seed and its own identity (derive_stream).
 #pragma once
 
 #include <cstdint>
@@ -46,15 +48,29 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool bernoulli(double p);
 
-  /// Forks a child generator whose stream is independent of (and
-  /// deterministically derived from) this one. Used to give each component
-  /// its own stream so adding a component never perturbs another's draws.
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;
 };
+
+/// SplitMix64's finalizer: a full-avalanche 64-bit mixer.
+constexpr std::uint64_t mix64(std::uint64_t z) {
+  z ^= z >> 30;
+  z *= 0xBF58476D1CE4E5B9ULL;
+  z ^= z >> 27;
+  z *= 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// Who draws from a run's seed; each kind's tag keeps its streams apart.
+enum class StreamTag : std::uint64_t {
+  arrivals = 1,  ///< workload::TrafficGenerator, by rank on its simulator
+  drops = 2,     ///< core::ApproxCluster, by cluster index
+};
+
+/// The stream of consumer `index` of kind `tag` in a run seeded with
+/// `seed`: one SplitMix64 step per value, so each is mixed before the next.
+Rng derive_stream(std::uint64_t seed, StreamTag tag, std::uint64_t index);
 
 }  // namespace esim::sim

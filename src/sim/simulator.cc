@@ -8,7 +8,7 @@
 
 namespace esim::sim {
 
-Simulator::Simulator(std::uint64_t seed) : rng_{seed} {}
+Simulator::Simulator(std::uint64_t seed) : seed_{seed} {}
 
 Simulator::~Simulator() = default;
 

@@ -1,9 +1,9 @@
 // The sequential discrete-event simulation engine.
 //
-// A `Simulator` owns the future-event set, the virtual clock, the root RNG,
-// and the components built on it. It is the single-threaded engine used
-// by full-fidelity simulations and by each partition of the parallel engine
-// (see parallel.h).
+// A `Simulator` owns the future-event set, the virtual clock, the run's
+// seed, and the components built on it. It is the single-threaded engine
+// used by full-fidelity simulations and by each partition of the parallel
+// engine (see parallel.h).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/random.h"
 #include "sim/time.h"
 
 namespace esim::telemetry {
@@ -46,7 +45,7 @@ class PopObserver {
 ///   sim.run_until(SimTime::from_sec(5));
 class Simulator {
  public:
-  /// Constructs an engine whose root RNG is seeded with `seed`.
+  /// Constructs an engine for a run seeded with `seed`.
   explicit Simulator(std::uint64_t seed = 1);
   ~Simulator();
 
@@ -98,9 +97,8 @@ class Simulator {
   /// Time of the earliest pending event. Requires events_pending() > 0.
   SimTime next_event_time() { return queue_.next_time(); }
 
-  /// Root RNG. Components should `fork()` their own stream from this at
-  /// construction so later additions don't shift earlier streams.
-  Rng& rng() { return rng_; }
+  /// The run's seed; the engine draws nothing (see sim::derive_stream).
+  std::uint64_t seed() const { return seed_; }
 
   /// Installs a metrics registry (telemetry on) or nullptr (off, the
   /// default). Registers a pull-flusher publishing this engine's event
@@ -176,9 +174,9 @@ class Simulator {
   /// Advances the clock to `ev` and runs it (the body of step()).
   void execute(Event& ev);
 
+  std::uint64_t seed_;
   SimTime now_;
   EventQueue queue_;
-  Rng rng_;
   telemetry::Registry* telemetry_ = nullptr;
   PopObserver* pop_observer_ = nullptr;
   bool stopped_ = false;

@@ -84,8 +84,7 @@ struct FidelityConfig {
   /// fidelity_mix64(packet_id ^ seed) % sample_period == 0). 1 shadows
   /// every packet; 0 disables shadowing but keeps congestion tracking.
   std::uint32_t sample_period = 64;
-  /// Seed of the admission hash (a forked, self-contained stream: it
-  /// shares nothing with any component RNG).
+  /// Seed of the admission hash (it shares nothing with any Rng stream).
   std::uint64_t seed = 0xF1DE117Eull;
 
   // --- error budget (the drift band a cluster must stay inside) ---

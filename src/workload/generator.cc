@@ -1,7 +1,6 @@
 #include "workload/generator.h"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
 
 namespace esim::workload {
@@ -15,7 +14,13 @@ TrafficGenerator::TrafficGenerator(sim::Simulator& sim, std::string name,
       hosts_{std::move(hosts)},
       sizes_{sizes},
       matrix_{matrix},
-      config_{config} {
+      config_{config},
+      // Ranked by the generators already on `sim`.
+      rng_{sim::derive_stream(
+          sim.seed(), sim::StreamTag::arrivals,
+          std::ranges::count_if(sim.components(), [](const auto& c) {
+            return dynamic_cast<const TrafficGenerator*>(c.get()) != nullptr;
+          }))} {
   if (std::ranges::none_of(hosts_, std::identity{}) || sizes_ == nullptr ||
       matrix_ == nullptr) {
     throw std::invalid_argument("TrafficGenerator: no host, sizes or matrix");
@@ -38,11 +43,11 @@ void TrafficGenerator::start() { schedule_next(); }
 
 void TrafficGenerator::schedule_next() {
   for (sim::SimTime at = now();;) {
-    const double gap_s = rng().exponential(mean_gap_.to_seconds());
+    const double gap_s = rng_.exponential(mean_gap_.to_seconds());
     at += sim::SimTime::from_seconds_f(gap_s);
     if (config_.stop_at != sim::SimTime{} && at >= config_.stop_at) return;
-    const auto [src, dst] = matrix_->sample(rng());
-    const std::uint64_t bytes = sizes_->sample(rng());
+    const auto [src, dst] = matrix_->sample(rng_);
+    const std::uint64_t bytes = sizes_->sample(rng_);
     if (hosts_.at(src) != nullptr) {
       schedule_at(at, [this, src, dst, bytes] { arrive(src, dst, bytes); });
       return;
@@ -75,11 +80,6 @@ std::vector<TrafficGenerator*> start_traffic(
     const FlowSizeDistribution* sizes, const TrafficMatrix* matrix,
     const TrafficGenerator::Config& config,
     const std::function<bool(net::HostId, net::HostId)>& filter) {
-  sim::Rng stream = sims.at(0)->rng();
-  for (const sim::Simulator* s : std::span{sims}.subspan(1)) {
-    for (std::size_t i = 0; i < s->components().size(); ++i) stream.fork();
-  }
-  stream = stream.fork();
   std::vector<TrafficGenerator*> gens;
   for (std::uint32_t p = 0; p < sims.size(); ++p) {
     std::vector<tcp::Host*> held = hosts;
@@ -90,7 +90,6 @@ std::vector<TrafficGenerator*> start_traffic(
     if (!owns && !partition_of_host.empty()) continue;
     auto* gen = sims[p]->add_component<TrafficGenerator>(
         "gen" + std::to_string(p), std::move(held), sizes, matrix, config);
-    gen->rng() = stream;
     gen->admission_filter = filter;
     gen->start();
     gens.push_back(gen);

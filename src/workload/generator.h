@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/component.h"
+#include "sim/random.h"
 #include "stats/collectors.h"
 #include "tcp/host.h"
 #include "workload/flow_size.h"
@@ -25,6 +26,9 @@ namespace esim::workload {
 /// Each arrival is drawn whole (gap, endpoints, size) when scheduled, and
 /// admitted ones are numbered 1, 2, ... A null host-table entry is another
 /// partition's host: its arrivals cost no event, and only take a number.
+/// Its arrivals derive from the simulator's seed and its rank among the
+/// generators on that simulator (sim::derive_stream): the first generator
+/// draws the same arrivals in every build and partition at one seed.
 class TrafficGenerator : public sim::Component {
  public:
   struct Config {
@@ -75,6 +79,7 @@ class TrafficGenerator : public sim::Component {
   const FlowSizeDistribution* sizes_;
   const TrafficMatrix* matrix_;
   Config config_;
+  sim::Rng rng_;
   stats::FlowCollector collector_;
   sim::SimTime mean_gap_;
   std::uint64_t launched_ = 0;
@@ -84,11 +89,9 @@ class TrafficGenerator : public sim::Component {
 
 /// Starts one generator on each simulator of `sims` that owns a host,
 /// holding exactly its hosts (`partition_of_host` indexes `sims`; empty
-/// for one simulator), and returns them. Each draws the stream a
-/// one-simulator build gives its generator: partition 0's root RNG,
-/// forked once per component of the other simulators, then once more.
-/// Only component construction draws from a root, and partition 0 carries
-/// the engine seed, so a partitioned run launches the sequential flows.
+/// for one simulator), and returns them. On simulators that hold no
+/// generator yet, every partition draws the sequential run's arrivals,
+/// so a partitioned run launches the sequential flows.
 std::vector<TrafficGenerator*> start_traffic(
     const std::vector<sim::Simulator*>& sims,
     const std::vector<tcp::Host*>& hosts,

@@ -598,19 +598,21 @@ std::uint64_t fold_direction(MicroModel& model, const TrainReport& r,
 
 // Egress trains on a worker thread while ingress trains on the caller:
 // both reports, both held-out evaluations and both models must equal
-// what the parent's one-after-the-other training produced.
+// what one-after-the-other training on one thread produces. The trace
+// comes from record_boundary_trace's generator, so the values also pin
+// its arrival stream.
 TEST(TrainFromTrace, ConcurrentMatchesParent) {
   const auto cfg = small_pipeline();
   const auto trace = core::record_boundary_trace(cfg);
   const auto models = core::train_from_trace(cfg, trace);
-  EXPECT_EQ(models.boundary_records, 29132u);
+  EXPECT_EQ(models.boundary_records, 28946u);
   ASSERT_TRUE(models.has_eval);
   const std::uint64_t ingress = fold_direction(
       *models.ingress, models.ingress_report, models.ingress_eval);
   const std::uint64_t egress = fold_direction(
       *models.egress, models.egress_report, models.egress_eval);
-  EXPECT_EQ(ingress, 0x32bfd565378d637U) << std::hex << "0x" << ingress;
-  EXPECT_EQ(egress, 0xc414a5c115c31274U) << std::hex << "0x" << egress;
+  EXPECT_EQ(ingress, 0x63d4d6234bc3de4fU) << std::hex << "0x" << ingress;
+  EXPECT_EQ(egress, 0x5e7952c084dddc61U) << std::hex << "0x" << egress;
 }
 
 // A direction whose dataset is shorter than one sequence fails training.

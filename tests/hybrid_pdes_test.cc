@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <vector>
 
 #include "check/diff_runner.h"
 #include "check/fuzzer.h"
@@ -194,7 +195,7 @@ TEST(HybridPdes, MatchesSequentialHybridResults) {
     return conn->stats().segments_sent;
   };
   auto run_sequential = [] {
-    sim::Simulator sim{5};  // partition-0 seed above
+    sim::Simulator sim{5};  // the engine seed above
     const auto m = benign_model(8.0);
     auto net = build_hybrid_network(sim, hybrid_config(2), m, m);
     tcp::TcpConnection* conn = nullptr;
@@ -229,8 +230,7 @@ TEST(HybridPdes, SinglePartitionDegradesGracefully) {
 // the race detector.
 TEST(HybridPdes, RandomHybridEnginesAgree) {
   check::Scenario sc = check::random_hybrid_scenario(7);
-  sc.approx->sample_drops = false;  // cross-engine: RNG streams differ
-  sc.approx->drop_bias = -2.0;      // below threshold: traffic flows
+  sc.approx->drop_bias = -2.0;  // below threshold: traffic flows
   const check::DiffRunner runner;
   const check::Digest seq = runner.run(sc, {}).digest;
   for (const std::uint32_t partitions : {2u, 3u}) {
@@ -240,6 +240,24 @@ TEST(HybridPdes, RandomHybridEnginesAgree) {
         << "\n  pdes: " << pdes.to_string();
   }
   EXPECT_GT(seq.packets, 100u);
+}
+
+// Sampled drops draw from each cluster's stream of the engine seed, which
+// every partition carries, so the random hybrid corpus agrees across
+// engines with sampled drops too. check_hybrid runs the scenario's own
+// drop mode: its baseline is the sequential sampled-drop run.
+TEST(HybridPdes, RandomSampledDropHybridsEnginesAgree) {
+  const check::DiffRunner runner;
+  for (std::uint64_t seed = 7; seed < 57; ++seed) {
+    check::Scenario sc = check::random_hybrid_scenario(seed);
+    sc.approx->sample_drops = true;
+    std::vector<check::Digest> digests;
+    EXPECT_EQ(check::check_hybrid(sc, {2, 3}, &digests), "")
+        << "scenario " << seed;
+    ASSERT_FALSE(digests.empty());
+    EXPECT_TRUE(digests.front() == runner.run(sc, {}).digest)
+        << "scenario " << seed;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/random.h"
 #include "telemetry/metrics.h"
 
 namespace esim::sim {
@@ -122,12 +123,13 @@ TEST(ParallelEngine, EquivalentToSequentialForPartitionLocalWork) {
   // under the parallel engine as under a plain Simulator.
   auto sequential = [] {
     Simulator sim{77};
+    Rng rng{77};
     std::int64_t acc = 0;
     std::function<void(int)> step = [&](int n) {
-      acc = acc * 31 + sim.now().ns() + static_cast<std::int64_t>(
-                                            sim.rng().uniform_int(100));
+      acc = acc * 31 + sim.now().ns() +
+            static_cast<std::int64_t>(rng.uniform_int(100));
       if (n > 0) {
-        sim.schedule_in(SimTime::from_us(1 + sim.rng().uniform_int(5)),
+        sim.schedule_in(SimTime::from_us(1 + rng.uniform_int(5)),
                         [&step, n] { step(n - 1); });
       }
     };
@@ -137,15 +139,16 @@ TEST(ParallelEngine, EquivalentToSequentialForPartitionLocalWork) {
   };
   auto parallel = [] {
     auto cfg = basic_config(3);
-    cfg.seed = 77;  // partition 0 gets seed 77
+    cfg.seed = 77;
     ParallelEngine eng{cfg};
     auto& sim = eng.partition(0).sim();
+    Rng rng{77};
     std::int64_t acc = 0;
     std::function<void(int)> step = [&](int n) {
-      acc = acc * 31 + sim.now().ns() + static_cast<std::int64_t>(
-                                            sim.rng().uniform_int(100));
+      acc = acc * 31 + sim.now().ns() +
+            static_cast<std::int64_t>(rng.uniform_int(100));
       if (n > 0) {
-        sim.schedule_in(SimTime::from_us(1 + sim.rng().uniform_int(5)),
+        sim.schedule_in(SimTime::from_us(1 + rng.uniform_int(5)),
                         [&step, n] { step(n - 1); });
       }
     };
@@ -154,6 +157,15 @@ TEST(ParallelEngine, EquivalentToSequentialForPartitionLocalWork) {
     return acc;
   };
   EXPECT_EQ(sequential(), parallel());
+}
+
+// A component draws the stream it would draw on one simulator with the
+// engine seed, whichever partition it lives on.
+TEST(ParallelEngine, EveryPartitionCarriesTheEngineSeed) {
+  ParallelEngine eng{basic_config(4)};
+  for (std::uint32_t p = 0; p < eng.num_partitions(); ++p) {
+    EXPECT_EQ(eng.partition(p).sim().seed(), 9u) << "partition " << p;
+  }
 }
 
 TEST(ParallelEngine, ModeledOverheadAccumulates) {

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <iterator>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "check/scenario.h"
@@ -246,7 +249,7 @@ TEST(PdesNetwork, MatchesSingleThreadedFlowOutcome) {
     return segments.load();
   };
   auto run_seq = [] {
-    sim::Simulator sim{3};  // partition 0 seed in the parallel engine
+    sim::Simulator sim{3};  // the engine seed
     auto net = build_full_network(sim, leaf_spine(2, 2));
     tcp::TcpConnection* conn = nullptr;
     sim.schedule_at(SimTime::from_us(10),
@@ -296,6 +299,25 @@ TrafficRun drive(Engine& engine, const std::vector<sim::Simulator*>& sims,
       sims, net.hosts, partition_of_host, sizes.get(), &matrix, gcfg, filter);
   engine.run_until(SimTime::from_us(1500));
   return {flows_of(gens), events()};
+}
+
+/// A flow's arrival: (start ns, src, dst, bytes).
+using Arrival =
+    std::tuple<std::int64_t, std::uint32_t, std::uint32_t, std::uint64_t>;
+
+/// The arrivals of `flows` with an endpoint in cluster 0 (every flow a
+/// hybrid admits), in start order.
+std::vector<Arrival> cluster0_arrivals(
+    const std::vector<stats::FlowRecord>& flows, const net::ClosSpec& spec) {
+  std::vector<Arrival> out;
+  for (const auto& f : flows) {
+    if (spec.cluster_of_host(f.src_host) == kFullCluster ||
+        spec.cluster_of_host(f.dst_host) == kFullCluster) {
+      out.emplace_back(f.start.ns(), f.src_host, f.dst_host, f.bytes);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 void expect_same_flows(const std::vector<stats::FlowRecord>& got,
@@ -351,34 +373,53 @@ TEST(PdesNetwork, PartitionedTrafficMatchesSequentialLeafSpine) {
   }
 }
 
-TEST(PdesNetwork, PartitionedTrafficMatchesSequentialHybrid) {
+/// The 4-cluster hybrid of the stream tests, with seeded random boundary
+/// models whose drop heads are feature-dependent, and its workload.
+struct SmallHybrid {
   HybridConfig cfg;
-  cfg.net.spec.clusters = 4;
-  cfg.net.spec.tors_per_cluster = 2;
-  cfg.net.spec.aggs_per_cluster = 2;
-  cfg.net.spec.hosts_per_tor = 4;
-  cfg.net.spec.cores = 2;
-  cfg.approx.min_latency_s = 5e-6;
-  // Seeded random boundary models whose drop heads are feature-dependent.
-  check::Scenario::Approximation recipe;
-  recipe.model_seed = 6;
-  recipe.drop_bias = -1.0;
-  const auto ingress = recipe.make_model(0);
-  const auto egress = recipe.make_model(7);
-  const net::ClosSpec& spec = cfg.net.spec;
-  const workload::ClusterMixTraffic matrix{spec, 0.3};
-  // Elision: no flow between two approximated clusters.
-  const Filter elide = [&spec](net::HostId src, net::HostId dst) {
-    return spec.cluster_of_host(src) == kFullCluster ||
-           spec.cluster_of_host(dst) == kFullCluster;
-  };
+  approx::MicroModel ingress;
+  approx::MicroModel egress;
+  workload::ClusterMixTraffic matrix;
+  /// Elision: no flow between two approximated clusters.
+  Filter elide;
 
+  static HybridConfig config() {
+    HybridConfig cfg;
+    cfg.net.spec.clusters = 4;
+    cfg.net.spec.tors_per_cluster = 2;
+    cfg.net.spec.aggs_per_cluster = 2;
+    cfg.net.spec.hosts_per_tor = 4;
+    cfg.net.spec.cores = 2;
+    cfg.approx.min_latency_s = 5e-6;
+    return cfg;
+  }
+  static check::Scenario::Approximation recipe() {
+    check::Scenario::Approximation r;
+    r.model_seed = 6;
+    r.drop_bias = -1.0;
+    return r;
+  }
+
+  SmallHybrid()
+      : cfg{config()},
+        ingress{recipe().make_model(0)},
+        egress{recipe().make_model(7)},
+        matrix{cfg.net.spec, 0.3},
+        elide{[spec = cfg.net.spec](net::HostId src, net::HostId dst) {
+          return spec.cluster_of_host(src) == kFullCluster ||
+                 spec.cluster_of_host(dst) == kFullCluster;
+        }} {}
+};
+
+TEST(PdesNetwork, PartitionedTrafficMatchesSequentialHybrid) {
+  SmallHybrid h;
   for (const bool sampled : {false, true}) {
-    cfg.approx.sample_drops = sampled;
+    h.cfg.approx.sample_drops = sampled;
     sim::Simulator seq_sim{6};
-    const auto seq_net = build_hybrid_network(seq_sim, cfg, ingress, egress);
+    const auto seq_net =
+        build_hybrid_network(seq_sim, h.cfg, h.ingress, h.egress);
     const TrafficRun seq =
-        drive(seq_sim, {&seq_sim}, seq_net, {}, matrix, elide,
+        drive(seq_sim, {&seq_sim}, seq_net, {}, h.matrix, h.elide,
               [&] { return seq_sim.events_executed(); });
     ASSERT_GT(seq.flows.size(), 50u);
     for (const std::uint32_t P : {2u, 3u}) {
@@ -388,56 +429,199 @@ TEST(PdesNetwork, PartitionedTrafficMatchesSequentialHybrid) {
       ecfg.seed = 6;
       ParallelEngine engine{ecfg};
       const auto built =
-          build_hybrid_network_partitioned(engine, cfg, ingress, egress);
+          build_hybrid_network_partitioned(engine, h.cfg, h.ingress, h.egress);
       const TrafficRun pdes =
           drive(engine, partition_sims(engine), built.net,
-                built.partition_of_host, matrix, elide,
+                built.partition_of_host, h.matrix, h.elide,
                 [&] { return engine.stats().events_executed; });
-      // Sampled drops draw from each ApproxCluster's stream, which forks
-      // from its own partition's root: the flows match, their ends need
-      // not.
-      expect_same_flows(pdes.flows, seq.flows, /*with_ends=*/!sampled);
-      if (!sampled) {
-        EXPECT_EQ(pdes.events, seq.events);
-      }
+      expect_same_flows(pdes.flows, seq.flows, /*with_ends=*/true);
+      EXPECT_EQ(pdes.events, seq.events);
     }
   }
 }
 
-// start_traffic on one simulator gives its generator the stream the
-// generator's own constructor forks, and a generator holding every host
-// draws, numbers and launches flows as one that drew endpoints and sizes
-// at arrival time: the hash below was recorded from such a generator.
-TEST(PdesNetwork, FullHostGeneratorKeepsItsStream) {
-  sim::Simulator sim{11};
-  const auto net = build_full_network(sim, leaf_spine(4, 4));
+// A full build and a hybrid at one seed draw one arrival stream: the
+// hybrid launches exactly the full build's flows that touch cluster 0, so
+// an accuracy comparison between them is paired.
+TEST(SeedStreams, FullAndHybridBuildsLaunchTheSameClusterZeroArrivals) {
+  SmallHybrid h;
+  const net::ClosSpec& spec = h.cfg.net.spec;
+  sim::Simulator full_sim{6};
+  const auto full_net = build_full_network(full_sim, h.cfg.net);
+  const TrafficRun full =
+      drive(full_sim, {&full_sim}, full_net, {}, h.matrix, {},
+            [&] { return full_sim.events_executed(); });
+  sim::Simulator hybrid_sim{6};
+  const auto hybrid_net =
+      build_hybrid_network(hybrid_sim, h.cfg, h.ingress, h.egress);
+  const TrafficRun hybrid =
+      drive(hybrid_sim, {&hybrid_sim}, hybrid_net, {}, h.matrix, h.elide,
+            [&] { return hybrid_sim.events_executed(); });
+  const std::vector<Arrival> want = cluster0_arrivals(full.flows, spec);
+  ASSERT_GT(want.size(), 50u);
+  EXPECT_LT(want.size(), full.flows.size());
+  EXPECT_EQ(cluster0_arrivals(hybrid.flows, spec), want);
+  EXPECT_EQ(hybrid.flows.size(), want.size());
+}
+
+// The benchmark's partitioned hybrid (benchmark/workloads.cc,
+// run_partitioned): one generator per partition, each holding every host
+// and admitting the flows whose source it owns. Every partition carries
+// the engine seed, so together they launch the full reference's
+// cluster-0 flows.
+TEST(PdesNetwork, PerPartitionGeneratorsLaunchTheReferenceFlows) {
+  SmallHybrid h;
+  const net::ClosSpec& spec = h.cfg.net.spec;
+  sim::Simulator ref_sim{6};
+  const auto ref_net = build_full_network(ref_sim, h.cfg.net);
+  const TrafficRun ref =
+      drive(ref_sim, {&ref_sim}, ref_net, {}, h.matrix, {},
+            [&] { return ref_sim.events_executed(); });
+
+  auto ecfg = engine_config(2);
+  ecfg.seed = 6;
+  ParallelEngine engine{ecfg};
+  const auto built =
+      build_hybrid_network_partitioned(engine, h.cfg, h.ingress, h.egress);
   auto sizes = workload::mini_web_distribution();
-  workload::UniformTraffic matrix{net.spec.total_hosts()};
   workload::TrafficGenerator::Config gcfg;
-  gcfg.load = 0.3;  // stop_at 0: arrivals never stop
-  const auto* gen = workload::start_traffic(
-      {&sim}, net.hosts, {}, sizes.get(), &matrix, gcfg,
-      [](net::HostId src, net::HostId dst) { return (src + dst) % 5 != 0; })[0];
-  sim.run_until(SimTime::from_ms(1));
-  const auto& records = gen->flows().records();
-  ASSERT_GE(records.size(), 200u);
-  EXPECT_GT(gen->suppressed(), 0u);
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
-  const auto fold = [&hash](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (v >> (8 * b)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
-  };
-  for (std::size_t i = 0; i < 200; ++i) {
-    const auto& r = records[i];
-    fold(r.flow_id);
-    fold(r.src_host);
-    fold(r.dst_host);
-    fold(r.bytes);
-    fold(static_cast<std::uint64_t>(r.start.ns()));
+  gcfg.load = 0.3;
+  gcfg.stop_at = SimTime::from_us(800);
+  std::vector<workload::TrafficGenerator*> gens;
+  for (std::uint32_t p = 0; p < engine.num_partitions(); ++p) {
+    auto* gen =
+        engine.partition(p).sim().add_component<workload::TrafficGenerator>(
+            "gen" + std::to_string(p), built.net.hosts, sizes.get(), &h.matrix,
+            gcfg);
+    gen->admission_filter = [&built, &h, p](net::HostId src,
+                                            net::HostId dst) {
+      return built.partition_of_host[src] == p && h.elide(src, dst);
+    };
+    gen->start();
+    gens.push_back(gen);
   }
-  EXPECT_EQ(hash, 0x16f0d02059dac698ULL);
+  engine.run_until(SimTime::from_us(1500));
+  const std::vector<Arrival> want = cluster0_arrivals(ref.flows, spec);
+  ASSERT_GT(want.size(), 50u);
+  EXPECT_EQ(cluster0_arrivals(flows_of(gens), spec), want);
+}
+
+/// A component that draws nothing and schedules nothing.
+struct Idle : sim::Component {
+  using Component::Component;
+};
+
+// Adding components never moves a generator's stream or a cluster's
+// stream: a sampled-drop hybrid built after unrelated components launches,
+// drops and ends every flow as one built alone.
+TEST(Simulator, ComponentRngStreamsAreStable) {
+  SmallHybrid h;
+  const auto run = [&h](std::uint32_t idle) {
+    sim::Simulator sim{6};
+    for (std::uint32_t i = 0; i < idle; ++i) {
+      sim.add_component<Idle>("idle" + std::to_string(i));
+    }
+    const auto net = build_hybrid_network(sim, h.cfg, h.ingress, h.egress);
+    TrafficRun r = drive(sim, {&sim}, net, {}, h.matrix, h.elide,
+                         [&] { return sim.events_executed(); });
+    std::uint64_t drops = 0;
+    for (const auto* c : net.clusters) {
+      if (c != nullptr) drops += c->stats().predicted_drops;
+    }
+    return std::pair{r, drops};
+  };
+  const auto [alone, alone_drops] = run(0);
+  ASSERT_GT(alone.flows.size(), 50u);
+  EXPECT_GT(alone_drops, 0u);
+  for (const std::uint32_t idle : {1u, 37u}) {
+    SCOPED_TRACE(std::to_string(idle) + " idle components first");
+    const auto [moved, moved_drops] = run(idle);
+    expect_same_flows(moved.flows, alone.flows, /*with_ends=*/true);
+    EXPECT_EQ(moved.events, alone.events);
+    EXPECT_EQ(moved_drops, alone_drops);
+  }
+}
+
+// A second generator on one simulator draws from its rank: arrivals of
+// its own, not a replay of the first generator's, and the same whatever
+// else the simulator holds.
+TEST(SeedStreams, SecondGeneratorDrawsItsOwnArrivals) {
+  auto sizes = workload::mini_web_distribution();
+  workload::UniformTraffic matrix{16};
+  workload::TrafficGenerator::Config gcfg;
+  gcfg.load = 0.3;
+  const auto arrivals = [&](std::uint32_t idle) {
+    sim::Simulator sim{11};
+    const auto net = build_full_network(sim, leaf_spine(4, 4));
+    for (std::uint32_t i = 0; i < idle; ++i) {
+      sim.add_component<Idle>("idle" + std::to_string(i));
+    }
+    std::vector<std::vector<Arrival>> out;
+    std::vector<workload::TrafficGenerator*> gens;
+    for (const char* name : {"first", "second"}) {
+      gens.push_back(sim.add_component<workload::TrafficGenerator>(
+          name, net.hosts, sizes.get(), &matrix, gcfg));
+      gens.back()->start();
+    }
+    sim.run_until(SimTime::from_us(200));
+    for (const auto* g : gens) {  // a leaf-spine is all cluster 0
+      out.push_back(cluster0_arrivals(g->flows().records(), net.spec));
+    }
+    return out;
+  };
+  const auto alone = arrivals(0);
+  ASSERT_GT(alone[0].size(), 20u);
+  ASSERT_GT(alone[1].size(), 20u);
+  std::vector<Arrival> shared;
+  std::set_intersection(alone[0].begin(), alone[0].end(), alone[1].begin(),
+                        alone[1].end(), std::back_inserter(shared));
+  EXPECT_TRUE(shared.empty()) << shared.size() << " arrivals replayed";
+  EXPECT_EQ(arrivals(5), alone);
+}
+
+// The arrival stream of the first generator on a simulator seeded 11, as
+// start_traffic launches it, pinned by a hash of its first 200 flows. It
+// depends on the seed alone: a build with fewer components launches the
+// same flows.
+TEST(PdesNetwork, FullHostGeneratorKeepsItsStream) {
+  const auto hash_of = [](std::uint32_t spines) {
+    sim::Simulator sim{11};
+    const auto net = build_full_network(sim, leaf_spine(4, spines));
+    auto sizes = workload::mini_web_distribution();
+    workload::UniformTraffic matrix{net.spec.total_hosts()};
+    workload::TrafficGenerator::Config gcfg;
+    gcfg.load = 0.3;  // stop_at 0: arrivals never stop
+    const auto* gen = workload::start_traffic(
+        {&sim}, net.hosts, {}, sizes.get(), &matrix, gcfg,
+        [](net::HostId src, net::HostId dst) {
+          return (src + dst) % 5 != 0;
+        })[0];
+    sim.run_until(SimTime::from_ms(1));
+    const auto& records = gen->flows().records();
+    EXPECT_GE(records.size(), 200u);
+    EXPECT_GT(gen->suppressed(), 0u);
+    std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
+    const auto fold = [&hash](std::uint64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        hash ^= (v >> (8 * b)) & 0xFF;
+        hash *= 1099511628211ULL;
+      }
+    };
+    for (std::size_t i = 0; i < std::min<std::size_t>(records.size(), 200);
+         ++i) {
+      const auto& r = records[i];
+      fold(r.flow_id);
+      fold(r.src_host);
+      fold(r.dst_host);
+      fold(r.bytes);
+      fold(static_cast<std::uint64_t>(r.start.ns()));
+    }
+    return hash;
+  };
+  const std::uint64_t hash = hash_of(4);
+  EXPECT_EQ(hash, 0x0014b47c87b4481dULL) << std::hex << "0x" << hash;
+  // Two spines: fewer switches and links, the same hosts.
+  EXPECT_EQ(hash_of(2), hash);
 }
 
 TEST(PdesNetwork, GeneratorWithoutHostsThrows) {

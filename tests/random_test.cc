@@ -152,23 +152,21 @@ TEST(Rng, GoldenDistributionDraws) {
   for (bool want : bern) EXPECT_EQ(b.bernoulli(0.5), want);
 }
 
-// Child-stream non-aliasing: every component gets its stream via fork()
-// (and every PDES partition via seed + i). If two children ever shared a
-// stream, their "independent" traffic draws would be perfectly
-// correlated — a silent statistics bug. Fingerprint each stream by its
-// first draws and require all streams pairwise distinct.
-TEST(Rng, ForkedChildStreamsDoNotAlias) {
-  Rng parent{2024};
+// Stream non-aliasing: every drawing component derives its stream from
+// (seed, tag, index). If two consumers ever shared a stream, their
+// "independent" draws would be perfectly correlated — a silent statistics
+// bug. Fingerprint each stream by its first draws and require all streams,
+// and the plain Rng{seed} streams beside them, pairwise distinct.
+TEST(Rng, DerivedStreamsDoNotAlias) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> prints;
-  for (int i = 0; i < 100; ++i) {
-    Rng child = parent.fork();
-    prints.emplace_back(child.next_u64(), child.next_u64());
-  }
-  // Include the parent's continuation and sibling root seeds (the PDES
-  // partition pattern seed, seed+1, ...) in the aliasing check.
-  prints.emplace_back(parent.next_u64(), parent.next_u64());
-  for (std::uint64_t s = 2024; s < 2024 + 8; ++s) {
-    Rng root{s};
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    for (const StreamTag tag : {StreamTag::arrivals, StreamTag::drops}) {
+      for (std::uint64_t index = 0; index < 16; ++index) {
+        Rng stream = derive_stream(seed, tag, index);
+        prints.emplace_back(stream.next_u64(), stream.next_u64());
+      }
+    }
+    Rng root{seed};
     prints.emplace_back(root.next_u64(), root.next_u64());
   }
   std::sort(prints.begin(), prints.end());
@@ -176,40 +174,19 @@ TEST(Rng, ForkedChildStreamsDoNotAlias) {
       << "two RNG streams produced identical opening draws";
 }
 
-// Grandchildren must not collide with children either: components fork
-// from the simulator stream, then fork again for their own helpers.
-TEST(Rng, NestedForksDoNotAlias) {
-  Rng root{7};
-  std::vector<std::uint64_t> firsts;
-  for (int i = 0; i < 10; ++i) {
-    Rng child = root.fork();
-    for (int j = 0; j < 10; ++j) {
-      Rng grandchild = child.fork();
-      firsts.push_back(grandchild.next_u64());
-    }
-    firsts.push_back(child.next_u64());
-  }
-  std::sort(firsts.begin(), firsts.end());
-  EXPECT_EQ(std::adjacent_find(firsts.begin(), firsts.end()), firsts.end());
+TEST(Rng, DerivedStreamDeterministic) {
+  Rng a = derive_stream(99, StreamTag::drops, 3);
+  Rng b = derive_stream(99, StreamTag::drops, 3);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
-TEST(Rng, ForkIndependentOfParentContinuation) {
-  Rng parent{31};
-  Rng child = parent.fork();
-  // The child stream should not simply replay the parent stream.
-  Rng parent2{31};
-  (void)parent2.next_u64();  // align with the fork's consumption
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (child.next_u64() == parent2.next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 4);
-}
-
-TEST(Rng, ForkDeterministic) {
-  Rng a{99}, b{99};
-  Rng ca = a.fork(), cb = b.fork();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(ca.next_u64(), cb.next_u64());
+// The mixing is part of the seeding contract: every run that draws
+// arrivals or sampled drops depends on these values.
+TEST(Rng, GoldenDerivedStreamDraws) {
+  Rng arrivals = derive_stream(1, StreamTag::arrivals, 0);
+  Rng drops = derive_stream(1, StreamTag::drops, 1);
+  EXPECT_EQ(arrivals.next_u64(), 6923812125190581470ull);
+  EXPECT_EQ(drops.next_u64(), 9933475551991607050ull);
 }
 
 }  // namespace

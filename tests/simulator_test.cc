@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/component.h"
+#include "sim/random.h"
 
 namespace esim::sim {
 namespace {
@@ -170,26 +171,15 @@ TEST(Simulator, ComponentSelfScheduling) {
   EXPECT_EQ(sim.now(), SimTime::from_ms(7));
 }
 
-TEST(Simulator, ComponentRngStreamsAreStable) {
-  // Adding a second component must not change the first one's stream.
-  Simulator a{5}, b{5};
-  auto* pa = a.add_component<Pinger>("x");
-  auto* pb = b.add_component<Pinger>("x");
-  (void)b.add_component<Pinger>("y");
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(pa->rng().next_u64(), pb->rng().next_u64());
-  }
-}
-
 TEST(Simulator, SameSeedSameTrajectory) {
   auto run = [](std::uint64_t seed) {
     Simulator sim{seed};
+    Rng rng{seed};
     std::vector<std::uint64_t> draws;
     std::function<void()> step = [&] {
-      draws.push_back(sim.rng().uniform_int(1000));
+      draws.push_back(rng.uniform_int(1000));
       if (draws.size() < 50) {
-        sim.schedule_in(SimTime::from_us(sim.rng().uniform_int(100) + 1),
-                        step);
+        sim.schedule_in(SimTime::from_us(rng.uniform_int(100) + 1), step);
       }
     };
     sim.schedule_in(SimTime::from_us(1), step);

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "net/link.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 #include "tcp/host.h"
 

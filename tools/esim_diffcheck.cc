@@ -13,8 +13,8 @@
 //     Re-runs the checks on a saved (possibly shrunk) scenario file.
 //
 //   esim_diffcheck hybrid [--n N] [--seed S] [--partitions 2,3]
-//     Generates N hybrid (approx-cluster) scenarios and checks each one:
-//     sequential vs PDES at every partition count, threshold drops
+//     Generates N hybrid (approx-cluster) scenarios, with threshold drops,
+//     and checks each one: sequential vs PDES at every partition count
 //     (engine-invariant digest lanes).
 //
 //   esim_diffcheck fidelity [--n N] [--seed S] [--partitions 2,4]
@@ -28,8 +28,8 @@
 //
 //   esim_diffcheck granularity [--n N] [--seed S] [--partitions 2,4]
 //     Generates N quiescent-heavy adaptive-tier scenarios (DESIGN.md §12)
-//     and checks each one: sequential vs PDES at every partition count
-//     with threshold drops — engine-invariant digest lanes, tier lane
+//     with threshold drops, and checks each one: sequential vs PDES at
+//     every partition count — engine-invariant digest lanes, tier lane
 //     included. Also requires that the corpus executed at least one real
 //     transition, so a controller that never engages cannot pass.
 //
